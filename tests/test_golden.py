@@ -1,0 +1,108 @@
+"""Byte-for-byte golden outputs of the CLI and of the minimality sweep.
+
+Each file under ``tests/golden/`` maps a request to the exact text it
+printed: CLI stdout for ``embed``/``verify``/``census``/``cartan``, and the
+sorted compact JSON of ``minimality_certificate(md).to_json()``.  A change
+that is meant to keep behaviour leaves every byte in place.  The outputs
+hold floating-point digits, so they are tied to the numeric stack they were
+recorded on (numpy 2.4, OpenBLAS 0.3.31, x86-64).  Regenerate them, only
+when an output is meant to change, with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from manirep import cli
+from manirep.classify import minimality_certificate
+from manirep.embeddings import ManifoldDescriptor, all_smallest_legal
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CENSUS_GROUPS = (
+    "--group SL --n 9 --field C",
+    "--group SO --n 19 --field C",
+    "--group Sp --n 10 --field C",
+    "--group Sp --n 10 --field R",
+    "--group SU --n 9",
+    "--group SpCompact --n 10",
+    # the only census that builds form-twisted SO modules
+    "--group SOpq --n 5 --signature 2,3",
+)
+CARTAN = (
+    "--type AI --n 3", "--type AII --n 2", "--type AIII --n 4 --k 2",
+    "--type BDI --n 4 --k 2", "--type DIII --n 2", "--type CI --n 2",
+    "--type CII --n 3 --k 1",
+)
+
+
+def manifold_flags(md: ManifoldDescriptor) -> str:
+    out = ["--manifold", md.family, "--n", str(md.n)]
+    for flag, val in (("--k", md.k), ("--p", md.p), ("--field", md.field)):
+        if val is not None:
+            out += [flag, str(val)]
+    for flag, val in (("--ks", md.ks), ("--pq", md.pq), ("--sizes", md.sizes)):
+        if val is not None:
+            out += [flag, ",".join(map(str, val))]
+    return " ".join(out)
+
+
+def cli_stdout(line: str) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(line.split())
+    assert code == 0, buf.getvalue()
+    return buf.getvalue()
+
+
+def certificate(md: ManifoldDescriptor) -> str:
+    return json.dumps(minimality_certificate(md).to_json(), sort_keys=True) + "\n"
+
+
+def cases() -> dict[str, dict]:
+    """file name -> {request: thunk printing its output}."""
+    rows = all_smallest_legal()
+    table = {
+        "embed": [f"embed {manifold_flags(md)}" for md in rows],
+        "verify": ["verify --manifold all --trials 20 --seed 7"],
+        "census": [f"census {g}" for g in CENSUS_GROUPS],
+        "cartan": [f"cartan {c} --seed 7" for c in CARTAN],
+    }
+    out = {name: {line: (lambda line=line: cli_stdout(line)) for line in lines}
+           for name, lines in table.items()}
+    out["minimality"] = {manifold_flags(md): (lambda md=md: certificate(md)) for md in rows}
+    return out
+
+
+CASES = cases()
+
+
+def golden(name: str) -> dict[str, str]:
+    return json.loads((GOLDEN / f"{name}.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_requests_match_files(name):
+    assert sorted(golden(name)) == sorted(CASES[name])
+
+
+@pytest.mark.parametrize(
+    "name,request_line",
+    [(name, line) for name in sorted(CASES) for line in CASES[name]],
+)
+def test_golden_output(name, request_line):
+    assert CASES[name][request_line]() == golden(name)[request_line]
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, requests in CASES.items():
+        text = json.dumps({line: run() for line, run in requests.items()}, indent=1, sort_keys=True)
+        (GOLDEN / f"{name}.json").write_text(text + "\n")
