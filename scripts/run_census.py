@@ -3,7 +3,8 @@
 
 Enumerates every admissible module sum for SL_9(C), SO_19(C), Sp_10(C),
 SU_9, and compact Sp_10, with total dimensions and the stabilizer dimension
-realized at canonical witnesses.  Writes one JSON document per group.
+realized at canonical witnesses, through ``manirep.classify.census`` (the
+report ``manirep census`` prints).  Writes one JSON document per group.
 """
 
 import argparse
@@ -12,20 +13,6 @@ from pathlib import Path
 
 from manirep import classify as C
 from manirep import groups as G
-
-
-def census(g):
-    targets = []
-    for rep in C.enumerate_admissible(g):
-        entry = rep.to_json()
-        mods = rep.modules
-        if mods:
-            witnesses = [C.canonical_witness(m) for m in mods]
-            entry["canonical_h_dim"] = C.stabilizer_form(rep.spec, witnesses).h_dim
-        else:
-            entry["canonical_h_dim"] = G.group_dim(g)
-        targets.append(entry)
-    return {"group": g.to_json(), "targets": targets}
 
 
 def main():
@@ -43,7 +30,7 @@ def main():
         "sp10_compact": G.sp_compact(10),
     }
     for name, g in cases.items():
-        report = census(g)
+        report = C.census(g)
         path = outdir / f"{name}.json"
         path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
         print(f"{name}: {len(report['targets'])} admissible targets -> {path}")

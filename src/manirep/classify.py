@@ -2,14 +2,18 @@
 
 For each supported group family there is a short list of low-dimensional
 irreducible modules (see :mod:`manirep.weyl`), so a candidate target is
-just a tuple of multiplicities.  Admissibility is a single exact rational
-inequality equivalent to the total dimension staying within the square
-(or four-squares, for symplectic rank) bound; the unitary and compact
-symplectic families instead have hard-coded short lists.
+just a tuple of multiplicities.  Each family is one :class:`GroupFamily`
+row of ``GROUP_FAMILIES``: the multiplicity names, factor kinds and ranges,
+and the admissibility rule, a single exact rational inequality equivalent
+to the total dimension staying within the square (or four-squares, for
+symplectic rank) bound; the unitary and compact symplectic families
+instead have hard-coded short lists.
 
 ``stabilizer_form`` assembles the subgroup realized by a tuple of witness
 points, one per module factor: per-factor structured stabilizers plus the
-exact dimension of their intersection inside the group.
+exact dimension of their intersection inside the group.  Each factor kind
+is one :class:`Factor` row of ``FACTORS``: its canonical witness, its
+structured stabilizer and its block signature.
 
 ``minimality_certificate`` checks, for a manifold family, that its target
 dimension matches the family's closed form and that no admissible target
@@ -20,13 +24,16 @@ at desk scale only: dimension first, block-structure signature on ties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
+from typing import Callable
 
 import numpy as np
 
 from . import embeddings as E
 from . import groups as G
+from . import weyl
 from .errors import (
     InvalidDescriptor,
     NotMinimalFamily,
@@ -34,7 +41,6 @@ from .errors import (
     WitnessNotInModule,
 )
 from .gmodules import (
-    ActionKind,
     ModuleDescriptor,
     contains as module_contains,
     module_dim,
@@ -59,80 +65,104 @@ from .stabilizers import (
 )
 
 
-def classification_family(g: G.GroupDescriptor) -> str:
-    if g.family == G.SL:
-        return "SL"
-    if g.family in (G.SO, G.SOPQ):
-        return "SO"
-    if g.family == G.SP:
-        return "Sp"
-    if g.family == G.SU:
-        return "SU"
-    if g.family == G.SP_COMPACT:
-        return "SpC"
-    raise UnsupportedGroup(f"no classification for family {g.family!r}")
+def _sl_value(n, mult, dim_total):
+    b, c, d, e = mult
+    return (Fraction(c + d, 2) + e - 1) * n**2 + (b - Fraction(c, 2) + Fraction(d, 2)) * n - e
+
+
+def _so_value(n, mult, dim_total):
+    b, c, d = mult
+    return (Fraction(c + d, 2) - 1) * n**2 + (b + Fraction(d - c, 2)) * n - d
+
+
+def _sp_value(n, mult, dim_total):
+    b, c, d = mult
+    half = n // 2
+    return (c + d - 2) * half**2 + (b - Fraction(c - d, 2)) * half - Fraction(c, 2)
+
+
+def _square_excess(n, mult, dim_total):
+    return Fraction(dim_total - n**2)
+
+
+@dataclass(frozen=True)
+class GroupFamily:
+    """Candidate targets of one group family.
+
+    With ``stack`` the first multiplicity ``b`` (0..n) is the column count
+    of one RectNK factor.  Each entry (name, kind, bound) of ``slots`` is a
+    further multiplicity, 0..bound-1 copies of one factor kind; ``twisted``
+    factors carry the group's form.  ``inequality(n, mult, dim_total)`` is
+    the exact admissibility value.  A target is admissible when it is in
+    ``listed`` or, for a family without a list, when it is in range and the
+    value is <= 0.  ``catalog`` says whether ``census`` reports the
+    low-dimensional Weyl catalog.
+    """
+
+    name: str
+    slots: tuple[tuple[str, str, int], ...]
+    inequality: Callable[[int, tuple[int, ...], int], Fraction]
+    stack: bool = True
+    twisted: bool = False
+    listed: frozenset | None = None
+    catalog: bool = True
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return (("b",) if self.stack else ()) + tuple(name for name, _, _ in self.slots)
+
+    def ranges(self, n: int) -> list[range]:
+        stack = [range(n + 1)] if self.stack else []
+        return stack + [range(bound) for _, _, bound in self.slots]
+
+
+_SO = GroupFamily("SO", (("c", "Alt2", 3), ("d", "Sym2Traceless", 3)), _so_value)
+GROUP_FAMILIES = {
+    G.SL: GroupFamily("SL", (("c", "Alt2", 3), ("d", "Sym2", 2), ("e", "SLnTraceless", 2)),
+                      _sl_value),
+    G.SO: _SO,
+    G.SOPQ: replace(_SO, twisted=True),
+    G.SP: GroupFamily("Sp", (("c", "Sym2TracelessForm", 2), ("d", "Alt2Form", 2)), _sp_value),
+    G.SU: GroupFamily("SU", (("a", "SUAlgebra", 2),), _square_excess, stack=False,
+                      listed=frozenset({(1,)}), catalog=False),
+    G.SP_COMPACT: GroupFamily("SpC", (("c", "SymTracelessCapSU", 2), ("d", "SpAlgebra", 2)),
+                              _square_excess, stack=False,
+                              listed=frozenset({(0, 1), (1, 0), (1, 1)}), catalog=False),
+}
+
+
+def _group_family(g: G.GroupDescriptor) -> GroupFamily:
+    if g.family not in GROUP_FAMILIES:
+        raise UnsupportedGroup(f"no classification for family {g.family!r}")
+    return GROUP_FAMILIES[g.family]
 
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """A candidate module sum for one group, as factor multiplicities.
-
-    SL: (b, c, d, e) copies of the column stack, skew squares, symmetric
-    squares, and the adjoint.  SO: (b, c, d) with the traceless symmetric
-    square last.  Sp: (b, c, d) = columns, symmetric-traceless (form),
-    skew (form) = adjoint.  SU: (a,), the adjoint only.  SpC: (c, d).
-    """
+    """A candidate module sum for one group, as factor multiplicities in the
+    order of its family's row in ``GROUP_FAMILIES``."""
 
     group: G.GroupDescriptor
     multiplicities: tuple[int, ...]
 
     def modules(self) -> list[ModuleDescriptor]:
         g = self.group
-        fam = classification_family(g)
-        n = g.n
+        fam = _group_family(g)
+        mult = self.multiplicities
         out: list[ModuleDescriptor] = []
-        if fam == "SL":
-            b, c, d, e = self.multiplicities
+        if fam.stack:
+            b, *mult = mult
             if b:
-                out.append(ModuleDescriptor("RectNK", n, g.field, k=b))
-            out += [ModuleDescriptor("Alt2", n, g.field)] * c
-            out += [ModuleDescriptor("Sym2", n, g.field)] * d
-            out += [ModuleDescriptor("SLnTraceless", n, g.field)] * e
-        elif fam == "SO":
-            b, c, d = self.multiplicities
-            form = G.Ipq(*g.signature) if g.family == G.SOPQ else None
-            fld = REAL if g.family == G.SOPQ else g.field
-            if b:
-                out.append(ModuleDescriptor("RectNK", n, fld, k=b))
-            out += [ModuleDescriptor("Alt2", n, fld, form=form)] * c
-            out += [ModuleDescriptor("Sym2Traceless", n, fld, form=form)] * d
-        elif fam == "Sp":
-            b, c, d = self.multiplicities
-            if b:
-                out.append(ModuleDescriptor("RectNK", n, g.field, k=b))
-            out += [ModuleDescriptor("Sym2TracelessForm", n, g.field)] * c
-            out += [ModuleDescriptor("Alt2Form", n, g.field)] * d
-        elif fam == "SU":
-            (a,) = self.multiplicities
-            out += [ModuleDescriptor("SUAlgebra", n)] * a
-        elif fam == "SpC":
-            c, d = self.multiplicities
-            out += [ModuleDescriptor("SymTracelessCapSU", n)] * c
-            out += [ModuleDescriptor("SpAlgebra", n)] * d
+                out.append(ModuleDescriptor("RectNK", g.n, g.field, k=b))
+        form = g.form_matrix() if fam.twisted else None
+        for (_, kind, _), count in zip(fam.slots, mult):
+            out += [ModuleDescriptor(kind, g.n, g.field, form=form)] * count
         return out
 
     def to_json(self) -> dict:
-        fam = classification_family(self.group)
-        names = {
-            "SL": ("b", "c", "d", "e"),
-            "SO": ("b", "c", "d"),
-            "Sp": ("b", "c", "d"),
-            "SU": ("a",),
-            "SpC": ("c", "d"),
-        }[fam]
         return {
             "group": self.group.to_json(),
-            "multiplicities": dict(zip(names, self.multiplicities)),
+            "multiplicities": dict(zip(_group_family(self.group).names, self.multiplicities)),
         }
 
 
@@ -156,68 +186,29 @@ class AdmissibilityReport:
         return out
 
 
-def _ranges(fam: str, g: G.GroupDescriptor) -> list[range]:
-    n = g.n
-    if fam == "SL":
-        return [range(n + 1), range(3), range(2), range(2)]
-    if fam == "SO":
-        return [range(n + 1), range(3), range(3)]
-    if fam == "Sp":
-        return [range(n + 1), range(2), range(2)]
-    if fam == "SU":
-        return [range(2)]
-    if fam == "SpC":
-        return [range(2), range(2)]
-    raise UnsupportedGroup(fam)
-
-
 def admissible(spec: TargetSpec) -> AdmissibilityReport:
     """Evaluate the family's admissibility rule exactly over rationals."""
     g = spec.group
-    fam = classification_family(g)
+    fam = _group_family(g)
     mult = spec.multiplicities
-    ranges = _ranges(fam, g)
+    ranges = fam.ranges(g.n)
     if len(mult) != len(ranges):
-        raise InvalidDescriptor(f"{fam} expects {len(ranges)} multiplicities")
+        raise InvalidDescriptor(f"{fam.name} expects {len(ranges)} multiplicities")
     in_range = all(m in r for m, r in zip(mult, ranges))
-    n = g.n
     mods = spec.modules()
     dim_total = sum(module_dim(m) for m in mods)
-    if fam == "SL":
-        b, c, d, e = mult
-        value = (
-            (Fraction(c + d, 2) + e - 1) * n**2
-            + (b - Fraction(c, 2) + Fraction(d, 2)) * n
-            - e
-        )
+    value = fam.inequality(g.n, mult, dim_total)
+    if fam.listed is not None:
+        ok = tuple(mult) in fam.listed
+    else:
         ok = in_range and value <= 0
-    elif fam == "SO":
-        b, c, d = mult
-        value = (Fraction(c + d, 2) - 1) * n**2 + (b + Fraction(d - c, 2)) * n - d
-        ok = in_range and value <= 0
-    elif fam == "Sp":
-        b, c, d = mult
-        half = n // 2
-        value = (c + d - 2) * half**2 + (b - Fraction(c - d, 2)) * half - Fraction(c, 2)
-        ok = in_range and value <= 0
-    elif fam == "SU":
-        (a,) = mult
-        value = Fraction(dim_total - n**2)
-        ok = a == 1
-    else:  # SpC
-        c, d = mult
-        value = Fraction(dim_total - n**2)
-        ok = (c, d) in ((0, 1), (1, 0), (1, 1))
     return AdmissibilityReport(spec, ok, value, dim_total, mods)
 
 
 def enumerate_admissible(g: G.GroupDescriptor) -> list[AdmissibilityReport]:
     """All admissible multiplicity tuples, by total dimension then lex order."""
-    fam = classification_family(g)
-    from itertools import product
-
     out = []
-    for mult in product(*_ranges(fam, g)):
+    for mult in product(*_group_family(g).ranges(g.n)):
         rep = admissible(TargetSpec(g, mult))
         if rep.admissible:
             out.append(rep)
@@ -267,51 +258,148 @@ def _group_eigs(vals: np.ndarray, tol: float) -> list[tuple[float, int]]:
     return groups
 
 
+def _untwisted(m: ModuleDescriptor, X: np.ndarray) -> np.ndarray:
+    """The form-twisted copy of a witness as a plain symmetric or skew matrix."""
+    return X if m.form is None else m.form @ X
+
+
+def _similarity_stabilizer(m, X, tol):
+    Z = np.asarray(X, dtype=complex) * 16
+    dyadic = bool(np.all(Z == np.round(Z.real) + 1j * np.round(Z.imag)))
+    return stabilizer_similarity(X, "exact" if dyadic else "numeric", tol, field=m.field)
+
+
+def _compact_blocks(flavor, sizes):
+    """Stabilizer of a compact witness: ``sizes`` maps the eigenvalue
+    clusters (value, multiplicity) of -iX to the block sizes."""
+
+    def stabilizer(m, X, tol):
+        vals, vecs = np.linalg.eigh(-1j * np.asarray(X, dtype=complex))
+        classes = _group_eigs(vals, tol.cutoff(np.abs(vals).max(initial=1.0)))
+        return CompactBlocks(vecs, sizes(classes), flavor)
+
+    return stabilizer
+
+
+def _quaternionic_sizes(classes):
+    if any(k % 2 for _, k in classes):
+        raise WitnessNotInModule("quaternionic witness spectra must pair up")
+    return tuple(k // 2 for _, k in classes)
+
+
+def _stack_witness(m):
+    X = np.zeros(m.shape, dtype=complex if m.field == COMPLEX else float)
+    X[: m.k, : m.k] = np.eye(m.k)
+    return X
+
+
+def _skew_witness(m):
+    r = m.n // 2
+    S = youla_blocks([float(i) for i in range(r, 0, -1)], m.n)
+    if m.form is not None:
+        S = np.linalg.inv(m.form) @ S
+    return S.astype(complex if m.field == COMPLEX else float)
+
+
+def _diagonal_witness(centered: bool, pairing: int | None = None, imaginary: bool = False):
+    """diag(1, ..., n), or diag(v, pairing * v) with v = (1, ..., n/2).
+
+    ``centered`` shifts the values to trace zero; ``imaginary`` multiplies
+    by i for the compact kinds instead of casting to the module's field.
+    """
+
+    def witness(m):
+        vals = np.arange(1.0, (m.n if pairing is None else m.n // 2) + 1)
+        if centered:
+            vals = vals - vals.mean()
+        if pairing is not None:
+            vals = np.concatenate([vals, pairing * vals])
+        if imaginary:
+            return 1j * np.diag(vals)
+        return np.diag(vals).astype(complex if m.field == COMPLEX else float)
+
+    return witness
+
+
+def _skew_signature(m, X):
+    r = numerical_rank(np.asarray(_untwisted(m, X), dtype=complex)) // 2
+    return ("skew", r, m.n - 2 * r)
+
+
+def _sym_signature(m, X):
+    S = _untwisted(m, X)
+    if m.field == REAL:
+        vals = np.linalg.eigvalsh(np.asarray(S + S.T, dtype=complex).real / 2)
+    else:
+        _, vals = takagi(np.asarray(S, dtype=complex))
+    nz = vals[np.abs(vals) > 1e-9 * max(np.abs(vals).max(initial=0.0), 1.0)]
+    mult = tuple(sorted(k for _, k in _group_eigs(nz, 1e-7 * max(np.abs(nz).max(initial=1.0), 1.0))))
+    return ("sym", mult, m.n - len(nz))
+
+
+def _adjoint_signature(m, X):
+    """Eigenvalue multiplicity pattern of an adjoint-type factor."""
+    vals = np.linalg.eigvals(np.asarray(X, dtype=complex))
+    re = np.sort(vals.imag if np.abs(vals.real).max(initial=0.0) < 1e-9 else vals.real)
+    mult = tuple(sorted(k for _, k in _group_eigs(re, 1e-7 * max(np.abs(re).max(initial=1.0), 1.0))))
+    return ("adjoint", mult)
+
+
+@dataclass(frozen=True)
+class Factor:
+    """One factor kind: its generic witness (full rank, all spectral values
+    distinct), the structured stabilizer of a witness matching the factor's
+    action, and the coarse block signature that tells stabilizers of equal
+    dimension apart."""
+
+    witness: Callable[[ModuleDescriptor], np.ndarray]
+    stabilizer: Callable[[ModuleDescriptor, np.ndarray, Tolerance], object]
+    signature: Callable[[ModuleDescriptor, np.ndarray], tuple]
+
+
+_SYMMETRIC = Factor(
+    _diagonal_witness(centered=False),
+    lambda m, X, tol: stabilizer_congruence_sym(_untwisted(m, X), tol, field=m.field),
+    _sym_signature)
+FACTORS = {
+    "RectNK": Factor(_stack_witness,
+                     lambda m, X, tol: stabilizer_left_mult(X, tol, field=m.field),
+                     lambda m, X: ("stack", m.k)),
+    "Alt2": Factor(
+        _skew_witness,
+        lambda m, X, tol: stabilizer_congruence_skew(_untwisted(m, X), tol, field=m.field),
+        _skew_signature),
+    "Sym2": _SYMMETRIC,
+    "Sym2Traceless": replace(_SYMMETRIC, witness=_diagonal_witness(centered=True)),
+    "SLnTraceless": Factor(_diagonal_witness(centered=True), _similarity_stabilizer,
+                           _adjoint_signature),
+    "Sym2TracelessForm": Factor(_diagonal_witness(centered=True, pairing=1),
+                                _similarity_stabilizer, _adjoint_signature),
+    "Alt2Form": Factor(_diagonal_witness(centered=False, pairing=-1), _similarity_stabilizer,
+                       _adjoint_signature),
+    "SUAlgebra": Factor(_diagonal_witness(centered=True, imaginary=True),
+                        _compact_blocks("s-unitary-product", lambda c: tuple(k for _, k in c)),
+                        _adjoint_signature),
+    "SymTracelessCapSU": Factor(_diagonal_witness(centered=True, pairing=1, imaginary=True),
+                                _compact_blocks("sp-product", _quaternionic_sizes),
+                                _adjoint_signature),
+    "SpAlgebra": Factor(_diagonal_witness(centered=False, pairing=-1, imaginary=True),
+                        _compact_blocks("unitary-product",
+                                        lambda c: tuple(k for lam, k in c if lam > 0)),
+                        _adjoint_signature),
+}
+
+
+def _factor(m: ModuleDescriptor) -> Factor:
+    if m.kind not in FACTORS:
+        raise InvalidDescriptor(f"{m.kind} is not a classification factor")
+    return FACTORS[m.kind]
+
+
 def factor_stabilizer(module: ModuleDescriptor, X: np.ndarray, group: G.GroupDescriptor,
                       tol: Tolerance = DEFAULT_TOL):
     """Structured stabilizer of one witness, matching the factor's action."""
-    kind = module.kind
-    if kind == "RectNK":
-        return stabilizer_left_mult(X, tol, field=module.field)
-    if kind == "Alt2":
-        S = X if module.form is None else module.form @ X
-        return stabilizer_congruence_skew(S, tol, field=module.field)
-    if kind in ("Sym2", "Sym2Traceless"):
-        S = X if module.form is None else module.form @ X
-        return stabilizer_congruence_sym(S, tol, field=module.field)
-    if kind in ("SLnTraceless", "Sym2TracelessForm", "Alt2Form"):
-        Z = np.asarray(X, dtype=complex) * 16
-        dyadic = bool(np.all(Z == np.round(Z.real) + 1j * np.round(Z.imag)))
-        return stabilizer_similarity(X, "exact" if dyadic else "numeric", tol, field=module.field)
-    if kind == "SUAlgebra":
-        vals, vecs = np.linalg.eigh(-1j * np.asarray(X, dtype=complex))
-        sizes = tuple(k for _, k in _group_eigs(vals, tol.cutoff(np.abs(vals).max(initial=1.0))))
-        return CompactBlocks(vecs, sizes, "s-unitary-product")
-    if kind == "SymTracelessCapSU":
-        vals, vecs = np.linalg.eigh(-1j * np.asarray(X, dtype=complex))
-        pairs = _group_eigs(vals, tol.cutoff(np.abs(vals).max(initial=1.0)))
-        if any(k % 2 for _, k in pairs):
-            raise WitnessNotInModule("quaternionic witness spectra must pair up")
-        sizes = tuple(k // 2 for _, k in pairs)
-        return CompactBlocks(vecs, sizes, "sp-product")
-    if kind == "SpAlgebra":
-        vals, vecs = np.linalg.eigh(-1j * np.asarray(X, dtype=complex))
-        pos = [(lam, k) for lam, k in _group_eigs(vals, tol.cutoff(np.abs(vals).max(initial=1.0))) if lam > 0]
-        sizes = tuple(k for _, k in pos)
-        return CompactBlocks(vecs, sizes, "unitary-product")
-    raise InvalidDescriptor(f"no structured stabilizer for {kind}")
-
-
-def _factor_action(module: ModuleDescriptor, g: G.GroupDescriptor) -> ActionKind:
-    if module.kind == "RectNK":
-        return ActionKind.LEFT_MULT
-    if module.kind in ("SUAlgebra", "SymTracelessCapSU", "SpAlgebra"):
-        return ActionKind.CONGRUENCE_STAR
-    if module.kind in ("SLnTraceless", "Sym2TracelessForm", "Alt2Form"):
-        return ActionKind.SIMILARITY
-    if module.form is not None:
-        return ActionKind.SIMILARITY  # twisted congruence of SO_{p,q}
-    return ActionKind.CONGRUENCE
+    return _factor(module).stabilizer(module, X, tol)
 
 
 @dataclass
@@ -339,90 +427,38 @@ def stabilizer_form(
         if not module_contains(m, X, tol):
             raise WitnessNotInModule(f"witness is not in {m.kind}")
     factors = [factor_stabilizer(m, X, spec.group, tol) for m, X in zip(mods, witnesses)]
-    constraints = [(m, _factor_action(m, spec.group), X) for m, X in zip(mods, witnesses)]
+    constraints = [(m, m.action, X) for m, X in zip(mods, witnesses)]
     h_dim = intersect_stabilizer_dim(spec.group, constraints, tol)
     return StabilizerFormReport(spec=spec, factors=factors, h_dim=h_dim)
 
 
-# ---------------------------------------------------------------------------
-# canonical witnesses and the minimality sweep
-
-
 def canonical_witness(module: ModuleDescriptor) -> np.ndarray:
     """The generic witness of a factor: full rank, all spectral values distinct."""
-    n = module.n
-    kind = module.kind
-    if kind == "RectNK":
-        X = np.zeros(module.shape, dtype=complex if module.field == COMPLEX else float)
-        X[: module.k, : module.k] = np.eye(module.k)
-        return X
-    if kind == "Alt2":
-        r = n // 2
-        S = youla_blocks([float(i) for i in range(r, 0, -1)], n)
-        if module.form is not None:
-            S = np.linalg.inv(module.form) @ S
-        return S.astype(complex if module.field == COMPLEX else float)
-    if kind in ("Sym2", "Sym2Traceless"):
-        vals = np.arange(1.0, n + 1)
-        if kind == "Sym2Traceless":
-            vals = vals - vals.mean()
-        return np.diag(vals).astype(complex if module.field == COMPLEX else float)
-    if kind == "SLnTraceless":
-        vals = np.arange(1.0, n + 1)
-        vals = vals - vals.mean()
-        return np.diag(vals).astype(complex if module.field == COMPLEX else float)
-    if kind == "SUAlgebra":
-        vals = np.arange(1.0, n + 1)
-        return 1j * np.diag(vals - vals.mean())
-    if kind == "Sym2TracelessForm":
-        half = n // 2
-        vals = np.arange(1.0, half + 1)
-        vals = vals - vals.mean()
-        return np.diag(np.concatenate([vals, vals])).astype(
-            complex if module.field == COMPLEX else float
-        )
-    if kind == "Alt2Form":
-        half = n // 2
-        vals = np.arange(1.0, half + 1)
-        return np.diag(np.concatenate([vals, -vals])).astype(
-            complex if module.field == COMPLEX else float
-        )
-    if kind == "SymTracelessCapSU":
-        half = n // 2
-        vals = np.arange(1.0, half + 1)
-        vals = vals - vals.mean()
-        return 1j * np.diag(np.concatenate([vals, vals]))
-    if kind == "SpAlgebra":
-        half = n // 2
-        vals = np.arange(1.0, half + 1)
-        return 1j * np.diag(np.concatenate([vals, -vals]))
-    raise InvalidDescriptor(f"no canonical witness for {kind}")
+    return _factor(module).witness(module)
 
 
-def _signature_of_factor(module: ModuleDescriptor, X: np.ndarray) -> tuple:
-    """Coarse block signature used to tell stabilizers of equal dimension apart."""
-    kind = module.kind
-    n = module.n
-    if kind == "RectNK":
-        return ("stack", module.k)
-    if kind == "Alt2":
-        S = X if module.form is None else module.form @ X
-        r = numerical_rank(np.asarray(S, dtype=complex)) // 2
-        return ("skew", r, n - 2 * r)
-    if kind in ("Sym2", "Sym2Traceless"):
-        S = X if module.form is None else module.form @ X
-        if module.field == REAL:
-            vals = np.linalg.eigvalsh(np.asarray(S + S.T, dtype=complex).real / 2)
+def census(g: G.GroupDescriptor) -> dict:
+    """Every admissible target of g with its stabilizer dimension at canonical
+    witnesses, plus the low-dimensional Weyl catalog for the split families."""
+    out = {"group": g.to_json(), "targets": []}
+    for rep in enumerate_admissible(g):
+        entry = rep.to_json()
+        mods = rep.modules
+        if mods:
+            witnesses = [canonical_witness(m) for m in mods]
+            entry["canonical_h_dim"] = stabilizer_form(rep.spec, witnesses).h_dim
         else:
-            _, vals = takagi(np.asarray(S, dtype=complex))
-        nz = vals[np.abs(vals) > 1e-9 * max(np.abs(vals).max(initial=0.0), 1.0)]
-        mult = tuple(sorted(k for _, k in _group_eigs(nz, 1e-7 * max(np.abs(nz).max(initial=1.0), 1.0))))
-        return ("sym", mult, n - len(nz))
-    # adjoint-type factors: eigenvalue multiplicity pattern
-    vals = np.linalg.eigvals(np.asarray(X, dtype=complex))
-    re = np.sort(vals.imag if np.abs(vals.real).max(initial=0.0) < 1e-9 else vals.real)
-    mult = tuple(sorted(k for _, k in _group_eigs(re, 1e-7 * max(np.abs(re).max(initial=1.0), 1.0))))
-    return ("adjoint", mult)
+            entry["canonical_h_dim"] = G.group_dim(g)
+        out["targets"].append(entry)
+    if _group_family(g).catalog:
+        cat = weyl.low_dim_classification(*weyl.algebra_of(g))
+        out["low_dim_modules"] = [m.to_json() for m in cat.modules]
+        out["low_dim_advisory"] = cat.advisory
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the minimality sweep
 
 
 @dataclass
@@ -479,7 +515,7 @@ def minimality_certificate(md: E.ManifoldDescriptor, tol: Tolerance = DEFAULT_TO
     target_sig = None
     base = E.base_point(md)
     if base.module.kind != "RectNK":
-        target_sig = _signature_of_factor(base.module, base.value)
+        target_sig = _factor(base.module).signature(base.module, base.value)
 
     candidates = []
     collisions = []
@@ -491,11 +527,11 @@ def minimality_certificate(md: E.ManifoldDescriptor, tol: Tolerance = DEFAULT_TO
         if cmp_dim >= dim_v_cmp:
             continue
         witnesses = [canonical_witness(m) for m in mods]
-        constraints = [(m, _factor_action(m, gp), X) for m, X in zip(mods, witnesses)]
+        constraints = [(m, m.action, X) for m, X in zip(mods, witnesses)]
         stab = intersect_stabilizer_dim(gp, constraints, tol)
         candidates.append((rep.spec.multiplicities, rep.module_dim_total, stab))
         if stab == h_dim:
-            sig = _signature_of_factor(mods[0], witnesses[0]) if len(mods) == 1 else None
+            sig = _factor(mods[0]).signature(mods[0], witnesses[0]) if len(mods) == 1 else None
             if sig is not None and target_sig is not None and sig == target_sig:
                 raise NotMinimalFamily(
                     f"admissible target {rep.spec.multiplicities} of dimension "

@@ -24,7 +24,7 @@ from . import classify as C
 from . import embeddings as E
 from . import groups as G
 from . import weyl
-from .errors import ManirepError
+from .errors import InvalidDescriptor, ManirepError
 from .numkit import Mat
 from .stabilizers import (
     stabilizer_congruence_skew,
@@ -47,22 +47,30 @@ def _read_matrix(path: str) -> np.ndarray:
         return Mat.from_json(json.load(fh)).to_array()
 
 
-def _group_from_args(args) -> G.GroupDescriptor:
-    fam = args.group
-    if fam == "SL":
-        return G.sl(args.n, args.field)
-    if fam == "SO":
-        return G.so(args.n, args.field)
-    if fam == "Sp":
-        return G.sp(args.n, args.field)
-    if fam == "SU":
-        return G.su(args.n)
-    if fam == "SOpq":
-        p, q = _ints(args.signature)
-        return G.so_pq(p, q)
-    if fam == "SpCompact":
-        return G.sp_compact(args.n)
-    raise ManirepError(f"unknown group family {fam!r}")
+def _so_pq_from_args(args) -> G.GroupDescriptor:
+    sig = _ints(args.signature or "")
+    if len(sig) != 2 or sum(sig) != args.n:
+        raise InvalidDescriptor("SOpq needs --signature p,q with p + q = n")
+    return G.so_pq(*sig)
+
+
+#: --group name -> the group built from the parsed flags
+GROUPS = {
+    "SL": lambda args: G.sl(args.n, args.field),
+    "SO": lambda args: G.so(args.n, args.field),
+    "Sp": lambda args: G.sp(args.n, args.field),
+    "SU": lambda args: G.su(args.n),
+    "SOpq": _so_pq_from_args,
+    "SpCompact": lambda args: G.sp_compact(args.n),
+}
+
+#: --action name -> the structured stabilizer of a matrix
+STABILIZERS = {
+    "left-mult": lambda X, mode: stabilizer_left_mult(X),
+    "congruence-skew": lambda X, mode: stabilizer_congruence_skew(X),
+    "congruence-sym": lambda X, mode: stabilizer_congruence_sym(X),
+    "similarity": lambda X, mode: stabilizer_similarity(X, mode),
+}
 
 
 def _manifold_from_args(args) -> E.ManifoldDescriptor:
@@ -102,7 +110,7 @@ def cmd_irreps(args) -> dict:
 
 
 def cmd_classify(args) -> dict:
-    g = _group_from_args(args)
+    g = GROUPS[args.group](args)
     if args.enumerate:
         reports = C.enumerate_admissible(g)
         return {"group": g.to_json(), "admissible": [r.to_json() for r in reports]}
@@ -113,16 +121,7 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_stabilizer(args) -> dict:
-    X = _read_matrix(args.matrix)
-    if args.action == "left-mult":
-        return stabilizer_left_mult(X).to_json()
-    if args.action == "congruence-skew":
-        return stabilizer_congruence_skew(X).to_json()
-    if args.action == "congruence-sym":
-        return stabilizer_congruence_sym(X).to_json()
-    if args.action == "similarity":
-        return stabilizer_similarity(X, args.mode).to_json()
-    raise ManirepError(f"unknown action {args.action!r}")
+    return STABILIZERS[args.action](_read_matrix(args.matrix), args.mode).to_json()
 
 
 def cmd_embed(args) -> dict:
@@ -135,17 +134,15 @@ def cmd_embed(args) -> dict:
 
 def cmd_verify(args) -> dict:
     seed = _seed(args)
-    if args.manifold == "all":
-        results = []
-        for md in E.all_smallest_legal():
-            r = E.check_equivariance(md, args.trials, seed)
-            results.append(
-                {"manifold": md.to_json(), "residual": r, "trials": args.trials, "seed": seed}
-            )
-        return {"results": results, "max_residual": max(r["residual"] for r in results)}
-    md = _manifold_from_args(args)
-    r = E.check_equivariance(md, args.trials, seed)
-    return {"manifold": md.to_json(), "residual": r, "trials": args.trials, "seed": seed}
+    every = args.manifold == "all"
+    results = [
+        {"manifold": md.to_json(), "residual": E.check_equivariance(md, args.trials, seed),
+         "trials": args.trials, "seed": seed}
+        for md in (E.all_smallest_legal() if every else [_manifold_from_args(args)])
+    ]
+    if not every:
+        return results[0]
+    return {"results": results, "max_residual": max(r["residual"] for r in results)}
 
 
 def cmd_cartan(args) -> dict:
@@ -154,26 +151,7 @@ def cmd_cartan(args) -> dict:
 
 
 def cmd_census(args) -> dict:
-    g = _group_from_args(args)
-    fam = C.classification_family(g)
-    out = {"group": g.to_json(), "targets": []}
-    for rep in C.enumerate_admissible(g):
-        entry = rep.to_json()
-        mods = rep.modules
-        if mods:
-            witnesses = [C.canonical_witness(m) for m in mods]
-            form = C.stabilizer_form(rep.spec, witnesses)
-            entry["canonical_h_dim"] = form.h_dim
-        else:
-            entry["canonical_h_dim"] = G.group_dim(g)
-        out["targets"].append(entry)
-    if fam in ("SL", "SO", "Sp"):
-        algebra = {"SL": "SL", "SO": "SO", "Sp": "SP"}[fam]
-        n = g.n if fam != "Sp" else g.n // 2
-        cat = weyl.low_dim_classification(algebra, n)
-        out["low_dim_modules"] = [m.to_json() for m in cat.modules]
-        out["low_dim_advisory"] = cat.advisory
-    return out
+    return C.census(GROUPS[args.group](args))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,8 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_irreps)
 
     p = sub.add_parser("classify", parents=[common], help="admissible faithful targets of a group")
-    p.add_argument("--group", required=True,
-                   choices=["SL", "SO", "Sp", "SU", "SOpq", "SpCompact"])
+    p.add_argument("--group", required=True, choices=list(GROUPS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--field", default="R", choices=["R", "C"])
     p.add_argument("--signature", help="p,q for SOpq")
@@ -210,8 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("stabilizer", parents=[common], help="structured stabilizer of a matrix")
-    p.add_argument("--action", required=True,
-                   choices=["left-mult", "congruence-skew", "congruence-sym", "similarity"])
+    p.add_argument("--action", required=True, choices=list(STABILIZERS))
     p.add_argument("--matrix", required=True, help="path to a matrix JSON file")
     p.add_argument("--mode", default="exact", choices=["exact", "numeric"])
     p.set_defaults(fn=cmd_stabilizer)
@@ -255,8 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cartan)
 
     p = sub.add_parser("census", parents=[common], help="admissible-target summary for a group")
-    p.add_argument("--group", required=True,
-                   choices=["SL", "SO", "Sp", "SU", "SOpq", "SpCompact"])
+    p.add_argument("--group", required=True, choices=list(GROUPS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--field", default="R", choices=["R", "C"])
     p.add_argument("--signature")

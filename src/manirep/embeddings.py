@@ -3,11 +3,14 @@
 Every supported family is a homogeneous space G/H realized as the orbit of
 a fixed base matrix under one of the multiplication actions: a symmetric or
 skew "spectral model" for Grassmannians and flags, and a frame model for
-Stiefel manifolds.  The registry below records, for each family, the acting
-group, the target module, the action, the base point, and the dimension of
-the target (which is the smallest possible among all equivariant
-realizations once the size parameters clear the family threshold; smaller
-sizes are still constructed but flagged advisory).
+Stiefel manifolds.  Each family is one :class:`Family` row of ``FAMILIES``,
+which records the acting group, the target module (whose kind fixes the
+action), the spectral rule, the base point, the orbit invariant, the
+smallest legal sizes, and the closed-form dimension of the target (which is
+the smallest possible among all equivariant realizations once the size
+parameters clear the family threshold; smaller sizes are still constructed
+but flagged advisory).  The functions below read the rows; adding a family
+is adding a row.
 
 Spectral parameters default to the smallest integer solutions of the
 defining constraints (distinct values, weighted sum zero), so base points
@@ -17,14 +20,17 @@ are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
 from . import groups as G
+from . import weyl
 from .errors import (
     InvalidDescriptor,
     InvalidSpectrum,
+    ManirepError,
     NoConstantFactor,
     NotInGroup,
     SizeMismatch,
@@ -33,24 +39,336 @@ from .gmodules import ActionKind, ModuleDescriptor, act, contains as module_cont
 from .numkit import COMPLEX, DEFAULT_TOL, REAL, Tolerance, frob, mat_to_json
 from .stabilizers import stabilizer_dim_in_group
 
-FAMILIES = (
-    "gr-real", "gr-complex", "gr-quaternionic", "gr-sp-real", "gr-sp-complex",
-    "gr-complex-locus", "slgr", "lgr-c", "slgr-star-h", "sogr-c", "igr",
-    "gr-indefinite",
-    "fl-real", "fl-complex", "fl-quaternionic", "ifl-even", "ifl-odd",
-    "fl-sp", "lfl",
-    "st-noncompact-real", "st-noncompact-complex",
-    "stiefel-real", "stiefel-complex", "stiefel-quaternionic",
-)
+# ---------------------------------------------------------------------------
+# spectral rules: the default values of a base point and their constraints
 
-_TWO_BLOCK = {
-    "gr-real", "gr-complex", "gr-quaternionic", "gr-sp-real", "gr-sp-complex",
-    "gr-complex-locus",
-}
-_FLAG = {"fl-real", "fl-complex", "fl-quaternionic", "fl-sp", "lfl", "ifl-even", "ifl-odd"}
-_STIEFEL = {
-    "st-noncompact-real", "st-noncompact-complex",
-    "stiefel-real", "stiefel-complex", "stiefel-quaternionic",
+
+@dataclass(frozen=True)
+class SpectrumRule:
+    default: Callable[[ManifoldDescriptor], tuple]
+    check: Callable[[ManifoldDescriptor, tuple], None]
+
+
+def _weighted(blocks) -> SpectrumRule:
+    """One value per block of sizes ``blocks(md)``: distinct, weighted sum zero.
+
+    The default is the smallest integer solution; for the two blocks (k,
+    n - k) of a Grassmannian it is (n - k, -k).
+    """
+
+    def default(md):
+        parts = blocks(md)
+        m1 = len(parts)
+        c = [m1 - i for i in range(m1)]
+        s = sum(ni * ci for ni, ci in zip(parts, c))
+        return tuple(float(sum(parts) * ci - s) for ci in c)
+
+    def check(md, spec):
+        parts = blocks(md)
+        if len(spec) != len(parts):
+            raise InvalidSpectrum("one value per flag block")
+        if len(set(spec)) != len(spec):
+            raise InvalidSpectrum("flag values must be distinct")
+        if sum(ni * si for ni, si in zip(parts, spec)) != 0:
+            raise InvalidSpectrum("weighted sum of flag values must vanish")
+
+    return SpectrumRule(default, check)
+
+
+def _check_nonzero(md, spec):
+    if spec[0] == 0:
+        raise InvalidSpectrum(f"{md.family} needs a nonzero value")
+
+
+def _signed_flag_default(md):
+    # the trace vanishes automatically; what matters is that the
+    # magnitudes are distinct and nonzero
+    m1 = len(md.parts)
+    return tuple(float(m1 - i) for i in range(m1))
+
+
+def _signed_flag_check(md, spec):
+    if len(spec) != len(md.parts):
+        raise InvalidSpectrum("one value per flag block")
+    if len({abs(s) for s in spec}) != len(spec) or any(s == 0 for s in spec):
+        raise InvalidSpectrum("flag values must be nonzero with distinct magnitudes")
+
+
+INDEFINITE_TWO_BLOCK = _weighted(lambda md: (sum(md.pq), sum(md.sizes) - sum(md.pq)))
+WEIGHTED_FLAG = _weighted(lambda md: md.parts)
+NONZERO = SpectrumRule(lambda md: (1.0,), _check_nonzero)
+SIGNED_FLAG = SpectrumRule(_signed_flag_default, _signed_flag_check)
+
+# ---------------------------------------------------------------------------
+# base points: (descriptor, spectral values) -> matrix
+
+
+def _flag_diag(parts, spec):
+    """The spectral values repeated over blocks of the given sizes."""
+    vals = []
+    for ni, si in zip(parts, spec):
+        vals.extend([si] * ni)
+    return np.diag(vals)
+
+
+def _skew_flag(parts, spec):
+    n2 = 2 * sum(parts)
+    out = np.zeros((n2, n2))
+    pos = 0
+    for ni, mi in zip(parts, spec):
+        out[pos : pos + 2 * ni, pos : pos + 2 * ni] = mi * G.J2n(2 * ni)
+        pos += 2 * ni
+    return out
+
+
+def _flag(md, spec):
+    return _flag_diag(md.parts, spec)
+
+
+def _doubled(D, sign=1):
+    """diag(D, sign * D) for an n x n block D."""
+    Z = np.zeros(D.shape)
+    return np.block([[D, Z], [Z, sign * D]])
+
+
+def _pad(A, rows, cols=None):
+    """A in the top-left corner of a zero rows x cols matrix (square by default)."""
+    X = np.zeros((rows, rows if cols is None else cols))
+    X[: A.shape[0], : A.shape[1]] = A
+    return X
+
+
+def _indefinite(md, spec):
+    """(lambda', mu') on the (p, q)-plane and its complement in R^{m,n}."""
+    (p, q), (mm, nn) = md.pq, md.sizes
+    return _flag_diag((p, mm - p, q, nn - q), spec + spec)
+
+
+def _quaternionic_frame(md, spec):
+    # k quaternionic coordinate lines: columns e_1..e_k, e_{n+1}..e_{n+k},
+    # so the stabilizer is the symplectic group of the complement
+    n, k = md.n, md.k
+    X = np.zeros((2 * n, 2 * k))
+    X[:k, :k] = np.eye(k)
+    X[n : n + k, k:] = np.eye(k)
+    return X
+
+
+# ---------------------------------------------------------------------------
+# orbit invariants: (X, base value, absolute tolerance) -> bool
+
+
+def _same_eigenvalues(X, X0, atol):
+    ev = np.linalg.eigvals(np.asarray(X, dtype=complex))
+    ev0 = np.linalg.eigvals(np.asarray(X0, dtype=complex))
+    return _multiset_close(ev, ev0, max(atol, 1e-7 * max(frob(X0), 1.0)))
+
+
+def _same(values):
+    """The invariant values(X) == values(X0) within atol."""
+    return lambda X, X0, atol: np.allclose(values(X), values(X0), atol=atol)
+
+
+#: spectrum of -iX, for the congruence-star orbits of skew-Hermitian points
+_same_hermitian_spectrum = _same(
+    lambda X: np.sort(np.linalg.eigvalsh(-1j * np.asarray(X, dtype=complex))))
+_same_singular_values = _same(
+    lambda X: np.linalg.svd(np.asarray(X, dtype=complex), compute_uv=False))
+
+
+def _orthonormal_frame(X, X0, atol):
+    return frob(np.asarray(X).conj().T @ X - np.eye(X.shape[1])) <= atol
+
+
+def _symplectic_frame(X, X0, atol):
+    k = X.shape[1]
+    Xc = np.asarray(X, dtype=complex)
+    J = G.J2n(X.shape[0]).astype(complex)
+    return (
+        frob(Xc.conj().T @ Xc - np.eye(k)) <= atol
+        and frob(Xc.T @ J @ Xc - G.J2n(k)) <= atol
+    )
+
+
+def _unimodular_frame(X, X0, atol):
+    k = X.shape[1]
+    if np.linalg.matrix_rank(np.asarray(X)) < k:
+        return False
+    if k == X.shape[0]:
+        return abs(np.linalg.det(np.asarray(X)) - 1.0) <= atol
+    return True
+
+
+def _multiset_close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    """Greedy matching of two complex multisets within tol."""
+    if len(a) != len(b):
+        return False
+    remaining = list(b)
+    for z in a:
+        dists = [abs(z - w) for w in remaining]
+        j = int(np.argmin(dists))
+        if dists[j] > tol:
+            return False
+        remaining.pop(j)
+    return True
+
+
+# ---------------------------------------------------------------------------
+# the family registry
+
+#: largest k allowed by each bound on the plane or frame size
+_K_BOUNDS = {"k < n": lambda n: n - 1, "k <= n": lambda n: n, "2k <= n": lambda n: n // 2}
+#: how ``lift_subspace`` completes an n x k matrix Y: a plane spanned by Y,
+#: the frame Y itself, or the orthonormal frame Y
+PLANE, FRAME, ORTHONORMAL_FRAME = "plane", "frame", "orthonormal frame"
+
+
+@dataclass(frozen=True)
+class Family:
+    """One manifold family.
+
+    ``group`` and ``module`` build the acting group and the target module
+    of a descriptor; the module's kind fixes the action.  ``base`` builds
+    the base point from the spectral values that ``spectrum`` defaults and
+    checks (None: the base point has no free values).  ``mp_dim`` is the
+    paper's closed form for the target dimension, kept as the reference
+    that ``module_dim`` is tested against.  ``orbit`` tests the orbit
+    invariant of the base point.  ``smallest`` holds the smallest legal
+    sizes; its keys besides ``n`` are the parameters the family takes.
+    ``k_bound`` bounds the plane or frame size k, and ``lift`` says how
+    ``lift_subspace`` completes a basis (None: not supported).
+    """
+
+    group: Callable[[ManifoldDescriptor], G.GroupDescriptor]
+    module: Callable[[ManifoldDescriptor], ModuleDescriptor]
+    base: Callable[[ManifoldDescriptor, tuple], np.ndarray]
+    mp_dim: Callable[[ManifoldDescriptor], int]
+    orbit: Callable[[np.ndarray, np.ndarray, float], bool]
+    smallest: dict
+    spectrum: SpectrumRule | None = None
+    k_bound: str | None = None
+    lift: str | None = None
+
+
+# The models below give the acting group, the target module, the paper's
+# closed form for its dimension and the orbit invariant; the Grassmann and
+# flag rows built on one model share them.  A Grassmannian is the one-step
+# flag (see ``ManifoldDescriptor.parts``), so the spectral models also
+# share the weighted spectral rule and the base point.
+
+
+def _symmetric(field):
+    """SO_n(F) on traceless symmetric matrices."""
+    return dict(group=lambda md: G.so(md.n, field),
+                module=lambda md: ModuleDescriptor("Sym2Traceless", md.n, field),
+                spectrum=WEIGHTED_FLAG, base=_flag,
+                mp_dim=lambda md: (md.n + 2) * (md.n - 1) // 2, orbit=_same_eigenvalues)
+
+
+def _skew(size):
+    """SO_N on skew matrices, N = size(md)."""
+    return dict(group=lambda md: G.so(size(md)),
+                module=lambda md: ModuleDescriptor("Alt2", size(md), REAL),
+                mp_dim=lambda md: size(md) * (size(md) - 1) // 2, orbit=_same_eigenvalues)
+
+
+def _symplectic(field=None):
+    """Sp_2n(F) on the symmetric-traceless module; F is md.field when None."""
+    return dict(group=lambda md: G.sp(2 * md.n, field or md.field),
+                module=lambda md: ModuleDescriptor("Sym2TracelessForm", 2 * md.n,
+                                                   field or md.field),
+                spectrum=WEIGHTED_FLAG, base=lambda md, s: _doubled(_flag(md, s)),
+                mp_dim=lambda md: (md.n - 1) * (2 * md.n + 1), orbit=_same_eigenvalues)
+
+
+#: SU_n on su_n
+_UNITARY = dict(group=lambda md: G.su(md.n), module=lambda md: ModuleDescriptor("SUAlgebra", md.n),
+                spectrum=WEIGHTED_FLAG, base=lambda md, s: 1j * _flag(md, s),
+                mp_dim=lambda md: md.n * md.n - 1, orbit=_same_hermitian_spectrum)
+#: compact Sp_2n on the traceless symmetric part of su_2n
+_QUATERNIONIC = dict(group=lambda md: G.sp_compact(2 * md.n),
+                     module=lambda md: ModuleDescriptor("SymTracelessCapSU", 2 * md.n),
+                     spectrum=WEIGHTED_FLAG, base=lambda md, s: 1j * _doubled(_flag(md, s)),
+                     mp_dim=lambda md: (md.n - 1) * (2 * md.n + 1),
+                     orbit=_same_hermitian_spectrum)
+#: compact Sp_2n on its Lie algebra
+_COMPACT_SYMPLECTIC = dict(group=lambda md: G.sp_compact(2 * md.n),
+                           module=lambda md: ModuleDescriptor("SpAlgebra", 2 * md.n),
+                           mp_dim=lambda md: 2 * md.n * md.n + md.n,
+                           orbit=_same_hermitian_spectrum)
+
+
+def _frames(group, field, orbit, lift):
+    """``group(n)`` on n x k frames by left multiplication."""
+    return dict(group=lambda md: group(md.n),
+                module=lambda md: ModuleDescriptor("RectNK", md.n, field, k=md.k),
+                base=lambda md, s: _pad(np.eye(md.k), md.n, md.k),
+                mp_dim=lambda md: md.n * md.k, orbit=orbit, k_bound="k <= n", lift=lift)
+
+
+FAMILIES = {
+    # Grassmannians: two-block spectral models
+    "gr-real": Family(**_symmetric(REAL), smallest=dict(n=4, k=2), k_bound="k < n", lift=PLANE),
+    "gr-complex": Family(**_UNITARY, smallest=dict(n=3, k=1), k_bound="k < n", lift=PLANE),
+    "gr-quaternionic": Family(**_QUATERNIONIC, smallest=dict(n=2, k=1), k_bound="k < n"),
+    "gr-sp-real": Family(**_symplectic(REAL), smallest=dict(n=2, k=1), k_bound="k < n"),
+    "gr-sp-complex": Family(**_symplectic(COMPLEX), smallest=dict(n=2, k=1), k_bound="k < n"),
+    "gr-complex-locus": Family(**_symmetric(COMPLEX), smallest=dict(n=3, k=1), k_bound="k < n"),
+    "slgr": Family(
+        group=lambda md: G.su(md.n), module=lambda md: ModuleDescriptor("Sym2", md.n, COMPLEX),
+        base=lambda md, s: np.eye(md.n), mp_dim=lambda md: md.n * (md.n + 1) // 2,
+        orbit=_same_singular_values, smallest=dict(n=2)),
+    "lgr-c": Family(**_COMPACT_SYMPLECTIC, spectrum=NONZERO,
+                    base=lambda md, s: 1j * s[0] * _flag_diag((md.n, md.n), (1.0, -1.0)),
+                    smallest=dict(n=2)),
+    "slgr-star-h": Family(
+        group=lambda md: G.su(2 * md.n),
+        module=lambda md: ModuleDescriptor("Alt2", 2 * md.n, COMPLEX),
+        base=lambda md, s: G.J2n(2 * md.n), mp_dim=lambda md: md.n * (2 * md.n - 1),
+        orbit=_same_singular_values, smallest=dict(n=2)),
+    "sogr-c": Family(**_skew(lambda md: 2 * md.n), base=lambda md, s: G.J2n(2 * md.n),
+                     smallest=dict(n=2)),
+    "igr": Family(**_skew(lambda md: md.n), spectrum=NONZERO,
+                  base=lambda md, s: _pad(s[0] * G.J2n(2 * md.k), md.n),
+                  smallest=dict(n=5, k=2), k_bound="2k <= n"),
+    "gr-indefinite": Family(
+        group=lambda md: G.so_pq(*md.sizes),
+        module=lambda md: ModuleDescriptor("Sym2Traceless", sum(md.sizes), REAL,
+                                           form=G.Ipq(*md.sizes)),
+        spectrum=INDEFINITE_TWO_BLOCK, base=_indefinite,
+        mp_dim=lambda md: (sum(md.sizes) + 2) * (sum(md.sizes) - 1) // 2,
+        orbit=_same_eigenvalues, smallest=dict(n=2, pq=(1, 1), sizes=(2, 2))),
+    # flags: one spectral value per block
+    "fl-real": Family(**_symmetric(REAL), smallest=dict(n=4, ks=(1, 2))),
+    "fl-complex": Family(**_UNITARY, smallest=dict(n=3, ks=(1, 2))),
+    "fl-quaternionic": Family(**_QUATERNIONIC, smallest=dict(n=3, ks=(1, 2))),
+    "ifl-even": Family(**_skew(lambda md: 2 * md.n), spectrum=SIGNED_FLAG,
+                       base=lambda md, s: _skew_flag(md.parts, s), smallest=dict(n=3, ks=(1, 2))),
+    "ifl-odd": Family(**_skew(lambda md: 2 * md.n + md.p), spectrum=SIGNED_FLAG,
+                      base=lambda md, s: _pad(_skew_flag(md.parts, s), 2 * md.n + md.p),
+                      smallest=dict(n=2, ks=(1,), p=1)),
+    "fl-sp": Family(**_symplectic(), smallest=dict(n=3, ks=(1, 2), field=REAL)),
+    "lfl": Family(**_COMPACT_SYMPLECTIC, spectrum=SIGNED_FLAG,
+                  base=lambda md, s: 1j * _doubled(_flag(md, s), -1),
+                  smallest=dict(n=3, ks=(1, 2))),
+    # Stiefel manifolds: frames under left multiplication
+    "st-noncompact-real": Family(
+        **_frames(lambda n: G.sl(n, REAL), REAL, _unimodular_frame, FRAME),
+        smallest=dict(n=3, k=2)),
+    "st-noncompact-complex": Family(
+        **_frames(lambda n: G.sl(n, COMPLEX), COMPLEX, _unimodular_frame, FRAME),
+        smallest=dict(n=3, k=2)),
+    "stiefel-real": Family(
+        **_frames(G.so, REAL, _orthonormal_frame, ORTHONORMAL_FRAME),
+        smallest=dict(n=4, k=2)),
+    "stiefel-complex": Family(
+        **_frames(G.su, COMPLEX, _orthonormal_frame, ORTHONORMAL_FRAME),
+        smallest=dict(n=3, k=2)),
+    "stiefel-quaternionic": Family(
+        group=lambda md: G.sp_compact(2 * md.n),
+        module=lambda md: ModuleDescriptor("RectNK", 2 * md.n, COMPLEX, k=2 * md.k),
+        base=_quaternionic_frame, mp_dim=lambda md: 4 * md.n * md.k,
+        orbit=_symplectic_frame, smallest=dict(n=2, k=1), k_bound="k <= n"),
 }
 
 
@@ -62,8 +380,9 @@ class ManifoldDescriptor:
     for rows built on Sp_{2n}); ``k`` the plane/frame size; ``ks`` the
     strictly increasing flag sizes; ``p`` the odd part of ifl-odd;
     ``pq``/``sizes`` the (p, q) plane type and (m, n) ambient split of the
-    indefinite Grassmannian.  ``spectrum`` overrides the default integer
-    spectral parameters.
+    indefinite Grassmannian; ``field`` the field of fl-sp.  A parameter the
+    family does not take must be left None.  ``spectrum`` overrides the
+    default integer spectral parameters.
     """
 
     family: str
@@ -77,44 +396,44 @@ class ManifoldDescriptor:
     spectrum: tuple | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        row = FAMILIES.get(self.family)
+        if row is None:
             raise InvalidDescriptor(f"unknown manifold family {self.family!r}")
-        if self.family in _TWO_BLOCK or self.family in _STIEFEL or self.family == "igr":
+        for name in ("k", "ks", "p", "pq", "sizes", "field"):
+            if getattr(self, name) is not None and name not in row.smallest:
+                raise InvalidDescriptor(f"{self.family} takes no {name}")
+        if row.k_bound is not None:
             if self.k is None or self.k < 1:
                 raise InvalidDescriptor(f"{self.family} needs k >= 1")
-            if self.family == "igr":
-                if 2 * self.k > self.n:
-                    raise InvalidDescriptor("igr needs 2k <= n")
-            elif self.k > self.n or (self.k == self.n and self.family in _TWO_BLOCK):
-                raise InvalidDescriptor(f"{self.family} needs k < n")
-        if self.family in _FLAG:
+            if self.k > _K_BOUNDS[row.k_bound](self.n):
+                raise InvalidDescriptor(f"{self.family} needs {row.k_bound}")
+        if "ks" in row.smallest:
             if not self.ks or any(a >= b for a, b in zip(self.ks, self.ks[1:])):
                 raise InvalidDescriptor("flag sizes must be strictly increasing")
             if self.ks[0] < 1 or self.ks[-1] >= self.n:
                 raise InvalidDescriptor("flag sizes must satisfy 0 < k_1 < ... < n")
             self.ks = tuple(self.ks)
-        if self.family == "ifl-odd":
-            if self.p is None or self.p < 1:
-                raise InvalidDescriptor("ifl-odd needs an odd part p >= 1")
-        if self.family == "gr-indefinite":
+        if "p" in row.smallest and (self.p is None or self.p < 1):
+            raise InvalidDescriptor(f"{self.family} needs an odd part p >= 1")
+        if "pq" in row.smallest:
             if self.pq is None or self.sizes is None:
-                raise InvalidDescriptor("gr-indefinite needs pq=(p,q) and sizes=(m,n)")
+                raise InvalidDescriptor(f"{self.family} needs pq=(p,q) and sizes=(m,n)")
             p, q = self.pq
             mm, nn = self.sizes
             if not (0 <= p <= mm and 0 <= q <= nn):
                 raise InvalidDescriptor("need p <= m and q <= n")
             if (p, q) in ((0, 0), (mm, nn)):
                 raise InvalidDescriptor("the (p,q)-plane must be proper")
-        if self.family == "fl-sp":
-            if self.field not in (REAL, COMPLEX):
-                raise InvalidDescriptor("fl-sp needs field 'R' or 'C'")
+        if "field" in row.smallest and self.field not in (REAL, COMPLEX):
+            raise InvalidDescriptor(f"{self.family} needs field 'R' or 'C'")
         if self.spectrum is not None:
             self.spectrum = tuple(self.spectrum)
 
     @property
     def parts(self) -> tuple[int, ...]:
-        """Flag block sizes n_i = k_i - k_{i-1} including the tail block."""
-        ks = (0,) + self.ks + (self.n,)
+        """Flag block sizes n_i = k_i - k_{i-1} including the tail block; a
+        Grassmannian of k-planes is the one-step flag ks = (k,)."""
+        ks = (0,) + (self.ks or (self.k,)) + (self.n,)
         return tuple(ks[i + 1] - ks[i] for i in range(len(ks) - 1))
 
     def to_json(self) -> dict:
@@ -150,244 +469,34 @@ class EmbeddedPoint:
 
 
 def group(md: ManifoldDescriptor) -> G.GroupDescriptor:
-    f, n = md.family, md.n
-    if f in ("gr-real", "igr", "fl-real", "stiefel-real"):
-        return G.so(n)
-    if f in ("gr-complex", "fl-complex", "slgr", "stiefel-complex"):
-        return G.su(n)
-    if f == "slgr-star-h":
-        return G.su(2 * n)
-    if f in ("sogr-c", "ifl-even"):
-        return G.so(2 * n)
-    if f == "ifl-odd":
-        return G.so(2 * n + md.p)
-    if f == "gr-complex-locus":
-        return G.so(n, COMPLEX)
-    if f in ("gr-quaternionic", "fl-quaternionic", "lgr-c", "lfl", "stiefel-quaternionic"):
-        return G.sp_compact(2 * n)
-    if f == "gr-sp-real":
-        return G.sp(2 * n, REAL)
-    if f == "gr-sp-complex":
-        return G.sp(2 * n, COMPLEX)
-    if f == "fl-sp":
-        return G.sp(2 * n, md.field)
-    if f == "gr-indefinite":
-        mm, nn = md.sizes
-        return G.so_pq(mm, nn)
-    if f == "st-noncompact-real":
-        return G.sl(n, REAL)
-    if f == "st-noncompact-complex":
-        return G.sl(n, COMPLEX)
-    raise InvalidDescriptor(f)
+    return FAMILIES[md.family].group(md)
 
 
 def module(md: ManifoldDescriptor) -> ModuleDescriptor:
-    f, n = md.family, md.n
-    if f in ("gr-real", "fl-real"):
-        return ModuleDescriptor("Sym2Traceless", n, REAL)
-    if f in ("gr-complex", "fl-complex"):
-        return ModuleDescriptor("SUAlgebra", n)
-    if f in ("gr-quaternionic", "fl-quaternionic"):
-        return ModuleDescriptor("SymTracelessCapSU", 2 * n)
-    if f == "gr-sp-real":
-        return ModuleDescriptor("Sym2TracelessForm", 2 * n, REAL)
-    if f in ("gr-sp-complex",):
-        return ModuleDescriptor("Sym2TracelessForm", 2 * n, COMPLEX)
-    if f == "fl-sp":
-        return ModuleDescriptor("Sym2TracelessForm", 2 * n, md.field)
-    if f == "gr-complex-locus":
-        return ModuleDescriptor("Sym2Traceless", n, COMPLEX)
-    if f == "slgr":
-        return ModuleDescriptor("Sym2", n, COMPLEX)
-    if f in ("lgr-c", "lfl"):
-        return ModuleDescriptor("SpAlgebra", 2 * n)
-    if f == "slgr-star-h":
-        return ModuleDescriptor("Alt2", 2 * n, COMPLEX)
-    if f in ("sogr-c", "ifl-even"):
-        return ModuleDescriptor("Alt2", 2 * n, REAL)
-    if f == "ifl-odd":
-        return ModuleDescriptor("Alt2", 2 * n + md.p, REAL)
-    if f == "igr":
-        return ModuleDescriptor("Alt2", n, REAL)
-    if f == "gr-indefinite":
-        mm, nn = md.sizes
-        return ModuleDescriptor("Sym2Traceless", mm + nn, REAL, form=G.Ipq(mm, nn))
-    if f == "st-noncompact-real":
-        return ModuleDescriptor("RectNK", n, REAL, k=md.k)
-    if f == "st-noncompact-complex":
-        return ModuleDescriptor("RectNK", n, COMPLEX, k=md.k)
-    if f == "stiefel-real":
-        return ModuleDescriptor("RectNK", n, REAL, k=md.k)
-    if f == "stiefel-complex":
-        return ModuleDescriptor("RectNK", n, COMPLEX, k=md.k)
-    if f == "stiefel-quaternionic":
-        return ModuleDescriptor("RectNK", 2 * n, COMPLEX, k=2 * md.k)
-    raise InvalidDescriptor(f)
+    return FAMILIES[md.family].module(md)
 
 
 def action(md: ManifoldDescriptor) -> ActionKind:
-    f = md.family
-    if f in _STIEFEL:
-        return ActionKind.LEFT_MULT
-    if f in ("gr-sp-real", "gr-sp-complex", "fl-sp", "gr-indefinite"):
-        return ActionKind.SIMILARITY
-    if f in ("gr-complex", "fl-complex", "gr-quaternionic", "fl-quaternionic", "lgr-c", "lfl"):
-        return ActionKind.CONGRUENCE_STAR
-    return ActionKind.CONGRUENCE
+    return module(md).action
 
 
 def default_spectrum(md: ManifoldDescriptor) -> tuple:
-    f = md.family
-    if f in _TWO_BLOCK:
-        n, k = md.n, md.k
-        return (float(n - k), float(-k))
-    if f == "igr":
-        return (1.0,)
-    if f == "lgr-c":
-        return (1.0,)
-    if f == "gr-indefinite":
-        p, q = md.pq
-        mm, nn = md.sizes
-        return (float(mm + nn - p - q), float(-(p + q)))
-    if f in ("ifl-even", "ifl-odd", "lfl"):
-        # the trace vanishes automatically; what matters is that the
-        # magnitudes are distinct and nonzero
-        m1 = len(md.parts)
-        return tuple(float(m1 - i) for i in range(m1))
-    if f in _FLAG:
-        parts = md.parts
-        m1 = len(parts)
-        c = [m1 - i for i in range(m1)]
-        s = sum(ni * ci for ni, ci in zip(parts, c))
-        return tuple(float(md.n * ci - s) for ci in c)
-    return ()
-
-
-def _validate_spectrum(md: ManifoldDescriptor, spec: tuple) -> None:
-    f = md.family
-    if f in _TWO_BLOCK:
-        lam, mu = spec
-        if lam == mu or md.k * lam + (md.n - md.k) * mu != 0:
-            raise InvalidSpectrum("need lambda != mu with k*lambda + (n-k)*mu = 0")
-    elif f == "gr-indefinite":
-        lam, mu = spec
-        p, q = md.pq
-        mm, nn = md.sizes
-        if lam == mu or (p + q) * lam + (mm + nn - p - q) * mu != 0:
-            raise InvalidSpectrum("need lambda' != mu' with weighted sum zero")
-    elif f == "igr":
-        if spec[0] == 0:
-            raise InvalidSpectrum("igr needs a nonzero lambda")
-    elif f == "lgr-c":
-        if spec[0] == 0:
-            raise InvalidSpectrum("lgr needs a nonzero value")
-    elif f in ("ifl-even", "ifl-odd", "lfl"):
-        if len(spec) != len(md.parts):
-            raise InvalidSpectrum("one value per flag block")
-        if len({abs(s) for s in spec}) != len(spec) or any(s == 0 for s in spec):
-            raise InvalidSpectrum("flag values must be nonzero with distinct magnitudes")
-    elif f in _FLAG:
-        parts = md.parts
-        if len(spec) != len(parts):
-            raise InvalidSpectrum("one value per flag block")
-        if len(set(spec)) != len(spec):
-            raise InvalidSpectrum("flag values must be distinct")
-        if sum(ni * si for ni, si in zip(parts, spec)) != 0:
-            raise InvalidSpectrum("weighted sum of flag values must vanish")
-
-
-def _two_block_diag(lam, mu, k, n):
-    return np.diag([lam] * k + [mu] * (n - k))
-
-
-def _flag_diag(parts, spec):
-    vals = []
-    for ni, si in zip(parts, spec):
-        vals.extend([si] * ni)
-    return np.diag(vals)
-
-
-def _skew_flag(parts, spec):
-    n2 = 2 * sum(parts)
-    out = np.zeros((n2, n2))
-    pos = 0
-    for ni, mi in zip(parts, spec):
-        out[pos : pos + 2 * ni, pos : pos + 2 * ni] = mi * G.J2n(2 * ni)
-        pos += 2 * ni
-    return out
+    rule = FAMILIES[md.family].spectrum
+    return () if rule is None else rule.default(md)
 
 
 def base_point(md: ManifoldDescriptor) -> EmbeddedPoint:
     """The canonical point of the orbit, at group element = identity."""
+    row = FAMILIES[md.family]
     spec = md.spectrum if md.spectrum is not None else default_spectrum(md)
-    _validate_spectrum(md, spec)
-    f, n = md.family, md.n
+    if row.spectrum is not None:
+        row.spectrum.check(md, spec)
     mod = module(md)
-    if f in ("gr-real", "gr-complex-locus"):
-        X = _two_block_diag(spec[0], spec[1], md.k, n)
-        if f == "gr-complex-locus":
-            X = X.astype(complex)
-    elif f == "gr-complex":
-        X = 1j * _two_block_diag(spec[0], spec[1], md.k, n)
-    elif f == "gr-quaternionic":
-        half = _two_block_diag(spec[0], spec[1], md.k, n)
-        X = 1j * np.block([[half, np.zeros((n, n))], [np.zeros((n, n)), half]])
-    elif f in ("gr-sp-real", "gr-sp-complex"):
-        half = _two_block_diag(spec[0], spec[1], md.k, n)
-        X = np.block([[half, np.zeros((n, n))], [np.zeros((n, n)), half]])
-        if f == "gr-sp-complex":
-            X = X.astype(complex)
-    elif f == "slgr":
-        X = np.eye(n, dtype=complex)
-    elif f == "lgr-c":
-        X = 1j * spec[0] * _two_block_diag(1.0, -1.0, n, 2 * n)
-    elif f == "slgr-star-h":
-        X = G.J2n(2 * n).astype(complex)
-    elif f == "sogr-c":
-        X = G.J2n(2 * n)
-    elif f == "igr":
-        X = np.zeros((n, n))
-        X[: 2 * md.k, : 2 * md.k] = spec[0] * G.J2n(2 * md.k)
-    elif f == "gr-indefinite":
-        p, q = md.pq
-        mm, nn = md.sizes
-        X = np.diag([spec[0]] * p + [spec[1]] * (mm - p) + [spec[0]] * q + [spec[1]] * (nn - q))
-    elif f == "fl-real":
-        X = _flag_diag(md.parts, spec)
-    elif f == "fl-complex":
-        X = 1j * _flag_diag(md.parts, spec)
-    elif f == "fl-quaternionic":
-        half = _flag_diag(md.parts, spec)
-        X = 1j * np.block([[half, np.zeros((n, n))], [np.zeros((n, n)), half]])
-    elif f == "fl-sp":
-        half = _flag_diag(md.parts, spec)
-        X = np.block([[half, np.zeros((n, n))], [np.zeros((n, n)), half]])
-        if md.field == COMPLEX:
-            X = X.astype(complex)
-    elif f == "lfl":
-        half = _flag_diag(md.parts, spec)
-        X = 1j * np.block([[half, np.zeros((n, n))], [np.zeros((n, n)), -half]])
-    elif f == "ifl-even":
-        X = _skew_flag(md.parts, spec)
-    elif f == "ifl-odd":
-        core = _skew_flag(md.parts, spec)
-        X = np.zeros((2 * n + md.p, 2 * n + md.p))
-        X[: 2 * n, : 2 * n] = core
-    elif f == "stiefel-quaternionic":
-        # k quaternionic coordinate lines: columns e_1..e_k, e_{n+1}..e_{n+k},
-        # so the stabilizer is the symplectic group of the complement
-        k = md.k
-        X = np.zeros((2 * n, 2 * k), dtype=complex)
-        X[:k, :k] = np.eye(k)
-        X[n : n + k, k:] = np.eye(k)
-    elif f in _STIEFEL:
-        rows, cols = mod.shape
-        X = np.zeros((rows, cols), dtype=complex if mod.field == COMPLEX else float)
-        X[:cols, :cols] = np.eye(cols)
-    else:
-        raise InvalidDescriptor(f)
-    if mod.kind != "RectNK":
-        assert module_contains(mod, X), f"base point of {f} escapes its module"
+    X = row.base(md, spec)
+    if mod.field == COMPLEX:
+        X = X.astype(complex)
+    if mod.kind != "RectNK" and not module_contains(mod, X):
+        raise ManirepError(f"base point of {md.family} escapes its module")
     return EmbeddedPoint(manifold=md, value=X, module=mod)
 
 
@@ -414,10 +523,9 @@ def lift_subspace(md: ManifoldDescriptor, Y: np.ndarray) -> np.ndarray:
     QR with a determinant fix on a later column, so it needs k < n for the
     special/compact groups.
     """
-    f = md.family
-    if f not in ("gr-real", "gr-complex", "stiefel-real", "stiefel-complex",
-                 "st-noncompact-real", "st-noncompact-complex"):
-        raise InvalidDescriptor(f"no subspace lift for {f}")
+    lift = FAMILIES[md.family].lift
+    if lift is None:
+        raise InvalidDescriptor(f"no subspace lift for {md.family}")
     gp = group(md)
     n, k = gp.n, md.k
     dt = complex if gp.field == COMPLEX else float
@@ -427,31 +535,22 @@ def lift_subspace(md: ManifoldDescriptor, Y: np.ndarray) -> np.ndarray:
     if np.linalg.matrix_rank(Y) != k:
         raise SizeMismatch("basis matrix must have full column rank")
 
-    if f.startswith("stiefel"):
-        if frob(Y.conj().T @ Y - np.eye(k)) > 1e-8:
-            raise SizeMismatch("compact Stiefel frames must be orthonormal")
+    if lift == ORTHONORMAL_FRAME and frob(Y.conj().T @ Y - np.eye(k)) > 1e-8:
+        raise SizeMismatch("compact Stiefel frames must be orthonormal")
     Q, _ = np.linalg.qr(Y)  # orthonormal basis of col(Y); equals Y when orthonormal
-    first = Y if (f.startswith("stiefel") or f.startswith("st-noncompact")) else Q
+    first = Q if lift == PLANE else Y
     comp = scipy.linalg.null_space(Q.conj().T) if n > k else np.zeros((n, 0), dtype=dt)
     A = np.concatenate([first, comp.astype(dt)], axis=1)
 
     det = np.linalg.det(A)
-    if f.startswith("st-noncompact"):
-        if k == n:
-            if abs(det - 1.0) > 1e-8:
-                raise NotInGroup("a full frame must already have determinant one")
-            return A
-        A[:, -1] = A[:, -1] / det
-        return A
-    # orthogonal / unitary completion
     if k == n:
         if abs(det - 1.0) > 1e-8:
             raise NotInGroup("a full frame must already have determinant one")
         return A
-    if gp.field == REAL:
+    if gp.family == G.SO:
         if det < 0:
             A[:, -1] = -A[:, -1]
-    else:
+    else:  # SL and SU: scale the last column to determinant one
         A[:, -1] = A[:, -1] / det
     return A
 
@@ -484,42 +583,13 @@ def tangent_dim(md: ManifoldDescriptor) -> int:
 
 def mp_dimension(md: ManifoldDescriptor) -> int:
     """Least possible target dimension for the family (its closed form)."""
-    f, n, k = md.family, md.n, md.k
-    if f in ("gr-real", "gr-complex-locus", "fl-real"):
-        return (n + 2) * (n - 1) // 2
-    if f in ("gr-complex", "fl-complex"):
-        return n * n - 1
-    if f in ("gr-quaternionic", "gr-sp-real", "gr-sp-complex", "fl-sp", "fl-quaternionic"):
-        return (n - 1) * (2 * n + 1)
-    if f == "slgr":
-        return n * (n + 1) // 2
-    if f in ("lgr-c", "lfl"):
-        return 2 * n * n + n
-    if f in ("slgr-star-h", "sogr-c", "ifl-even"):
-        return n * (2 * n - 1)
-    if f == "igr":
-        return n * (n - 1) // 2
-    if f == "ifl-odd":
-        N = 2 * n + md.p
-        return N * (N - 1) // 2
-    if f == "gr-indefinite":
-        N = sum(md.sizes)
-        return (N + 2) * (N - 1) // 2
-    if f in ("st-noncompact-real", "st-noncompact-complex", "stiefel-real", "stiefel-complex"):
-        return n * k
-    if f == "stiefel-quaternionic":
-        return 4 * n * k
-    raise InvalidDescriptor(f)
+    return FAMILIES[md.family].mp_dim(md)
 
 
 def minimality_advisory(md: ManifoldDescriptor) -> bool:
     """True when the size is below the range where minimality is proved."""
-    gp = group(md)
-    if gp.family in ("SL", "SU"):
-        return gp.n < 9
-    if gp.family in ("SO", "SOpq"):
-        return gp.n < 19
-    return gp.n < 10  # symplectic rows: rank below 5
+    algebra, n = weyl.algebra_of(group(md))
+    return n < weyl.LOW_DIM_THRESHOLD[algebra]
 
 
 def on_orbit(md: ManifoldDescriptor, X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -528,89 +598,22 @@ def on_orbit(md: ManifoldDescriptor, X: np.ndarray, tol: Tolerance = DEFAULT_TOL
     mod = base.module
     if mod.kind != "RectNK" and not module_contains(mod, X, tol):
         return False
-    f = md.family
     atol = tol.cutoff(max(frob(base.value), 1.0))
-    if f in _STIEFEL:
-        k = X.shape[1]
-        if f == "stiefel-quaternionic":
-            Xc = np.asarray(X, dtype=complex)
-            J = G.J2n(X.shape[0]).astype(complex)
-            return (
-                frob(Xc.conj().T @ Xc - np.eye(k)) <= atol
-                and frob(Xc.T @ J @ Xc - G.J2n(k)) <= atol
-            )
-        if f in ("stiefel-real", "stiefel-complex"):
-            return frob(np.asarray(X).conj().T @ X - np.eye(k)) <= atol
-        if np.linalg.matrix_rank(np.asarray(X)) < k:
-            return False
-        if k == X.shape[0]:
-            return abs(np.linalg.det(np.asarray(X)) - 1.0) <= atol
-        return True
-    if f in ("slgr", "slgr-star-h"):
-        s = np.linalg.svd(np.asarray(X, dtype=complex), compute_uv=False)
-        s0 = np.linalg.svd(np.asarray(base.value, dtype=complex), compute_uv=False)
-        return np.allclose(s, s0, atol=atol)
-    if action(md) == ActionKind.CONGRUENCE_STAR:
-        ev = np.sort(np.linalg.eigvalsh(-1j * np.asarray(X, dtype=complex)))
-        ev0 = np.sort(np.linalg.eigvalsh(-1j * np.asarray(base.value, dtype=complex)))
-        return np.allclose(ev, ev0, atol=atol)
-    ev = np.linalg.eigvals(np.asarray(X, dtype=complex))
-    ev0 = np.linalg.eigvals(np.asarray(base.value, dtype=complex))
-    return _multiset_close(ev, ev0, max(atol, 1e-7 * max(frob(base.value), 1.0)))
-
-
-def _multiset_close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """Greedy matching of two complex multisets within tol."""
-    if len(a) != len(b):
-        return False
-    remaining = list(b)
-    for z in a:
-        dists = [abs(z - w) for w in remaining]
-        j = int(np.argmin(dists))
-        if dists[j] > tol:
-            return False
-        remaining.pop(j)
-    return True
+    return FAMILIES[md.family].orbit(X, base.value, atol)
 
 
 def smallest_legal(family: str) -> ManifoldDescriptor:
     """The smallest parameter set on which the family is well defined."""
-    table = {
-        "gr-real": dict(n=4, k=2),
-        "gr-complex": dict(n=3, k=1),
-        "gr-quaternionic": dict(n=2, k=1),
-        "gr-sp-real": dict(n=2, k=1),
-        "gr-sp-complex": dict(n=2, k=1),
-        "gr-complex-locus": dict(n=3, k=1),
-        "slgr": dict(n=2),
-        "lgr-c": dict(n=2),
-        "slgr-star-h": dict(n=2),
-        "sogr-c": dict(n=2),
-        "igr": dict(n=5, k=2),
-        "gr-indefinite": dict(n=2, pq=(1, 1), sizes=(2, 2)),
-        "fl-real": dict(n=4, ks=(1, 2)),
-        "fl-complex": dict(n=3, ks=(1, 2)),
-        "fl-quaternionic": dict(n=3, ks=(1, 2)),
-        "ifl-even": dict(n=3, ks=(1, 2)),
-        "ifl-odd": dict(n=2, ks=(1,), p=1),
-        "fl-sp": dict(n=3, ks=(1, 2), field=REAL),
-        "lfl": dict(n=3, ks=(1, 2)),
-        "st-noncompact-real": dict(n=3, k=2),
-        "st-noncompact-complex": dict(n=3, k=2),
-        "stiefel-real": dict(n=4, k=2),
-        "stiefel-complex": dict(n=3, k=2),
-        "stiefel-quaternionic": dict(n=2, k=1),
-    }
-    return ManifoldDescriptor(family=family, **table[family])
+    return ManifoldDescriptor(family=family, **FAMILIES[family].smallest)
 
 
 def all_smallest_legal() -> list[ManifoldDescriptor]:
-    """The full family sweep (fl-sp appears once per field)."""
+    """The full family sweep (a family taking a field appears once per field)."""
     out = []
-    for fam in FAMILIES:
+    for fam, row in FAMILIES.items():
         md = smallest_legal(fam)
         out.append(md)
-        if fam == "fl-sp":
+        if "field" in row.smallest:
             out.append(replace(md, field=COMPLEX))
     return out
 
@@ -619,7 +622,34 @@ def all_smallest_legal() -> list[ManifoldDescriptor]:
 # Cartan embeddings of the classical symmetric spaces
 
 
-CARTAN_TYPES = ("AI", "AII", "AIII", "BDI", "DIII", "CI", "CII")
+def _signs(k, n):
+    """diag(I_k, -I_{n-k})."""
+    return _flag_diag((k, n - k), (1.0, -1.0))
+
+
+#: type -> (needs k, (n, k) -> (group, the matrix M of the involution),
+#: cartan map (Q, M), aligned minimal map (Q, M)).  The minimal map is the
+#: matching orbit map with its base point chosen in the same orbit so that a
+#: constant right factor can exist at all; for CI that representative is -J
+#: (same +-i spectrum as i*diag(I, -I)), and for CII the involution is the
+#: quaternion-compatible diag(I_k, -I_{n-k}, I_k, -I_{n-k}).
+_CARTAN = {
+    "AI": (False, lambda n, k: (G.su(n), None),
+           lambda Q, M: Q @ Q.T, lambda Q, M: Q @ Q.T),
+    "AII": (False, lambda n, k: (G.su(2 * n), G.J2n(2 * n).astype(complex)),
+            lambda Q, J: Q @ J @ Q.T @ J.T, lambda Q, J: Q @ J @ Q.T),
+    "AIII": (True, lambda n, k: (G.su(n), _signs(k, n).astype(complex)),
+             lambda Q, D: Q @ (1j * D) @ Q.conj().T @ D, lambda Q, D: 1j * Q @ D @ Q.conj().T),
+    "BDI": (True, lambda n, k: (G.so(n), _signs(k, n)),
+            lambda Q, D: Q @ D @ Q.T @ D, lambda Q, D: Q @ D @ Q.T),
+    "DIII": (False, lambda n, k: (G.so(2 * n), G.J2n(2 * n)),
+             lambda Q, J: Q @ J @ Q.T @ J.T, lambda Q, J: Q @ J @ Q.T),
+    "CI": (False, lambda n, k: (G.sp_compact(2 * n), G.J2n(2 * n).astype(complex)),
+           lambda Q, J: Q @ J @ Q.conj().T @ J.T, lambda Q, J: Q @ (-J) @ Q.conj().T),
+    "CII": (True, lambda n, k: (G.sp_compact(2 * n), _doubled(_signs(k, n)).astype(complex)),
+            lambda Q, D: Q @ D @ Q.conj().T @ D, lambda Q, D: 1j * Q @ D @ Q.conj().T),
+}
+CARTAN_TYPES = tuple(_CARTAN)
 
 
 @dataclass
@@ -641,51 +671,14 @@ class CartanComparison:
 
 
 def _cartan_maps(ctype: str, n: int, k: int | None):
-    """(group, cartan map, aligned minimal map) for a symmetric-space type.
-
-    The minimal map is the matching orbit map with its base point chosen in
-    the same orbit so that a constant right factor can exist at all; for CI
-    that representative is -J (same +-i spectrum as i*diag(I, -I)), and for
-    CII the involution is the quaternion-compatible diag(I_k, -I_{n-k},
-    I_k, -I_{n-k}).
-    """
-    if ctype == "AI":
-        gp = G.su(n)
-        return gp, (lambda Q: Q @ Q.T), (lambda Q: Q @ Q.T)
-    if ctype == "AII":
-        gp = G.su(2 * n)
-        J = G.J2n(2 * n).astype(complex)
-        return gp, (lambda Q: Q @ J @ Q.T @ J.T), (lambda Q: Q @ J @ Q.T)
-    if ctype == "AIII":
-        if k is None:
-            raise InvalidDescriptor("AIII needs k")
-        gp = G.su(n)
-        D = _two_block_diag(1.0, -1.0, k, n).astype(complex)
-        return gp, (lambda Q: Q @ (1j * D) @ Q.conj().T @ D), (lambda Q: 1j * Q @ D @ Q.conj().T)
-    if ctype == "BDI":
-        if k is None:
-            raise InvalidDescriptor("BDI needs k")
-        gp = G.so(n)
-        D = _two_block_diag(1.0, -1.0, k, n)
-        return gp, (lambda Q: Q @ D @ Q.T @ D), (lambda Q: Q @ D @ Q.T)
-    if ctype == "DIII":
-        gp = G.so(2 * n)
-        J = G.J2n(2 * n)
-        return gp, (lambda Q: Q @ J @ Q.T @ J.T), (lambda Q: Q @ J @ Q.T)
-    if ctype == "CI":
-        gp = G.sp_compact(2 * n)
-        J = G.J2n(2 * n).astype(complex)
-        return gp, (lambda Q: Q @ J @ Q.conj().T @ J.T), (lambda Q: Q @ (-J) @ Q.conj().T)
-    if ctype == "CII":
-        if k is None:
-            raise InvalidDescriptor("CII needs k")
-        gp = G.sp_compact(2 * n)
-        half = _two_block_diag(1.0, -1.0, k, n)
-        D = np.block(
-            [[half, np.zeros((n, n))], [np.zeros((n, n)), half]]
-        ).astype(complex)
-        return gp, (lambda Q: Q @ D @ Q.conj().T @ D), (lambda Q: 1j * Q @ D @ Q.conj().T)
-    raise InvalidDescriptor(f"unknown symmetric-space type {ctype!r}")
+    """(group, cartan map, aligned minimal map) for a symmetric-space type."""
+    if ctype not in _CARTAN:
+        raise InvalidDescriptor(f"unknown symmetric-space type {ctype!r}")
+    needs_k, build, cartan, minimal = _CARTAN[ctype]
+    if needs_k and k is None:
+        raise InvalidDescriptor(f"{ctype} needs k")
+    gp, M = build(n, k)
+    return gp, (lambda Q: cartan(Q, M)), (lambda Q: minimal(Q, M))
 
 
 def cartan_compare(

@@ -69,7 +69,3 @@ class NoConstantFactor(ManirepError):
 
 class NotMinimalFamily(ManirepError):
     """A smaller admissible target reproduced the stabilizer of the family."""
-
-
-class OutOfLemmaRange(ManirepError):
-    """Parameters fall below the range where the classification is proved."""

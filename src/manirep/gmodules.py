@@ -2,11 +2,13 @@
 
 Each :class:`ModuleDescriptor` names a linear subspace of F^{n x n} (or the
 rectangular slab F^{n x k}) cut out by transpose/adjoint conditions against
-a bilinear form, optionally with a trace constraint.  ``module_dim`` reports
-the dimension over the descriptor's field: complex kinds over C, and the
-real-structure kinds (su_n, u_n, traceless Hermitian, compact sp, and the
-symmetric-traceless slice of su) over R, since those are only real-linear
-subspaces of complex matrices.
+a bilinear form, optionally with a trace constraint.  Everything known about
+a module kind is one :class:`Kind` row of ``KINDS``: its dimension formula,
+its residual conditions, the flags below, and the action of its group.
+``module_dim`` reports the dimension over the descriptor's field: complex
+kinds over C, and the real-structure kinds (su_n, u_n, traceless Hermitian,
+compact sp, and the symmetric-traceless slice of su) over R, since those
+are only real-linear subspaces of complex matrices.
 
 ``Alt^k`` for k >= 3 is carried for its dimension formula only; no
 membership, projection, or action is defined for it.
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -40,11 +43,6 @@ SP_ALGEBRA = "SpAlgebra"
 SYM_TRACELESS_CAP_SU = "SymTracelessCapSU"
 ALT_K = "AltK"
 
-#: kinds that are complex matrices but only real-linear subspaces
-_REAL_STRUCTURE = {SU_ALGEBRA, U_ALGEBRA, HERM_TRACELESS, SP_ALGEBRA, SYM_TRACELESS_CAP_SU}
-#: kinds whose optional form must be skew (ambient size even)
-_SKEW_FORM_KINDS = {ALT2_FORM, SYM2_TRACELESS_FORM, SP_ALGEBRA, SYM_TRACELESS_CAP_SU}
-
 
 class ActionKind(Enum):
     LEFT_MULT = "left-mult"
@@ -53,6 +51,76 @@ class ActionKind(Enum):
     CONGRUENCE = "congruence"
     SIMILARITY = "similarity"
     CONGRUENCE_STAR = "congruence-star"
+
+
+def _form_skew(X, F):
+    return X.T @ F + F @ X
+
+
+def _form_symmetric(X, F):
+    return X.T @ F - F @ X
+
+
+def _anti_hermitian(X, F):
+    return X.conj().T + X
+
+
+def _hermitian(X, F):
+    return X.conj().T - X
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One module kind.
+
+    ``dim(n, k)`` is the dimension over the descriptor's field.
+    ``conditions`` are residual maps (X, F) -> matrix, F the descriptor's
+    form, that vanish exactly on the module; a ``traceless`` kind also
+    kills the trace.  ``real_structure`` kinds are complex matrices forming
+    only a real-linear subspace; ``skew_form`` kinds take a skew form, so
+    their size is even.  ``membership`` is False for the kinds carried for
+    their dimension only; they have no ``action`` either.  ``action`` is
+    how the kind's group acts on it (see :attr:`ModuleDescriptor.action`
+    for the twist by a form).
+    """
+
+    dim: Callable[[int, int | None], int]
+    conditions: tuple = ()
+    traceless: bool = False
+    real_structure: bool = False
+    skew_form: bool = False
+    membership: bool = True
+    action: ActionKind | None = None
+
+
+KINDS = {
+    TRIVIAL: Kind(lambda n, k: 1, membership=False),
+    RECT_NK: Kind(lambda n, k: n * k, action=ActionKind.LEFT_MULT),
+    ALT2: Kind(lambda n, k: n * (n - 1) // 2, (_form_skew,), action=ActionKind.CONGRUENCE),
+    SYM2: Kind(lambda n, k: n * (n + 1) // 2, (_form_symmetric,), action=ActionKind.CONGRUENCE),
+    SYM2_TRACELESS: Kind(lambda n, k: (n + 2) * (n - 1) // 2, (_form_symmetric,),
+                         traceless=True, action=ActionKind.CONGRUENCE),
+    SLN_TRACELESS: Kind(lambda n, k: n * n - 1, traceless=True, action=ActionKind.SIMILARITY),
+    SU_ALGEBRA: Kind(lambda n, k: n * n - 1, (_anti_hermitian,), traceless=True,
+                     real_structure=True, action=ActionKind.CONGRUENCE_STAR),
+    U_ALGEBRA: Kind(lambda n, k: n * n, (_anti_hermitian,), real_structure=True,
+                    action=ActionKind.CONGRUENCE_STAR),
+    HERM_TRACELESS: Kind(lambda n, k: n * n - 1, (_hermitian,), traceless=True,
+                         real_structure=True, action=ActionKind.CONGRUENCE_STAR),
+    ALT2_FORM: Kind(lambda n, k: n * (n + 1) // 2, (_form_skew,), skew_form=True,
+                    action=ActionKind.SIMILARITY),
+    SYM2_TRACELESS_FORM: Kind(lambda n, k: (n // 2 - 1) * (2 * (n // 2) + 1),
+                              (_form_symmetric,), traceless=True, skew_form=True,
+                              action=ActionKind.SIMILARITY),
+    SP_ALGEBRA: Kind(lambda n, k: 2 * (n // 2) ** 2 + n // 2, (_anti_hermitian, _form_skew),
+                     traceless=True, real_structure=True, skew_form=True,
+                     action=ActionKind.CONGRUENCE_STAR),
+    SYM_TRACELESS_CAP_SU: Kind(lambda n, k: (n // 2 - 1) * (2 * (n // 2) + 1),
+                               (_anti_hermitian, _form_symmetric), traceless=True,
+                               real_structure=True, skew_form=True,
+                               action=ActionKind.CONGRUENCE_STAR),
+    ALT_K: Kind(lambda n, k: math.comb(n, k), membership=False),
+}
 
 
 @dataclass(eq=False)
@@ -64,7 +132,9 @@ class ModuleDescriptor:
     form: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind in _REAL_STRUCTURE:
+        if self.kind not in KINDS:
+            raise InvalidDescriptor(f"unknown module kind {self.kind!r}")
+        if KINDS[self.kind].real_structure:
             self.field = REAL  # dimensions are counted over R
         if self.field not in (REAL, COMPLEX):
             raise InvalidDescriptor(f"unknown field {self.field!r}")
@@ -73,13 +143,13 @@ class ModuleDescriptor:
                 raise InvalidDescriptor(f"{self.kind} needs 0 < k <= n")
         elif self.k is not None:
             raise InvalidDescriptor(f"{self.kind} takes no k")
-        if self.kind in _SKEW_FORM_KINDS and self.n % 2:
+        if KINDS[self.kind].skew_form and self.n % 2:
             raise InvalidDescriptor(f"{self.kind} needs even ambient size")
         if self.form is not None:
             self.form = np.asarray(self.form, dtype=complex if self._complex_entries else float)
             if self.form.shape != (self.n, self.n):
                 raise InvalidDescriptor("form has wrong size")
-            skewish = self.kind in _SKEW_FORM_KINDS
+            skewish = KINDS[self.kind].skew_form
             defect = frob(self.form + (1 if skewish else -1) * self.form.T)
             if defect > 1e-12 * max(frob(self.form), 1.0):
                 raise InvalidDescriptor("form has the wrong symmetry for this kind")
@@ -88,17 +158,25 @@ class ModuleDescriptor:
 
     @property
     def _complex_entries(self) -> bool:
-        return self.field == COMPLEX or self.kind in _REAL_STRUCTURE
+        return self.field == COMPLEX or KINDS[self.kind].real_structure
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n, self.k) if self.kind == RECT_NK else (self.n, self.n)
 
+    @property
+    def action(self) -> ActionKind | None:
+        """The action of the module's group; a form twists congruence into similarity."""
+        act = KINDS[self.kind].action
+        if act == ActionKind.CONGRUENCE and self.form is not None:
+            return ActionKind.SIMILARITY  # twisted congruence of SO_{p,q}
+        return act
+
     def form_matrix(self) -> np.ndarray:
         if self.form is not None:
             return self.form
         dt = complex if self._complex_entries else float
-        if self.kind in _SKEW_FORM_KINDS:
+        if KINDS[self.kind].skew_form:
             return J2n(self.n).astype(dt)
         return np.eye(self.n, dtype=dt)
 
@@ -127,67 +205,20 @@ class ModuleDescriptor:
 
 
 def module_dim(m: ModuleDescriptor) -> int:
-    n = m.n
-    half = n // 2
-    table = {
-        TRIVIAL: 1,
-        RECT_NK: n * (m.k or 0),
-        ALT2: n * (n - 1) // 2,
-        SYM2: n * (n + 1) // 2,
-        SYM2_TRACELESS: (n + 2) * (n - 1) // 2,
-        SLN_TRACELESS: n * n - 1,
-        SU_ALGEBRA: n * n - 1,
-        U_ALGEBRA: n * n,
-        HERM_TRACELESS: n * n - 1,
-        ALT2_FORM: n * (n + 1) // 2,
-        SYM2_TRACELESS_FORM: (half - 1) * (2 * half + 1),
-        SP_ALGEBRA: 2 * half * half + half,
-        SYM_TRACELESS_CAP_SU: (half - 1) * (2 * half + 1),
-        ALT_K: math.comb(n, m.k or 0),
-    }
-    if m.kind not in table:
-        raise InvalidDescriptor(f"unknown module kind {m.kind!r}")
-    return table[m.kind]
+    return KINDS[m.kind].dim(m.n, m.k)
 
 
 def _conditions(m: ModuleDescriptor):
     """Residual maps that vanish exactly on the module."""
     F = m.form_matrix()
-    conds = []
-    if m.kind == ALT2:
-        conds.append(lambda X: X.T @ F + F @ X)
-    elif m.kind in (SYM2, SYM2_TRACELESS):
-        conds.append(lambda X: X.T @ F - F @ X)
-    elif m.kind == ALT2_FORM:
-        conds.append(lambda X: X.T @ F + F @ X)
-    elif m.kind == SYM2_TRACELESS_FORM:
-        conds.append(lambda X: X.T @ F - F @ X)
-    elif m.kind == SU_ALGEBRA:
-        conds.append(lambda X: X.conj().T + X)
-    elif m.kind == U_ALGEBRA:
-        conds.append(lambda X: X.conj().T + X)
-    elif m.kind == HERM_TRACELESS:
-        conds.append(lambda X: X.conj().T - X)
-    elif m.kind == SP_ALGEBRA:
-        conds.append(lambda X: X.conj().T + X)
-        conds.append(lambda X: X.T @ F + F @ X)
-    elif m.kind == SYM_TRACELESS_CAP_SU:
-        conds.append(lambda X: X.conj().T + X)
-        conds.append(lambda X: X.T @ F - F @ X)
-    elif m.kind == SLN_TRACELESS:
-        pass
-    elif m.kind == RECT_NK:
-        return []
-    else:
-        raise InvalidDescriptor(f"{m.kind} has no membership conditions")
-    if m.kind in (SYM2_TRACELESS, SYM2_TRACELESS_FORM, SLN_TRACELESS, SU_ALGEBRA,
-                  HERM_TRACELESS, SP_ALGEBRA, SYM_TRACELESS_CAP_SU):
+    conds = [lambda X, c=c: c(X, F) for c in KINDS[m.kind].conditions]
+    if KINDS[m.kind].traceless:
         conds.append(lambda X: np.atleast_2d(np.trace(X)))
     return conds
 
 
 def contains(m: ModuleDescriptor, X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    if m.kind in (TRIVIAL, ALT_K):
+    if not KINDS[m.kind].membership:
         raise InvalidDescriptor(f"{m.kind} supports no membership test")
     X = np.asarray(X)
     if X.shape != m.shape:
@@ -195,8 +226,6 @@ def contains(m: ModuleDescriptor, X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -
     Xc = X.astype(complex)
     if not m._complex_entries and np.abs(Xc.imag).max(initial=0.0) > tol.abs_eps:
         return False
-    if m.kind == RECT_NK:
-        return True
     bound = tol.cutoff(max(frob(Xc), 1.0))
     return all(frob(np.asarray(c(Xc))) <= bound for c in _conditions(m))
 
@@ -208,23 +237,20 @@ def basis(m: ModuleDescriptor) -> list[np.ndarray]:
     """Orthonormal basis of the module under the (real) Frobenius pairing."""
     key = m.cache_key()
     if key not in _basis_cache:
-        if m.kind in (TRIVIAL, ALT_K):
+        if not KINDS[m.kind].membership:
             raise InvalidDescriptor(f"{m.kind} has no matrix basis")
         n = m.n
+        conds = _conditions(m)
         if m.kind == RECT_NK:
-            k = m.k
             out = []
             for i in range(n):
-                for j in range(k):
-                    E = np.zeros((n, k), dtype=complex if m.field == COMPLEX else float)
+                for j in range(m.k):
+                    E = np.zeros((n, m.k), dtype=complex if m.field == COMPLEX else float)
                     E[i, j] = 1.0
                     out.append(E)
                     if m.field == COMPLEX:
                         out.append(1j * E)
-            _basis_cache[key] = out
-            return out
-        conds = _conditions(m)
-        if m.field == COMPLEX and m.kind not in _REAL_STRUCTURE:
+        elif m.field == COMPLEX:
             # complex-linear conditions: solve over C directly
             cols = []
             for t in range(n * n):
@@ -248,16 +274,13 @@ def project(m: ModuleDescriptor, X: np.ndarray) -> np.ndarray:
     if X.shape != m.shape:
         raise SizeMismatch(f"expected shape {m.shape}, got {X.shape}")
     if m.kind == RECT_NK:
-        if m.field == REAL:
-            return np.asarray(X, dtype=float)
-        return np.asarray(X, dtype=complex)
+        return np.asarray(X, dtype=complex if m.field == COMPLEX else float)
     Xc = X.astype(complex)
     out = np.zeros_like(Xc)
-    complex_linear = m.field == COMPLEX and m.kind not in _REAL_STRUCTURE
     for b in basis(m):
         bc = b.astype(complex)
         coef = np.vdot(bc, Xc)
-        if not complex_linear:
+        if m.field == REAL:
             coef = coef.real
         out = out + coef * bc
     if not m._complex_entries:
@@ -268,22 +291,29 @@ def project(m: ModuleDescriptor, X: np.ndarray) -> np.ndarray:
 def real_dim(m: ModuleDescriptor) -> int:
     """Dimension over R (doubles the complex-linear kinds)."""
     d = module_dim(m)
-    return 2 * d if (m.field == COMPLEX and m.kind not in _REAL_STRUCTURE) else d
+    return 2 * d if m.field == COMPLEX else d
+
+
+#: each action as (A, X) -> A . X and its derivative at the identity
+#: (Z, X) -> d/dt exp(tZ) . X; EQUIVALENCE takes a pair A = (A1, A2)
+#: acting by A1 X A2^{-1}
+_ACTIONS = {
+    ActionKind.LEFT_MULT: (lambda A, X: A @ X, lambda Z, X: Z @ X),
+    ActionKind.RIGHT_MULT_INV: (lambda A, X: X @ np.linalg.inv(A), lambda Z, X: -X @ Z),
+    ActionKind.EQUIVALENCE: (lambda A, X: A[0] @ X @ np.linalg.inv(A[1]),
+                             lambda Z, X: Z @ X - X @ Z),
+    ActionKind.CONGRUENCE: (lambda A, X: A @ X @ A.T, lambda Z, X: Z @ X + X @ Z.T),
+    ActionKind.SIMILARITY: (lambda A, X: A @ X @ np.linalg.inv(A), lambda Z, X: Z @ X - X @ Z),
+    ActionKind.CONGRUENCE_STAR: (lambda A, X: A @ X @ A.conj().T,
+                                 lambda Z, X: Z @ X + X @ Z.conj().T),
+}
 
 
 def dact(action: ActionKind, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Derivative of the action at the identity: d/dt act(exp(tZ), X) at 0."""
-    if action == ActionKind.LEFT_MULT:
-        return Z @ X
-    if action == ActionKind.RIGHT_MULT_INV:
-        return -X @ Z
-    if action == ActionKind.CONGRUENCE:
-        return Z @ X + X @ Z.T
-    if action == ActionKind.CONGRUENCE_STAR:
-        return Z @ X + X @ Z.conj().T
-    if action in (ActionKind.SIMILARITY, ActionKind.EQUIVALENCE):
-        return Z @ X - X @ Z
-    raise InvalidDescriptor(f"no infinitesimal action for {action}")
+    if action not in _ACTIONS:
+        raise InvalidDescriptor(f"no infinitesimal action for {action}")
+    return _ACTIONS[action][1](Z, X)
 
 
 def act(
@@ -301,27 +331,17 @@ def act(
     ``(A1, A2)`` acting by A1 X A2^{-1}.  When ``module`` is supplied the
     result is checked to stay inside it.
     """
+    if action not in _ACTIONS:
+        raise InvalidDescriptor(f"unknown action {action}")
     if action == ActionKind.EQUIVALENCE:
         A1, A2 = A
         if check and not (group_contains(g, A1, tol) and group_contains(g, A2, tol)):
             raise NotInGroup("equivalence pair fails the group relations")
-        out = A1 @ X @ np.linalg.inv(A2)
     else:
         A = np.asarray(A)
         if check and not group_contains(g, A, tol):
             raise NotInGroup(f"matrix is not in {g.family}_{g.n} to tolerance")
-        if action == ActionKind.LEFT_MULT:
-            out = A @ X
-        elif action == ActionKind.RIGHT_MULT_INV:
-            out = X @ np.linalg.inv(A)
-        elif action == ActionKind.CONGRUENCE:
-            out = A @ X @ A.T
-        elif action == ActionKind.CONGRUENCE_STAR:
-            out = A @ X @ A.conj().T
-        elif action == ActionKind.SIMILARITY:
-            out = A @ X @ np.linalg.inv(A)
-        else:
-            raise InvalidDescriptor(f"unknown action {action}")
+    out = _ACTIONS[action][0](A, X)
     if module is not None and check:
         if not contains(module, _cast_to_module(module, out), tol):
             raise ModuleNotPreserved(f"action moved the point out of {module.kind}")

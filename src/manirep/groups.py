@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidDescriptor, SizeMismatch
+from .errors import InvalidDescriptor, ManirepError, SizeMismatch
 from .numkit import COMPLEX, DEFAULT_TOL, REAL, Tolerance, frob, mat_from_json, mat_to_json
 
 SL, SO, SP, SU, SOPQ, SP_COMPACT, GL, O, U = (
@@ -224,15 +224,6 @@ def contains(g: GroupDescriptor, A: np.ndarray, tol: Tolerance = DEFAULT_TOL) ->
     return True
 
 
-@dataclass
-class LieAlgebraBasis:
-    group: GroupDescriptor
-    basis: list[np.ndarray]
-
-    def __len__(self):
-        return len(self.basis)
-
-
 def _unit(n, i, j, val, dtype=complex):
     Z = np.zeros((n, n), dtype=dtype)
     Z[i, j] = val
@@ -264,7 +255,7 @@ def _skew_basis(n, dtype=float):
 _basis_cache: dict[tuple, list[np.ndarray]] = {}
 
 
-def lie_algebra_basis(g: GroupDescriptor) -> LieAlgebraBasis:
+def lie_algebra_basis(g: GroupDescriptor) -> list[np.ndarray]:
     """Basis of the tangent space at the identity.
 
     Complex groups get a basis over C; real forms a basis over R.  The
@@ -272,7 +263,7 @@ def lie_algebra_basis(g: GroupDescriptor) -> LieAlgebraBasis:
     """
     key = g.cache_key()
     if key in _basis_cache:
-        return LieAlgebraBasis(g, _basis_cache[key])
+        return _basis_cache[key]
     n = g.n
     dt = g.dtype
     basis: list[np.ndarray] = []
@@ -313,9 +304,10 @@ def lie_algebra_basis(g: GroupDescriptor) -> LieAlgebraBasis:
     else:
         raise InvalidDescriptor(f"unknown family {g.family!r}")
 
-    assert len(basis) == group_dim(g)
+    if len(basis) != group_dim(g):
+        raise ManirepError(f"Lie basis of {g.family}_{n} has the wrong length {len(basis)}")
     _basis_cache[key] = basis
-    return LieAlgebraBasis(g, basis)
+    return basis
 
 
 def _sp_compact_basis(g: GroupDescriptor) -> list[np.ndarray]:
@@ -425,7 +417,7 @@ def sample(g: GroupDescriptor, seed: int, scale: float = 1.0) -> np.ndarray:
             A = A + 1j * rng.standard_normal((n, n))
         return A + 2.0 * np.eye(n, dtype=A.dtype)
     # exp of a scaled random algebra element
-    basis = lie_algebra_basis(g).basis
+    basis = lie_algebra_basis(g)
     coeff = rng.standard_normal(len(basis))
     if g.is_complex_group:
         coeff = coeff + 1j * rng.standard_normal(len(basis))

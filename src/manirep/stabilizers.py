@@ -23,8 +23,15 @@ import scipy.linalg
 import sympy
 
 from . import groups as G
-from .errors import IllConditioned, InvalidDescriptor, SizeMismatch, WitnessNotInModule
-from .gmodules import ActionKind, ModuleDescriptor, contains as module_contains, dact
+from .errors import (
+    IllConditioned,
+    InvalidDescriptor,
+    NotSymmetric,
+    RankAmbiguous,
+    SizeMismatch,
+    WitnessNotInModule,
+)
+from .gmodules import KINDS, ActionKind, ModuleDescriptor, contains as module_contains, dact
 from .numkit import (
     COMPLEX,
     DEFAULT_TOL,
@@ -151,28 +158,17 @@ def stabilizer_congruence_sym(
         Xr = np.asarray(X)
         Xr = Xr.real.astype(float) if np.iscomplexobj(Xr) else Xr.astype(float)
         if frob(Xr - Xr.T) > tol.cutoff(max(frob(Xr), 1.0)):
-            from .errors import NotSymmetric
-
             raise NotSymmetric("congruence stabilizer needs a symmetric matrix")
         vals, vecs = np.linalg.eigh((Xr + Xr.T) / 2.0)
         cut = tol.cutoff(np.abs(vals).max(initial=0.0))
         if np.any(np.abs(np.abs(vals) - cut) < tol.abs_eps):
-            from .errors import RankAmbiguous
-
             raise RankAmbiguous("eigenvalue within abs_eps of the rank cutoff")
         keep = np.abs(vals) > cut
         nz = vals[keep]
         vecs_nz = vecs[:, keep]
-        # group eigenvalues that agree within a relative gap; each group is
-        # one inertia block of the canonical middle form
         order = np.argsort(-nz)
         nz = nz[order]
         vecs_nz = vecs_nz[:, order]
-        spread = (nz.max() - nz.min()) if nz.size else 0.0
-        tau = 1e-7 * max(spread, 1e-300)
-        glued = np.zeros(len(nz), dtype=int)
-        for i in range(1, len(nz)):
-            glued[i] = glued[i - 1] + (0 if nz[i - 1] - nz[i] <= tau else 1)
         B = np.diag(nz)
         Q = np.column_stack([vecs_nz, vecs[:, ~keep]]) if (~keep).any() else vecs_nz
         r = len(nz)
@@ -180,8 +176,6 @@ def stabilizer_congruence_sym(
         U, sigma = takagi(np.asarray(X, dtype=complex), tol)
         cut = tol.cutoff(sigma[0] if len(sigma) else 0.0)
         if np.any(np.abs(sigma - cut) < tol.abs_eps):
-            from .errors import RankAmbiguous
-
             raise RankAmbiguous("singular value within abs_eps of the rank cutoff")
         keep = sigma > cut
         r = int(keep.sum())
@@ -478,14 +472,14 @@ def intersect_stabilizer_dim(
     tol: Tolerance = DEFAULT_TOL,
 ) -> int:
     """dim of the joint stabilizer algebra of several module points."""
-    basis = G.lie_algebra_basis(g).basis
+    basis = G.lie_algebra_basis(g)
     if not constraints:
         return len(basis)
     complex_rank = g.is_complex_group
     for module, action, X in constraints:
         if np.asarray(X).shape != module.shape:
             raise SizeMismatch("witness has the wrong shape for its module")
-        if module.kind not in ("Trivial", "AltK") and not module_contains(module, X, tol):
+        if KINDS[module.kind].membership and not module_contains(module, X, tol):
             raise WitnessNotInModule(f"witness is not in {module.kind} to tolerance")
         if action == ActionKind.CONGRUENCE_STAR and complex_rank:
             raise InvalidDescriptor("congruence-star is conjugate-linear; use a real form")

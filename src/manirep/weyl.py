@@ -21,7 +21,7 @@ from itertools import combinations
 
 from . import groups as G
 from .errors import InvalidDescriptor, UnsupportedGroup
-from .gmodules import ModuleDescriptor
+from .gmodules import ModuleDescriptor, module_dim
 
 SL, SO, SP = "SL", "SO", "SP"
 
@@ -223,6 +223,25 @@ def catalog_weight(algebra: str, n: int, name: str) -> HighestWeight | None:
 #: smallest n for which the low-dimension catalog below is complete
 LOW_DIM_THRESHOLD = {SL: 9, SO: 19, SP: 5}
 
+#: group family -> its complexified algebra and the divisor taking g.n to that algebra's n
+_ALGEBRA_OF = {G.SL: (SL, 1), G.SU: (SL, 1), G.SO: (SO, 1), G.SOPQ: (SO, 1),
+               G.SP: (SP, 2), G.SP_COMPACT: (SP, 2)}
+
+
+def algebra_of(g: G.GroupDescriptor) -> tuple[str, int]:
+    """The (algebra, n) of a classical group's complexified Lie algebra."""
+    algebra, divisor = _ALGEBRA_OF[g.family]
+    return algebra, g.n // divisor
+
+
+#: per algebra: the catalog kinds after the trivial and vector modules, the
+#: matrix size per unit of n, and the dimension bound per unit of n^2
+_CATALOG = {
+    SL: (("Alt2", "Sym2", "SLnTraceless"), 1, 1),
+    SO: (("Alt2", "Sym2Traceless"), 1, 1),
+    SP: (("Sym2TracelessForm", "Alt2Form"), 2, 4),
+}
+
 
 @dataclass
 class LowDimCatalog:
@@ -242,36 +261,12 @@ def low_dim_classification(algebra: str, n: int) -> LowDimCatalog:
     enumerated weight whose dimension is not explained by the catalog is
     reported in ``unexplained`` with ``advisory=True``.
     """
-    if algebra == SL:
-        bound = n * n
-        mods = [
-            ModuleDescriptor("Trivial", n, "C"),
-            ModuleDescriptor("RectNK", n, "C", k=1),
-            ModuleDescriptor("Alt2", n, "C"),
-            ModuleDescriptor("Sym2", n, "C"),
-            ModuleDescriptor("SLnTraceless", n, "C"),
-        ]
-    elif algebra == SO:
-        bound = n * n
-        mods = [
-            ModuleDescriptor("Trivial", n, "C"),
-            ModuleDescriptor("RectNK", n, "C", k=1),
-            ModuleDescriptor("Alt2", n, "C"),
-            ModuleDescriptor("Sym2Traceless", n, "C"),
-        ]
-    elif algebra == SP:
-        bound = 4 * n * n
-        mods = [
-            ModuleDescriptor("Trivial", 2 * n, "C"),
-            ModuleDescriptor("RectNK", 2 * n, "C", k=1),
-            ModuleDescriptor("Sym2TracelessForm", 2 * n, "C"),
-            ModuleDescriptor("Alt2Form", 2 * n, "C"),
-        ]
-    else:
+    if algebra not in _CATALOG:
         raise InvalidDescriptor(f"unknown algebra {algebra!r}")
-
-    from .gmodules import module_dim
-
+    kinds, size, scale = _CATALOG[algebra]
+    bound, N = scale * n * n, size * n
+    mods = [ModuleDescriptor("Trivial", N, "C"), ModuleDescriptor("RectNK", N, "C", k=1)]
+    mods += [ModuleDescriptor(kind, N, "C") for kind in kinds]
     weights = enumerate_irreps_below(algebra, n, bound)
     catalog_dims = {module_dim(md) for md in mods}
     unexplained = [(w, d) for w, d in weights if d not in catalog_dims]
@@ -295,35 +290,28 @@ def real_form_admissible(g: G.GroupDescriptor, w: HighestWeight) -> bool:
     weights are realizable over R for every signature; spinor weights of a
     non-split signature are outside the supported range.
     """
-    if g.family == G.SL and g.field == "R":
-        _require(w, SL, g.n)
-        return True
-    if g.family == G.SP and g.field == "R":
-        _require(w, SP, g.n // 2)
+    split = g.family in (G.SL, G.SP) and g.field == "R"
+    if not split and g.family not in (G.SU, G.SP_COMPACT, G.SOPQ):
+        raise UnsupportedGroup(f"no real-form criterion for family {g.family!r}")
+    _require(w, *algebra_of(g))
+    kap = w.kappa
+    if split:
         return True
     if g.family == G.SU:
-        _require(w, SL, g.n)
         n = g.n
-        kap = w.kappa
         if any(kap[i] != kap[n - 2 - i] for i in range(n - 1)):
             return False
         if n % 2 == 1 or n % 4 == 0:
             return True
         return kap[n // 2 - 1] % 2 == 0
     if g.family == G.SP_COMPACT:
-        _require(w, SP, g.n // 2)
-        return all(w.kappa[i] % 2 == 0 for i in range(0, len(w.kappa), 2))
-    if g.family == G.SOPQ:
-        _require(w, SO, g.n)
-        p, q = g.signature
-        if abs(p - q) <= 1:
-            return True
-        if not _is_spinor(w):
-            return True
-        raise UnsupportedGroup(
-            f"spinor weights of SO_{p},{q} are outside the supported classification"
-        )
-    raise UnsupportedGroup(f"no real-form criterion for family {g.family!r}")
+        return all(kap[i] % 2 == 0 for i in range(0, len(kap), 2))
+    p, q = g.signature
+    if abs(p - q) <= 1 or not _is_spinor(w):
+        return True
+    raise UnsupportedGroup(
+        f"spinor weights of SO_{p},{q} are outside the supported classification"
+    )
 
 
 def _require(w: HighestWeight, algebra: str, n: int) -> None:

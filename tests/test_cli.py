@@ -167,3 +167,27 @@ def test_embed_indefinite(capsys):
     assert code == 0
     X = Mat.from_json(payload["value"]).to_array()
     assert abs(np.trace(X)) < 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    # SOpq without a signature, with one entry, and with p + q != n
+    ["classify", "--group", "SOpq", "--n", "5", "--enumerate"],
+    ["classify", "--group", "SOpq", "--n", "5", "--signature", "1", "--enumerate"],
+    ["classify", "--group", "SOpq", "--n", "7", "--signature", "2,3", "--enumerate"],
+    ["census", "--group", "SOpq", "--n", "7", "--signature", "2,3"],
+    # a parameter the family does not take
+    ["embed", "--manifold", "fl-real", "--n", "4", "--ks", "1,2", "--k", "9"],
+    ["verify", "--manifold", "gr-real", "--n", "4", "--k", "2", "--field", "C"],
+], ids=["sopq-no-signature", "sopq-short-signature", "sopq-signature-not-n",
+        "census-signature-not-n", "embed-extra-k", "verify-extra-field"])
+def test_bad_arguments_are_json_errors(capsys, argv):
+    code, payload = run_cli(capsys, *argv)
+    assert code == 1
+    assert payload["error"]["type"] == "InvalidDescriptor"
+
+
+def test_sopq_signature(capsys):
+    code, payload = run_cli(capsys, "classify", "--group", "SOpq", "--n", "5",
+                            "--signature", "2,3", "--enumerate")
+    assert code == 0
+    assert payload["group"]["signature"] == [2, 3]

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -149,6 +150,20 @@ class TestBasePoints:
             ManifoldDescriptor("igr", n=4, k=3)
         with pytest.raises(InvalidDescriptor):
             ManifoldDescriptor("nonsense", n=4)
+
+
+#: a legal-looking value for every optional size parameter
+_PARAM_VALUES = dict(k=1, ks=(1,), p=1, pq=(1, 1), sizes=(2, 2), field="R")
+
+
+@pytest.mark.parametrize("family,param", [
+    (fam, param) for fam in FAMILIES for param in _PARAM_VALUES
+    if getattr(smallest_legal(fam), param) is None
+])
+def test_rejects_parameters_the_family_does_not_take(family, param):
+    md = smallest_legal(family)
+    with pytest.raises(InvalidDescriptor):
+        replace(md, **{param: _PARAM_VALUES[param]})
 
 
 class TestEmbedProperties:
