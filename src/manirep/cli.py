@@ -24,7 +24,7 @@ from . import classify as C
 from . import embeddings as E
 from . import groups as G
 from . import weyl
-from .errors import InvalidDescriptor, ManirepError
+from .errors import InvalidDescriptor, InvalidInput, ManirepError, NonFinite
 from .numkit import Mat
 from .stabilizers import (
     stabilizer_congruence_skew,
@@ -34,21 +34,25 @@ from .stabilizers import (
 )
 
 
-def _ints(text: str) -> tuple[int, ...]:
+def ints(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(",") if t != "")
 
 
-def _floats(text: str) -> tuple[float, ...]:
+def floats(text: str) -> tuple[float, ...]:
     return tuple(float(t) for t in text.split(",") if t != "")
 
 
 def _read_matrix(path: str) -> np.ndarray:
-    with open(path) as fh:
-        return Mat.from_json(json.load(fh)).to_array()
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not text
+        raise InvalidInput(f"cannot read a matrix JSON file: {exc}") from exc
+    return Mat.from_json(obj).to_array()
 
 
 def _so_pq_from_args(args) -> G.GroupDescriptor:
-    sig = _ints(args.signature or "")
+    sig = args.signature or ()
     if len(sig) != 2 or sum(sig) != args.n:
         raise InvalidDescriptor("SOpq needs --signature p,q with p + q = n")
     return G.so_pq(*sig)
@@ -78,12 +82,12 @@ def _manifold_from_args(args) -> E.ManifoldDescriptor:
         family=args.manifold,
         n=args.n,
         k=args.k,
-        ks=_ints(args.ks) if args.ks else None,
+        ks=args.ks or None,
         p=args.p,
-        pq=_ints(args.pq) if args.pq else None,
-        sizes=_ints(args.sizes) if args.sizes else None,
+        pq=args.pq or None,
+        sizes=args.sizes or None,
         field=args.field,
-        spectrum=_floats(args.spectrum) if args.spectrum else None,
+        spectrum=args.spectrum or None,
     )
 
 
@@ -95,7 +99,7 @@ def _seed(args) -> int:
 
 
 def cmd_dims(args) -> dict:
-    w = weyl.HighestWeight(args.algebra, args.n, _ints(args.kappa))
+    w = weyl.HighestWeight(args.algebra, args.n, args.kappa)
     return {"dim": str(weyl.weyl_dim(w))}
 
 
@@ -116,7 +120,7 @@ def cmd_classify(args) -> dict:
         return {"group": g.to_json(), "admissible": [r.to_json() for r in reports]}
     if args.multiplicities is None:
         raise ManirepError("either --enumerate or --multiplicities is required")
-    rep = C.admissible(C.TargetSpec(g, _ints(args.multiplicities)))
+    rep = C.admissible(C.TargetSpec(g, args.multiplicities))
     return rep.to_json()
 
 
@@ -168,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dims", parents=[common], help="Weyl dimension of one highest weight")
     p.add_argument("--algebra", required=True, choices=["SL", "SO", "SP"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kappa", required=True)
+    p.add_argument("--kappa", required=True, type=ints)
     p.set_defaults(fn=cmd_dims)
 
     p = sub.add_parser("irreps", parents=[common], help="all irreducibles below a dimension bound")
@@ -181,9 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, choices=list(GROUPS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--field", default="R", choices=["R", "C"])
-    p.add_argument("--signature", help="p,q for SOpq")
+    p.add_argument("--signature", type=ints, help="p,q for SOpq")
     p.add_argument("--enumerate", action="store_true")
-    p.add_argument("--multiplicities", help="comma-separated multiplicity tuple")
+    p.add_argument("--multiplicities", type=ints, help="comma-separated multiplicity tuple")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("stabilizer", parents=[common], help="structured stabilizer of a matrix")
@@ -196,12 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--manifold", required=True)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--k", type=int)
-        p.add_argument("--ks", help="flag sizes, e.g. 1,2")
+        p.add_argument("--ks", type=ints, help="flag sizes, e.g. 1,2")
         p.add_argument("--p", type=int, help="odd part for ifl-odd")
-        p.add_argument("--pq", help="plane type for gr-indefinite, e.g. 1,1")
-        p.add_argument("--sizes", help="ambient split for gr-indefinite, e.g. 2,3")
+        p.add_argument("--pq", type=ints, help="plane type for gr-indefinite, e.g. 1,1")
+        p.add_argument("--sizes", type=ints, help="ambient split for gr-indefinite, e.g. 2,3")
         p.add_argument("--field", choices=["R", "C"])
-        p.add_argument("--spectrum", help="override spectral values, e.g. 7,-2")
+        p.add_argument("--spectrum", type=floats, help="override spectral values, e.g. 7,-2")
 
     p = sub.add_parser("embed", parents=[common], help="a point of a manifold realization")
     add_manifold_flags(p)
@@ -212,12 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifold", required=True, help="a family name or 'all'")
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--k", type=int)
-    p.add_argument("--ks")
+    p.add_argument("--ks", type=ints)
     p.add_argument("--p", type=int)
-    p.add_argument("--pq")
-    p.add_argument("--sizes")
+    p.add_argument("--pq", type=ints)
+    p.add_argument("--sizes", type=ints)
     p.add_argument("--field", choices=["R", "C"])
-    p.add_argument("--spectrum")
+    p.add_argument("--spectrum", type=floats)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_verify)
@@ -234,23 +238,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, choices=list(GROUPS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--field", default="R", choices=["R", "C"])
-    p.add_argument("--signature")
+    p.add_argument("--signature", type=ints)
     p.set_defaults(fn=cmd_census)
 
     return ap
+
+
+def _dumps(payload, pretty: bool) -> str:
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False, indent=2 if pretty else None,
+                          separators=None if pretty else (",", ":"))
+    except ValueError as exc:
+        raise NonFinite("the result holds NaN or an infinity") from exc
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        payload = args.fn(args)
+        text = _dumps(args.fn(args), args.pretty)
         code = 0
     except ManirepError as exc:
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        text = _dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.pretty)
         code = 1
-    text = json.dumps(payload, sort_keys=True, indent=2 if args.pretty else None,
-                      separators=None if args.pretty else (",", ":"))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

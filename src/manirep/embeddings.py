@@ -427,6 +427,8 @@ class ManifoldDescriptor:
         if "field" in row.smallest and self.field not in (REAL, COMPLEX):
             raise InvalidDescriptor(f"{self.family} needs field 'R' or 'C'")
         if self.spectrum is not None:
+            if row.spectrum is None:
+                raise InvalidDescriptor(f"{self.family} takes no spectrum")
             self.spectrum = tuple(self.spectrum)
 
     @property

@@ -26,6 +26,14 @@ class ConvergenceFailure(ManirepError):
     """An iterative refinement failed to reach the requested accuracy."""
 
 
+class InvalidInput(ManirepError):
+    """An input file cannot be read or does not hold a matrix object."""
+
+
+class NonFinite(ManirepError):
+    """A matrix or a result holds NaN or an infinity."""
+
+
 class RankAmbiguous(ManirepError):
     """A singular value sits inside the rank-cutoff band.
 

@@ -4,7 +4,9 @@ Each :class:`ModuleDescriptor` names a linear subspace of F^{n x n} (or the
 rectangular slab F^{n x k}) cut out by transpose/adjoint conditions against
 a bilinear form, optionally with a trace constraint.  Everything known about
 a module kind is one :class:`Kind` row of ``KINDS``: its dimension formula,
-its residual conditions, the flags below, and the action of its group.
+its residual conditions, the unit-matrix span solving the first of them,
+the flags below, and the action of its group.  A basis is that span cut by
+the other conditions and the trace (``numkit.span_kernel``).
 ``module_dim`` reports the dimension over the descriptor's field: complex
 kinds over C, and the real-structure kinds (su_n, u_n, traceless Hermitian,
 compact sp, and the symmetric-traceless slice of su) over R, since those
@@ -22,11 +24,12 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidDescriptor, ModuleNotPreserved, NotInGroup, SizeMismatch
-from .groups import GroupDescriptor, J2n, contains as group_contains, real_condition_nullspace
-from .numkit import COMPLEX, DEFAULT_TOL, REAL, Tolerance, frob, mat_from_json, mat_to_json
+from .groups import GroupDescriptor, J2n, contains as group_contains
+from .numkit import (ALL, ANTI_HERMITIAN, COMPLEX, DEFAULT_TOL, HERMITIAN, REAL, SKEW, SYM,
+                     Tolerance, cached_basis, frob, mat_from_json, mat_to_json, span_kernel,
+                     unit_stack)
 
 TRIVIAL = "Trivial"
 RECT_NK = "RectNK"
@@ -54,19 +57,19 @@ class ActionKind(Enum):
 
 
 def _form_skew(X, F):
-    return X.T @ F + F @ X
+    return X.mT @ F + F @ X
 
 
 def _form_symmetric(X, F):
-    return X.T @ F - F @ X
+    return X.mT @ F - F @ X
 
 
 def _anti_hermitian(X, F):
-    return X.conj().T + X
+    return X.conj().mT + X
 
 
 def _hermitian(X, F):
-    return X.conj().T - X
+    return X.conj().mT - X
 
 
 @dataclass(frozen=True)
@@ -76,9 +79,11 @@ class Kind:
     ``dim(n, k)`` is the dimension over the descriptor's field.
     ``conditions`` are residual maps (X, F) -> matrix, F the descriptor's
     form, that vanish exactly on the module; a ``traceless`` kind also
-    kills the trace.  ``real_structure`` kinds are complex matrices forming
-    only a real-linear subspace; ``skew_form`` kinds take a skew form, so
-    their size is even.  ``membership`` is False for the kinds carried for
+    kills the trace.  ``span`` names the ``numkit.unit_stack`` spanning the
+    solutions of the first condition (``ALL`` when there is none).
+    ``real_structure`` kinds are complex matrices forming only a
+    real-linear subspace; ``skew_form`` kinds take a skew form, so their
+    size is even.  ``membership`` is False for the kinds carried for
     their dimension only; they have no ``action`` either.  ``action`` is
     how the kind's group acts on it (see :attr:`ModuleDescriptor.action`
     for the twist by a form).
@@ -86,6 +91,7 @@ class Kind:
 
     dim: Callable[[int, int | None], int]
     conditions: tuple = ()
+    span: str = ALL
     traceless: bool = False
     real_structure: bool = False
     skew_form: bool = False
@@ -96,28 +102,29 @@ class Kind:
 KINDS = {
     TRIVIAL: Kind(lambda n, k: 1, membership=False),
     RECT_NK: Kind(lambda n, k: n * k, action=ActionKind.LEFT_MULT),
-    ALT2: Kind(lambda n, k: n * (n - 1) // 2, (_form_skew,), action=ActionKind.CONGRUENCE),
-    SYM2: Kind(lambda n, k: n * (n + 1) // 2, (_form_symmetric,), action=ActionKind.CONGRUENCE),
-    SYM2_TRACELESS: Kind(lambda n, k: (n + 2) * (n - 1) // 2, (_form_symmetric,),
+    ALT2: Kind(lambda n, k: n * (n - 1) // 2, (_form_skew,), SKEW, action=ActionKind.CONGRUENCE),
+    SYM2: Kind(lambda n, k: n * (n + 1) // 2, (_form_symmetric,), SYM,
+               action=ActionKind.CONGRUENCE),
+    SYM2_TRACELESS: Kind(lambda n, k: (n + 2) * (n - 1) // 2, (_form_symmetric,), SYM,
                          traceless=True, action=ActionKind.CONGRUENCE),
     SLN_TRACELESS: Kind(lambda n, k: n * n - 1, traceless=True, action=ActionKind.SIMILARITY),
-    SU_ALGEBRA: Kind(lambda n, k: n * n - 1, (_anti_hermitian,), traceless=True,
+    SU_ALGEBRA: Kind(lambda n, k: n * n - 1, (_anti_hermitian,), ANTI_HERMITIAN, traceless=True,
                      real_structure=True, action=ActionKind.CONGRUENCE_STAR),
-    U_ALGEBRA: Kind(lambda n, k: n * n, (_anti_hermitian,), real_structure=True,
+    U_ALGEBRA: Kind(lambda n, k: n * n, (_anti_hermitian,), ANTI_HERMITIAN, real_structure=True,
                     action=ActionKind.CONGRUENCE_STAR),
-    HERM_TRACELESS: Kind(lambda n, k: n * n - 1, (_hermitian,), traceless=True,
+    HERM_TRACELESS: Kind(lambda n, k: n * n - 1, (_hermitian,), HERMITIAN, traceless=True,
                          real_structure=True, action=ActionKind.CONGRUENCE_STAR),
-    ALT2_FORM: Kind(lambda n, k: n * (n + 1) // 2, (_form_skew,), skew_form=True,
+    ALT2_FORM: Kind(lambda n, k: n * (n + 1) // 2, (_form_skew,), SYM, skew_form=True,
                     action=ActionKind.SIMILARITY),
     SYM2_TRACELESS_FORM: Kind(lambda n, k: (n // 2 - 1) * (2 * (n // 2) + 1),
-                              (_form_symmetric,), traceless=True, skew_form=True,
+                              (_form_symmetric,), SKEW, traceless=True, skew_form=True,
                               action=ActionKind.SIMILARITY),
     SP_ALGEBRA: Kind(lambda n, k: 2 * (n // 2) ** 2 + n // 2, (_anti_hermitian, _form_skew),
-                     traceless=True, real_structure=True, skew_form=True,
+                     ANTI_HERMITIAN, traceless=True, real_structure=True, skew_form=True,
                      action=ActionKind.CONGRUENCE_STAR),
     SYM_TRACELESS_CAP_SU: Kind(lambda n, k: (n // 2 - 1) * (2 * (n // 2) + 1),
-                               (_anti_hermitian, _form_symmetric), traceless=True,
-                               real_structure=True, skew_form=True,
+                               (_anti_hermitian, _form_symmetric), ANTI_HERMITIAN,
+                               traceless=True, real_structure=True, skew_form=True,
                                action=ActionKind.CONGRUENCE_STAR),
     ALT_K: Kind(lambda n, k: math.comb(n, k), membership=False),
 }
@@ -213,7 +220,7 @@ def _conditions(m: ModuleDescriptor):
     F = m.form_matrix()
     conds = [lambda X, c=c: c(X, F) for c in KINDS[m.kind].conditions]
     if KINDS[m.kind].traceless:
-        conds.append(lambda X: np.atleast_2d(np.trace(X)))
+        conds.append(lambda X: np.trace(X, axis1=-2, axis2=-1))
     return conds
 
 
@@ -230,42 +237,22 @@ def contains(m: ModuleDescriptor, X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -
     return all(frob(np.asarray(c(Xc))) <= bound for c in _conditions(m))
 
 
-_basis_cache: dict[tuple, np.ndarray] = {}
+def basis(m: ModuleDescriptor) -> np.ndarray:
+    """Orthonormal basis of the module under the (real) Frobenius pairing, as a read-only
+    (module_dim, rows, cols) array."""
+    if not KINDS[m.kind].membership:
+        raise InvalidDescriptor(f"{m.kind} has no matrix basis")
+    return cached_basis(_basis, m)
 
 
-def basis(m: ModuleDescriptor) -> list[np.ndarray]:
-    """Orthonormal basis of the module under the (real) Frobenius pairing."""
-    key = m.cache_key()
-    if key not in _basis_cache:
-        if not KINDS[m.kind].membership:
-            raise InvalidDescriptor(f"{m.kind} has no matrix basis")
-        n = m.n
-        conds = _conditions(m)
-        if m.kind == RECT_NK:
-            out = []
-            for i in range(n):
-                for j in range(m.k):
-                    E = np.zeros((n, m.k), dtype=complex if m.field == COMPLEX else float)
-                    E[i, j] = 1.0
-                    out.append(E)
-                    if m.field == COMPLEX:
-                        out.append(1j * E)
-        elif m.field == COMPLEX:
-            # complex-linear conditions: solve over C directly
-            cols = []
-            for t in range(n * n):
-                E = np.zeros((n, n), dtype=complex)
-                E[t // n, t % n] = 1.0
-                cols.append(np.concatenate([np.asarray(c(E)).ravel() for c in conds]))
-            A = np.array(cols).T
-            ns = scipy.linalg.null_space(A, rcond=1e-11)
-            out = [v.reshape(n, n) for v in ns.T]
-        else:
-            out = real_condition_nullspace(n, conds, include_imaginary=m._complex_entries)
-            if not m._complex_entries:
-                out = [b.real for b in out]
-        _basis_cache[key] = out
-    return _basis_cache[key]
+def _basis(m: ModuleDescriptor) -> np.ndarray:
+    kind = KINDS[m.kind]
+    gens = unit_stack(kind.span, *m.shape)
+    if kind.span in (SYM, SKEW):
+        # X^T F = +-(FX)^T for F symmetric or skew: a form condition asks FX to be SYM or SKEW
+        gens = np.linalg.inv(m.form_matrix()) @ gens
+    rest = _conditions(m)[1 if kind.conditions else 0:]  # the span solves the first condition
+    return span_kernel(gens, rest, real=kind.real_structure)
 
 
 def project(m: ModuleDescriptor, X: np.ndarray) -> np.ndarray:
@@ -273,19 +260,12 @@ def project(m: ModuleDescriptor, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X)
     if X.shape != m.shape:
         raise SizeMismatch(f"expected shape {m.shape}, got {X.shape}")
-    if m.kind == RECT_NK:
-        return np.asarray(X, dtype=complex if m.field == COMPLEX else float)
-    Xc = X.astype(complex)
-    out = np.zeros_like(Xc)
-    for b in basis(m):
-        bc = b.astype(complex)
-        coef = np.vdot(bc, Xc)
-        if m.field == REAL:
-            coef = coef.real
-        out = out + coef * bc
-    if not m._complex_entries:
-        return out.real
-    return out
+    B = basis(m).reshape(-1, X.size)
+    coef = B.conj() @ X.ravel()
+    if m.field == REAL:
+        coef = coef.real
+    out = (coef @ B).reshape(m.shape)
+    return out if m._complex_entries else out.real
 
 
 def real_dim(m: ModuleDescriptor) -> int:
@@ -295,17 +275,17 @@ def real_dim(m: ModuleDescriptor) -> int:
 
 
 #: each action as (A, X) -> A . X and its derivative at the identity
-#: (Z, X) -> d/dt exp(tZ) . X; EQUIVALENCE takes a pair A = (A1, A2)
-#: acting by A1 X A2^{-1}
+#: (Z, X) -> d/dt exp(tZ) . X, which also takes a stack of Z; EQUIVALENCE
+#: takes a pair A = (A1, A2) acting by A1 X A2^{-1}
 _ACTIONS = {
     ActionKind.LEFT_MULT: (lambda A, X: A @ X, lambda Z, X: Z @ X),
     ActionKind.RIGHT_MULT_INV: (lambda A, X: X @ np.linalg.inv(A), lambda Z, X: -X @ Z),
     ActionKind.EQUIVALENCE: (lambda A, X: A[0] @ X @ np.linalg.inv(A[1]),
                              lambda Z, X: Z @ X - X @ Z),
-    ActionKind.CONGRUENCE: (lambda A, X: A @ X @ A.T, lambda Z, X: Z @ X + X @ Z.T),
+    ActionKind.CONGRUENCE: (lambda A, X: A @ X @ A.T, lambda Z, X: Z @ X + X @ Z.mT),
     ActionKind.SIMILARITY: (lambda A, X: A @ X @ np.linalg.inv(A), lambda Z, X: Z @ X - X @ Z),
     ActionKind.CONGRUENCE_STAR: (lambda A, X: A @ X @ A.conj().T,
-                                 lambda Z, X: Z @ X + X @ Z.conj().T),
+                                 lambda Z, X: Z @ X + X @ Z.conj().mT),
 }
 
 

@@ -7,6 +7,9 @@ supported so that stabilizer computations can hand back their block factors
 as first-class descriptors.  A nonstandard symmetric form B or skew form
 Omega selects a conjugated copy of the same abstract group.
 
+Lie algebra bases are read-only (d, n, n) arrays built from ``numkit`` unit
+stacks and kept in its basis cache (see ``lie_algebra_basis``).
+
 Dimensions follow the convention of reporting over the group's natural
 scalar field: complex dimension for the complex groups (field ``C`` with a
 complex-linear algebra), real dimension for the compact and indefinite real
@@ -21,7 +24,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidDescriptor, ManirepError, SizeMismatch
-from .numkit import COMPLEX, DEFAULT_TOL, REAL, Tolerance, frob, mat_from_json, mat_to_json
+from .numkit import (ALL, ANTI_HERMITIAN, COMPLEX, DEFAULT_TOL, REAL, SKEW, SYM, Tolerance,
+                     cached_basis, frob, mat_from_json, mat_to_json, span_kernel, unit_stack)
 
 SL, SO, SP, SU, SOPQ, SP_COMPACT, GL, O, U = (
     "SL", "SO", "Sp", "SU", "SOpq", "SpCompact", "GL", "O", "U",
@@ -224,155 +228,66 @@ def contains(g: GroupDescriptor, A: np.ndarray, tol: Tolerance = DEFAULT_TOL) ->
     return True
 
 
-def _unit(n, i, j, val, dtype=complex):
-    Z = np.zeros((n, n), dtype=dtype)
-    Z[i, j] = val
-    return Z
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The stack a[0], b[0], a[1], b[1], ... of two equally long stacks."""
+    return np.stack([a, b], axis=1).reshape(-1, *a.shape[1:])
 
 
-def _sym_basis(n, dtype=float):
-    out = []
-    for i in range(n):
-        for j in range(i, n):
-            Z = np.zeros((n, n), dtype=dtype)
-            Z[i, j] = 1.0
-            Z[j, i] = 1.0
-            out.append(Z)
-    return out
-
-
-def _skew_basis(n, dtype=float):
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            Z = np.zeros((n, n), dtype=dtype)
-            Z[i, j] = 1.0
-            Z[j, i] = -1.0
-            out.append(Z)
-    return out
-
-
-_basis_cache: dict[tuple, list[np.ndarray]] = {}
-
-
-def lie_algebra_basis(g: GroupDescriptor) -> list[np.ndarray]:
-    """Basis of the tangent space at the identity.
+def lie_algebra_basis(g: GroupDescriptor) -> np.ndarray:
+    """Basis of the tangent space at the identity, a read-only (d, n, n) array.
 
     Complex groups get a basis over C; real forms a basis over R.  The
-    length always equals ``group_dim``.
+    length always equals ``group_dim``.  A copy twisted by a form B is B^{-1}
+    times the skew (orthogonal) or symmetric (symplectic) units; the
+    twisted compact symplectic algebra is the part of the anti-Hermitian
+    span that also solves the form condition.
     """
-    key = g.cache_key()
-    if key in _basis_cache:
-        return _basis_cache[key]
+    return cached_basis(_lie_algebra_basis, g)
+
+
+def _lie_algebra_basis(g: GroupDescriptor) -> np.ndarray:
     n = g.n
     dt = g.dtype
-    basis: list[np.ndarray] = []
-
     if g.family in (SL, GL):
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    basis.append(_unit(n, i, j, 1.0, dt))
-        top = n if g.family == GL else n - 1
-        for i in range(top):
-            Z = np.zeros((n, n), dtype=dt)
-            Z[i, i] = 1.0
-            if g.family == SL:
-                Z[n - 1, n - 1] = -1.0
-            basis.append(Z)
-    elif g.family in (SO, O, SOPQ):
-        B = g.form_matrix()
-        Binv = np.linalg.inv(B)
-        basis = [np.asarray(Binv @ S, dtype=dt) for S in _skew_basis(n, dt)]
-    elif g.family == SP:
-        Om = g.form_matrix()
-        Ominv = np.linalg.inv(Om)
-        basis = [np.asarray(Ominv @ S, dtype=dt) for S in _sym_basis(n, dt)]
+        E = unit_stack(ALL, n).astype(dt)
+        diag = E[:: n + 1]
+        off = np.delete(E, np.s_[:: n + 1], axis=0)
+        basis = np.concatenate([off, diag if g.family == GL else diag[:-1] - diag[-1]])
+    elif g.family in (SO, O, SOPQ, SP):
+        units = unit_stack(SYM if g.family == SP else SKEW, n).astype(dt)
+        basis = np.asarray(np.linalg.inv(g.form_matrix()) @ units, dtype=dt)
     elif g.family in (SU, U):
-        for i in range(n):
-            for j in range(i + 1, n):
-                basis.append(_unit(n, i, j, 1.0) + _unit(n, j, i, -1.0))
-                basis.append(_unit(n, i, j, 1j) + _unit(n, j, i, 1j))
-        if g.family == U:
-            for i in range(n):
-                basis.append(_unit(n, i, i, 1j))
-        else:
-            for i in range(n - 1):
-                basis.append(_unit(n, i, i, 1j) + _unit(n, n - 1, n - 1, -1j))
+        skew = unit_stack(SKEW, n)
+        diag = 1j * unit_stack(ALL, n)[:: n + 1]
+        # E_ij - E_ji and i(E_ij + E_ji) = i|E_ij - E_ji| for i < j, then the imaginary diagonal
+        basis = np.concatenate([_interleave(skew, 1j * np.abs(skew)),
+                                diag if g.family == U else diag[:-1] - diag[-1]])
+    elif g.family == SP_COMPACT and g.form is None:
+        basis = _sp_compact_basis(n // 2)
     elif g.family == SP_COMPACT:
-        basis = _sp_compact_basis(g)
+        Om = g.form_matrix().astype(complex)
+        basis = span_kernel(unit_stack(ANTI_HERMITIAN, n), [lambda Z: Z.mT @ Om + Om @ Z],
+                            real=True)
     else:
         raise InvalidDescriptor(f"unknown family {g.family!r}")
-
     if len(basis) != group_dim(g):
         raise ManirepError(f"Lie basis of {g.family}_{n} has the wrong length {len(basis)}")
-    _basis_cache[key] = basis
     return basis
 
 
-def _sp_compact_basis(g: GroupDescriptor) -> list[np.ndarray]:
-    n = g.n
-    m = n // 2
-    if g.form is None:
-        # block parametrization: [[C, D], [-D*, -C^T]], C anti-Hermitian, D symmetric
-        def emb(C, D):
-            Z = np.zeros((n, n), dtype=complex)
-            Z[:m, :m] = C
-            Z[:m, m:] = D
-            Z[m:, :m] = -D.conj().T
-            Z[m:, m:] = -C.T
-            return Z
-
-        basis = []
-        zero = np.zeros((m, m), dtype=complex)
-        for i in range(m):
-            basis.append(emb(_unit(m, i, i, 1j), zero))
-        for i in range(m):
-            for j in range(i + 1, m):
-                basis.append(emb(_unit(m, i, j, 1.0) + _unit(m, j, i, -1.0), zero))
-                basis.append(emb(_unit(m, i, j, 1j) + _unit(m, j, i, 1j), zero))
-        for i in range(m):
-            for j in range(i, m):
-                D = _unit(m, i, i, 1.0) if i == j else _unit(m, i, j, 1.0) + _unit(m, j, i, 1.0)
-                basis.append(emb(zero, D))
-                basis.append(emb(zero, 1j * D))
-        return basis
-    # conjugated copy: real null space of {Z* = -Z, Z^T Om + Om Z = 0}
-    Om = g.form_matrix().astype(complex)
-    conds = [lambda Z: Z.conj().T + Z, lambda Z: Z.T @ Om + Om @ Z]
-    return real_condition_nullspace(n, conds)
-
-
-def real_condition_nullspace(n: int, conds, include_imaginary: bool = True) -> list[np.ndarray]:
-    """Orthonormal real basis of {Z : c(Z) = 0 for c in conds}.
-
-    The conditions may be conjugate-linear; the system is solved over the
-    real coordinates of Z.  With ``include_imaginary=False`` the unknown Z
-    ranges over real matrices only.
-    """
-    gens = []
-    for k in range(n * n):
-        E = np.zeros((n, n), dtype=complex)
-        E[k // n, k % n] = 1.0
-        gens.append(E)
-    if include_imaginary:
-        for k in range(n * n):
-            E = np.zeros((n, n), dtype=complex)
-            E[k // n, k % n] = 1j
-            gens.append(E)
-    cols = []
-    for Gm in gens:
-        v = np.concatenate([np.asarray(c(Gm), dtype=complex).ravel() for c in conds])
-        cols.append(np.concatenate([v.real, v.imag]))
-    A = np.array(cols).T
-    ns = scipy.linalg.null_space(A, rcond=1e-11)
-    out = []
-    for v in ns.T:
-        Z = v[: n * n].reshape(n, n).astype(complex)
-        if include_imaginary:
-            Z = Z + 1j * v[n * n :].reshape(n, n)
-        out.append(Z)
-    return out
+def _sp_compact_basis(m: int) -> np.ndarray:
+    """Block parametrization [[C, D], [-D*, -C^T]] of sp_{2m} cap u_{2m}: C
+    anti-Hermitian, D complex symmetric."""
+    skew = unit_stack(SKEW, m)
+    C = np.concatenate([1j * unit_stack(ALL, m)[:: m + 1], _interleave(skew, 1j * np.abs(skew))])
+    D = _interleave(unit_stack(SYM, m), 1j * unit_stack(SYM, m))
+    c = len(C)
+    Z = np.zeros((c + len(D), 2 * m, 2 * m), dtype=complex)
+    Z[:c, :m, :m] = C
+    Z[:c, m:, m:] = -C.mT
+    Z[c:, :m, m:] = D
+    Z[c:, m:, :m] = -D.conj().mT
+    return Z
 
 
 def sample(g: GroupDescriptor, seed: int, scale: float = 1.0) -> np.ndarray:

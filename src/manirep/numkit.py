@@ -1,4 +1,4 @@
-"""Dense matrix kernel: JSON interchange, tolerant rank, Takagi and Youla forms.
+"""Dense matrix kernel: JSON interchange, tolerant rank, bases, Takagi and Youla forms.
 
 Standard factorizations (QR, Hermitian eigendecomposition, SVD, ``expm``)
 are taken from numpy/scipy.  This module adds the two congruence canonical
@@ -7,21 +7,34 @@ forms the rest of the library needs but the stack does not provide:
 * ``takagi``      -- X = U diag(sigma) U^T for complex symmetric X,
 * ``youla_skew``  -- X = Q diag(lambda_1 * Omega_2, ..., 0) Q^T for skew X,
 
-plus the tolerance-based rank rule used everywhere block sizes are decided.
-All functions are pure; arrays are never modified in place.
+plus the tolerance-based rank rule used everywhere block sizes are decided,
+and the one way bases are built: a span of unit matrices (``unit_stack``)
+cut by linear conditions (``span_kernel``), kept read-only in one bounded
+LRU (``cached_basis``).  Apart from that cache all functions are pure.
 """
 
 from __future__ import annotations
 
+import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceFailure, NotSkew, NotSymmetric, RankAmbiguous, SizeMismatch
+from .errors import (ConvergenceFailure, InvalidInput, NonFinite, NotSkew, NotSymmetric,
+                     RankAmbiguous, SizeMismatch)
 
 REAL = "R"
 COMPLEX = "C"
+
+ALL, SYM, SKEW, HERMITIAN, ANTI_HERMITIAN = "all", "sym", "skew", "hermitian", "anti-hermitian"
+
+#: relative singular-value cutoff of the condition systems in ``span_kernel``
+KERNEL_RCOND = 1e-11
+#: bases kept by ``cached_basis``: the Lie bases of a six-group census and a
+#: few more; bounded, because bases twisted by fresh forms never repeat
+BASIS_CACHE_SIZE = 8
 
 #: 2x2 rotation generator; building block of skew canonical forms.
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -90,10 +103,15 @@ class Mat:
 
     @staticmethod
     def from_json(obj: dict) -> "Mat":
-        if obj["field"] not in (REAL, COMPLEX):
-            raise SizeMismatch(f"unknown field tag {obj['field']!r}")
-        data = tuple((float(re), float(im)) for re, im in obj["data"])
-        m = Mat(rows=int(obj["rows"]), cols=int(obj["cols"]), field=obj["field"], data=data)
+        try:
+            if obj["field"] not in (REAL, COMPLEX):
+                raise SizeMismatch(f"unknown field tag {obj['field']!r}")
+            data = tuple((float(re), float(im)) for re, im in obj["data"])
+            m = Mat(rows=int(obj["rows"]), cols=int(obj["cols"]), field=obj["field"], data=data)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInput(f"not a matrix object: {exc!r}") from exc
+        if not all(math.isfinite(x) for entry in data for x in entry):
+            raise NonFinite("matrix has a NaN or infinite entry")
         if m.rows * m.cols != len(data):
             raise SizeMismatch("rows*cols does not match entry count")
         if m.field == REAL and any(im != 0.0 for _, im in data):
@@ -136,6 +154,61 @@ def numerical_rank(X: np.ndarray, tol: Tolerance = DEFAULT_TOL, *, strict: bool 
             f"singular value within {tol.abs_eps:g} of the rank cutoff {cut:g}"
         )
     return int(np.sum(s > cut))
+
+
+def unit_stack(part: str, n: int, k: int | None = None) -> np.ndarray:
+    """An (m, n, n) stack of unit matrices, row-major: ``ALL`` every E_ij (n x k if k is given),
+    ``SYM`` E_ij + E_ji for i <= j, ``SKEW`` E_ij - E_ji for i < j; ``HERMITIAN`` the SYM and
+    i * SKEW units and ``ANTI_HERMITIAN`` the SKEW and i * SYM ones, spanning those over R."""
+    if part in (HERMITIAN, ANTI_HERMITIAN):
+        re, im = (SKEW, SYM) if part == ANTI_HERMITIAN else (SYM, SKEW)
+        return np.concatenate([unit_stack(re, n), 1j * unit_stack(im, n)])
+    if part == ALL:
+        k = n if k is None else k
+        return np.eye(n * k).reshape(n * k, n, k)
+    i, j = np.triu_indices(n, 0 if part == SYM else 1)
+    out = np.zeros((len(i), n, n))
+    r = np.arange(len(i))
+    out[r, j, i] = 1.0 if part == SYM else -1.0
+    out[r, i, j] = 1.0
+    return out
+
+
+def span_kernel(gens: np.ndarray, residuals=(), real: bool = False) -> np.ndarray:
+    """Orthonormal (d, p, q) basis of {sum c_i G_i : r(sum c_i G_i) = 0 for r in residuals}.
+
+    ``gens`` is an (m, p, q) stack of independent G_i; each residual is linear from stacks to
+    stacks.  The c_i are complex, or real with ``real``; the kernel is cut at ``KERNEL_RCOND``
+    and one QR makes it orthonormal under the (with ``real``, real) Frobenius pairing."""
+    gens = np.asarray(gens)
+    if residuals and len(gens):
+        A = np.concatenate([_rows(r(gens), real) for r in residuals], axis=1).T
+        _, s, vh = np.linalg.svd(A)
+        gens = np.tensordot(vh[np.sum(s > KERNEL_RCOND * s[0]):].conj(), gens, axes=1)
+    q = np.ascontiguousarray(np.linalg.qr(_rows(gens, real).T)[0].T)
+    return (q.view(complex) if real and np.iscomplexobj(gens) else q).reshape(gens.shape)
+
+
+def _rows(stack: np.ndarray, real: bool) -> np.ndarray:
+    """One row per matrix of a stack; with ``real``, complex entries become (re, im) pairs."""
+    rows = np.ascontiguousarray(stack.reshape(len(stack), math.prod(stack.shape[1:])))
+    return rows.view(float) if real and np.iscomplexobj(rows) else rows
+
+
+_bases: OrderedDict = OrderedDict()
+
+
+def cached_basis(build, desc) -> np.ndarray:
+    """``build(desc)`` as a read-only array, kept in one LRU of ``BASIS_CACHE_SIZE`` entries
+    keyed by ``build`` and ``desc.cache_key()``."""
+    key = (build, desc.cache_key())
+    if key not in _bases:
+        _bases[key] = np.asarray(build(desc))
+        _bases[key].flags.writeable = False
+        if len(_bases) > BASIS_CACHE_SIZE:
+            _bases.popitem(last=False)
+    _bases.move_to_end(key)
+    return _bases[key]
 
 
 def _check_symmetry(X: np.ndarray, sign: float, tol: Tolerance) -> None:

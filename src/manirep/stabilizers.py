@@ -26,6 +26,7 @@ from . import groups as G
 from .errors import (
     IllConditioned,
     InvalidDescriptor,
+    ManirepError,
     NotSymmetric,
     RankAmbiguous,
     SizeMismatch,
@@ -33,6 +34,7 @@ from .errors import (
 )
 from .gmodules import KINDS, ActionKind, ModuleDescriptor, contains as module_contains, dact
 from .numkit import (
+    ALL,
     COMPLEX,
     DEFAULT_TOL,
     REAL,
@@ -40,7 +42,9 @@ from .numkit import (
     frob,
     mat_to_json,
     numerical_rank,
+    span_kernel,
     takagi,
+    unit_stack,
     youla_blocks,
     youla_skew,
 )
@@ -316,7 +320,8 @@ def _similarity_exact(X: np.ndarray, field: str) -> ToeplitzBlockDescriptor:
         scaled = []
         for nu in nullities:
             q, r = divmod(nu, d)
-            assert r == 0, "nullity not divisible by factor degree"
+            if r:
+                raise ManirepError("nullity not divisible by factor degree")
             scaled.append(q)
         blocks = _blocks_from_nullities(scaled)
         roots = np.roots([complex(c) for c in coeffs])
@@ -341,7 +346,8 @@ def _similarity_exact(X: np.ndarray, field: str) -> ToeplitzBlockDescriptor:
                 classes.append(EigenClass("complex", complex(z), blocks))
     classes.sort(key=lambda c: (-max(c.blocks), c.value.real, c.value.imag))
     out = ToeplitzBlockDescriptor(classes=classes, field=field)
-    assert out.total_size == n
+    if out.total_size != n:
+        raise ManirepError("eigenvalue classes do not account for the full size")
     return out
 
 
@@ -434,24 +440,14 @@ def commutant_sample(X: np.ndarray, seed: int, field: str | None = None) -> np.n
     """A generic invertible element commuting with X (numeric kernel basis)."""
     field = _field_of(X, field)
     Xc = np.asarray(X, dtype=complex)
-    n = Xc.shape[0]
-    gens = []
-    for t in range(n * n):
-        E = np.zeros((n, n), dtype=complex)
-        E[t // n, t % n] = 1.0
-        gens.append(E)
-    cols = [(E @ Xc - Xc @ E).ravel() for E in gens]
-    A = np.array(cols).T
-    ns = scipy.linalg.null_space(A, rcond=1e-10)
+    ns = span_kernel(unit_stack(ALL, len(Xc)), [lambda E: E @ Xc - Xc @ E], real=field == REAL)
     rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(ns.shape[1])
+    coeff = rng.standard_normal(len(ns))
     if field == COMPLEX:
-        coeff = coeff + 1j * rng.standard_normal(ns.shape[1])
-    Z = (ns @ coeff).reshape(n, n)
-    if field == REAL:
-        Z = Z.real
+        coeff = coeff + 1j * rng.standard_normal(len(ns))
+    Z = np.tensordot(coeff, ns, axes=1)  # real for a real field: real units, real coefficients
     # the identity is in every commutant; shifting by it forces invertibility
-    Z = Z + (1.0 + frob(Z)) * np.eye(n)
+    Z = Z + (1.0 + frob(Z)) * np.eye(len(Xc))
     return Z
 
 
@@ -483,13 +479,10 @@ def intersect_stabilizer_dim(
             raise WitnessNotInModule(f"witness is not in {module.kind} to tolerance")
         if action == ActionKind.CONGRUENCE_STAR and complex_rank:
             raise InvalidDescriptor("congruence-star is conjugate-linear; use a real form")
-    cols = []
-    for Z in basis:
-        pieces = []
-        for module, action, X in constraints:
-            pieces.append(dact(action, Z.astype(complex), np.asarray(X, dtype=complex)).ravel())
-        v = np.concatenate(pieces)
-        cols.append(v if complex_rank else np.concatenate([v.real, v.imag]))
-    A = np.array(cols).T
+    Zs = basis.astype(complex)
+    A = np.concatenate([dact(action, Zs, np.asarray(X, dtype=complex)).reshape(len(Zs), np.size(X))
+                        for module, action, X in constraints], axis=1).T
+    if not complex_rank:
+        A = np.concatenate([A.real, A.imag])
     rank = numerical_rank(A, tol)
     return len(basis) - rank

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import groups as G
-from .errors import InvalidDescriptor, UnsupportedGroup
+from .errors import InvalidDescriptor, ManirepError, UnsupportedGroup
 from .gmodules import ModuleDescriptor, module_dim
 
 SL, SO, SP = "SL", "SO", "SP"
@@ -64,6 +64,13 @@ class HighestWeight:
         }
 
 
+def _exact_quotient(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise ManirepError("Weyl dimension quotient is not an integer")
+    return q
+
+
 def weyl_dim(w: HighestWeight) -> int:
     """Exact dimension of the irreducible module with highest weight kappa."""
     kappa = list(w.kappa)
@@ -74,9 +81,7 @@ def weyl_dim(w: HighestWeight) -> int:
         for i, j in combinations(range(n), 2):
             num *= a[i] - a[j]
             den *= j - i
-        q, r = divmod(num, den)
-        assert r == 0
-        return q
+        return _exact_quotient(num, den)
     if w.algebra == SO:
         m = n // 2
         if n % 2 == 1:
@@ -105,9 +110,7 @@ def weyl_dim(w: HighestWeight) -> int:
             for i, j in combinations(range(m), 2):
                 num *= A[i] ** 2 - A[j] ** 2
                 den *= R[i] ** 2 - R[j] ** 2
-        q, r = divmod(num, den)
-        assert r == 0
-        return q
+        return _exact_quotient(num, den)
     if w.algebra == SP:
         m = n
         a = [sum(kappa[i:]) + (m - i) for i in range(m)]
@@ -119,9 +122,7 @@ def weyl_dim(w: HighestWeight) -> int:
         for i in range(m):
             num *= a[i]
             den *= rr[i]
-        q, r = divmod(num, den)
-        assert r == 0
-        return q
+        return _exact_quotient(num, den)
     raise InvalidDescriptor(f"unknown algebra {w.algebra!r}")
 
 

@@ -191,3 +191,59 @@ def test_sopq_signature(capsys):
                             "--signature", "2,3", "--enumerate")
     assert code == 0
     assert payload["group"]["signature"] == [2, 3]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--algebra", "SL", "--n", "3", "--kappa", "a,b"],
+    ["classify", "--group", "SOpq", "--n", "5", "--signature", "a,b", "--enumerate"],
+    ["classify", "--group", "SL", "--n", "4", "--multiplicities", "1,x"],
+    ["census", "--group", "SOpq", "--n", "5", "--signature", "2.5,2.5"],
+    ["embed", "--manifold", "fl-real", "--n", "5", "--ks", "1,two"],
+    ["embed", "--manifold", "gr-indefinite", "--n", "5", "--pq", "1;1", "--sizes", "2,3"],
+    ["embed", "--manifold", "gr-indefinite", "--n", "5", "--pq", "1,1", "--sizes", "2,c"],
+    ["embed", "--manifold", "gr-real", "--n", "5", "--k", "2", "--spectrum", "3,x"],
+    ["verify", "--manifold", "fl-real", "--n", "5", "--ks", "1,2.0"],
+], ids=["kappa", "signature", "multiplicities", "census-signature", "ks", "pq", "sizes",
+        "spectrum", "verify-ks"])
+def test_junk_in_list_flags_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, "not json", "[1, 2]", '{"rows": 1}', b"\xff\xfe"],
+                         ids=["missing", "not-json", "not-an-object", "no-fields", "not-text"])
+@pytest.mark.parametrize("verb", ["stabilizer", "embed"])
+def test_unreadable_matrix_files_are_json_errors(tmp_path, capsys, content, verb):
+    path = tmp_path / "m.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    argv = (["stabilizer", "--action", "left-mult", "--matrix", str(path)] if verb == "stabilizer"
+            else ["embed", "--manifold", "gr-real", "--n", "4", "--k", "2",
+                  "--element", str(path)])
+    code, payload = run_cli(capsys, *argv)
+    assert code == 1
+    assert payload["error"]["type"] == "InvalidInput"
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_matrix_file_is_rejected(tmp_path, capsys, bad):
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": 2, "cols": 2, "field": "R", "data": '
+                    f'[[{bad}, 0], [0, 0], [0, 0], [1, 0]]}}')
+    code, payload = run_cli(capsys, "stabilizer", "--action", "congruence-sym", "--matrix",
+                            str(path))
+    assert code == 1
+    assert payload["error"]["type"] == "NonFinite"
+
+
+def test_non_finite_result_is_a_json_error(capsys, monkeypatch):
+    import manirep.cli as cli
+
+    monkeypatch.setattr(cli, "cmd_dims", lambda args: {"dim": float("nan")})
+    code, payload = run_cli(capsys, "dims", "--algebra", "SL", "--n", "3", "--kappa", "1,0")
+    assert code == 1
+    assert payload["error"]["type"] == "NonFinite"

@@ -166,6 +166,12 @@ def test_rejects_parameters_the_family_does_not_take(family, param):
         replace(md, **{param: _PARAM_VALUES[param]})
 
 
+@pytest.mark.parametrize("family", [f for f, row in FAMILIES.items() if row.spectrum is None])
+def test_rejects_a_spectrum_the_family_does_not_take(family):
+    with pytest.raises(InvalidDescriptor):
+        replace(smallest_legal(family), spectrum=(5.0,))
+
+
 class TestEmbedProperties:
     def test_spectral_invariance(self):
         md = ManifoldDescriptor("gr-real", n=9, k=2)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manirep import numkit
-from manirep.errors import NotSkew, NotSymmetric, RankAmbiguous, SizeMismatch
+from manirep.errors import (InvalidInput, NonFinite, NotSkew, NotSymmetric, RankAmbiguous,
+                            SizeMismatch)
 from manirep.numkit import (
     Mat,
     Tolerance,
@@ -41,6 +42,20 @@ class TestMatJson:
         bad = {"rows": 2, "cols": 2, "field": "R", "data": [[1.0, 0.0]]}
         with pytest.raises(SizeMismatch):
             Mat.from_json(bad)
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_non_finite_entries_rejected(self, x, part):
+        entry = [x, 0.0] if part == 0 else [0.0, x]
+        obj = {"rows": 1, "cols": 2, "field": "C", "data": [[1.0, 0.0], entry]}
+        with pytest.raises(NonFinite):
+            Mat.from_json(obj)
+
+    @pytest.mark.parametrize("obj", [[1, 2], {"rows": 1}, {"rows": 1, "cols": 1, "field": "R",
+                                                          "data": [["a", 0]]}])
+    def test_malformed_objects_rejected(self, obj):
+        with pytest.raises(InvalidInput):
+            Mat.from_json(obj)
 
 
 class TestNumericalRank:
