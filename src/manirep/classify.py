@@ -13,7 +13,8 @@ instead have hard-coded short lists.
 points, one per module factor: per-factor structured stabilizers plus the
 exact dimension of their intersection inside the group.  Each factor kind
 is one :class:`Factor` row of ``FACTORS``: its canonical witness, its
-structured stabilizer and its block signature.
+structured stabilizer and its block signature.  ``census`` reports only the
+intersection dimension, so it builds no factor stabilizer.
 
 ``minimality_certificate`` checks, for a manifold family, that its target
 dimension matches the family's closed form and that no admissible target
@@ -42,7 +43,6 @@ from .errors import (
 )
 from .gmodules import (
     ModuleDescriptor,
-    contains as module_contains,
     module_dim,
     real_dim,
 )
@@ -322,7 +322,7 @@ def _diagonal_witness(centered: bool, pairing: int | None = None, imaginary: boo
 
 
 def _skew_signature(m, X):
-    r = numerical_rank(np.asarray(_untwisted(m, X), dtype=complex)) // 2
+    r = numerical_rank(_untwisted(m, X)) // 2
     return ("skew", r, m.n - 2 * r)
 
 
@@ -423,12 +423,9 @@ def stabilizer_form(
     mods = spec.modules()
     if len(witnesses) != len(mods):
         raise InvalidDescriptor(f"expected {len(mods)} witnesses, got {len(witnesses)}")
-    for m, X in zip(mods, witnesses):
-        if not module_contains(m, X, tol):
-            raise WitnessNotInModule(f"witness is not in {m.kind}")
-    factors = [factor_stabilizer(m, X, spec.group, tol) for m, X in zip(mods, witnesses)]
     constraints = [(m, m.action, X) for m, X in zip(mods, witnesses)]
-    h_dim = intersect_stabilizer_dim(spec.group, constraints, tol)
+    h_dim = intersect_stabilizer_dim(spec.group, constraints, tol)  # rejects non-members first
+    factors = [factor_stabilizer(m, X, spec.group, tol) for m, X in zip(mods, witnesses)]
     return StabilizerFormReport(spec=spec, factors=factors, h_dim=h_dim)
 
 
@@ -437,18 +434,19 @@ def canonical_witness(module: ModuleDescriptor) -> np.ndarray:
     return _factor(module).witness(module)
 
 
+def _canonical_h_dim(g: G.GroupDescriptor, mods: list[ModuleDescriptor],
+                     tol: Tolerance = DEFAULT_TOL) -> int:
+    """Stabilizer dimension in g at the canonical witnesses of ``mods``."""
+    return intersect_stabilizer_dim(g, [(m, m.action, canonical_witness(m)) for m in mods], tol)
+
+
 def census(g: G.GroupDescriptor) -> dict:
     """Every admissible target of g with its stabilizer dimension at canonical
     witnesses, plus the low-dimensional Weyl catalog for the split families."""
     out = {"group": g.to_json(), "targets": []}
     for rep in enumerate_admissible(g):
         entry = rep.to_json()
-        mods = rep.modules
-        if mods:
-            witnesses = [canonical_witness(m) for m in mods]
-            entry["canonical_h_dim"] = stabilizer_form(rep.spec, witnesses).h_dim
-        else:
-            entry["canonical_h_dim"] = G.group_dim(g)
+        entry["canonical_h_dim"] = _canonical_h_dim(g, rep.modules)
         out["targets"].append(entry)
     if _group_family(g).catalog:
         cat = weyl.low_dim_classification(*weyl.algebra_of(g))
@@ -526,12 +524,11 @@ def minimality_certificate(md: E.ManifoldDescriptor, tol: Tolerance = DEFAULT_TO
         cmp_dim = sum(_comparison_dim(gp, m) for m in mods)
         if cmp_dim >= dim_v_cmp:
             continue
-        witnesses = [canonical_witness(m) for m in mods]
-        constraints = [(m, m.action, X) for m, X in zip(mods, witnesses)]
-        stab = intersect_stabilizer_dim(gp, constraints, tol)
+        stab = _canonical_h_dim(gp, mods, tol)
         candidates.append((rep.spec.multiplicities, rep.module_dim_total, stab))
         if stab == h_dim:
-            sig = _factor(mods[0]).signature(mods[0], witnesses[0]) if len(mods) == 1 else None
+            sig = (_factor(mods[0]).signature(mods[0], canonical_witness(mods[0]))
+                   if len(mods) == 1 else None)
             if sig is not None and target_sig is not None and sig == target_sig:
                 raise NotMinimalFamily(
                     f"admissible target {rep.spec.multiplicities} of dimension "

@@ -252,20 +252,24 @@ def _dumps(payload, pretty: bool) -> str:
         raise NonFinite("the result holds NaN or an infinity") from exc
 
 
+def _error(exc: ManirepError, pretty: bool) -> str:
+    return _dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}, pretty)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        text = _dumps(args.fn(args), args.pretty)
-        code = 0
+        text, code = _dumps(args.fn(args), args.pretty), 0
     except ManirepError as exc:
-        text = _dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.pretty)
-        code = 1
+        text, code = _error(exc, args.pretty), 1
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+            return code
+        except OSError as exc:  # the document goes to stdout as an error instead
+            text, code = _error(InvalidInput(f"cannot write --out: {exc}"), args.pretty), 1
+    sys.stdout.write(text + "\n")
     return code
 
 

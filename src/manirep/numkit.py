@@ -143,8 +143,11 @@ def numerical_rank(X: np.ndarray, tol: Tolerance = DEFAULT_TOL, *, strict: bool 
 
     With ``strict=True`` a singular value within ``abs_eps`` of the cutoff
     raises :class:`RankAmbiguous` instead of being silently classified.
+    A complex X with zero imaginary part is ranked as the real matrix it is.
     """
-    X = np.asarray(X, dtype=complex)
+    X = np.asarray(X)
+    real = not (np.iscomplexobj(X) and X.imag.any())
+    X = X.real.astype(float, copy=False) if real else X.astype(complex, copy=False)
     if X.size == 0:
         return 0
     s = np.linalg.svd(X, compute_uv=False)

@@ -20,7 +20,6 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
-import sympy
 
 from . import groups as G
 from .errors import (
@@ -39,6 +38,7 @@ from .numkit import (
     DEFAULT_TOL,
     REAL,
     Tolerance,
+    _rows,
     frob,
     mat_to_json,
     numerical_rank,
@@ -251,22 +251,6 @@ def _blocks_from_nullities(nullities: list[int]) -> tuple[int, ...]:
     return tuple(sorted(sizes, reverse=True))
 
 
-def _to_sympy_exact(X: np.ndarray):
-    X = np.asarray(X)
-
-    def conv(z):
-        # floats are taken at their exact binary value
-        re = Fraction(float(np.real(z)))
-        out = sympy.Rational(re.numerator, re.denominator)
-        if np.iscomplexobj(X):
-            im = Fraction(float(np.imag(z)))
-            if im:
-                out = out + sympy.I * sympy.Rational(im.numerator, im.denominator)
-        return out
-
-    return sympy.Matrix([[conv(X[i, j]) for j in range(X.shape[1])] for i in range(X.shape[0])])
-
-
 def stabilizer_similarity(
     X: np.ndarray,
     mode: str = "exact",
@@ -293,7 +277,14 @@ def stabilizer_similarity(
 
 
 def _similarity_exact(X: np.ndarray, field: str) -> ToeplitzBlockDescriptor:
-    Xs = _to_sympy_exact(X)
+    import sympy  # loaded here, not at import: only exact similarity needs it
+
+    def exact(x):  # a float at its exact binary value
+        q = Fraction(float(x))
+        return sympy.Rational(q.numerator, q.denominator)
+
+    Xs = sympy.Matrix([[exact(z.real) + sympy.I * exact(z.imag) for z in row]
+                       for row in np.asarray(X)])
     n = Xs.rows
     lam = sympy.Symbol("lam")
     p = Xs.charpoly(lam)
@@ -467,7 +458,10 @@ def intersect_stabilizer_dim(
     constraints: list[tuple[ModuleDescriptor, ActionKind, np.ndarray]],
     tol: Tolerance = DEFAULT_TOL,
 ) -> int:
-    """dim of the joint stabilizer algebra of several module points."""
+    """dim of the joint stabilizer algebra of several module points.
+
+    The rank is taken over C for a complex group and over R for a real form,
+    whose complex entries are split into (re, im) coordinates."""
     basis = G.lie_algebra_basis(g)
     if not constraints:
         return len(basis)
@@ -479,10 +473,6 @@ def intersect_stabilizer_dim(
             raise WitnessNotInModule(f"witness is not in {module.kind} to tolerance")
         if action == ActionKind.CONGRUENCE_STAR and complex_rank:
             raise InvalidDescriptor("congruence-star is conjugate-linear; use a real form")
-    Zs = basis.astype(complex)
-    A = np.concatenate([dact(action, Zs, np.asarray(X, dtype=complex)).reshape(len(Zs), np.size(X))
-                        for module, action, X in constraints], axis=1).T
-    if not complex_rank:
-        A = np.concatenate([A.real, A.imag])
-    rank = numerical_rank(A, tol)
-    return len(basis) - rank
+    A = np.concatenate([_rows(dact(action, basis, np.asarray(X)), not complex_rank)
+                        for module, action, X in constraints], axis=1)
+    return len(basis) - numerical_rank(A, tol)

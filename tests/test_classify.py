@@ -8,6 +8,8 @@ from manirep.classify import (
     CompactBlocks,
     TargetSpec,
     admissible,
+    canonical_witness,
+    census,
     enumerate_admissible,
     minimality_certificate,
     stabilizer_form,
@@ -229,3 +231,21 @@ class TestMinimality:
         assert rep.certified and not rep.advisory
         assert rep.dim_collisions == [(2, 0, 0)]
         assert rep.h_dim == 136
+
+
+@pytest.mark.parametrize("g", [G.sl(5, "C"), G.so(7, "C"), G.sp(6, "C"), G.sp(6, "R"), G.su(5),
+                               G.sp_compact(6), G.so_pq(2, 3)],
+                         ids=["SL5C", "SO7C", "Sp6C", "Sp6R", "SU5", "SpCompact6", "SOpq23"])
+def test_census_h_dim_matches_the_structured_stabilizers(g):
+    """census computes only the intersection dimension; stabilizer_form, which also builds
+    every factor stabilizer at the same canonical witnesses, must agree with it."""
+    targets = census(g)["targets"]
+    reports = enumerate_admissible(g)
+    assert len(targets) == len(reports)
+    for entry, rep in zip(targets, reports):
+        assert entry["multiplicities"] == rep.to_json()["multiplicities"]
+        form = stabilizer_form(rep.spec, [canonical_witness(m) for m in rep.modules])
+        assert len(form.factors) == len(rep.modules)
+        for factor in form.factors:
+            factor.to_json()
+        assert entry["canonical_h_dim"] == (form.h_dim if rep.modules else G.group_dim(g))

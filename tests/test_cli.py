@@ -247,3 +247,35 @@ def test_non_finite_result_is_a_json_error(capsys, monkeypatch):
     code, payload = run_cli(capsys, "dims", "--algebra", "SL", "--n", "3", "--kappa", "1,0")
     assert code == 1
     assert payload["error"]["type"] == "NonFinite"
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_unwritable_out_is_a_json_error(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    code, payload = run_cli(capsys, "dims", "--algebra", "SL", "--n", "3", "--kappa", "1,0",
+                            "--out", str(target))
+    assert code == 1
+    assert payload["error"]["type"] == "InvalidInput"
+    assert not (tmp_path / "missing").exists()
+
+
+def test_census_does_not_load_sympy_and_exact_similarity_still_does(tmp_path):
+    path = tmp_path / "jordan.json"
+    path.write_text(json.dumps(Mat.from_array(np.array([[2.0, 1, 0], [0, 2, 0], [0, 0, 3]]))
+                               .to_json()))
+    script = (
+        "import contextlib, io, sys\n"
+        "import manirep.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['census', '--group', 'Sp', '--n', '6', '--field', 'C'])\n"
+        "print(code, 'sympy' in sys.modules)\n"
+        f"cli.main(['stabilizer', '--action', 'similarity', '--matrix', {str(path)!r}])\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    census, stabilizer, loaded = proc.stdout.splitlines()
+    assert census == "0 False"
+    assert stabilizer == ('{"classes":[{"blocks":[2],"eig":[2.0,0.0],"kind":"real"},'
+                          '{"blocks":[1],"eig":[3.0,0.0],"kind":"real"}],"commutant_dim":3}')
+    assert loaded == "True"

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manirep import groups as G
 from manirep.embeddings import (
@@ -295,3 +297,10 @@ class TestCartan:
 
     def test_all_types_listed(self):
         assert set(CARTAN_TYPES) == {"AI", "AII", "AIII", "BDI", "DIII", "CI", "CII"}
+
+
+@given(st.integers(min_value=2, max_value=20), st.data())
+@settings(max_examples=15, deadline=None)
+def test_real_grassmannian_tangent_dim_property(n, data):
+    k = data.draw(st.integers(min_value=1, max_value=n - 1))
+    assert tangent_dim(ManifoldDescriptor(family="gr-real", n=n, k=k)) == k * (n - k)

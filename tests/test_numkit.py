@@ -234,3 +234,17 @@ def test_youla_rank_ambiguous():
 def test_mat_atleast_2d_vector():
     m = Mat.from_array(np.array([1.0, 2.0, 3.0]))
     assert (m.rows, m.cols) == (1, 3)
+
+
+@given(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=9),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_real_rank_property(m, n, data):
+    """A real matrix is ranked in real arithmetic; as a complex array with zero imaginary
+    part it has the same rank, which is the planned one."""
+    rank = data.draw(st.integers(min_value=0, max_value=min(m, n)))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=10**6)))
+    U = np.linalg.qr(rng.standard_normal((m, m)))[0][:, :rank]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :rank]
+    A = U @ np.diag(2.0 ** np.arange(rank)) @ V.T  # singular values 1, 2, 4, ...
+    assert numerical_rank(A) == numerical_rank(A.astype(complex)) == rank

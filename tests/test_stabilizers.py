@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manirep import groups
 from manirep.errors import IllConditioned, WitnessNotInModule
@@ -347,3 +349,20 @@ def test_irreducible_cubic_factor():
     assert kinds == ["complex-pair", "real"]
     assert td.commutant_dim == 3
     assert td.total_size == 3
+
+
+@given(st.integers(min_value=2, max_value=7), st.data())
+@settings(max_examples=30, deadline=None)
+def test_real_witness_passed_as_complex_gives_the_same_dimension(n, data):
+    """For a real and a complex group, a real witness and its complex copy with zero imaginary
+    part have stabilizers of the same dimension: that of a rank-r form in SL_n."""
+    rank = data.draw(st.integers(min_value=0, max_value=n))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=10**6)))
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    X = Q @ np.diag([1.0 + i for i in range(rank)] + [0.0] * (n - rank)) @ Q.T
+    for field in ("R", "C"):
+        g = groups.sl(n, field)
+        m = ModuleDescriptor("Sym2", n, field)
+        dims = [intersect_stabilizer_dim(g, [(m, m.action, W)]) for W in (X, X.astype(complex))]
+        gl_dim = n * n - rank * (rank + 1) // 2 - rank * (n - rank)
+        assert dims == [gl_dim - (rank < n)] * 2
