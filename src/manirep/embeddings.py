@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import groups as G
 from . import weyl
@@ -36,7 +35,7 @@ from .errors import (
     SizeMismatch,
 )
 from .gmodules import ActionKind, ModuleDescriptor, act, contains as module_contains
-from .numkit import COMPLEX, DEFAULT_TOL, REAL, Tolerance, frob, mat_to_json
+from .numkit import COMPLEX, DEFAULT_TOL, REAL, Tolerance, complete_unitary, frob, mat_to_json
 from .stabilizers import stabilizer_dim_in_group
 
 # ---------------------------------------------------------------------------
@@ -521,9 +520,9 @@ def lift_subspace(md: ManifoldDescriptor, Y: np.ndarray) -> np.ndarray:
     two-block congruence (gr-real, gr-complex, stiefel-*, st-noncompact-*).
     For Grassmann rows the columns of Y span the plane; for Stiefel rows Y
     is the frame itself (orthonormal for the compact rows) and reappears
-    verbatim as the first k columns of the lift.  The completion is by full
-    QR with a determinant fix on a later column, so it needs k < n for the
-    special/compact groups.
+    verbatim as the first k columns of the lift.  The completion is
+    orthonormal (``numkit.complete_unitary``) with a determinant fix on a
+    later column, so it needs k < n for the special/compact groups.
     """
     lift = FAMILIES[md.family].lift
     if lift is None:
@@ -539,10 +538,9 @@ def lift_subspace(md: ManifoldDescriptor, Y: np.ndarray) -> np.ndarray:
 
     if lift == ORTHONORMAL_FRAME and frob(Y.conj().T @ Y - np.eye(k)) > 1e-8:
         raise SizeMismatch("compact Stiefel frames must be orthonormal")
-    Q, _ = np.linalg.qr(Y)  # orthonormal basis of col(Y); equals Y when orthonormal
-    first = Q if lift == PLANE else Y
-    comp = scipy.linalg.null_space(Q.conj().T) if n > k else np.zeros((n, 0), dtype=dt)
-    A = np.concatenate([first, comp.astype(dt)], axis=1)
+    A = complete_unitary(np.linalg.qr(Y)[0])  # starts with an orthonormal basis of col(Y)
+    if lift != PLANE:
+        A[:, :k] = Y
 
     det = np.linalg.det(A)
     if k == n:

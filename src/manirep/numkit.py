@@ -7,10 +7,13 @@ forms the rest of the library needs but the stack does not provide:
 * ``takagi``      -- X = U diag(sigma) U^T for complex symmetric X,
 * ``youla_skew``  -- X = Q diag(lambda_1 * Omega_2, ..., 0) Q^T for skew X,
 
-plus the tolerance-based rank rule used everywhere block sizes are decided,
-and the one way bases are built: a span of unit matrices (``unit_stack``)
-cut by linear conditions (``span_kernel``), kept read-only in one bounded
-LRU (``cached_basis``).  Apart from that cache all functions are pure.
+each read off one Hermitian eigendecomposition (of a real symmetric
+2n x 2n matrix for Takagi, of X X* for Youla) and completed to a unitary by
+``complete_unitary``, the one orthonormal completion.  ``above_cutoff`` is
+the one rank rule, used wherever a rank or block size is decided; bases are
+built one way: a span of unit matrices (``unit_stack``) cut by linear
+conditions (``span_kernel``), kept read-only in one bounded LRU
+(``cached_basis``).  Apart from that cache all functions are pure.
 """
 
 from __future__ import annotations
@@ -112,6 +115,8 @@ class Mat:
             raise InvalidInput(f"not a matrix object: {exc!r}") from exc
         if not all(math.isfinite(x) for entry in data for x in entry):
             raise NonFinite("matrix has a NaN or infinite entry")
+        if m.rows < 0 or m.cols < 0:
+            raise InvalidInput(f"negative matrix size {m.rows} x {m.cols}")
         if m.rows * m.cols != len(data):
             raise SizeMismatch("rows*cols does not match entry count")
         if m.field == REAL and any(im != 0.0 for _, im in data):
@@ -139,10 +144,8 @@ def require_square(X: np.ndarray) -> int:
 
 
 def numerical_rank(X: np.ndarray, tol: Tolerance = DEFAULT_TOL, *, strict: bool = False) -> int:
-    """Number of singular values above ``max(abs_eps, rel_eps * sigma_max)``.
+    """Number of singular values of X that ``above_cutoff`` keeps.
 
-    With ``strict=True`` a singular value within ``abs_eps`` of the cutoff
-    raises :class:`RankAmbiguous` instead of being silently classified.
     A complex X with zero imaginary part is ranked as the real matrix it is.
     """
     X = np.asarray(X)
@@ -150,13 +153,24 @@ def numerical_rank(X: np.ndarray, tol: Tolerance = DEFAULT_TOL, *, strict: bool 
     X = X.real.astype(float, copy=False) if real else X.astype(complex, copy=False)
     if X.size == 0:
         return 0
-    s = np.linalg.svd(X, compute_uv=False)
-    cut = tol.cutoff(s[0] if s.size else 0.0)
+    return int(above_cutoff(np.linalg.svd(X, compute_uv=False), tol, strict=strict).sum())
+
+
+def above_cutoff(
+    s: np.ndarray, tol: Tolerance = DEFAULT_TOL, *, strict: bool = False
+) -> np.ndarray:
+    """Mask of the values with |s_i| above ``max(abs_eps, rel_eps * max |s|)``: the one rank rule.
+
+    With ``strict=True`` a value within ``abs_eps`` of the cutoff raises
+    :class:`RankAmbiguous` instead of being silently classified.
+    """
+    s = np.abs(np.asarray(s))
+    cut = tol.cutoff(s.max(initial=0.0))
     if strict and np.any(np.abs(s - cut) < tol.abs_eps):
         raise RankAmbiguous(
             f"singular value within {tol.abs_eps:g} of the rank cutoff {cut:g}"
         )
-    return int(np.sum(s > cut))
+    return s > cut
 
 
 def unit_stack(part: str, n: int, k: int | None = None) -> np.ndarray:
@@ -223,50 +237,32 @@ def _check_symmetry(X: np.ndarray, sign: float, tol: Tolerance) -> None:
         raise NotSkew(f"skewness defect {dev:g} exceeds {bound:g}")
 
 
+def complete_unitary(Q: np.ndarray) -> np.ndarray:
+    """The n x k matrix Q of orthonormal columns followed by an orthonormal basis of its
+    orthogonal complement: an n x n unitary (real orthogonal when Q is real)."""
+    return np.concatenate([Q, scipy.linalg.null_space(Q.conj().T)], axis=1)
+
+
 def takagi(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Factor a complex symmetric X as U diag(sigma) U^T, U unitary.
 
     Returns ``(U, sigma)`` with sigma real nonnegative, sorted descending.
-    Works by greedy deflation: each step takes the dominant singular triple
-    (sigma, w, v) of the current block, for which X vbar = sigma w and
-    X wbar = sigma vbar, so w + vbar (or its i-rotation when that vanishes)
-    is a Takagi vector.  Degenerate singular values need no special casing.
-    A final phase refinement pass absorbs roundoff in the diagonal.
+    With X = A + iB, the real-linear map z = x + iy |-> X conj(z) is the real
+    symmetric matrix [[A, B], [B, -A]] with eigenvalues +-sigma.  Its
+    eigenvectors (x, y) for the eigenvalues above the rank cutoff give Takagi
+    vectors x + iy, X conj(u) = sigma u.  They are orthonormal over C even
+    when sigma repeats, as i u lies in the -sigma eigenspace; the numerical
+    null space completes them.  A final phase refinement pass absorbs
+    roundoff in the diagonal.
     """
     n = require_square(X)
     X = np.asarray(X, dtype=complex)
     _check_symmetry(X, -1.0, tol)
     X = (X + X.T) / 2.0
 
-    cols: list[np.ndarray] = []
-    basis = np.eye(n, dtype=complex)  # maps current block coords to C^n
-    Y = X.copy()
-    smax = float(np.linalg.svd(X, compute_uv=False)[0]) if n else 0.0
-    zero_cut = tol.cutoff(smax)
-    for _ in range(n):
-        m = Y.shape[0]
-        if m == 0:
-            break
-        w_, s_, vh_ = np.linalg.svd(Y)
-        if s_[0] <= zero_cut:
-            # remaining block is numerically zero: any orthonormal completion works
-            for j in range(m):
-                cols.append(basis[:, j])
-            break
-        w = w_[:, 0]
-        v = vh_[0].conj()
-        q = w + v.conj()
-        if np.linalg.norm(q) < 0.5:
-            q = 1j * (w - v.conj())
-        q = q / np.linalg.norm(q)
-        cols.append(basis @ q)
-        # deflate; the con-linear map z -> X conj(z) compresses as comp* Y conj(comp)
-        comp = scipy.linalg.null_space(q.conj().reshape(1, -1))
-        basis = basis @ comp
-        Y = comp.conj().T @ Y @ comp.conj()
-        Y = (Y + Y.T) / 2.0
-
-    U = np.column_stack(cols)
+    w, V = np.linalg.eigh(np.block([[X.real, X.imag], [X.imag, -X.real]]))
+    top = above_cutoff(w, tol) & (w > 0)
+    U = complete_unitary(V[:n, top] + 1j * V[n:, top])
     # refinement: re-read the diagonal of U* X conj(U), absorb residual phases
     d = np.diag(U.conj().T @ X @ U.conj())
     phase = np.ones(n, dtype=complex)
@@ -293,73 +289,38 @@ def youla_skew(
     lams[r-1]*Omega_2, 0) Q^T, ``lams`` positive sorted descending, and
     2r the numerical rank of X.  Q is real orthogonal for real input and
     unitary for complex input.
+
+    The top 2r eigenvectors of H = X X* span the range of X, and the
+    con-linear map C(z) = X conj(z) commutes with H.  For a unit eigenvector
+    q1 of H, q2 = -C(q1) / lam with lam = |C(q1)| gives X conj(q1) = -lam q2
+    and X conj(q2) = lam q1.  Each q1 is the eigenvector with the largest
+    part left off the planes already taken, which keeps clusters of equal
+    or close lam well conditioned; the null space completes Q.
     """
     n = require_square(X)
-    Xc = np.asarray(X, dtype=complex)
-    _check_symmetry(Xc, +1.0, tol)
-    is_real = not np.iscomplexobj(np.asarray(X)) or np.abs(Xc.imag).max(initial=0.0) == 0.0
-
-    s = np.linalg.svd(Xc, compute_uv=False)
-    cut = tol.cutoff(s[0] if s.size else 0.0)
-    if np.any(np.abs(s - cut) < tol.abs_eps):
-        raise RankAmbiguous("singular value within abs_eps of the rank cutoff")
-    rank = int(np.sum(s > cut))
+    X = np.asarray(X)
+    _check_symmetry(X, +1.0, tol)
+    if np.iscomplexobj(X) and not X.imag.any():
+        X = X.real
+    Y = (X - X.T) / 2.0
+    rank = numerical_rank(Y, tol, strict=True)
     if rank % 2 != 0:
         raise RankAmbiguous("numerical rank of a skew matrix must be even")
     r = rank // 2
 
-    if is_real:
-        Xr = (Xc.real - Xc.real.T) / 2.0
-        # eigenpairs of the Hermitian matrix iX encode the rotation planes
-        vals, vecs = np.linalg.eigh(1j * Xr)
-        pairs = [(vals[j], vecs[:, j]) for j in range(n) if vals[j] > 0]
-        pairs.sort(key=lambda t: -t[0])
-        pairs = pairs[:r]
-        cols = []
-        lams = []
-        for lam, w in pairs:
-            p, q = w.real, w.imag
-            a = q / np.linalg.norm(q)
-            b = p / np.linalg.norm(p)
-            cols.extend([a, b])
-            lams.append(float(lam))
-        Qpart = np.column_stack(cols) if cols else np.zeros((n, 0))
-        null = scipy.linalg.null_space(Qpart.T) if 2 * r < n else np.zeros((n, 0))
-        Q = np.column_stack([Qpart, null]) if null.size else Qpart
-        return Q, lams, r
-
-    # complex skew: greedy two-column deflation from dominant singular triples
-    cols = []
-    lams = []
-    basis = np.eye(n, dtype=complex)
-    Y = (Xc - Xc.T) / 2.0
+    cand = np.linalg.eigh(Y @ Y.conj().T)[1][:, n - 2 * r:]
+    pairs = []
     for _ in range(r):
-        w_, s_, vh_ = np.linalg.svd(Y)
-        sig = float(s_[0])
-        w = w_[:, 0]
-        v = vh_[0].conj()
-        q1 = w
-        q2 = v.conj()
-        # X qbar1 = -sigma q2 and X qbar2 = sigma q1 hold exactly for skew X
-        q2 = q2 - (q1.conj() @ q2) * q1
-        q2 = q2 / np.linalg.norm(q2)
-        cols.extend([basis @ q1, basis @ q2])
-        lams.append(sig)
-        comp = scipy.linalg.null_space(np.vstack([q1.conj(), q2.conj()]))
-        basis = basis @ comp
-        Y = comp.conj().T @ Y @ comp.conj()
-        Y = (Y - Y.T) / 2.0
-    Qpart = np.column_stack(cols) if cols else np.zeros((n, 0), dtype=complex)
-    null = scipy.linalg.null_space(Qpart.conj().T) if 2 * r < n else np.zeros((n, 0))
-    Q = np.column_stack([Qpart, null]) if null.size else Qpart
-    order = np.argsort(-np.array(lams)) if lams else np.array([], dtype=int)
-    perm = []
-    for i in order:
-        perm.extend([2 * int(i), 2 * int(i) + 1])
-    perm.extend(range(2 * r, n))
-    Q = Q[:, perm]
-    lams = [lams[int(i)] for i in order]
-    return Q, lams, r
+        q1 = cand[:, np.argmax(np.linalg.norm(cand, axis=0))]
+        q1 = q1 / np.linalg.norm(q1)
+        c = Y @ q1.conj()
+        lam = np.linalg.norm(c)
+        P = np.column_stack([q1, -c / lam])
+        cand = cand - P @ (P.conj().T @ cand)
+        pairs.append((lam, P))
+    pairs.sort(key=lambda t: -t[0])
+    Q = complete_unitary(np.concatenate([Y[:, :0], *(P for _, P in pairs)], axis=1))
+    return Q, [float(lam) for lam, _ in pairs], r
 
 
 def youla_blocks(lams: list[float], n: int) -> np.ndarray:

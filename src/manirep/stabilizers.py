@@ -27,7 +27,6 @@ from .errors import (
     InvalidDescriptor,
     ManirepError,
     NotSymmetric,
-    RankAmbiguous,
     SizeMismatch,
     WitnessNotInModule,
 )
@@ -39,9 +38,11 @@ from .numkit import (
     REAL,
     Tolerance,
     _rows,
+    above_cutoff,
     frob,
     mat_to_json,
     numerical_rank,
+    require_square,
     span_kernel,
     takagi,
     unit_stack,
@@ -156,35 +157,27 @@ def stabilizer_congruence_sym(
     X: np.ndarray, tol: Tolerance = DEFAULT_TOL, field: str | None = None
 ) -> BlockParabolic:
     """Stabilizer of symmetric X (complex symmetric, not Hermitian) under congruence."""
+    n = require_square(X)
     field = _field_of(X, field)
-    n = np.asarray(X).shape[0]
     if field == REAL:
         Xr = np.asarray(X)
         Xr = Xr.real.astype(float) if np.iscomplexobj(Xr) else Xr.astype(float)
         if frob(Xr - Xr.T) > tol.cutoff(max(frob(Xr), 1.0)):
             raise NotSymmetric("congruence stabilizer needs a symmetric matrix")
         vals, vecs = np.linalg.eigh((Xr + Xr.T) / 2.0)
-        cut = tol.cutoff(np.abs(vals).max(initial=0.0))
-        if np.any(np.abs(np.abs(vals) - cut) < tol.abs_eps):
-            raise RankAmbiguous("eigenvalue within abs_eps of the rank cutoff")
-        keep = np.abs(vals) > cut
+        keep = above_cutoff(vals, tol, strict=True)
         nz = vals[keep]
         vecs_nz = vecs[:, keep]
         order = np.argsort(-nz)
         nz = nz[order]
         vecs_nz = vecs_nz[:, order]
         B = np.diag(nz)
-        Q = np.column_stack([vecs_nz, vecs[:, ~keep]]) if (~keep).any() else vecs_nz
+        Q = np.column_stack([vecs_nz, vecs[:, ~keep]])
         r = len(nz)
     else:
-        U, sigma = takagi(np.asarray(X, dtype=complex), tol)
-        cut = tol.cutoff(sigma[0] if len(sigma) else 0.0)
-        if np.any(np.abs(sigma - cut) < tol.abs_eps):
-            raise RankAmbiguous("singular value within abs_eps of the rank cutoff")
-        keep = sigma > cut
-        r = int(keep.sum())
+        Q, sigma = takagi(np.asarray(X, dtype=complex), tol)
+        r = int(above_cutoff(sigma, tol, strict=True).sum())
         B = np.diag(sigma[:r]).astype(complex)
-        Q = U
     if r == 0:
         top: G.GroupDescriptor | IdentityBlock = IdentityBlock(0)
     else:

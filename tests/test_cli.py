@@ -240,6 +240,36 @@ def test_non_finite_matrix_file_is_rejected(tmp_path, capsys, bad):
     assert payload["error"]["type"] == "NonFinite"
 
 
+def test_negative_matrix_size_is_rejected(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": -1, "cols": -1, "field": "R", "data": [[1, 0]]}')
+    code, payload = run_cli(capsys, "stabilizer", "--action", "left-mult", "--matrix", str(path))
+    assert code == 1
+    assert payload["error"]["type"] == "InvalidInput"
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+@pytest.mark.parametrize("action", ["congruence-sym", "congruence-skew"])
+def test_congruence_of_a_non_square_matrix_is_a_size_error(tmp_path, capsys, action, field):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(Mat.from_array(np.eye(2, 3) * (1j if field == "C" else 1),
+                                              field).to_json()))
+    code, payload = run_cli(capsys, "stabilizer", "--action", action, "--matrix", str(path))
+    assert code == 1
+    assert payload["error"]["type"] == "SizeMismatch"
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+@pytest.mark.parametrize("action", ["left-mult", "congruence-skew", "congruence-sym",
+                                    "similarity"])
+def test_empty_matrix_has_a_stabilizer(tmp_path, capsys, action, field):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": 0, "cols": 0, "field": field, "data": []}))
+    code, payload = run_cli(capsys, "stabilizer", "--action", action, "--matrix", str(path))
+    assert code == 0
+    assert payload.get("dim", payload.get("commutant_dim")) == 0
+
+
 def test_non_finite_result_is_a_json_error(capsys, monkeypatch):
     import manirep.cli as cli
 

@@ -7,8 +7,11 @@ from manirep import numkit
 from manirep.errors import (InvalidInput, NonFinite, NotSkew, NotSymmetric, RankAmbiguous,
                             SizeMismatch)
 from manirep.numkit import (
+    DEFAULT_TOL,
     Mat,
     Tolerance,
+    above_cutoff,
+    complete_unitary,
     numerical_rank,
     takagi,
     youla_blocks,
@@ -42,6 +45,12 @@ class TestMatJson:
         bad = {"rows": 2, "cols": 2, "field": "R", "data": [[1.0, 0.0]]}
         with pytest.raises(SizeMismatch):
             Mat.from_json(bad)
+
+    @pytest.mark.parametrize("rows,cols,data", [(-1, -1, [[1.0, 0.0]]), (0, -1, []),
+                                                (-2, 0, [])])
+    def test_negative_sizes_rejected(self, rows, cols, data):
+        with pytest.raises(InvalidInput):
+            Mat.from_json({"rows": rows, "cols": cols, "field": "R", "data": data})
 
     @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("part", [0, 1])
@@ -88,6 +97,27 @@ class TestNumericalRank:
         Q1, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         Q2, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         assert numerical_rank(Q1 @ X @ Q2) == numerical_rank(X) == r
+
+
+class TestAboveCutoff:
+    def test_ranks_absolute_values(self):
+        # eigenvalues of a symmetric matrix are ranked by their moduli
+        np.testing.assert_array_equal(above_cutoff(np.array([-2.0, 1e-12, 1.0, 0.0])),
+                                      [True, False, True, False])
+
+
+class TestCompleteUnitary:
+    @pytest.mark.parametrize("n,k", [(0, 0), (1, 0), (4, 0), (4, 2), (5, 5)])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_completes_orthonormal_columns(self, n, k, real):
+        rng = np.random.default_rng(10 * n + k)
+        M = rng.standard_normal((n, n)) if real else random_complex(rng, n)
+        Q = np.linalg.qr(M)[0][:, :k] if n else np.zeros((0, 0))
+        U = complete_unitary(Q)
+        assert U.shape == (n, n)
+        assert np.iscomplexobj(U) == (not real and n > 0)
+        np.testing.assert_array_equal(U[:, :k], Q)
+        assert np.linalg.norm(U.conj().T @ U - np.eye(n)) <= 1e-12
 
 
 class TestTakagi:
@@ -138,6 +168,14 @@ class TestTakagi:
 
 
 class TestYoula:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_real_input_gives_real_q(self, dtype):
+        rng = np.random.default_rng(11)
+        M = rng.standard_normal((7, 7))
+        Q, lams, r = youla_skew((M - M.T).astype(dtype))
+        assert Q.dtype == np.float64
+        assert r == 3 and all(isinstance(lam, float) for lam in lams)
+
     def test_zero(self):
         Q, lams, r = youla_skew(np.zeros((4, 4)))
         assert r == 0 and lams == []
@@ -220,6 +258,64 @@ def test_youla_roundtrip_property(n, seed):
     X = M - M.T
     Q, lams, r = youla_skew(X)
     assert np.linalg.norm(Q @ youla_blocks(lams, n) @ Q.T - X) <= 1e-8 * max(np.linalg.norm(X), 1.0)
+
+
+@st.composite
+def planned_spectrum(draw):
+    """Positive values in up to four clusters, each an exact repeat or spread by a relative
+    gap of 1e-3 ... 1e-14, at one scale 1e-3 ... 1e3, sorted descending, then up to two zeros."""
+    scale = 10.0 ** draw(st.integers(min_value=-3, max_value=3))
+    vals = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        c = scale * draw(st.floats(min_value=0.5, max_value=2.0))
+        gap = draw(st.sampled_from([0.0] + [10.0 ** -k for k in range(3, 15)]))
+        vals += [c * (1.0 + gap * j) for j in range(draw(st.integers(min_value=1, max_value=3)))]
+    return sorted(vals, reverse=True) + [0.0] * draw(st.integers(min_value=0, max_value=2))
+
+
+def haar(seed, n, real):
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.standard_normal((n, n)) if real else random_complex(rng, n))[0]
+
+
+@given(planned_spectrum(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_takagi_planned_spectrum_property(sigma, seed):
+    """Clustered, repeated and zero singular values at any scale: U diag(sigma) U^T = X with U
+    unitary and sigma the planned values."""
+    n = len(sigma)
+    V = haar(seed, n, real=False)
+    X = V @ np.diag(sigma) @ V.T
+    U, s = takagi(X)
+    bound = 1e-8 * max(np.linalg.norm(X), 1.0)
+    assert np.linalg.norm(U @ np.diag(s) @ U.T - X) <= bound
+    assert np.linalg.norm(U.conj().T @ U - np.eye(n)) <= 1e-8
+    np.testing.assert_allclose(s, sigma, rtol=0, atol=bound)
+
+
+@given(planned_spectrum(), st.booleans(), st.booleans(),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_youla_planned_spectrum_property(lams, odd, real, seed):
+    """The same plans as rotation speeds, with a zero 2-block per zero and an odd null row:
+    X = Q diag(lam_i Omega_2, 0) Q^T with Q unitary (real for real X) and the planned lams."""
+    n = 2 * len(lams) + odd
+    V = haar(seed, n, real)
+    X = V @ youla_blocks(lams, n) @ V.T
+    nonzero = [lam for lam in lams if lam > 0]
+    try:
+        Q, got, r = youla_skew(X)
+    except RankAmbiguous:
+        # roundoff-level singular values of a rank-deficient X fall within abs_eps of the
+        # cutoff whenever that cutoff is abs_eps itself (largest lam below abs_eps / rel_eps)
+        assert 2 * len(nonzero) < n and DEFAULT_TOL.cutoff(lams[0]) == DEFAULT_TOL.abs_eps
+        return
+    bound = 1e-8 * max(np.linalg.norm(X), 1.0)
+    assert r == len(nonzero)
+    assert Q.dtype == (np.float64 if real else np.complex128)
+    assert np.linalg.norm(Q @ youla_blocks(got, n) @ Q.T - X) <= bound
+    assert np.linalg.norm(Q.conj().T @ Q - np.eye(n)) <= 1e-8
+    np.testing.assert_allclose(got, nonzero, rtol=0, atol=bound)
 
 
 def test_youla_rank_ambiguous():
