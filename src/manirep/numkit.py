@@ -7,13 +7,13 @@ forms the rest of the library needs but the stack does not provide:
 * ``takagi``      -- X = U diag(sigma) U^T for complex symmetric X,
 * ``youla_skew``  -- X = Q diag(lambda_1 * Omega_2, ..., 0) Q^T for skew X,
 
-each read off one Hermitian eigendecomposition (of a real symmetric
-2n x 2n matrix for Takagi, of X X* for Youla) and completed to a unitary by
-``complete_unitary``, the one orthonormal completion.  ``above_cutoff`` is
-the one rank rule, used wherever a rank or block size is decided; bases are
-built one way: a span of unit matrices (``unit_stack``) cut by linear
-conditions (``span_kernel``), kept read-only in one bounded LRU
-(``cached_basis``).  Apart from that cache all functions are pure.
+each read off one decomposition (a Hermitian eigendecomposition of a real
+symmetric 2n x 2n matrix for Takagi, an SVD of X for Youla) and completed
+to a unitary by ``complete_unitary``, the one orthonormal completion.
+``above_cutoff`` is the one rank rule, used wherever a rank or block size is
+decided; bases are built one way: a span of unit matrices (``unit_stack``)
+cut by linear conditions (``span_kernel``), kept read-only in one bounded
+LRU (``cached_basis``).  Apart from that cache all functions are pure.
 """
 
 from __future__ import annotations
@@ -251,9 +251,10 @@ def takagi(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.
     symmetric matrix [[A, B], [B, -A]] with eigenvalues +-sigma.  Its
     eigenvectors (x, y) for the eigenvalues above the rank cutoff give Takagi
     vectors x + iy, X conj(u) = sigma u.  They are orthonormal over C even
-    when sigma repeats, as i u lies in the -sigma eigenspace; the numerical
-    null space completes them.  A final phase refinement pass absorbs
-    roundoff in the diagonal.
+    when sigma repeats, as i u lies in the -sigma eigenspace; as that holds
+    only to eps |X| / (sigma + sigma'), one QR restores it for small sigma.
+    The numerical null space completes them.  A final phase refinement pass
+    absorbs roundoff in the diagonal.
     """
     n = require_square(X)
     X = np.asarray(X, dtype=complex)
@@ -262,7 +263,7 @@ def takagi(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.
 
     w, V = np.linalg.eigh(np.block([[X.real, X.imag], [X.imag, -X.real]]))
     top = above_cutoff(w, tol) & (w > 0)
-    U = complete_unitary(V[:n, top] + 1j * V[n:, top])
+    U = complete_unitary(np.linalg.qr(V[:n, top] + 1j * V[n:, top])[0])
     # refinement: re-read the diagonal of U* X conj(U), absorb residual phases
     d = np.diag(U.conj().T @ X @ U.conj())
     phase = np.ones(n, dtype=complex)
@@ -290,37 +291,44 @@ def youla_skew(
     2r the numerical rank of X.  Q is real orthogonal for real input and
     unitary for complex input.
 
-    The top 2r eigenvectors of H = X X* span the range of X, and the
-    con-linear map C(z) = X conj(z) commutes with H.  For a unit eigenvector
-    q1 of H, q2 = -C(q1) / lam with lam = |C(q1)| gives X conj(q1) = -lam q2
-    and X conj(q2) = lam q1.  Each q1 is the eigenvector with the largest
-    part left off the planes already taken, which keeps clusters of equal
-    or close lam well conditioned; the null space completes Q.
+    One SVD X = U S V* gives the rank (``above_cutoff`` on S) and, in the
+    kept left singular vectors, the range of X.  The con-linear map
+    C(z) = X conj(z) preserves each singular subspace, and for a unit q1 in
+    one of them q2 = -C(q1) / lam with lam = |C(q1)| gives
+    X conj(q1) = -lam q2 and X conj(q2) = lam q1.  Each q1 is the candidate
+    of largest singular value times part left off the planes already taken:
+    large lam come first, so q2, which holds roundoff of size eps |X| / lam,
+    can be projected off them, and clusters of equal or close lam stay well
+    conditioned.  The null space completes Q.
     """
-    n = require_square(X)
+    require_square(X)
     X = np.asarray(X)
     _check_symmetry(X, +1.0, tol)
     if np.iscomplexobj(X) and not X.imag.any():
         X = X.real
     Y = (X - X.T) / 2.0
-    rank = numerical_rank(Y, tol, strict=True)
-    if rank % 2 != 0:
+    U, s, _ = np.linalg.svd(Y)
+    keep = above_cutoff(s, tol, strict=True)
+    if keep.sum() % 2 != 0:
         raise RankAmbiguous("numerical rank of a skew matrix must be even")
-    r = rank // 2
+    cand, s = U[:, keep], s[keep]
 
-    cand = np.linalg.eigh(Y @ Y.conj().T)[1][:, n - 2 * r:]
-    pairs = []
-    for _ in range(r):
-        q1 = cand[:, np.argmax(np.linalg.norm(cand, axis=0))]
-        q1 = q1 / np.linalg.norm(q1)
+    Q, pairs = U[:, :0], []
+    for _ in range(len(s) // 2):
+        w = np.linalg.norm(cand, axis=0)
+        j = np.argmax(s * w)
+        q1 = cand[:, j] / w[j]
+        B = np.column_stack([Q, q1])
         c = Y @ q1.conj()
+        c = c - B @ (B.conj().T @ c)
         lam = np.linalg.norm(c)
         P = np.column_stack([q1, -c / lam])
+        Q = np.concatenate([Q, P], axis=1)
         cand = cand - P @ (P.conj().T @ cand)
         pairs.append((lam, P))
     pairs.sort(key=lambda t: -t[0])
-    Q = complete_unitary(np.concatenate([Y[:, :0], *(P for _, P in pairs)], axis=1))
-    return Q, [float(lam) for lam, _ in pairs], r
+    Q = complete_unitary(np.concatenate([Q[:, :0], *(P for _, P in pairs)], axis=1))
+    return Q, [float(lam) for lam, _ in pairs], len(pairs)
 
 
 def youla_blocks(lams: list[float], n: int) -> np.ndarray:

@@ -307,8 +307,10 @@ def test_youla_planned_spectrum_property(lams, odd, real, seed):
         Q, got, r = youla_skew(X)
     except RankAmbiguous:
         # roundoff-level singular values of a rank-deficient X fall within abs_eps of the
-        # cutoff whenever that cutoff is abs_eps itself (largest lam below abs_eps / rel_eps)
-        assert 2 * len(nonzero) < n and DEFAULT_TOL.cutoff(lams[0]) == DEFAULT_TOL.abs_eps
+        # cutoff whenever the band below it, down to cutoff - abs_eps, reaches roundoff
+        # (largest lam at or below about abs_eps / rel_eps)
+        band_floor = DEFAULT_TOL.cutoff(lams[0]) - DEFAULT_TOL.abs_eps
+        assert 2 * len(nonzero) < n and band_floor < 1e-13 * np.linalg.norm(X)
         return
     bound = 1e-8 * max(np.linalg.norm(X), 1.0)
     assert r == len(nonzero)
@@ -316,6 +318,50 @@ def test_youla_planned_spectrum_property(lams, odd, real, seed):
     assert np.linalg.norm(Q @ youla_blocks(got, n) @ Q.T - X) <= bound
     assert np.linalg.norm(Q.conj().T @ Q - np.eye(n)) <= 1e-8
     np.testing.assert_allclose(got, nonzero, rtol=0, atol=bound)
+
+
+@st.composite
+def wide_spectrum(draw):
+    """A largest value at scale 1e-1 ... 1e3 and one to three more down to 10^-7.5 of it, just
+    above the rank cutoff of 1e-8 of the largest; exact repeats occur; sorted descending."""
+    top = 10.0 ** draw(st.integers(min_value=-1, max_value=3)) * draw(
+        st.floats(min_value=0.5, max_value=2.0))
+    ratios = draw(st.lists(st.sampled_from([10.0 ** -(k / 2) for k in range(16)]),
+                           min_size=1, max_size=3))
+    return sorted([top] + [top * q for q in ratios], reverse=True)
+
+
+@given(wide_spectrum(), st.booleans(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_takagi_wide_spectrum_property(sigma, zero, seed):
+    """Singular values eight decades apart, with or without a zero: every sigma, the smallest
+    included, is found to roundoff of the largest."""
+    sigma = sigma + [0.0] * zero
+    n = len(sigma)
+    V = haar(seed, n, real=False)
+    X = V @ np.diag(sigma) @ V.T
+    U, s = takagi(X)
+    bound = 1e-12 * np.linalg.norm(X)
+    assert np.linalg.norm(U @ np.diag(s) @ U.T - X) <= bound
+    assert np.linalg.norm(U.conj().T @ U - np.eye(n)) <= 1e-12
+    np.testing.assert_allclose(s, sigma, rtol=0, atol=bound)
+
+
+@given(wide_spectrum(), st.booleans(), st.booleans(),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_youla_wide_spectrum_property(lams, odd, real, seed):
+    """Rotation speeds eight decades apart, with or without a null row: every lam, the
+    smallest included, is found to roundoff of the largest, and Q stays unitary."""
+    n = 2 * len(lams) + odd
+    V = haar(seed, n, real)
+    X = V @ youla_blocks(lams, n) @ V.T
+    Q, got, r = youla_skew(X)
+    bound = 1e-12 * np.linalg.norm(X)
+    assert r == len(lams)
+    assert np.linalg.norm(Q @ youla_blocks(got, n) @ Q.T - X) <= bound
+    assert np.linalg.norm(Q.conj().T @ Q - np.eye(n)) <= 1e-12
+    np.testing.assert_allclose(got, lams, rtol=0, atol=bound)
 
 
 def test_youla_rank_ambiguous():
