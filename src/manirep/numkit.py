@@ -11,9 +11,13 @@ each read off one decomposition (a Hermitian eigendecomposition of a real
 symmetric 2n x 2n matrix for Takagi, an SVD of X for Youla) and completed
 to a unitary by ``complete_unitary``, the one orthonormal completion.
 ``above_cutoff`` is the one rank rule, used wherever a rank or block size is
-decided; bases are built one way: a span of unit matrices (``unit_stack``)
-cut by linear conditions (``span_kernel``), kept read-only in one bounded
-LRU (``cached_basis``).  Apart from that cache all functions are pure.
+decided.  ``numerical_rank`` splits X into the connected blocks of its
+nonzero pattern (rows and columns joined by nonzero entries), takes one
+batched SVD per block shape and applies ``above_cutoff`` once to all their
+singular values, so one cutoff holds for every block.  Bases are built one
+way: a span of unit matrices (``unit_stack``) cut by linear conditions
+(``span_kernel``), kept read-only in one bounded LRU (``cached_basis``).
+Apart from that cache all functions are pure.
 """
 
 from __future__ import annotations
@@ -146,14 +150,61 @@ def require_square(X: np.ndarray) -> int:
 def numerical_rank(X: np.ndarray, tol: Tolerance = DEFAULT_TOL, *, strict: bool = False) -> int:
     """Number of singular values of X that ``above_cutoff`` keeps.
 
-    A complex X with zero imaginary part is ranked as the real matrix it is.
+    X is ranked one connected block at a time (``_blocks``): some row and
+    column permutation makes X block diagonal, and its singular values are
+    those of the blocks.  Blocks of one shape take one batched SVD, and one
+    ``above_cutoff`` call sees the singular values of all blocks, so one
+    cutoff, ``tol.cutoff`` of the largest over all blocks, holds for every
+    block, as for the dense SVD.  A complex X with zero imaginary part is
+    ranked as the real matrix it is.
     """
     X = np.asarray(X)
     real = not (np.iscomplexobj(X) and X.imag.any())
     X = X.real.astype(float, copy=False) if real else X.astype(complex, copy=False)
-    if X.size == 0:
-        return 0
-    return int(above_cutoff(np.linalg.svd(X, compute_uv=False), tol, strict=strict).sum())
+    s = [np.linalg.svd(B, compute_uv=False).ravel() for B in _blocks(X)]
+    return int(above_cutoff(np.concatenate([np.zeros(0), *s]), tol, strict=strict).sum())
+
+
+def _blocks(X: np.ndarray):
+    """The connected blocks of a 2-d X, as one (k, p, q) stack per block shape.
+
+    Rows and columns are the nodes of a bipartite graph with an edge at each nonzero entry;
+    a block is X on the rows and columns of one connected component, found by label
+    propagation.  Labels are row numbers.  A pass gives each column the least label of its
+    rows and stops once the columns of each row share one label, which is then the label
+    of the row's component.  Otherwise each row and the row its label names take the least
+    label of the row's columns, and each row its label's label, so labels only fall, stay
+    inside their component, and meet in a few passes.  All-zero rows and columns, whose
+    singular values are 0, are in no block."""
+    m, n = X.shape
+    flat = np.flatnonzero(X != 0)  # row by row, so each row's edges are one run
+    bounds = np.searchsorted(flat, np.arange(m + 1) * n)
+    counts = np.diff(bounds)
+    live = np.flatnonzero(counts)
+    starts = bounds[live]
+    c = flat - np.repeat(np.arange(m) * n, counts)
+    rl, cl = np.arange(m), np.full(n, m)
+    while True:
+        np.minimum.at(cl, c, np.repeat(rl, counts))
+        ends = cl[c]
+        lo = np.minimum.reduceat(ends, starts)
+        if np.array_equal(lo, np.maximum.reduceat(ends, starts)):
+            break
+        np.minimum.at(rl, rl[live], lo)
+        rl[live] = np.minimum(rl[live], lo)
+        rl = rl[rl]
+    rl[live] = lo
+    cols = np.flatnonzero(cl < m)
+    rows = live[np.argsort(rl[live], kind="stable")]
+    cols = cols[np.argsort(cl[cols], kind="stable")]
+    p, q = np.bincount(rl[rows], minlength=m), np.bincount(cl[cols], minlength=m)
+    p, q = p[p > 0], q[q > 0]  # rows and columns of each block, blocks in label order
+    r0, c0 = np.cumsum(p) - p, np.cumsum(q) - q
+    shape = p * (n + 1) + q
+    for key in np.unique(shape):
+        k = shape == key
+        yield X[rows[r0[k, None] + np.arange(key // (n + 1))][:, :, None],
+                cols[c0[k, None] + np.arange(key % (n + 1))][:, None, :]]
 
 
 def above_cutoff(
@@ -161,12 +212,14 @@ def above_cutoff(
 ) -> np.ndarray:
     """Mask of the values with |s_i| above ``max(abs_eps, rel_eps * max |s|)``: the one rank rule.
 
-    With ``strict=True`` a value within ``abs_eps`` of the cutoff raises
-    :class:`RankAmbiguous` instead of being silently classified.
+    With ``strict=True`` a value within ``abs_eps`` of the cutoff and within a factor of two
+    of it raises :class:`RankAmbiguous` instead of being silently classified.  The factor keeps
+    the band off 0 when the cutoff is ``abs_eps`` itself, so roundoff-level values of a small
+    rank-deficient matrix are not ambiguous.
     """
     s = np.abs(np.asarray(s))
     cut = tol.cutoff(s.max(initial=0.0))
-    if strict and np.any(np.abs(s - cut) < tol.abs_eps):
+    if strict and np.any((np.abs(s - cut) < tol.abs_eps) & (s > cut / 2) & (s < 2 * cut)):
         raise RankAmbiguous(
             f"singular value within {tol.abs_eps:g} of the rank cutoff {cut:g}"
         )

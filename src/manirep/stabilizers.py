@@ -131,7 +131,7 @@ def stabilizer_left_mult(
     field = _field_of(X, field)
     n = X.shape[0]
     r = numerical_rank(X, tol, strict=True)
-    Q, _, _ = scipy.linalg.qr(X.astype(complex if field == COMPLEX else float), pivoting=True)
+    Q, _, _ = scipy.linalg.qr(X.astype(complex) if field == COMPLEX else X.real, pivoting=True)
     top = IdentityBlock(r)
     bottom = G.gl(n - r, field) if n - r > 0 else None
     return BlockParabolic(conjugator=Q, top=top, bottom=bottom, field=field)
@@ -454,18 +454,23 @@ def intersect_stabilizer_dim(
     """dim of the joint stabilizer algebra of several module points.
 
     The rank is taken over C for a complex group and over R for a real form,
-    whose complex entries are split into (re, im) coordinates."""
+    whose complex entries are split into (re, im) coordinates.  When the basis
+    and every witness are real, the condition rows are built in real arithmetic;
+    their rank is then the same over R and over C."""
     basis = G.lie_algebra_basis(g)
     if not constraints:
         return len(basis)
     complex_rank = g.is_complex_group
-    for module, action, X in constraints:
-        if np.asarray(X).shape != module.shape:
+    witnesses = [np.asarray(X) for _, _, X in constraints]
+    if not any(np.iscomplexobj(A) and A.imag.any() for A in (basis, *witnesses)):
+        basis, witnesses = basis.real, [X.real for X in witnesses]
+    for (module, action, _), X in zip(constraints, witnesses):
+        if X.shape != module.shape:
             raise SizeMismatch("witness has the wrong shape for its module")
         if KINDS[module.kind].membership and not module_contains(module, X, tol):
             raise WitnessNotInModule(f"witness is not in {module.kind} to tolerance")
         if action == ActionKind.CONGRUENCE_STAR and complex_rank:
             raise InvalidDescriptor("congruence-star is conjugate-linear; use a real form")
-    A = np.concatenate([_rows(dact(action, basis, np.asarray(X)), not complex_rank)
-                        for module, action, X in constraints], axis=1)
+    A = np.concatenate([_rows(dact(action, basis, X), not complex_rank)
+                        for (_, action, _), X in zip(constraints, witnesses)], axis=1)
     return len(basis) - numerical_rank(A, tol)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from manirep.cli import main
-from manirep.numkit import Mat
+from manirep.numkit import OMEGA2, Mat
 
 
 def run_cli(capsys, *argv):
@@ -257,6 +257,21 @@ def test_congruence_of_a_non_square_matrix_is_a_size_error(tmp_path, capsys, act
     code, payload = run_cli(capsys, "stabilizer", "--action", action, "--matrix", str(path))
     assert code == 1
     assert payload["error"]["type"] == "SizeMismatch"
+
+
+@pytest.mark.parametrize("action, block, dim", [
+    ("congruence-sym", np.diag([1e-3, 2e-3, 0.0]), 4),  # O_2, GL_1 and a 2 x 1 free block
+    ("congruence-skew", np.pad(1e-3 * OMEGA2, (0, 1)), 6),  # Sp_2, GL_1 and a 2 x 1 free block
+])
+def test_small_rank_deficient_form_is_not_ambiguous(tmp_path, capsys, action, block, dim):
+    """Largest singular value below abs_eps / rel_eps: the cutoff is abs_eps itself, and the
+    roundoff-level value of the rotated zero lies far below it."""
+    Q = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(Mat.from_array(Q @ block @ Q.T).to_json()))
+    code, payload = run_cli(capsys, "stabilizer", "--action", action, "--matrix", str(path))
+    assert code == 0
+    assert payload["dim"] == dim and payload["off_block"] == [2, 1]
 
 
 @pytest.mark.parametrize("field", ["R", "C"])

@@ -89,6 +89,16 @@ class TestNumericalRank:
         with pytest.raises(RankAmbiguous):
             numerical_rank(X, tol, strict=True)
 
+    def test_cutoff_is_global_over_blocks(self):
+        # ranked alone, the tiny block would clear its own cutoff of abs_eps
+        X = np.zeros((3, 3))
+        X[0, 0], X[2, 1] = 1.0, 1e-9
+        assert numerical_rank(X) == 1
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (4, 5)])
+    def test_zero_and_empty(self, shape):
+        assert numerical_rank(np.zeros(shape)) == numerical_rank(np.zeros(shape), strict=True) == 0
+
     @pytest.mark.parametrize("seed", range(100))
     def test_invariant_under_orthogonal(self, seed):
         rng = np.random.default_rng(seed)
@@ -303,15 +313,7 @@ def test_youla_planned_spectrum_property(lams, odd, real, seed):
     V = haar(seed, n, real)
     X = V @ youla_blocks(lams, n) @ V.T
     nonzero = [lam for lam in lams if lam > 0]
-    try:
-        Q, got, r = youla_skew(X)
-    except RankAmbiguous:
-        # roundoff-level singular values of a rank-deficient X fall within abs_eps of the
-        # cutoff whenever the band below it, down to cutoff - abs_eps, reaches roundoff
-        # (largest lam at or below about abs_eps / rel_eps)
-        band_floor = DEFAULT_TOL.cutoff(lams[0]) - DEFAULT_TOL.abs_eps
-        assert 2 * len(nonzero) < n and band_floor < 1e-13 * np.linalg.norm(X)
-        return
+    Q, got, r = youla_skew(X)
     bound = 1e-8 * max(np.linalg.norm(X), 1.0)
     assert r == len(nonzero)
     assert Q.dtype == (np.float64 if real else np.complex128)
@@ -390,3 +392,52 @@ def test_real_rank_property(m, n, data):
     V = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :rank]
     A = U @ np.diag(2.0 ** np.arange(rank)) @ V.T  # singular values 1, 2, 4, ...
     assert numerical_rank(A) == numerical_rank(A.astype(complex)) == rank
+
+
+@st.composite
+def permuted_blocks(draw):
+    """A block-diagonal matrix with planned singular values per block, zero rows and columns
+    added and both permuted; the largest value ``top`` sits in the first block.  Other values
+    are 0, top / 7, top * 1e-9 (below the cutoff, above a per-block one), and values near the
+    cutoff: cut / 4, cut -+ w / 2 inside the strict band (w = min(abs_eps, cut / 2), so these
+    lie within abs_eps and a factor of two of the cutoff) and cut + 2 abs_eps outside it."""
+    top = 10.0 ** draw(st.integers(min_value=-4, max_value=3))
+    cut = DEFAULT_TOL.cutoff(top)
+    w = min(DEFAULT_TOL.abs_eps, cut / 2)
+    pool = [0.0, top / 7, top * 1e-9, cut / 4, cut - w / 2, cut + w / 2,
+            cut + 2 * DEFAULT_TOL.abs_eps]
+    real = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    blocks = []
+    for i in range(draw(st.integers(min_value=0, max_value=5))):
+        p, q = draw(st.integers(min_value=1, max_value=4)), draw(st.integers(min_value=1, max_value=4))
+        vals = [draw(st.sampled_from(pool)) for _ in range(min(p, q))]
+        if i == 0:
+            vals[0] = top
+        U = haar(int(rng.integers(2**32)), p, real)
+        V = haar(int(rng.integers(2**32)), q, real)
+        blocks.append(U[:, :len(vals)] @ np.diag(vals) @ V[:, :len(vals)].conj().T)
+    zr, zc = draw(st.integers(min_value=0, max_value=3)), draw(st.integers(min_value=0, max_value=3))
+    X = np.zeros((sum(B.shape[0] for B in blocks) + zr, sum(B.shape[1] for B in blocks) + zc),
+                 dtype=float if real else complex)
+    i = j = 0
+    for B in blocks:
+        X[i:i + B.shape[0], j:j + B.shape[1]] = B
+        i, j = i + B.shape[0], j + B.shape[1]
+    return X[rng.permutation(X.shape[0])][:, rng.permutation(X.shape[1])]
+
+
+@given(permuted_blocks())
+@settings(max_examples=200, deadline=None)
+def test_block_rank_equals_dense_rank_property(X):
+    """Ranked block by block, X has the rank of the dense rule on all its singular values,
+    and ``strict`` raises exactly when the dense rule does."""
+    s = np.linalg.svd(X, compute_uv=False) if X.size else np.zeros(0)
+    assert numerical_rank(X) == int(above_cutoff(s).sum())
+    try:
+        want = int(above_cutoff(s, strict=True).sum())
+    except RankAmbiguous:
+        with pytest.raises(RankAmbiguous):
+            numerical_rank(X, strict=True)
+    else:
+        assert numerical_rank(X, strict=True) == want

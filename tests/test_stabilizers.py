@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from manirep import groups
 from manirep.errors import IllConditioned, WitnessNotInModule
-from manirep.gmodules import ActionKind, ModuleDescriptor
+from manirep.gmodules import ActionKind, ModuleDescriptor, dact
 from manirep.groups import gl, so, su
-from manirep.numkit import OMEGA2, Tolerance, frob, youla_blocks
+from manirep.numkit import OMEGA2, Tolerance, above_cutoff, frob, youla_blocks
 from manirep.stabilizers import (
     IdentityBlock,
     commutant_sample,
@@ -366,3 +366,28 @@ def test_real_witness_passed_as_complex_gives_the_same_dimension(n, data):
         dims = [intersect_stabilizer_dim(g, [(m, m.action, W)]) for W in (X, X.astype(complex))]
         gl_dim = n * n - rank * (rank + 1) // 2 - rank * (n - rank)
         assert dims == [gl_dim - (rank < n)] * 2
+
+
+@pytest.mark.parametrize("g", [groups.sl(7, "C"), groups.so(11, "C"), groups.sp(8, "C"),
+                               groups.sp(8, "R"), groups.su(7), groups.sp_compact(8),
+                               groups.so_pq(3, 4)],
+                         ids=["SL7C", "SO11C", "Sp8C", "Sp8R", "SU7", "SpCompact8", "SOpq34"])
+def test_intersection_dim_equals_the_dense_rank(g):
+    """At the canonical witnesses of every admissible target, the block-by-block rank agrees
+    with len(basis) minus the rank of one dense SVD of the dact rows, stacked in the basis'
+    own (complex) arithmetic and split into (re, im) columns for a real form."""
+    from manirep.classify import canonical_witness, enumerate_admissible
+
+    basis = groups.lie_algebra_basis(g)
+    for rep in enumerate_admissible(g):
+        witnesses = [canonical_witness(m) for m in rep.modules]
+        rows = [dact(m.action, basis, W).reshape(len(basis), -1)
+                for m, W in zip(rep.modules, witnesses)]
+        if not g.is_complex_group:
+            rows = [part for D in rows for part in (D.real, D.imag)]
+        A = np.concatenate(rows, axis=1) if rows else np.zeros((len(basis), 0))
+        s = np.linalg.svd(A, compute_uv=False) if A.size else np.zeros(0)
+        want = len(basis) - int(above_cutoff(s).sum())
+        got = intersect_stabilizer_dim(g, [(m, m.action, W)
+                                           for m, W in zip(rep.modules, witnesses)])
+        assert got == want
