@@ -236,8 +236,9 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def lie_algebra_basis(g: GroupDescriptor) -> np.ndarray:
     """Basis of the tangent space at the identity, a read-only (d, n, n) array.
 
-    Complex groups get a basis over C; real forms a basis over R.  The
-    length always equals ``group_dim``.  A copy twisted by a form B is B^{-1}
+    Complex groups get a basis over C; real forms a basis over R.  A basis
+    with zero imaginary part is stored as a real array.  The length always
+    equals ``group_dim``.  A copy twisted by a form B is B^{-1}
     times the skew (orthogonal) or symmetric (symplectic) units; the
     twisted compact symplectic algebra is the part of the anti-Hermitian
     span that also solves the form condition.
@@ -272,6 +273,8 @@ def _lie_algebra_basis(g: GroupDescriptor) -> np.ndarray:
         raise InvalidDescriptor(f"unknown family {g.family!r}")
     if len(basis) != group_dim(g):
         raise ManirepError(f"Lie basis of {g.family}_{n} has the wrong length {len(basis)}")
+    if np.iscomplexobj(basis) and not basis.imag.any():
+        basis = np.ascontiguousarray(basis.real)
     return basis
 
 

@@ -374,11 +374,11 @@ def test_real_witness_passed_as_complex_gives_the_same_dimension(n, data):
                          ids=["SL7C", "SO11C", "Sp8C", "Sp8R", "SU7", "SpCompact8", "SOpq34"])
 def test_intersection_dim_equals_the_dense_rank(g):
     """At the canonical witnesses of every admissible target, the block-by-block rank agrees
-    with len(basis) minus the rank of one dense SVD of the dact rows, stacked in the basis'
-    own (complex) arithmetic and split into (re, im) columns for a real form."""
+    with len(basis) minus the rank of one dense SVD of the dact rows, stacked in
+    complex arithmetic and split into (re, im) columns for a real form."""
     from manirep.classify import canonical_witness, enumerate_admissible
 
-    basis = groups.lie_algebra_basis(g)
+    basis = groups.lie_algebra_basis(g).astype(complex)
     for rep in enumerate_admissible(g):
         witnesses = [canonical_witness(m) for m in rep.modules]
         rows = [dact(m.action, basis, W).reshape(len(basis), -1)
