@@ -35,7 +35,7 @@ from .errors import (
     SizeMismatch,
 )
 from .gmodules import ActionKind, ModuleDescriptor, act, contains as module_contains
-from .numkit import COMPLEX, DEFAULT_TOL, REAL, Tolerance, complete_unitary, frob, mat_to_json
+from .numkit import COMPLEX, DEFAULT_TOL, REAL, Tolerance, frob, mat_to_json
 from .stabilizers import stabilizer_dim_in_group
 
 # ---------------------------------------------------------------------------
@@ -521,8 +521,8 @@ def lift_subspace(md: ManifoldDescriptor, Y: np.ndarray) -> np.ndarray:
     For Grassmann rows the columns of Y span the plane; for Stiefel rows Y
     is the frame itself (orthonormal for the compact rows) and reappears
     verbatim as the first k columns of the lift.  The completion is
-    orthonormal (``numkit.complete_unitary``) with a determinant fix on a
-    later column, so it needs k < n for the special/compact groups.
+    orthonormal (one complete QR of Y) with a determinant fix on a later
+    column, so it needs k < n for the special/compact groups.
     """
     lift = FAMILIES[md.family].lift
     if lift is None:
@@ -538,7 +538,7 @@ def lift_subspace(md: ManifoldDescriptor, Y: np.ndarray) -> np.ndarray:
 
     if lift == ORTHONORMAL_FRAME and frob(Y.conj().T @ Y - np.eye(k)) > 1e-8:
         raise SizeMismatch("compact Stiefel frames must be orthonormal")
-    A = complete_unitary(np.linalg.qr(Y)[0])  # starts with an orthonormal basis of col(Y)
+    A = np.linalg.qr(Y, mode="complete")[0]  # starts with an orthonormal basis of col(Y)
     if lift != PLANE:
         A[:, :k] = Y
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidDescriptor, ManirepError, SizeMismatch
 from .numkit import (ALL, ANTI_HERMITIAN, COMPLEX, DEFAULT_TOL, REAL, SKEW, SYM, Tolerance,
@@ -341,39 +340,6 @@ def sample(g: GroupDescriptor, seed: int, scale: float = 1.0) -> np.ndarray:
         coeff = coeff + 1j * rng.standard_normal(len(basis))
     Z = sum(c * b for c, b in zip(coeff, basis))
     Z = Z * (scale / max(frob(Z), 1e-12))
+    import scipy.linalg  # loaded here, not at import: only this expm needs it
+
     return scipy.linalg.expm(Z)
-
-
-@dataclass(frozen=True)
-class ProductGroup:
-    """A direct product of block factors, e.g. U_2 x U_7 inside GL_9."""
-
-    factors: tuple[GroupDescriptor, ...]
-
-    @property
-    def n(self) -> int:
-        return sum(f.n for f in self.factors)
-
-
-#: per-family dimension of the image of the determinant character (real dim
-#: for real/compact groups, complex dim for GL over C).
-_DET_IMAGE_DIM = {
-    SL: 0, SO: 0, SP: 0, SU: 0, SOPQ: 0, SP_COMPACT: 0, O: 0,
-    GL: 1, U: 1,
-}
-
-
-def special_subgroup_dim(g: GroupDescriptor | ProductGroup) -> int:
-    """Dimension of S(G) = G intersect SL_n.
-
-    Cutting by det = 1 costs one dimension exactly when the determinant
-    character of G has nondiscrete image (a U_k or GL_k factor); otherwise
-    the condition is discrete and the dimension is unchanged.
-    """
-    if isinstance(g, GroupDescriptor):
-        factors = (g,)
-    else:
-        factors = g.factors
-    total = sum(group_dim(f) for f in factors)
-    det_dim = max(_DET_IMAGE_DIM[f.family] for f in factors)
-    return total - det_dim

@@ -1,15 +1,15 @@
 """Dense matrix kernel: JSON interchange, tolerant rank, bases, Takagi and Youla forms.
 
-Standard factorizations (QR, Hermitian eigendecomposition, SVD, ``expm``)
-are taken from numpy/scipy.  This module adds the two congruence canonical
-forms the rest of the library needs but the stack does not provide:
+Standard factorizations (QR, Hermitian eigendecomposition, SVD) are taken
+from numpy.  This module adds the two congruence canonical forms the rest
+of the library needs but the stack does not provide:
 
 * ``takagi``      -- X = U diag(sigma) U^T for complex symmetric X,
 * ``youla_skew``  -- X = Q diag(lambda_1 * Omega_2, ..., 0) Q^T for skew X,
 
 each read off one decomposition (a Hermitian eigendecomposition of a real
 symmetric 2n x 2n matrix for Takagi, an SVD of X for Youla) and completed
-to a unitary by ``complete_unitary``, the one orthonormal completion.
+to a unitary by the trailing columns of one complete QR.
 ``above_cutoff`` is the one rank rule, used wherever a rank or block size is
 decided.  ``numerical_rank`` splits X into the connected blocks of its
 nonzero pattern (rows and columns joined by nonzero entries), takes one
@@ -27,7 +27,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (ConvergenceFailure, InvalidInput, NonFinite, NotSkew, NotSymmetric,
                      RankAmbiguous, SizeMismatch)
@@ -65,19 +64,20 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mat:
     """A dense matrix tagged with its base field, for JSON interchange.
 
     Library functions operate on plain ndarrays (float64 for field ``R``,
     complex128 for ``C``); ``Mat`` exists so files and CLI payloads carry an
-    unambiguous field tag.
+    unambiguous field tag.  ``data`` is a (rows * cols, 2) float array of the
+    (re, im) pairs in row-major order, the layout of the JSON ``data`` list.
     """
 
     rows: int
     cols: int
     field: str
-    data: tuple
+    data: np.ndarray
 
     @staticmethod
     def from_array(a: np.ndarray, field: str | None = None) -> "Mat":
@@ -88,44 +88,49 @@ class Mat:
             if np.abs(a.imag).max(initial=0.0) != 0.0:
                 raise SizeMismatch("real-field matrix has nonzero imaginary part")
             a = a.real
-        data = tuple(
-            (float(np.real(x)), float(np.imag(x))) for x in a.ravel(order="C")
-        )
+        data = np.stack([a.real, a.imag], -1).reshape(-1, 2).astype(float, copy=False)
         return Mat(rows=a.shape[0], cols=a.shape[1], field=field, data=data)
 
     def to_array(self) -> np.ndarray:
-        re = np.array([d[0] for d in self.data]).reshape(self.rows, self.cols)
+        re = self.data[:, 0].reshape(self.rows, self.cols)
         if self.field == REAL:
-            return re
-        im = np.array([d[1] for d in self.data]).reshape(self.rows, self.cols)
-        return re + 1j * im
+            return re.copy()
+        return re + 1j * self.data[:, 1].reshape(self.rows, self.cols)
 
     def to_json(self) -> dict:
         return {
             "rows": self.rows,
             "cols": self.cols,
             "field": self.field,
-            "data": [[re, im] for re, im in self.data],
+            "data": self.data.tolist(),
         }
 
     @staticmethod
     def from_json(obj: dict) -> "Mat":
         try:
-            if obj["field"] not in (REAL, COMPLEX):
-                raise SizeMismatch(f"unknown field tag {obj['field']!r}")
-            data = tuple((float(re), float(im)) for re, im in obj["data"])
-            m = Mat(rows=int(obj["rows"]), cols=int(obj["cols"]), field=obj["field"], data=data)
+            field = obj["field"]
+            if field not in (REAL, COMPLEX):
+                raise SizeMismatch(f"unknown field tag {field!r}")
+            data = np.asarray(obj["data"], float)
+            rows, cols = int(obj["rows"]), int(obj["cols"])
+        except OverflowError as exc:  # a JSON integer beyond the float range
+            raise NonFinite(f"matrix has an entry beyond the float range: {exc}") from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"not a matrix object: {exc!r}") from exc
-        if not all(math.isfinite(x) for entry in data for x in entry):
+        if data.shape[1:] != (2,) and data.shape != (0,):
+            raise InvalidInput(f"matrix data is not a list of [re, im] pairs: shape {data.shape}")
+        if not np.isfinite(data).all():
+            if any(x is None for entry in obj["data"] for x in entry):  # numpy reads null as nan
+                raise InvalidInput("matrix has a null entry")
             raise NonFinite("matrix has a NaN or infinite entry")
-        if m.rows < 0 or m.cols < 0:
-            raise InvalidInput(f"negative matrix size {m.rows} x {m.cols}")
-        if m.rows * m.cols != len(data):
+        if rows < 0 or cols < 0:
+            raise InvalidInput(f"negative matrix size {rows} x {cols}")
+        if rows * cols != len(data):
             raise SizeMismatch("rows*cols does not match entry count")
-        if m.field == REAL and any(im != 0.0 for _, im in data):
+        data = data.reshape(-1, 2)
+        if field == REAL and data[:, 1].any():
             raise SizeMismatch("real-field matrix has nonzero imaginary part")
-        return m
+        return Mat(rows=rows, cols=cols, field=field, data=data)
 
 
 def mat_to_json(a: np.ndarray, field: str | None = None) -> dict:
@@ -292,8 +297,9 @@ def _check_symmetry(X: np.ndarray, sign: float, tol: Tolerance) -> None:
 
 def complete_unitary(Q: np.ndarray) -> np.ndarray:
     """The n x k matrix Q of orthonormal columns followed by an orthonormal basis of its
-    orthogonal complement: an n x n unitary (real orthogonal when Q is real)."""
-    return np.concatenate([Q, scipy.linalg.null_space(Q.conj().T)], axis=1)
+    orthogonal complement (the trailing columns of a complete QR of Q): an n x n unitary
+    (real orthogonal when Q is real)."""
+    return np.concatenate([Q, np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]], axis=1)
 
 
 def takagi(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -305,8 +311,8 @@ def takagi(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.
     eigenvectors (x, y) for the eigenvalues above the rank cutoff give Takagi
     vectors x + iy, X conj(u) = sigma u.  They are orthonormal over C even
     when sigma repeats, as i u lies in the -sigma eigenspace; as that holds
-    only to eps |X| / (sigma + sigma'), one QR restores it for small sigma.
-    The numerical null space completes them.  A final phase refinement pass
+    only to eps |X| / (sigma + sigma'), one complete QR restores it for small
+    sigma and completes them to a unitary.  A final phase refinement pass
     absorbs roundoff in the diagonal.
     """
     n = require_square(X)
@@ -316,7 +322,7 @@ def takagi(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.
 
     w, V = np.linalg.eigh(np.block([[X.real, X.imag], [X.imag, -X.real]]))
     top = above_cutoff(w, tol) & (w > 0)
-    U = complete_unitary(np.linalg.qr(V[:n, top] + 1j * V[n:, top])[0])
+    U = np.linalg.qr(V[:n, top] + 1j * V[n:, top], mode="complete")[0]
     # refinement: re-read the diagonal of U* X conj(U), absorb residual phases
     d = np.diag(U.conj().T @ X @ U.conj())
     phase = np.ones(n, dtype=complex)
@@ -352,7 +358,8 @@ def youla_skew(
     of largest singular value times part left off the planes already taken:
     large lam come first, so q2, which holds roundoff of size eps |X| / lam,
     can be projected off them, and clusters of equal or close lam stay well
-    conditioned.  The null space completes Q.
+    conditioned.  ``complete_unitary`` completes Q and keeps the pair columns
+    verbatim, as a phase on a complex pair would change Q Omega Q^T.
     """
     require_square(X)
     X = np.asarray(X)

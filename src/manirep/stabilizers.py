@@ -19,14 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from . import groups as G
 from .errors import (
     IllConditioned,
     InvalidDescriptor,
     ManirepError,
-    NotSymmetric,
     SizeMismatch,
     WitnessNotInModule,
 )
@@ -37,6 +35,7 @@ from .numkit import (
     DEFAULT_TOL,
     REAL,
     Tolerance,
+    _check_symmetry,
     _rows,
     above_cutoff,
     frob,
@@ -124,14 +123,18 @@ class BlockParabolic:
 def stabilizer_left_mult(
     X: np.ndarray, tol: Tolerance = DEFAULT_TOL, field: str | None = None
 ) -> BlockParabolic:
-    """Stabilizer of X under A |-> AX, for n x k input with k <= n."""
+    """Stabilizer of X under A |-> AX, for n x k input with k <= n.
+
+    One SVD X = Q S V* decides the rank r (``above_cutoff`` on S) and gives the conjugator:
+    the full left factor Q, whose first r columns span col X.
+    """
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] > X.shape[0]:
         raise SizeMismatch("left multiplication expects n x k with k <= n")
     field = _field_of(X, field)
     n = X.shape[0]
-    r = numerical_rank(X, tol, strict=True)
-    Q, _, _ = scipy.linalg.qr(X.astype(complex) if field == COMPLEX else X.real, pivoting=True)
+    Q, s, _ = np.linalg.svd(X.astype(complex) if field == COMPLEX else X.real)
+    r = int(above_cutoff(s, tol, strict=True).sum())
     top = IdentityBlock(r)
     bottom = G.gl(n - r, field) if n - r > 0 else None
     return BlockParabolic(conjugator=Q, top=top, bottom=bottom, field=field)
@@ -162,8 +165,7 @@ def stabilizer_congruence_sym(
     if field == REAL:
         Xr = np.asarray(X)
         Xr = Xr.real.astype(float) if np.iscomplexobj(Xr) else Xr.astype(float)
-        if frob(Xr - Xr.T) > tol.cutoff(max(frob(Xr), 1.0)):
-            raise NotSymmetric("congruence stabilizer needs a symmetric matrix")
+        _check_symmetry(Xr, -1.0, tol)
         vals, vecs = np.linalg.eigh((Xr + Xr.T) / 2.0)
         keep = above_cutoff(vals, tol, strict=True)
         nz = vals[keep]

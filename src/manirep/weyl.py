@@ -144,9 +144,10 @@ def enumerate_irreps_below(algebra: str, n: int, bound: int) -> list[tuple[Highe
     while queue:
         kap = queue.popleft()
         w = HighestWeight(algebra, n, kap)
-        if weyl_dim(w) > bound:
+        d = weyl_dim(w)
+        if d > bound:
             continue
-        out.append((w, weyl_dim(w)))
+        out.append((w, d))
         for i in range(m):
             nxt = list(kap)
             nxt[i] += 1

@@ -229,7 +229,8 @@ def test_unreadable_matrix_files_are_json_errors(tmp_path, capsys, content, verb
     assert payload["error"]["type"] == "InvalidInput"
 
 
-@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+                         ids=["NaN", "Infinity", "-Infinity", "1e400", "10^400"])
 def test_non_finite_matrix_file_is_rejected(tmp_path, capsys, bad):
     path = tmp_path / "m.json"
     path.write_text('{"rows": 2, "cols": 2, "field": "R", "data": '
@@ -324,3 +325,34 @@ def test_census_does_not_load_sympy_and_exact_similarity_still_does(tmp_path):
     assert stabilizer == ('{"classes":[{"blocks":[2],"eig":[2.0,0.0],"kind":"real"},'
                           '{"blocks":[1],"eig":[3.0,0.0],"kind":"real"}],"commutant_dim":3}')
     assert loaded == "True"
+
+
+def test_numeric_verbs_do_not_load_scipy_and_verify_does(tmp_path):
+    """scipy is imported only for ``groups.sample``'s ``expm``, which ``verify`` reaches."""
+    X = np.random.default_rng(0).standard_normal((4, 4))
+    files = {}
+    for name, a in [("rect", X[:, :2]), ("sym", X + X.T), ("skew", X - X.T)]:
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(Mat.from_array(a).to_json()))
+    runs = [
+        ["census", "--group", "SO", "--n", "7", "--field", "C"],
+        ["stabilizer", "--action", "left-mult", "--matrix", str(files["rect"])],
+        ["stabilizer", "--action", "congruence-sym", "--matrix", str(files["sym"])],
+        ["stabilizer", "--action", "congruence-skew", "--matrix", str(files["skew"])],
+        ["embed", "--manifold", "gr-real", "--n", "5", "--k", "2"],
+        ["verify", "--manifold", "lgr-c", "--n", "4", "--trials", "2"],  # Sp_8(C) samples by expm
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "import manirep.cli as cli\n"
+        "print('scipy' in sys.modules)\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    print(argv[0], code, 'scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False", "census 0 False", "stabilizer 0 False", "stabilizer 0 False",
+        "stabilizer 0 False", "embed 0 False", "verify 0 True"]

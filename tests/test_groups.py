@@ -6,7 +6,6 @@ from manirep import groups
 from manirep.errors import InvalidDescriptor
 from manirep.groups import (
     GroupDescriptor,
-    ProductGroup,
     contains,
     gl,
     group_dim,
@@ -18,9 +17,7 @@ from manirep.groups import (
     so_pq,
     sp,
     sp_compact,
-    special_subgroup_dim,
     su,
-    unitary,
 )
 from manirep.numkit import Tolerance, frob
 
@@ -153,9 +150,3 @@ def test_conjugated_sp_compact():
     bad[2:, :2] = -lam
     with pytest.raises(InvalidDescriptor):
         sp_compact(4, form=bad)
-
-
-def test_special_subgroup_dims():
-    assert special_subgroup_dim(so(9)) == 36
-    assert special_subgroup_dim(ProductGroup((unitary(2), unitary(7)))) == 52
-    assert special_subgroup_dim(ProductGroup((orth(2), orth(7)))) == 22

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,7 +54,9 @@ class TestMatJson:
         with pytest.raises(InvalidInput):
             Mat.from_json({"rows": rows, "cols": cols, "field": "R", "data": data})
 
-    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+    # JSON integers beyond the float range count as non-finite, like a 1e400 literal
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf"), 10 ** 400,
+                                   -(10 ** 400)], ids=["nan", "inf", "-inf", "10^400", "-10^400"])
     @pytest.mark.parametrize("part", [0, 1])
     def test_non_finite_entries_rejected(self, x, part):
         entry = [x, 0.0] if part == 0 else [0.0, x]
@@ -61,10 +65,32 @@ class TestMatJson:
             Mat.from_json(obj)
 
     @pytest.mark.parametrize("obj", [[1, 2], {"rows": 1}, {"rows": 1, "cols": 1, "field": "R",
-                                                          "data": [["a", 0]]}])
+                                                          "data": [["a", 0]]}] + [
+        {"rows": 1, "cols": 2, "field": field, "data": data} for field in ("R", "C")
+        for data in (
+            [[1.0, 0.0, 2.0]], [[1.0, 0.0], [2.0, 0.0, 3.0]],  # [re, im, x] triples
+            5, [1.0, 2.0], [[1.0, 0.0], 2.0],  # bare numbers
+            [[1.0, 0.0], [2.0]], [[1.0, [0.0]]], [[[1.0, 0.0]]],  # ragged or nested rows
+            "ab", ["ab"], ["12"], [[1.0, 0.0], "12"], [["1", "x"]],  # strings
+            None, [[None, 0.0]], [[0.0, None], [float("nan"), 0.0]], [{}],  # nulls, objects
+        )])
     def test_malformed_objects_rejected(self, obj):
         with pytest.raises(InvalidInput):
             Mat.from_json(obj)
+
+    @pytest.mark.parametrize("a", [np.array([[1.0, -0.0], [0.0, 2.5]]),
+                                   np.array([[-0.0 - 0.0j, 1 - 2j, 0.5j]]),
+                                   np.arange(6).reshape(2, 3), np.zeros((3, 0))])
+    def test_json_keeps_float_entries_and_signed_zeros(self, a):
+        obj = Mat.from_array(a).to_json()
+        assert obj["data"] == [[float(x.real), float(x.imag)] for x in a.astype(complex).ravel()]
+        assert all(type(x) is float for entry in obj["data"] for x in entry)
+        assert json.dumps(obj) == json.dumps(Mat.from_json(json.loads(json.dumps(obj))).to_json())
+        b = Mat.from_json(obj).to_array()
+        assert b.flags.writeable and b.shape == a.shape
+        np.testing.assert_array_equal(b, a)
+        if not np.iscomplexobj(a):
+            np.testing.assert_array_equal(np.signbit(b), np.signbit(a))
 
 
 class TestNumericalRank:

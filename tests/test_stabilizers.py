@@ -72,6 +72,21 @@ class TestLeftMult:
         numeric = stabilizer_dim_in_group(gl(n, field), m, ActionKind.LEFT_MULT, X)
         assert bp.dim == numeric
 
+    @pytest.mark.parametrize("field", ["R", "C"])
+    @pytest.mark.parametrize("n, k, r", [(6, 3, 1), (7, 4, 2), (5, 5, 4)])
+    def test_conjugator_is_unitary_and_leads_with_the_column_span(self, n, k, r, field):
+        rng = np.random.default_rng(n * k + r)
+        A, B = rng.standard_normal((n, r)), rng.standard_normal((r, k))
+        if field == "C":
+            A, B = A + 1j * rng.standard_normal((n, r)), B + 1j * rng.standard_normal((r, k))
+        X = A @ B
+        bp = stabilizer_left_mult(X)
+        Q = bp.conjugator
+        assert bp.p == r and Q.shape == (n, n)
+        assert np.iscomplexobj(Q) == (field == "C")
+        assert frob(Q.conj().T @ Q - np.eye(n)) <= 1e-12
+        assert frob(Q[:, r:].conj().T @ X) <= Tolerance().cutoff(frob(X))
+
     def test_samples_fix_the_point(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((7, 3))
