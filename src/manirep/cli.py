@@ -109,7 +109,8 @@ def cmd_irreps(args) -> dict:
         "algebra": args.algebra,
         "n": args.n,
         "bound": str(args.bound),
-        "irreps": [w.to_json() for w, _ in found],
+        "irreps": [{"algebra": w.algebra, "n": w.n, "kappa": list(w.kappa), "dim": str(d)}
+                   for w, d in found],
     }
 
 

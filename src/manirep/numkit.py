@@ -112,7 +112,7 @@ class Mat:
             if field not in (REAL, COMPLEX):
                 raise SizeMismatch(f"unknown field tag {field!r}")
             data = np.asarray(obj["data"], float)
-            rows, cols = int(obj["rows"]), int(obj["cols"])
+            rows, cols = obj["rows"], obj["cols"]
         except OverflowError as exc:  # a JSON integer beyond the float range
             raise NonFinite(f"matrix has an entry beyond the float range: {exc}") from exc
         except (KeyError, TypeError, ValueError) as exc:
@@ -123,6 +123,9 @@ class Mat:
             if any(x is None for entry in obj["data"] for x in entry):  # numpy reads null as nan
                 raise InvalidInput("matrix has a null entry")
             raise NonFinite("matrix has a NaN or infinite entry")
+        if type(rows) is not int or type(cols) is not int:  # bool is an int subclass
+            raise InvalidInput("matrix sizes must be JSON integers, got "
+                               f"{type(rows).__name__} x {type(cols).__name__}")
         if rows < 0 or cols < 0:
             raise InvalidInput(f"negative matrix size {rows} x {cols}")
         if rows * cols != len(data):
@@ -180,7 +183,8 @@ def _blocks(X: np.ndarray):
     of the row's component.  Otherwise each row and the row its label names take the least
     label of the row's columns, and each row its label's label, so labels only fall, stay
     inside their component, and meet in a few passes.  All-zero rows and columns, whose
-    singular values are 0, are in no block."""
+    singular values are 0, are in no block.  A block spanning every row and column is X
+    itself, not a copy."""
     m, n = X.shape
     flat = np.flatnonzero(X != 0)  # row by row, so each row's edges are one run
     bounds = np.searchsorted(flat, np.arange(m + 1) * n)
@@ -199,6 +203,9 @@ def _blocks(X: np.ndarray):
         rl[live] = np.minimum(rl[live], lo)
         rl = rl[rl]
     rl[live] = lo
+    if live.size == m > 0 and (cl == lo[0]).all():  # one block spanning X: no gather
+        yield X[None]
+        return
     cols = np.flatnonzero(cl < m)
     rows = live[np.argsort(rl[live], kind="stable")]
     cols = cols[np.argsort(cl[cols], kind="stable")]

@@ -30,7 +30,6 @@ from .errors import (
 )
 from .gmodules import KINDS, ActionKind, ModuleDescriptor, contains as module_contains, dact
 from .numkit import (
-    ALL,
     COMPLEX,
     DEFAULT_TOL,
     REAL,
@@ -38,13 +37,10 @@ from .numkit import (
     _check_symmetry,
     _rows,
     above_cutoff,
-    frob,
     mat_to_json,
     numerical_rank,
     require_square,
-    span_kernel,
     takagi,
-    unit_stack,
     youla_blocks,
     youla_skew,
 )
@@ -420,21 +416,6 @@ def _similarity_numeric(X: np.ndarray, field: str, tol: Tolerance) -> ToeplitzBl
     if out.total_size != n:
         raise IllConditioned("eigenvalue classes do not account for the full size")
     return out
-
-
-def commutant_sample(X: np.ndarray, seed: int, field: str | None = None) -> np.ndarray:
-    """A generic invertible element commuting with X (numeric kernel basis)."""
-    field = _field_of(X, field)
-    Xc = np.asarray(X, dtype=complex)
-    ns = span_kernel(unit_stack(ALL, len(Xc)), [lambda E: E @ Xc - Xc @ E], real=field == REAL)
-    rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(len(ns))
-    if field == COMPLEX:
-        coeff = coeff + 1j * rng.standard_normal(len(ns))
-    Z = np.tensordot(coeff, ns, axes=1)  # real for a real field: real units, real coefficients
-    # the identity is in every commutant; shifting by it forces invertibility
-    Z = Z + (1.0 + frob(Z)) * np.eye(len(Xc))
-    return Z
 
 
 def stabilizer_dim_in_group(

@@ -1,12 +1,14 @@
 """Exact dimensions and bounded enumeration of irreducible highest-weight modules.
 
-Dimensions are computed from the product over positive roots of
-<lambda+rho, alpha> / <rho, alpha> in the standard epsilon-coordinates of
-the classical root systems (types A, B, C, D), with half-integer
-bookkeeping done over doubled integers so every result is an exact Python
-int.  The closed-form catalog entries (vector, alternating and symmetric
-squares, adjoints, spins) are the anchors everything else is validated
-against.
+Dimensions are Weyl's product over the positive roots of
+<lambda+rho, alpha> / <rho, alpha> (Fulton-Harris, Representation Theory,
+24.1), read from one table of linear factors per algebra in the standard
+epsilon-coordinates of the classical root systems (types A, B, C, D), with
+half-integer bookkeeping done over doubled integers so every result is an
+exact Python int.  The bounded enumeration walks the weight lattice depth
+first and updates the dimension by the factors one step moves.  The
+closed-form catalog entries (vector, alternating and symmetric squares,
+adjoints, spins) are the anchors everything else is validated against.
 
 Conventions: for ``SL`` and ``SO`` the parameter ``n`` is the matrix size
 (weights have length n-1 and floor(n/2)); for ``SP`` it is the rank, the
@@ -15,9 +17,10 @@ group being Sp_{2n} on 2n x 2n matrices (weights have length n).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from math import prod
 
 from . import groups as G
 from .errors import InvalidDescriptor, ManirepError, UnsupportedGroup
@@ -55,14 +58,6 @@ class HighestWeight:
         if any(k < 0 or int(k) != k for k in self.kappa):
             raise InvalidDescriptor("kappa entries must be nonnegative integers")
 
-    def to_json(self) -> dict:
-        return {
-            "algebra": self.algebra,
-            "n": self.n,
-            "kappa": list(self.kappa),
-            "dim": str(weyl_dim(self)),
-        }
-
 
 def _exact_quotient(num: int, den: int) -> int:
     q, r = divmod(num, den)
@@ -71,92 +66,82 @@ def _exact_quotient(num: int, den: int) -> int:
     return q
 
 
+@lru_cache(maxsize=64)
+def _factor_table(
+    algebra: str, n: int
+) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """Weyl's product over the positive roots as one table of linear factors.
+
+    lambda+rho in epsilon-coordinates (doubled for SO, so spin weights stay
+    integral) is the affine map A = A0 + sum_i kappa_i D_i.  The factors are
+    A_p - A_q (p < q) for every type, also A_p + A_q for B, C and D, and also
+    A_p for B and C; the dimension is their product over the same product at
+    A0.  Returns each factor's value at kappa = 0 and, per coordinate i, the
+    (factor, increment) pairs of the factors that move with kappa_i; every
+    increment is positive, so the dimension rises strictly in each kappa_i.
+    """
+    m = rank_of(algebra, n)
+    size, step = (n, 1) if algebra == SL else (m, 2 if algebra == SO else 1)
+    odd = algebra == SP or (algebra == SO and n % 2 == 1)  # types B and C
+    A0 = [step * (size - 1 - p) + int(odd) for p in range(size)]
+    D = [[step * (p <= i) for p in range(size)] for i in range(m)]
+    if algebra == SO:  # the spin coordinates: one for B, two for D
+        D[m - 1] = [1] * size
+        if not odd:
+            D[m - 2] = [1] * (size - 1) + [-1]
+    pairs = list(combinations(range(size), 2))
+    forms = [((p, 1), (q, -1)) for p, q in pairs]
+    forms += [((p, 1), (q, 1)) for p, q in pairs] if algebra != SL else []
+    forms += [((p, 1),) for p in range(size)] if odd else []
+    base = tuple(sum(c * A0[p] for p, c in form) for form in forms)
+    steps = tuple(tuple((f, g) for f, form in enumerate(forms)
+                        if (g := sum(c * Di[p] for p, c in form))) for Di in D)
+    return base, steps
+
+
 def weyl_dim(w: HighestWeight) -> int:
     """Exact dimension of the irreducible module with highest weight kappa."""
-    kappa = list(w.kappa)
-    n = w.n
-    if w.algebra == SL:
-        a = [sum(kappa[i:]) + (n - 1 - i) for i in range(n)]
-        num, den = 1, 1
-        for i, j in combinations(range(n), 2):
-            num *= a[i] - a[j]
-            den *= j - i
-        return _exact_quotient(num, den)
-    if w.algebra == SO:
-        m = n // 2
-        if n % 2 == 1:
-            # doubled epsilon-coordinates of lambda+rho and rho
-            A = [2 * sum(kappa[i : m - 1]) + kappa[m - 1] + 2 * (m - 1 - i) + 1 for i in range(m)]
-            R = [2 * (m - 1 - i) + 1 for i in range(m)]
-            num, den = 1, 1
-            for i, j in combinations(range(m), 2):
-                num *= A[i] ** 2 - A[j] ** 2
-                den *= R[i] ** 2 - R[j] ** 2
-            for i in range(m):
-                num *= A[i]
-                den *= R[i]
-        else:
-            A = []
-            for i in range(m):
-                if i <= m - 3:
-                    l2 = 2 * sum(kappa[i : m - 2]) + kappa[m - 2] + kappa[m - 1]
-                elif i == m - 2:
-                    l2 = kappa[m - 2] + kappa[m - 1]
-                else:
-                    l2 = kappa[m - 1] - kappa[m - 2]
-                A.append(l2 + 2 * (m - 1 - i))
-            R = [2 * (m - 1 - i) for i in range(m)]
-            num, den = 1, 1
-            for i, j in combinations(range(m), 2):
-                num *= A[i] ** 2 - A[j] ** 2
-                den *= R[i] ** 2 - R[j] ** 2
-        return _exact_quotient(num, den)
-    if w.algebra == SP:
-        m = n
-        a = [sum(kappa[i:]) + (m - i) for i in range(m)]
-        rr = [m - i for i in range(m)]
-        num, den = 1, 1
-        for i, j in combinations(range(m), 2):
-            num *= a[i] ** 2 - a[j] ** 2
-            den *= rr[i] ** 2 - rr[j] ** 2
-        for i in range(m):
-            num *= a[i]
-            den *= rr[i]
-        return _exact_quotient(num, den)
-    raise InvalidDescriptor(f"unknown algebra {w.algebra!r}")
+    base, steps = _factor_table(w.algebra, w.n)
+    vals = list(base)
+    for k, moves in zip(w.kappa, steps):
+        for f, g in moves:
+            vals[f] += k * g
+    return _exact_quotient(prod(vals), prod(base))
 
 
 def enumerate_irreps_below(algebra: str, n: int, bound: int) -> list[tuple[HighestWeight, int]]:
     """All weights with dimension <= bound, sorted by (dim, kappa).
 
-    Breadth-first search over the weight lattice from 0, pruning any kappa
-    whose dimension already exceeds the bound; that is exhaustive because
-    decreasing a single coordinate strictly decreases the dimension, so the
-    feasible set is downward closed.
+    An iterative depth-first walk from 0 in which a weight's children raise
+    one coordinate at or after the last one it raised, so every weight is
+    reached once.  A coordinate's run stops at the first weight above the
+    bound: the dimension rises strictly in each coordinate, so the feasible
+    set is downward closed.  A child's dimension is its parent's times the
+    ratio of the factors that move with the raised coordinate.
     """
     if bound < 1:
         raise InvalidDescriptor("bound must be >= 1")
-    m = rank_of(algebra, n)
-    start = tuple([0] * m)
-    seen = {start}
-    out = []
-    queue = deque([start])
-    while queue:
-        kap = queue.popleft()
-        w = HighestWeight(algebra, n, kap)
-        d = weyl_dim(w)
-        if d > bound:
-            continue
-        out.append((w, d))
-        for i in range(m):
-            nxt = list(kap)
-            nxt[i] += 1
-            nxt = tuple(nxt)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    out.sort(key=lambda t: (t[1], t[0].kappa))
-    return out
+    base, steps = _factor_table(algebra, n)
+    m = len(steps)
+    found = []
+    stack = [((0,) * m, base, 1, 0)]
+    while stack:
+        kap, vals, d, lo = stack.pop()
+        found.append((d, kap))
+        for i in range(lo, m):
+            num = den = 1
+            for f, g in steps[i]:
+                num *= vals[f] + g
+                den *= vals[f]
+            up = _exact_quotient(d * num, den)
+            if up > bound:
+                continue
+            new = list(vals)
+            for f, g in steps[i]:
+                new[f] += g
+            stack.append((kap[:i] + (kap[i] + 1,) + kap[i + 1:], new, up, i))
+    found.sort()
+    return [(HighestWeight(algebra, n, kap), d) for d, kap in found]
 
 
 def _basis_weight(m: int, i: int, value: int = 1) -> tuple[int, ...]:

@@ -7,7 +7,8 @@ import scipy.linalg
 from manirep import groups as G
 from manirep import numkit
 from manirep.gmodules import KINDS, ModuleDescriptor, basis, module_dim
-from manirep.stabilizers import commutant_sample, stabilizer_similarity
+from manirep.stabilizers import stabilizer_similarity
+from oracles import commutant_sample
 
 
 def elementary_kernel(shape, conds, real_coefficients, imaginary_units):

@@ -249,6 +249,15 @@ def test_negative_matrix_size_is_rejected(tmp_path, capsys):
     assert payload["error"]["type"] == "InvalidInput"
 
 
+@pytest.mark.parametrize("size", ["1.5", "1.0", '"1"', "true"])
+def test_non_integer_matrix_size_is_rejected(tmp_path, capsys, size):
+    path = tmp_path / "m.json"
+    path.write_text(f'{{"rows": {size}, "cols": 2, "field": "R", "data": [[1, 0], [2, 0]]}}')
+    code, payload = run_cli(capsys, "stabilizer", "--action", "left-mult", "--matrix", str(path))
+    assert code == 1
+    assert payload["error"]["type"] == "InvalidInput"
+
+
 @pytest.mark.parametrize("field", ["R", "C"])
 @pytest.mark.parametrize("action", ["congruence-sym", "congruence-skew"])
 def test_congruence_of_a_non_square_matrix_is_a_size_error(tmp_path, capsys, action, field):

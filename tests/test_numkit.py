@@ -73,7 +73,10 @@ class TestMatJson:
             [[1.0, 0.0], [2.0]], [[1.0, [0.0]]], [[[1.0, 0.0]]],  # ragged or nested rows
             "ab", ["ab"], ["12"], [[1.0, 0.0], "12"], [["1", "x"]],  # strings
             None, [[None, 0.0]], [[0.0, None], [float("nan"), 0.0]], [{}],  # nulls, objects
-        )])
+        )] + [  # sizes that are not JSON integers, with entries that would fit them
+        {"rows": r, "cols": c, "field": "R", "data": [[1.0, 0.0], [2.0, 0.0]]}
+        for bad in (1.5, 1.0, "1", True) for r, c in ((bad, 2), (2, bad))
+    ])
     def test_malformed_objects_rejected(self, obj):
         with pytest.raises(InvalidInput):
             Mat.from_json(obj)
@@ -124,6 +127,18 @@ class TestNumericalRank:
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (4, 5)])
     def test_zero_and_empty(self, shape):
         assert numerical_rank(np.zeros(shape)) == numerical_rank(np.zeros(shape), strict=True) == 0
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_a_block_spanning_x_is_x_itself(self, dtype):
+        X = np.arange(1.0, 13.0).reshape(3, 4).astype(dtype)
+        for A in (X, X.T):
+            (B,) = numkit._blocks(A)
+            assert B.shape == (1, *A.shape) and np.shares_memory(B, A)
+            np.testing.assert_array_equal(B[0], A)
+        # a zero row or column leaves a smaller block, which is gathered
+        for A, shape in ((X * [[1], [0], [1]], (2, 4)), (X * [1, 1, 0, 1], (3, 3))):
+            (B,) = numkit._blocks(A)
+            assert B.shape == (1, *shape) and not np.shares_memory(B, A)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_invariant_under_orthogonal(self, seed):

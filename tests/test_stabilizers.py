@@ -10,7 +10,6 @@ from manirep.groups import gl, so, su
 from manirep.numkit import OMEGA2, Tolerance, above_cutoff, frob, youla_blocks
 from manirep.stabilizers import (
     IdentityBlock,
-    commutant_sample,
     intersect_stabilizer_dim,
     stabilizer_congruence_skew,
     stabilizer_congruence_sym,
@@ -18,6 +17,7 @@ from manirep.stabilizers import (
     stabilizer_left_mult,
     stabilizer_similarity,
 )
+from oracles import commutant_sample
 
 
 def gl_kernel_dim(X, action, field):

@@ -1,6 +1,9 @@
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manirep.errors import InvalidDescriptor, UnsupportedGroup
 from manirep.gmodules import module_dim
@@ -18,6 +21,73 @@ from manirep.weyl import (
 
 def W(algebra, n, kappa):
     return HighestWeight(algebra, n, tuple(kappa))
+
+
+def _unit(size, p, scale=1):
+    return tuple(Fraction(scale) if i == p else Fraction(0) for i in range(size))
+
+
+def _combine(*terms):
+    """sum of c * v over (c, v) terms, for vectors of equal length"""
+    return tuple(sum(c * v[i] for c, v in terms) for i in range(len(terms[0][1])))
+
+
+def oracle_dim(algebra, n, kappa):
+    """Weyl's product of <lambda+rho, alpha> / <rho, alpha> over the positive roots alpha,
+    from the fundamental weights and root vectors of A_{n-1}, B_m, C_m and D_m in
+    epsilon-coordinates (Fulton-Harris, Representation Theory, ch. 24), in Fractions."""
+    m = rank_of(algebra, n)
+    size = n if algebra == "SL" else m
+    e = [_unit(size, p) for p in range(size)]
+    # fundamental weight i is e_1 + ... + e_{i+1}, except the spin weights of B and D
+    omega = [_combine(*((1, e[p]) for p in range(i + 1))) for i in range(m)]
+    half = Fraction(1, 2)
+    if algebra == "SO" and n % 2 == 1:
+        omega[m - 1] = _combine(*((half, e[p]) for p in range(m)))
+    elif algebra == "SO":
+        omega[m - 2] = _combine(*((half, e[p]) for p in range(m - 1)), (-half, e[m - 1]))
+        omega[m - 1] = _combine(*((half, e[p]) for p in range(m)))
+    roots = [_combine((1, e[p]), (-1, e[q])) for p, q in combinations(range(size), 2)]
+    if algebra != "SL":
+        roots += [_combine((1, e[p]), (1, e[q])) for p, q in combinations(range(size), 2)]
+    if algebra == "SO" and n % 2 == 1:
+        roots += e
+    elif algebra == "SP":
+        roots += [_combine((2, v)) for v in e]
+    rho = _combine(*((1, w) for w in omega))
+    lam_rho = _combine((1, rho), *((k, w) for k, w in zip(kappa, omega)))
+    dim = Fraction(1)
+    for alpha in roots:
+        dim *= sum(a * b for a, b in zip(lam_rho, alpha)) / sum(a * b for a, b in zip(rho, alpha))
+    assert dim.denominator == 1
+    return int(dim)
+
+
+@st.composite
+def weights(draw):
+    algebra = draw(st.sampled_from(["SL", "SO", "SP"]))
+    n = draw(st.integers(*{"SL": (2, 10), "SO": (3, 12), "SP": (1, 6)}[algebra]))
+    kappa = draw(st.lists(st.integers(0, 6), min_size=rank_of(algebra, n),
+                          max_size=rank_of(algebra, n)))
+    return algebra, n, tuple(kappa)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights())
+def test_weyl_dim_matches_the_root_oracle(weight):
+    assert weyl_dim(W(*weight)) == oracle_dim(*weight)
+
+
+@pytest.mark.parametrize("algebra,n", [("SL", 2), ("SO", 3), ("SO", 4), ("SO", 5), ("SO", 6),
+                                       ("SP", 1), ("SP", 2)])
+def test_root_oracle_on_the_catalog(algebra, n):
+    # the oracle itself, against the closed forms of the vector and adjoint modules
+    size = {"SL": n, "SO": n, "SP": 2 * n}[algebra]
+    adjoint = {"SL": size * size - 1, "SO": size * (size - 1) // 2, "SP": size * (size + 1) // 2}
+    assert oracle_dim(algebra, n, catalog_weight(algebra, n, "vector").kappa) == size
+    w = catalog_weight(algebra, n, "adjoint")
+    if w is not None:
+        assert oracle_dim(algebra, n, w.kappa) == adjoint[algebra]
 
 
 def test_paper_anchor_values():
@@ -135,7 +205,8 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("algebra,n,bound", [
         ("SL", 4, 30), ("SL", 5, 30), ("SL", 6, 22),
-        ("SO", 5, 60), ("SO", 6, 40), ("SP", 2, 60), ("SP", 3, 40),
+        ("SO", 3, 12), ("SO", 4, 30), ("SO", 5, 60), ("SO", 6, 40),
+        ("SP", 1, 12), ("SP", 2, 60), ("SP", 3, 40),
     ])
     def test_matches_brute_force(self, algebra, n, bound):
         m = rank_of(algebra, n)
@@ -154,7 +225,9 @@ class TestEnumeration:
         for kappa in tuples_with_sum_at_most(m, bound - 1):
             if weyl_dim(W(algebra, n, kappa)) <= bound:
                 brute.add(kappa)
-        assert {w.kappa for w, _ in enumerate_irreps_below(algebra, n, bound)} == brute
+        found = enumerate_irreps_below(algebra, n, bound)
+        assert {w.kappa for w, _ in found} == brute
+        assert all(d == oracle_dim(algebra, n, w.kappa) for w, d in found)
 
 
 class TestLowDimClassification:
