@@ -51,6 +51,7 @@ from .numkit import (
     DEFAULT_TOL,
     REAL,
     Tolerance,
+    clusters,
     mat_to_json,
     numerical_rank,
     takagi,
@@ -248,14 +249,9 @@ class CompactBlocks:
 
 
 def _group_eigs(vals: np.ndarray, tol: float) -> list[tuple[float, int]]:
-    groups: list[tuple[float, int]] = []
-    for v in np.sort(vals):
-        if groups and abs(v - groups[-1][0]) <= tol:
-            lam, k = groups[-1]
-            groups[-1] = ((lam * k + v) / (k + 1), k + 1)
-        else:
-            groups.append((float(v), 1))
-    return groups
+    """(mean, multiplicity) of each ``clusters`` cluster of the sorted real values, ascending."""
+    vals = np.sort(vals)
+    return [(float(np.mean(vals[idx])), len(idx)) for idx in clusters(vals, tol)]
 
 
 def _untwisted(m: ModuleDescriptor, X: np.ndarray) -> np.ndarray:
@@ -396,8 +392,7 @@ def _factor(m: ModuleDescriptor) -> Factor:
     return FACTORS[m.kind]
 
 
-def factor_stabilizer(module: ModuleDescriptor, X: np.ndarray, group: G.GroupDescriptor,
-                      tol: Tolerance = DEFAULT_TOL):
+def factor_stabilizer(module: ModuleDescriptor, X: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """Structured stabilizer of one witness, matching the factor's action."""
     return _factor(module).stabilizer(module, X, tol)
 
@@ -425,7 +420,7 @@ def stabilizer_form(
         raise InvalidDescriptor(f"expected {len(mods)} witnesses, got {len(witnesses)}")
     constraints = [(m, m.action, X) for m, X in zip(mods, witnesses)]
     h_dim = intersect_stabilizer_dim(spec.group, constraints, tol)  # rejects non-members first
-    factors = [factor_stabilizer(m, X, spec.group, tol) for m, X in zip(mods, witnesses)]
+    factors = [factor_stabilizer(m, X, tol) for m, X in zip(mods, witnesses)]
     return StabilizerFormReport(spec=spec, factors=factors, h_dim=h_dim)
 
 

@@ -415,7 +415,7 @@ class ManifoldDescriptor:
         if "p" in row.smallest and (self.p is None or self.p < 1):
             raise InvalidDescriptor(f"{self.family} needs an odd part p >= 1")
         if "pq" in row.smallest:
-            if self.pq is None or self.sizes is None:
+            if self.pq is None or self.sizes is None or (len(self.pq), len(self.sizes)) != (2, 2):
                 raise InvalidDescriptor(f"{self.family} needs pq=(p,q) and sizes=(m,n)")
             p, q = self.pq
             mm, nn = self.sizes
@@ -675,8 +675,8 @@ def _cartan_maps(ctype: str, n: int, k: int | None):
     if ctype not in _CARTAN:
         raise InvalidDescriptor(f"unknown symmetric-space type {ctype!r}")
     needs_k, build, cartan, minimal = _CARTAN[ctype]
-    if needs_k and k is None:
-        raise InvalidDescriptor(f"{ctype} needs k")
+    if needs_k and (k is None or not 0 <= k <= n):
+        raise InvalidDescriptor(f"{ctype} needs 0 <= k <= n")
     gp, M = build(n, k)
     return gp, (lambda Q: cartan(Q, M)), (lambda Q: minimal(Q, M))
 

@@ -14,7 +14,9 @@ to a unitary by the trailing columns of one complete QR.
 decided.  ``numerical_rank`` splits X into the connected blocks of its
 nonzero pattern (rows and columns joined by nonzero entries), takes one
 batched SVD per block shape and applies ``above_cutoff`` once to all their
-singular values, so one cutoff holds for every block.  Bases are built one
+singular values, so one cutoff holds for every block.  The same label
+propagation (``_labels``) gives the single-linkage ``clusters`` of a set of
+eigenvalues, the one clustering rule.  Bases are built one
 way: a span of unit matrices (``unit_stack``) cut by linear conditions
 (``span_kernel``), kept read-only in one bounded LRU (``cached_basis``).
 Apart from that cache all functions are pure.
@@ -173,18 +175,16 @@ def numerical_rank(X: np.ndarray, tol: Tolerance = DEFAULT_TOL, *, strict: bool 
     return int(above_cutoff(np.concatenate([np.zeros(0), *s]), tol, strict=strict).sum())
 
 
-def _blocks(X: np.ndarray):
-    """The connected blocks of a 2-d X, as one (k, p, q) stack per block shape.
+def _labels(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Component labels of the rows and columns of a 2-d X, by label propagation.
 
-    Rows and columns are the nodes of a bipartite graph with an edge at each nonzero entry;
-    a block is X on the rows and columns of one connected component, found by label
-    propagation.  Labels are row numbers.  A pass gives each column the least label of its
-    rows and stops once the columns of each row share one label, which is then the label
-    of the row's component.  Otherwise each row and the row its label names take the least
-    label of the row's columns, and each row its label's label, so labels only fall, stay
-    inside their component, and meet in a few passes.  All-zero rows and columns, whose
-    singular values are 0, are in no block.  A block spanning every row and column is X
-    itself, not a copy."""
+    Rows and columns are the nodes of a bipartite graph with an edge at each nonzero entry.
+    Labels are row numbers.  A pass gives each column the least label of its rows and stops
+    once the columns of each row share one label, which is then the label of the row's
+    component.  Otherwise each row and the row its label names take the least label of the
+    row's columns, and each row its label's label, so labels only fall, stay inside their
+    component, and meet in a few passes.  Each component ends labelled by its least row;
+    all-zero rows and columns, in no component, get the label ``len(X)``."""
     m, n = X.shape
     flat = np.flatnonzero(X != 0)  # row by row, so each row's edges are one run
     bounds = np.searchsorted(flat, np.arange(m + 1) * n)
@@ -202,12 +202,24 @@ def _blocks(X: np.ndarray):
         np.minimum.at(rl, rl[live], lo)
         rl[live] = np.minimum(rl[live], lo)
         rl = rl[rl]
+    rl = np.full(m, m)
     rl[live] = lo
-    if live.size == m > 0 and (cl == lo[0]).all():  # one block spanning X: no gather
+    return rl, cl
+
+
+def _blocks(X: np.ndarray):
+    """The connected blocks of a 2-d X, as one (k, p, q) stack per block shape.
+
+    A block is X on the rows and columns of one component of ``_labels``, blocks in label
+    order.  All-zero rows and columns, whose singular values are 0, are in no block.  A
+    block spanning every row and column is X itself, not a copy."""
+    m, n = X.shape
+    rl, cl = _labels(X)
+    if m and not (rl.any() or cl.any()):  # one block spanning X: no gather
         yield X[None]
         return
-    cols = np.flatnonzero(cl < m)
-    rows = live[np.argsort(rl[live], kind="stable")]
+    rows, cols = np.flatnonzero(rl < m), np.flatnonzero(cl < m)
+    rows = rows[np.argsort(rl[rows], kind="stable")]
     cols = cols[np.argsort(cl[cols], kind="stable")]
     p, q = np.bincount(rl[rows], minlength=m), np.bincount(cl[cols], minlength=m)
     p, q = p[p > 0], q[q > 0]  # rows and columns of each block, blocks in label order
@@ -217,6 +229,18 @@ def _blocks(X: np.ndarray):
         k = shape == key
         yield X[rows[r0[k, None] + np.arange(key // (n + 1))][:, :, None],
                 cols[c0[k, None] + np.arange(key % (n + 1))][:, None, :]]
+
+
+def clusters(values: np.ndarray, radius: float) -> list[np.ndarray]:
+    """Single-linkage clusters of finite real or complex values: the components of the graph
+    joining v_i and v_j when |v_i - v_j| <= radius, found by ``_labels``.  Each cluster is an
+    ascending index array; clusters are ordered by their least index."""
+    v = np.ravel(values)
+    if not v.size:
+        return []
+    labels = _labels(np.abs(v[:, None] - v) <= radius)[0]
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
 def above_cutoff(
@@ -294,12 +318,18 @@ def cached_basis(build, desc) -> np.ndarray:
 
 
 def _check_symmetry(X: np.ndarray, sign: float, tol: Tolerance) -> None:
-    dev = frob(X + sign * X.T)
-    bound = max(tol.abs_eps, tol.rel_eps * max(frob(X), 1.0))
+    """Raise unless |X + sign X^T| <= max(abs_eps, rel_eps * max(|X|, 1)) (Frobenius norms).
+
+    Both sides are divided by s = max(max |x_ij|, 1) before any norm is taken, so a norm
+    that would overflow cannot turn the test into inf > inf, which passes."""
+    s = max(float(np.abs(X).max(initial=0.0)), 1.0)
+    Y = X / s
+    dev = frob(Y + sign * Y.T)
+    bound = max(tol.abs_eps / s, tol.rel_eps * max(frob(Y), 1.0 / s))
     if dev > bound:
         if sign < 0:
-            raise NotSymmetric(f"symmetry defect {dev:g} exceeds {bound:g}")
-        raise NotSkew(f"skewness defect {dev:g} exceeds {bound:g}")
+            raise NotSymmetric(f"symmetry defect {dev * s:g} exceeds {bound * s:g}")
+        raise NotSkew(f"skewness defect {dev * s:g} exceeds {bound * s:g}")
 
 
 def complete_unitary(Q: np.ndarray) -> np.ndarray:

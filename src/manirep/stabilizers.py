@@ -3,9 +3,12 @@
 For left multiplication on rectangular matrices and congruence on (skew-)
 symmetric ones, the stabilizer inside GL_n is a conjugated block-parabolic
 subgroup; for similarity it is the invertible part of the commutant,
-described by Segre characteristics per eigenvalue.  Each structured result
-carries its exact dimension, which must (and in the test suite does) agree
-with the numeric kernel of the linearized fixing condition.
+described by Segre characteristics per eigenvalue.  The exact and numeric
+similarity paths differ only in how they find the eigenvalue classes and
+rank a matrix; one routine (``_segre``) reads the block sizes of a class off
+the nullities of the powers of its factor.  Each structured result carries
+its exact dimension, which must (and in the test suite does) agree with the
+numeric kernel of the linearized fixing condition.
 
 Convention note: a congruence stabilizer block satisfies C G C^T = G for
 the canonical middle form G; in the standard convention (Q^T F Q = F) that
@@ -25,6 +28,7 @@ from .errors import (
     IllConditioned,
     InvalidDescriptor,
     ManirepError,
+    NonFinite,
     SizeMismatch,
     WitnessNotInModule,
 )
@@ -37,6 +41,7 @@ from .numkit import (
     _check_symmetry,
     _rows,
     above_cutoff,
+    clusters,
     mat_to_json,
     numerical_rank,
     require_square,
@@ -228,18 +233,42 @@ class ToeplitzBlockDescriptor:
         }
 
 
-def _blocks_from_nullities(nullities: list[int]) -> tuple[int, ...]:
-    """Segre characteristics from nullity(P^j) scaled to one eigenvalue."""
-    geq = []  # geq[j] = number of blocks of size >= j+1
-    prev = 0
-    for nu in nullities:
-        geq.append(nu - prev)
-        prev = nu
-    sizes = []
-    for j, count in enumerate(geq):
-        nxt = geq[j + 1] if j + 1 < len(geq) else 0
-        sizes.extend([j + 1] * (count - nxt))
-    return tuple(sorted(sizes, reverse=True))
+def _segre(rank, P, degree: int, total: int, error: type[ManirepError]) -> tuple[int, ...]:
+    """Segre characteristic (block sizes, descending) shared by the roots of one factor.
+
+    P is p(X) for a factor p of the characteristic polynomial, irreducible over the field and
+    of the given degree, and ``total`` the dimension of the kernel of P^n.  The nullities of
+    P, P^2, ... (by ``rank``) are taken until they stop rising or reach ``total``; their
+    steps, divided by the degree, are the Weyr characteristic, whose conjugate partition is
+    the block sizes (Gantmacher, The Theory of Matrices I, ch. VIII).  A step not divisible
+    by the degree, a rising Weyr characteristic or a chain that stops short of ``total``
+    raises ``error``."""
+    n = P.shape[0]
+    nullities, Pk = [0], P
+    while True:
+        nu = n - rank(Pk)
+        if nu <= nullities[-1]:
+            break
+        nullities.append(nu)
+        if nu >= total:
+            break
+        Pk = Pk @ P
+    weyr, odd = np.divmod(np.diff(nullities), degree)
+    if odd.any():
+        raise error("nullity chain inconsistent with eigenvalue pairing")
+    if (np.diff(weyr) > 0).any() or nullities[-1] != total:
+        raise error("block sizes do not account for the multiplicity")
+    return tuple(int((weyr >= k).sum()) for k in range(1, int(weyr[0]) + 1))
+
+
+def _descriptor(classes: list[EigenClass], field: str, n: int,
+                error: type[ManirepError]) -> ToeplitzBlockDescriptor:
+    """The classes sorted (largest block first, then by value), checked to fill the size n."""
+    classes.sort(key=lambda c: (-max(c.blocks), c.value.real, c.value.imag))
+    out = ToeplitzBlockDescriptor(classes=classes, field=field)
+    if out.total_size != n:
+        raise error("eigenvalue classes do not account for the full size")
+    return out
 
 
 def stabilizer_similarity(
@@ -253,13 +282,22 @@ def stabilizer_similarity(
     Exact mode treats every entry as the exact rational (or Gaussian
     rational) value of its float and computes Segre characteristics from
     exact ranks of powers of the irreducible factors of the characteristic
-    polynomial.  Numeric mode clusters floating eigenvalues within the
-    tolerance and raises :class:`IllConditioned` when clusters nearly merge.
+    polynomial.  Over R an irreducible factor has exactly as many real roots
+    as its Sturm count (``count_roots``): those of least |imag| are ``real``
+    classes and the rest give one ``complex-pair`` class per root with
+    positive imaginary part, with no tolerance involved.  Numeric mode joins
+    eigenvalues within the tolerance into clusters (``numkit.clusters``),
+    pairs each non-real cluster over R with the one nearest its conjugate,
+    and raises :class:`IllConditioned` when clusters nearly merge or a pair
+    or a block structure does not fit.  Both modes raise :class:`NonFinite`
+    when an eigenvalue is beyond the float range.
     """
     n = np.asarray(X).shape[0]
     if np.asarray(X).shape != (n, n):
         raise SizeMismatch("similarity needs a square matrix")
     field = _field_of(X, field)
+    if field == REAL and np.iscomplexobj(X) and np.asarray(X).imag.any():
+        raise SizeMismatch("real-field matrix has nonzero imaginary part")
     if mode == "exact":
         return _similarity_exact(X, field)
     if mode == "numeric":
@@ -278,144 +316,66 @@ def _similarity_exact(X: np.ndarray, field: str) -> ToeplitzBlockDescriptor:
                        for row in np.asarray(X)])
     n = Xs.rows
     lam = sympy.Symbol("lam")
-    p = Xs.charpoly(lam)
-    gaussian = field == COMPLEX
-    _, factors = sympy.factor_list(p.as_expr(), lam, gaussian=gaussian)
+    _, factors = sympy.factor_list(Xs.charpoly(lam).as_expr(), lam, gaussian=field == COMPLEX)
     classes: list[EigenClass] = []
     for fac, mult in factors:
         poly = sympy.Poly(fac, lam)
-        d = poly.degree()
-        coeffs = poly.all_coeffs()
         P = sympy.zeros(n, n)
-        for c in coeffs:
+        for c in poly.all_coeffs():
             P = P * Xs + c * sympy.eye(n)
-        nullities = []
-        Pk = sympy.eye(n)
-        while True:
-            Pk = Pk * P
-            nu = n - Pk.rank()
-            if nullities and nu == nullities[-1]:
-                break
-            nullities.append(nu)
-            if nu == d * mult:
-                break
-        scaled = []
-        for nu in nullities:
-            q, r = divmod(nu, d)
-            if r:
-                raise ManirepError("nullity not divisible by factor degree")
-            scaled.append(q)
-        blocks = _blocks_from_nullities(scaled)
-        roots = np.roots([complex(c) for c in coeffs])
-        if field == REAL:
-            used = np.zeros(len(roots), dtype=bool)
-            for i, z in enumerate(roots):
-                if used[i]:
-                    continue
-                if abs(z.imag) < 1e-9:
-                    classes.append(EigenClass("real", complex(z.real), blocks))
-                    used[i] = True
-                else:
-                    used[i] = True
-                    for j in range(i + 1, len(roots)):
-                        if not used[j] and abs(roots[j] - np.conj(z)) < 1e-6:
-                            used[j] = True
-                            break
-                    rep = z if z.imag > 0 else np.conj(z)
-                    classes.append(EigenClass("complex-pair", complex(rep), blocks))
-        else:
-            for z in roots:
-                classes.append(EigenClass("complex", complex(z), blocks))
-    classes.sort(key=lambda c: (-max(c.blocks), c.value.real, c.value.imag))
-    out = ToeplitzBlockDescriptor(classes=classes, field=field)
-    if out.total_size != n:
-        raise ManirepError("eigenvalue classes do not account for the full size")
-    return out
+        blocks = _segre(sympy.Matrix.rank, P, poly.degree(), poly.degree() * mult, ManirepError)
+        coeffs = np.array([complex(c) for c in poly.monic().all_coeffs()])
+        if not np.isfinite(coeffs).all():
+            raise NonFinite("an eigenvalue is beyond the float range")
+        # a linear factor's root exactly (+ 0.0 turns -0.0 into 0.0)
+        roots = np.roots(coeffs) if len(coeffs) > 2 else -coeffs[1:] + 0.0
+        if field == COMPLEX:
+            classes += [EigenClass("complex", complex(z), blocks) for z in roots]
+            continue
+        # an irreducible real factor has exactly count_roots() real roots (Sturm)
+        real = np.argsort(np.abs(roots.imag))[: poly.count_roots()]
+        classes += [EigenClass("real", complex(z.real), blocks) for z in roots[real]]
+        pairs = np.delete(roots, real)
+        classes += [EigenClass("complex-pair", complex(z), blocks) for z in pairs[pairs.imag > 0]]
+    return _descriptor(classes, field, n, ManirepError)
 
 
 def _similarity_numeric(X: np.ndarray, field: str, tol: Tolerance) -> ToeplitzBlockDescriptor:
     Xc = np.asarray(X, dtype=complex)
     n = Xc.shape[0]
     vals = np.linalg.eigvals(Xc)
-    scale = max(np.abs(vals).max(initial=0.0), 1.0)
-    merge = tol.cutoff(scale)
-    # union-find clustering of eigenvalues within the merge radius
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(vals[i] - vals[j]) <= merge:
-                parent[find(i)] = find(j)
-    clusters: dict[int, list[int]] = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-    reps = [(np.mean(vals[idx]), len(idx)) for idx in clusters.values()]
+    if not np.isfinite(vals).all():
+        raise NonFinite("an eigenvalue is beyond the float range")
+    merge = tol.cutoff(max(np.abs(vals).max(initial=0.0), 1.0))
+    members = clusters(vals, merge)
+    reps = np.array([np.mean(vals[idx]) for idx in members], dtype=complex)
+    ids = np.arange(len(reps))
     # nearly-touching clusters mean the Jordan structure is not decidable
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if abs(reps[i][0] - reps[j][0]) < 10 * merge:
-                raise IllConditioned("eigenvalue clusters nearly merge at this tolerance")
-
+    if (np.abs(reps[:, None] - reps)[np.triu_indices(len(reps), 1)] < 10 * merge).any():
+        raise IllConditioned("eigenvalue clusters nearly merge at this tolerance")
+    # over R a cluster off the real axis pairs with the other such cluster nearest its conjugate
+    pair = (np.abs(reps.imag) > merge) & (field == REAL)
+    mate = ids
+    if pair.any():
+        dist = np.abs(reps[:, None] - reps.conj()) + np.where(pair, 0.0, np.inf)[:, None]
+        np.fill_diagonal(dist, np.inf)
+        mate = dist.argmin(axis=0)
+        if (pair & ((dist[mate, ids] > 10 * merge) | (mate[mate] != ids))).any():
+            raise IllConditioned("unpaired complex eigenvalue over the reals")
     classes: list[EigenClass] = []
-    used = [False] * len(reps)
-    for i, (z, mult) in enumerate(reps):
-        if used[i]:
-            continue
-        used[i] = True
-        if field == REAL and abs(z.imag) > merge:
-            # pair with the conjugate cluster
-            jmate = None
-            for j in range(len(reps)):
-                if not used[j] and abs(reps[j][0] - np.conj(z)) <= 10 * merge:
-                    jmate = j
-                    break
-            if jmate is None:
-                raise IllConditioned("unpaired complex eigenvalue over the reals")
-            used[jmate] = True
+    for i in np.flatnonzero(~pair | (mate > ids)):  # a pair from its first cluster
+        z = reps[i]
+        if pair[i]:
             P = (Xc - z * np.eye(n)) @ (Xc - np.conj(z) * np.eye(n))
-            degree = 2
-            total = 2 * mult
-            kind = "complex-pair"
-            rep = z if z.imag > 0 else np.conj(z)
+            degree, kind, rep = 2, "complex-pair", z if z.imag > 0 else np.conj(z)
         else:
-            if field == REAL:
-                z = complex(z.real)
+            z = complex(z.real) if field == REAL else z
             P = Xc - z * np.eye(n)
-            degree = 1
-            total = mult
-            kind = "real" if field == REAL else "complex"
-            rep = z
-        nullities = []
-        Pk = np.eye(n, dtype=complex)
-        while True:
-            Pk = Pk @ P
-            nu = n - numerical_rank(Pk, tol)
-            if nullities and nu <= nullities[-1]:
-                break
-            nullities.append(nu)
-            if nu >= total:
-                break
-        scaled = []
-        for nu in nullities:
-            q, r = divmod(nu, degree)
-            if r != 0:
-                raise IllConditioned("nullity chain inconsistent with eigenvalue pairing")
-            scaled.append(q)
-        blocks = _blocks_from_nullities(scaled)
-        if sum(blocks) * degree != total:
-            raise IllConditioned("block sizes do not account for the multiplicity")
+            degree, kind, rep = 1, "real" if field == REAL else "complex", z
+        blocks = _segre(lambda M: numerical_rank(M, tol), P, degree, degree * len(members[i]),
+                        IllConditioned)
         classes.append(EigenClass(kind, complex(rep), blocks))
-    classes.sort(key=lambda c: (-max(c.blocks), c.value.real, c.value.imag))
-    out = ToeplitzBlockDescriptor(classes=classes, field=field)
-    if out.total_size != n:
-        raise IllConditioned("eigenvalue classes do not account for the full size")
-    return out
+    return _descriptor(classes, field, n, IllConditioned)
 
 
 def stabilizer_dim_in_group(

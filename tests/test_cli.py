@@ -365,3 +365,47 @@ def test_numeric_verbs_do_not_load_scipy_and_verify_does(tmp_path):
     assert proc.stdout.splitlines() == [
         "False", "census 0 False", "stabilizer 0 False", "stabilizer 0 False",
         "stabilizer 0 False", "embed 0 False", "verify 0 True"]
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--manifold", "gr-indefinite", "--n", "2", "--pq", "1", "--sizes", "2,2"],
+    ["embed", "--manifold", "gr-indefinite", "--n", "2", "--pq", "1,1", "--sizes", "2"],
+    ["cartan", "--type", "AIII", "--n", "3", "--k", "5"],
+    ["cartan", "--type", "CII", "--n", "2", "--k", "-1"],
+], ids=["pq-one-entry", "sizes-one-entry", "cartan-k-above-n", "cartan-k-negative"])
+def test_descriptor_arguments_out_of_shape_are_json_errors(capsys, argv):
+    assert main(argv) == 1
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["error"]["type"] == "InvalidDescriptor"
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_cartan_k_at_the_ends_of_its_range(capsys, k):
+    code, payload = run_cli(capsys, "cartan", "--type", "AIII", "--n", "3", "--k", str(k))
+    assert code == 0 and payload["params"] == {"n": 3, "k": k}
+
+
+def _overflowing_file(tmp_path):
+    """A finite symmetric matrix whose eigenvalue 2e308 and Frobenius norm overflow."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 2, "field": "R", "data": [[1e308, 0]] * 4}))
+    return str(path)
+
+
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+def test_similarity_with_an_overflowing_spectrum_is_a_json_error(tmp_path, capsys, mode):
+    assert main(["stabilizer", "--action", "similarity", "--mode", mode,
+                 "--matrix", _overflowing_file(tmp_path)]) == 1
+    assert _strict_json(capsys.readouterr().out)["error"]["type"] == "NonFinite"
+
+
+def test_huge_symmetric_matrix_is_not_skew(tmp_path, capsys):
+    assert main(["stabilizer", "--action", "congruence-skew",
+                 "--matrix", _overflowing_file(tmp_path)]) == 1
+    assert _strict_json(capsys.readouterr().out)["error"]["type"] == "NotSkew"

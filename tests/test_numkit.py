@@ -482,3 +482,52 @@ def test_block_rank_equals_dense_rank_property(X):
             numerical_rank(X, strict=True)
     else:
         assert numerical_rank(X, strict=True) == want
+
+
+def union_find_clusters(values, radius):
+    """Brute-force oracle: union-find over every pair within ``radius``, clusters as sorted
+    index lists ordered by their least index."""
+    parent = list(range(len(values)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(values)):
+        for j in range(i):
+            if np.abs(values[i] - values[j]) <= radius:
+                parent[find(i)] = find(j)
+    out = {}
+    for i in range(len(values)):
+        out.setdefault(find(i), []).append(i)
+    return sorted(out.values())
+
+
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3)), max_size=25),
+       st.sampled_from([0.0, 0.5, 1.0, 1.5]), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_clusters_match_a_union_find_property(points, radius, real):
+    """Points on a half-unit grid in C (or on R): chains of neighbours link clusters far
+    longer than the radius, and repeated points share a cluster at radius 0."""
+    v = np.array([x / 2 + (0 if real else 1j * y / 2) for x, y in points])
+    got = numkit.clusters(v, radius)
+    assert [list(c) for c in got] == union_find_clusters(v, radius)
+    assert all(np.array_equal(c, np.sort(c)) for c in got)
+
+
+def test_clusters_of_a_chain_and_of_nothing():
+    assert [list(c) for c in numkit.clusters([3.0, 0.0, 1.0, 2.0, 10.0], 1.0)] == [[0, 1, 2, 3],
+                                                                                   [4]]
+    assert numkit.clusters(np.zeros(0), 1.0) == []
+
+
+def test_symmetry_check_of_an_overflowing_norm():
+    """|X| and |X + X^T| overflow for these finite matrices; the check must still decide."""
+    big = np.full((2, 2), 1e308)
+    with pytest.raises(NotSkew):
+        youla_skew(big)
+    with pytest.raises(NotSymmetric):
+        numkit._check_symmetry(np.array([[0.0, 1e308], [-1e308, 0.0]]), -1.0, DEFAULT_TOL)
+    numkit._check_symmetry(np.array([[0.0, 1e308], [-1e308, 0.0]]), +1.0, DEFAULT_TOL)
+    numkit._check_symmetry(big, -1.0, DEFAULT_TOL)

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manirep import groups
-from manirep.errors import IllConditioned, WitnessNotInModule
+from manirep.errors import IllConditioned, NonFinite, WitnessNotInModule
 from manirep.gmodules import ActionKind, ModuleDescriptor, dact
 from manirep.groups import gl, so, su
 from manirep.numkit import OMEGA2, Tolerance, above_cutoff, frob, youla_blocks
 from manirep.stabilizers import (
     IdentityBlock,
+    _segre,
     intersect_stabilizer_dim,
     stabilizer_congruence_skew,
     stabilizer_congruence_sym,
@@ -406,3 +407,111 @@ def test_intersection_dim_equals_the_dense_rank(g):
         got = intersect_stabilizer_dim(g, [(m, m.action, W)
                                            for m, W in zip(rep.modules, witnesses)])
         assert got == want
+
+
+def _companion(*c):
+    """Companion matrix of the monic x^n + c[0] x^(n-1) + ... + c[n-1]."""
+    n = len(c)
+    M = np.zeros((n, n))
+    M[1:, :-1] = np.eye(n - 1)
+    M[:, -1] = -np.array(c[::-1], dtype=float)
+    return M
+
+
+@pytest.mark.parametrize("coeffs, kinds, blocks, dim", [
+    ((0, -2), ["real", "real"], [(1,), (1,)], 2),                           # x^2 - 2
+    ((0, 0, -2), ["complex-pair", "real"], [(1,), (1,)], 3),                # x^3 - 2
+    ((0, 0, 0, 1), ["complex-pair", "complex-pair"], [(1,), (1,)], 4),      # x^4 + 1
+    ((0, 2, 0, 1), ["complex-pair"], [(2,)], 4),                            # (x^2 + 1)^2
+], ids=["x2-2", "x3-2", "x4+1", "(x2+1)^2"])
+def test_exact_similarity_of_companion_matrices(coeffs, kinds, blocks, dim):
+    """A companion matrix has one Jordan block per root; over R an irreducible factor gives
+    one real class per real root and one complex-pair class per root of positive imag."""
+    C = _companion(*coeffs)
+    td = stabilizer_similarity(C, "exact")
+    assert sorted(c.kind for c in td.classes) == kinds
+    assert sorted(c.blocks for c in td.classes) == blocks
+    assert td.commutant_dim == dim and td.total_size == len(coeffs)
+    assert all(c.value.imag > 0 for c in td.classes if c.kind == "complex-pair")
+    assert all(c.value.imag == 0 for c in td.classes if c.kind == "real")
+    roots = np.roots([1, *coeffs])
+    for c in td.classes:
+        assert np.abs(roots - c.value).min() < 1e-7
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e300])
+def test_exact_similarity_reports_extreme_eigenvalues(x):
+    """The factor of a float eigenvalue x is exact but its primitive form 2^k lam - m can have
+    coefficients beyond the float range; the eigenvalue still comes out as x."""
+    td = stabilizer_similarity(np.diag([x, 0.0]), "exact")
+    assert sorted(c.value.real for c in td.classes) == [0.0, x]
+    assert all(c.value.imag == 0 for c in td.classes)
+
+
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+def test_similarity_of_an_overflowing_spectrum_is_non_finite(mode):
+    with pytest.raises(NonFinite):
+        stabilizer_similarity(np.full((2, 2), 1e308), mode)
+
+
+def test_segre_reads_blocks_off_the_weyr_characteristic():
+    class Boom(IllConditioned):
+        pass
+
+    def fake(*nullities, n=6):
+        ranks = iter(n - nu for nu in nullities)
+        return lambda M: next(ranks)
+
+    P = np.zeros((6, 6))
+    assert _segre(fake(2, 3), P, 1, 3, Boom) == (2, 1)          # Weyr 2, 1: J_2 + J_1
+    assert _segre(fake(2, 4, 6), P, 2, 6, Boom) == (3,)         # Weyr 1, 1, 1 of a pair
+    with pytest.raises(Boom):
+        _segre(fake(1, 3), P, 1, 3, Boom)                        # Weyr 1, 2 rises
+    with pytest.raises(Boom):
+        _segre(fake(1, 4), P, 2, 4, Boom)                        # a step of 1 for degree 2
+    with pytest.raises(Boom):
+        _segre(fake(2, 2), P, 1, 3, Boom)                        # stops short of the total
+
+
+@st.composite
+def planned_spectra(draw):
+    """(field, eigenvalues with multiplicities) for a normal matrix: distinct values on a unit
+    grid, each repeated 1-3 times; over R also rotation planes a I + b Omega, b > 0."""
+    field = draw(st.sampled_from(["R", "C"]))
+    grid = [complex(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+    if field == "R":
+        grid = [z for z in grid if z.imag >= 0]
+    vals = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=4, unique=True))
+    mults = [draw(st.integers(min_value=1, max_value=3)) for _ in vals]
+    return field, list(zip(vals, mults)), draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+@given(planned_spectra())
+@settings(max_examples=60, deadline=None)
+def test_numeric_similarity_finds_planned_classes_property(plan):
+    """Q diag(planned) Q^-1 for orthogonal or unitary Q: one class per planned value (one per
+    conjugate pair over R) of as many 1 x 1 blocks as its multiplicity, and commutant
+    dimension sum m^2 (2 m^2 for a pair over R)."""
+    field, spec, seed = plan
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for z, m in spec:
+        B = z.real * np.eye(2) - z.imag * OMEGA2 if field == "R" and z.imag else np.array([[z]])
+        blocks += [B] * m
+    n = sum(len(B) for B in blocks)
+    D = np.zeros((n, n), dtype=float if field == "R" else complex)
+    i = 0
+    for B in blocks:
+        D[i:i + len(B), i:i + len(B)] = B if field == "C" else B.real
+        i += len(B)
+    M = rng.standard_normal((n, n)) + (0 if field == "R" else 1j * rng.standard_normal((n, n)))
+    Q = np.linalg.qr(M)[0]
+    td = stabilizer_similarity(Q @ D @ Q.conj().T, "numeric", field=field)
+    kind = {"C": "complex", "R": "real"}[field]
+    want = sorted((("complex-pair" if field == "R" and z.imag else kind), (1,) * m,
+                   round(z.real), round(z.imag)) for z, m in spec)
+    got = sorted((c.kind, c.blocks, round(c.value.real), round(c.value.imag)) for c in td.classes)
+    assert got == want
+    assert td.commutant_dim == sum((2 if field == "R" and z.imag else 1) * m * m for z, m in spec)
+    for c in td.classes:
+        assert min(abs(c.value - z) for z, _ in spec) < 1e-8
