@@ -3,11 +3,11 @@
 For each supported group family there is a short list of low-dimensional
 irreducible modules (see :mod:`manirep.weyl`), so a candidate target is
 just a tuple of multiplicities.  Each family is one :class:`GroupFamily`
-row of ``GROUP_FAMILIES``: the multiplicity names, factor kinds and ranges,
-and the admissibility rule, a single exact rational inequality equivalent
-to the total dimension staying within the square (or four-squares, for
-symplectic rank) bound; the unitary and compact symplectic families
-instead have hard-coded short lists.
+row of ``GROUP_FAMILIES``: the multiplicity names, factor kinds and ranges.
+A target is admissible when its total module dimension dim W stays within
+n^2; the exact value reported is (dim W - n^2) / divisor, halved for Sp
+(the bound in its symplectic rank).  The unitary and compact symplectic
+families instead have hard-coded short lists.
 
 ``stabilizer_form`` assembles the subgroup realized by a tuple of witness
 points, one per module factor: per-factor structured stabilizers plus the
@@ -66,26 +66,6 @@ from .stabilizers import (
 )
 
 
-def _sl_value(n, mult, dim_total):
-    b, c, d, e = mult
-    return (Fraction(c + d, 2) + e - 1) * n**2 + (b - Fraction(c, 2) + Fraction(d, 2)) * n - e
-
-
-def _so_value(n, mult, dim_total):
-    b, c, d = mult
-    return (Fraction(c + d, 2) - 1) * n**2 + (b + Fraction(d - c, 2)) * n - d
-
-
-def _sp_value(n, mult, dim_total):
-    b, c, d = mult
-    half = n // 2
-    return (c + d - 2) * half**2 + (b - Fraction(c - d, 2)) * half - Fraction(c, 2)
-
-
-def _square_excess(n, mult, dim_total):
-    return Fraction(dim_total - n**2)
-
-
 @dataclass(frozen=True)
 class GroupFamily:
     """Candidate targets of one group family.
@@ -93,16 +73,16 @@ class GroupFamily:
     With ``stack`` the first multiplicity ``b`` (0..n) is the column count
     of one RectNK factor.  Each entry (name, kind, bound) of ``slots`` is a
     further multiplicity, 0..bound-1 copies of one factor kind; ``twisted``
-    factors carry the group's form.  ``inequality(n, mult, dim_total)`` is
-    the exact admissibility value.  A target is admissible when it is in
-    ``listed`` or, for a family without a list, when it is in range and the
-    value is <= 0.  ``catalog`` says whether ``census`` reports the
-    low-dimensional Weyl catalog.
+    factors carry the group's form.  The exact admissibility value is
+    (dim W - n^2) / ``divisor`` for the total module dimension dim W.  A
+    target is admissible when it is in ``listed`` or, for a family without
+    a list, when it is in range and the value is <= 0.  ``catalog`` says
+    whether ``census`` reports the low-dimensional Weyl catalog.
     """
 
     name: str
     slots: tuple[tuple[str, str, int], ...]
-    inequality: Callable[[int, tuple[int, ...], int], Fraction]
+    divisor: int = 1
     stack: bool = True
     twisted: bool = False
     listed: frozenset | None = None
@@ -117,18 +97,17 @@ class GroupFamily:
         return stack + [range(bound) for _, _, bound in self.slots]
 
 
-_SO = GroupFamily("SO", (("c", "Alt2", 3), ("d", "Sym2Traceless", 3)), _so_value)
+_SO = GroupFamily("SO", (("c", "Alt2", 3), ("d", "Sym2Traceless", 3)))
 GROUP_FAMILIES = {
-    G.SL: GroupFamily("SL", (("c", "Alt2", 3), ("d", "Sym2", 2), ("e", "SLnTraceless", 2)),
-                      _sl_value),
+    G.SL: GroupFamily("SL", (("c", "Alt2", 3), ("d", "Sym2", 2), ("e", "SLnTraceless", 2))),
     G.SO: _SO,
     G.SOPQ: replace(_SO, twisted=True),
-    G.SP: GroupFamily("Sp", (("c", "Sym2TracelessForm", 2), ("d", "Alt2Form", 2)), _sp_value),
-    G.SU: GroupFamily("SU", (("a", "SUAlgebra", 2),), _square_excess, stack=False,
+    G.SP: GroupFamily("Sp", (("c", "Sym2TracelessForm", 2), ("d", "Alt2Form", 2)), divisor=2),
+    G.SU: GroupFamily("SU", (("a", "SUAlgebra", 2),), stack=False,
                       listed=frozenset({(1,)}), catalog=False),
     G.SP_COMPACT: GroupFamily("SpC", (("c", "SymTracelessCapSU", 2), ("d", "SpAlgebra", 2)),
-                              _square_excess, stack=False,
-                              listed=frozenset({(0, 1), (1, 0), (1, 1)}), catalog=False),
+                              stack=False, listed=frozenset({(0, 1), (1, 0), (1, 1)}),
+                              catalog=False),
 }
 
 
@@ -198,7 +177,7 @@ def admissible(spec: TargetSpec) -> AdmissibilityReport:
     in_range = all(m in r for m, r in zip(mult, ranges))
     mods = spec.modules()
     dim_total = sum(module_dim(m) for m in mods)
-    value = fam.inequality(g.n, mult, dim_total)
+    value = Fraction(dim_total - g.n**2, fam.divisor)
     if fam.listed is not None:
         ok = tuple(mult) in fam.listed
     else:

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidDescriptor, ModuleNotPreserved, NotInGroup, SizeMismatch
-from .groups import GroupDescriptor, J2n, contains as group_contains
+from .groups import GroupDescriptor, J2n, checked_form, contains as group_contains
 from .numkit import (ALL, ANTI_HERMITIAN, COMPLEX, DEFAULT_TOL, HERMITIAN, REAL, SKEW, SYM,
                      Tolerance, cached_basis, frob, mat_from_json, mat_to_json, span_kernel,
                      unit_stack)
@@ -153,15 +153,8 @@ class ModuleDescriptor:
         if KINDS[self.kind].skew_form and self.n % 2:
             raise InvalidDescriptor(f"{self.kind} needs even ambient size")
         if self.form is not None:
-            self.form = np.asarray(self.form, dtype=complex if self._complex_entries else float)
-            if self.form.shape != (self.n, self.n):
-                raise InvalidDescriptor("form has wrong size")
-            skewish = KINDS[self.kind].skew_form
-            defect = frob(self.form + (1 if skewish else -1) * self.form.T)
-            if defect > 1e-12 * max(frob(self.form), 1.0):
-                raise InvalidDescriptor("form has the wrong symmetry for this kind")
-            if np.linalg.matrix_rank(self.form) < self.n:
-                raise InvalidDescriptor("form must be nondegenerate")
+            self.form = checked_form(self.form, self.n, KINDS[self.kind].skew_form,
+                                     complex if self._complex_entries else float)
 
     @property
     def _complex_entries(self) -> bool:

@@ -4,8 +4,11 @@ A :class:`GroupDescriptor` names a concrete matrix subgroup of GL_n.  The
 core families are the special linear, orthogonal, symplectic, unitary,
 indefinite-orthogonal, and compact-symplectic groups; GL, O, and U are also
 supported so that stabilizer computations can hand back their block factors
-as first-class descriptors.  A nonstandard symmetric form B or skew form
-Omega selects a conjugated copy of the same abstract group.
+as first-class descriptors.  Each family is one :class:`Traits` row of
+``TRAITS``, which every function below reads; only SO_{p,q}, whose form
+comes from its signature, is told apart by name.  A nonstandard symmetric
+form B or skew form Omega (checked by ``checked_form``) selects a
+conjugated copy of the same abstract group.
 
 Lie algebra bases are read-only (d, n, n) arrays built from ``numkit`` unit
 stacks and kept in its basis cache (see ``lie_algebra_basis``).
@@ -30,10 +33,30 @@ SL, SO, SP, SU, SOPQ, SP_COMPACT, GL, O, U = (
     "SL", "SO", "Sp", "SU", "SOpq", "SpCompact", "GL", "O", "U",
 )
 
-#: families whose algebra is a complex vector space
-_COMPLEX_LINEAR = {SL: None, SO: None, SP: None, GL: None, O: None}
-#: families whose matrices are complex but whose algebra is only real-linear
-_FIXED_FIELD = {SU: COMPLEX, SOPQ: REAL, SP_COMPACT: COMPLEX, U: COMPLEX}
+
+@dataclass(frozen=True)
+class Traits:
+    """One group family: the ``form`` it preserves (``SYM``, ``SKEW`` or None),
+    ``special`` (det = 1), ``unitary`` (A*A = I), and the ``field`` of a real
+    form (None when the algebra is complex-linear and the descriptor picks it)."""
+
+    form: str | None
+    special: bool
+    unitary: bool
+    field: str | None
+
+
+TRAITS = {
+    SL: Traits(None, True, False, None),
+    SO: Traits(SYM, True, False, None),
+    SP: Traits(SKEW, True, False, None),
+    SU: Traits(None, True, True, COMPLEX),
+    SOPQ: Traits(SYM, True, False, REAL),
+    SP_COMPACT: Traits(SKEW, True, True, COMPLEX),
+    GL: Traits(None, False, False, None),
+    O: Traits(SYM, False, False, None),
+    U: Traits(None, False, True, COMPLEX),
+}
 
 
 def J2n(n: int) -> np.ndarray:
@@ -51,6 +74,19 @@ def Ipq(p: int, q: int) -> np.ndarray:
     return np.diag([1.0] * p + [-1.0] * q)
 
 
+def checked_form(F, n: int, skew: bool, dtype) -> np.ndarray:
+    """F as an n x n array of dtype, checked symmetric (skew when ``skew``) to
+    1e-12 relative and nondegenerate."""
+    F = np.asarray(F, dtype=dtype)
+    if F.shape != (n, n):
+        raise InvalidDescriptor("form has wrong size")
+    if frob(F + (1 if skew else -1) * F.T) > 1e-12 * max(frob(F), 1.0):
+        raise InvalidDescriptor(f"form must be {'skew' if skew else 'symmetric'}")
+    if np.linalg.matrix_rank(F) < n:
+        raise InvalidDescriptor("form must be nondegenerate")
+    return F
+
+
 @dataclass(eq=False)
 class GroupDescriptor:
     family: str
@@ -60,48 +96,36 @@ class GroupDescriptor:
     form: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.family in _FIXED_FIELD:
-            self.field = _FIXED_FIELD[self.family]
+        t = TRAITS.get(self.family)
+        if t is None:
+            raise InvalidDescriptor(f"unknown family {self.family!r}")
+        self.field = t.field or self.field
         if self.field not in (REAL, COMPLEX):
             raise InvalidDescriptor(f"unknown field {self.field!r}")
         if self.n < 1:
             raise InvalidDescriptor("matrix size must be positive")
-        if self.family in (SP, SP_COMPACT) and self.n % 2:
+        if t.form == SKEW and self.n % 2:
             raise InvalidDescriptor("symplectic groups need even matrix size")
         if (self.signature is not None) != (self.family == SOPQ):
             raise InvalidDescriptor("signature is required exactly for SOpq")
-        if self.family == SOPQ:
+        if self.signature is not None:
             p, q = self.signature
             if p < 0 or q < 0 or p + q != self.n:
                 raise InvalidDescriptor("signature must satisfy p+q=n")
         if self.form is not None:
-            self.form = np.asarray(self.form, dtype=complex if self.field == COMPLEX else float)
-            if self.form.shape != (self.n, self.n):
-                raise InvalidDescriptor("form has wrong size")
-            sym = frob(self.form - self.form.T)
-            skew = frob(self.form + self.form.T)
-            if self.family in (SO, O):
-                if sym > 1e-12 * max(frob(self.form), 1.0):
-                    raise InvalidDescriptor("orthogonal families need a symmetric form")
-            elif self.family in (SP, SP_COMPACT):
-                if skew > 1e-12 * max(frob(self.form), 1.0):
-                    raise InvalidDescriptor("symplectic families need a skew form")
-            else:
+            if t.form is None or self.signature is not None:
                 raise InvalidDescriptor(f"family {self.family} takes no form")
-            if np.linalg.matrix_rank(self.form) < self.n:
-                raise InvalidDescriptor("form must be nondegenerate")
-            if self.family == SP_COMPACT:
+            self.form = checked_form(self.form, self.n, t.form == SKEW, self.dtype)
+            if t.unitary:  # else U_n cap G(F) is a smaller group
                 s = np.linalg.svd(self.form, compute_uv=False)
                 if s[0] - s[-1] > 1e-10 * s[0]:
-                    # otherwise SU_n cap Sp(C; Omega) is a smaller group
                     raise InvalidDescriptor(
-                        "compact symplectic forms must be proportional to a unitary matrix"
-                    )
+                        "a unitary family's form must be proportional to a unitary matrix")
 
     @property
     def is_complex_group(self) -> bool:
         """True when the Lie algebra is a complex vector space."""
-        return self.family in _COMPLEX_LINEAR and self.field == COMPLEX
+        return TRAITS[self.family].field is None and self.field == COMPLEX
 
     @property
     def dtype(self):
@@ -112,11 +136,12 @@ class GroupDescriptor:
         """The bilinear form defining this copy (None for SL/GL/SU/U)."""
         if self.form is not None:
             return self.form
-        if self.family in (SO, O):
-            return np.eye(self.n, dtype=self.dtype)
-        if self.family == SOPQ:
+        if self.signature is not None:
             return Ipq(*self.signature)
-        if self.family in (SP, SP_COMPACT):
+        form = TRAITS[self.family].form
+        if form == SYM:
+            return np.eye(self.n, dtype=self.dtype)
+        if form == SKEW:
             return J2n(self.n).astype(self.dtype)
         return None
 
@@ -183,21 +208,18 @@ def unitary(n):
 def group_dim(g: GroupDescriptor) -> int:
     """Dimension over the group's scalar field (see module docstring)."""
     n = g.n
-    if g.family in (SL, SU):
-        return n * n - 1
-    if g.family in (SO, O, SOPQ):
+    t = TRAITS[g.family]
+    if t.form == SYM:
         return n * (n - 1) // 2
-    if g.family in (SP, SP_COMPACT):
+    if t.form == SKEW:
         return n * (n + 1) // 2
-    if g.family == GL:
-        return n * n
-    if g.family == U:
-        return n * n
-    raise InvalidDescriptor(f"unknown family {g.family!r}")
+    return n * n - t.special
 
 
 def contains(g: GroupDescriptor, A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Check the defining relations of g on A to tolerance."""
+    """Check the defining relations of g on A to tolerance: the form, A*A = I
+    when unitary, det = 1 when special, det = +-1 for a form group that is
+    not, and det != 0 otherwise."""
     A = np.asarray(A)
     if A.shape != (g.n, g.n):
         raise SizeMismatch(f"expected {g.n}x{g.n}, got {A.shape}")
@@ -206,24 +228,23 @@ def contains(g: GroupDescriptor, A: np.ndarray, tol: Tolerance = DEFAULT_TOL) ->
         return False
     scale = max(1.0, float(np.linalg.norm(A, 2)) ** 2)
     bound = tol.cutoff(scale)
+    t = TRAITS[g.family]
 
     B = g.form_matrix()
     if B is not None:
         Bc = B.astype(complex)
         if frob(A.T @ Bc @ A - Bc) > bound * max(frob(Bc), 1.0):
             return False
-    if g.family in (SU, U, SP_COMPACT):
-        if frob(A.conj().T @ A - np.eye(g.n)) > bound:
-            return False
+    if t.unitary and frob(A.conj().T @ A - np.eye(g.n)) > bound:
+        return False
     det = np.linalg.det(A)
-    if g.family in (SL, SO, SU, SP, SOPQ, SP_COMPACT):
+    if t.special:
         if abs(det - 1.0) > bound:
             return False
-    elif g.family in (GL, O, U):
-        if abs(det) < tol.abs_eps:
-            return False
-        if g.family == O and min(abs(det - 1.0), abs(det + 1.0)) > bound:
-            return False
+    elif abs(det) < tol.abs_eps:
+        return False
+    elif t.form is not None and min(abs(det - 1.0), abs(det + 1.0)) > bound:
+        return False
     return True
 
 
@@ -247,29 +268,26 @@ def lie_algebra_basis(g: GroupDescriptor) -> np.ndarray:
 
 def _lie_algebra_basis(g: GroupDescriptor) -> np.ndarray:
     n = g.n
-    dt = g.dtype
-    if g.family in (SL, GL):
-        E = unit_stack(ALL, n).astype(dt)
-        diag = E[:: n + 1]
-        off = np.delete(E, np.s_[:: n + 1], axis=0)
-        basis = np.concatenate([off, diag if g.family == GL else diag[:-1] - diag[-1]])
-    elif g.family in (SO, O, SOPQ, SP):
-        units = unit_stack(SYM if g.family == SP else SKEW, n).astype(dt)
-        basis = np.asarray(np.linalg.inv(g.form_matrix()) @ units, dtype=dt)
-    elif g.family in (SU, U):
-        skew = unit_stack(SKEW, n)
-        diag = 1j * unit_stack(ALL, n)[:: n + 1]
-        # E_ij - E_ji and i(E_ij + E_ji) = i|E_ij - E_ji| for i < j, then the imaginary diagonal
-        basis = np.concatenate([_interleave(skew, 1j * np.abs(skew)),
-                                diag if g.family == U else diag[:-1] - diag[-1]])
-    elif g.family == SP_COMPACT and g.form is None:
+    t = TRAITS[g.family]
+    if t.form is None:
+        E = unit_stack(ALL, n)
+        if t.unitary:
+            skew = unit_stack(SKEW, n)
+            # E_ij - E_ji and i(E_ij + E_ji) = i|E_ij - E_ji| for i < j, then i E_ii
+            off, diag = _interleave(skew, 1j * np.abs(skew)), 1j * E[:: n + 1]
+        else:
+            E = E.astype(g.dtype)
+            off, diag = np.delete(E, np.s_[:: n + 1], axis=0), E[:: n + 1]
+        basis = np.concatenate([off, diag[:-1] - diag[-1] if t.special else diag])
+    elif not t.unitary:
+        units = unit_stack(SYM if t.form == SKEW else SKEW, n).astype(g.dtype)
+        basis = np.asarray(np.linalg.inv(g.form_matrix()) @ units, dtype=g.dtype)
+    elif g.form is None:
         basis = _sp_compact_basis(n // 2)
-    elif g.family == SP_COMPACT:
+    else:
         Om = g.form_matrix().astype(complex)
         basis = span_kernel(unit_stack(ANTI_HERMITIAN, n), [lambda Z: Z.mT @ Om + Om @ Z],
                             real=True)
-    else:
-        raise InvalidDescriptor(f"unknown family {g.family!r}")
     if len(basis) != group_dim(g):
         raise ManirepError(f"Lie basis of {g.family}_{n} has the wrong length {len(basis)}")
     if np.iscomplexobj(basis) and not basis.imag.any():
@@ -301,38 +319,31 @@ def sample(g: GroupDescriptor, seed: int, scale: float = 1.0) -> np.ndarray:
     """
     rng = np.random.default_rng(seed)
     n = g.n
-    if g.family in (SO, O) and g.form is None and g.field == REAL:
+    t = TRAITS[g.family]
+    if t.form == SYM and t.field is None and g.form is None and g.field == REAL:
         A = rng.standard_normal((n, n))
         Q, R = np.linalg.qr(A)
         Q = Q @ np.diag(np.sign(np.diag(R)))
-        if g.family == SO and np.linalg.det(Q) < 0:
+        if t.special and np.linalg.det(Q) < 0:
             Q[:, 0] = -Q[:, 0]
         return Q
-    if g.family in (SU, U):
-        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        Q, R = np.linalg.qr(A)
-        d = np.diag(R)
-        Q = Q @ np.diag(d / np.abs(d))
-        if g.family == SU:
-            Q = Q * np.linalg.det(Q) ** (-1.0 / n)
-        return Q
-    if g.family == SL:
+    if t.form is None:
         A = rng.standard_normal((n, n))
         if g.field == COMPLEX:
             A = A + 1j * rng.standard_normal((n, n))
-        A = A + 2.0 * np.eye(n, dtype=A.dtype)  # keep well away from singular
+        if t.unitary:
+            Q, R = np.linalg.qr(A)
+            d = np.diag(R)
+            A = Q @ np.diag(d / np.abs(d))
+        else:
+            A = A + 2.0 * np.eye(n, dtype=A.dtype)  # keep well away from singular
+        if not t.special:
+            return A
         det = np.linalg.det(A)
-        if g.field == REAL:
-            if det < 0:
-                A[:, 0] = -A[:, 0]
-                det = -det
-            return A * det ** (-1.0 / n)
+        if g.field == REAL and det < 0:
+            A[:, 0] = -A[:, 0]
+            det = -det
         return A * det ** (-1.0 / n)
-    if g.family == GL:
-        A = rng.standard_normal((n, n))
-        if g.field == COMPLEX:
-            A = A + 1j * rng.standard_normal((n, n))
-        return A + 2.0 * np.eye(n, dtype=A.dtype)
     # exp of a scaled random algebra element
     basis = lie_algebra_basis(g)
     coeff = rng.standard_normal(len(basis))

@@ -409,6 +409,10 @@ def youla_skew(
     if keep.sum() % 2 != 0:
         raise RankAmbiguous("numerical rank of a skew matrix must be even")
     cand, s = U[:, keep], s[keep]
+    # pair in Y / 2^e, 2^e near its largest entry, so no norm overflows; dividing by a
+    # power of two keeps every digit
+    scale = np.ldexp(1.0, int(np.frexp(np.abs(Y).max(initial=0.0))[1]) - 1)
+    Y = Y / scale
 
     Q, pairs = U[:, :0], []
     for _ in range(len(s) // 2):
@@ -425,7 +429,7 @@ def youla_skew(
         pairs.append((lam, P))
     pairs.sort(key=lambda t: -t[0])
     Q = complete_unitary(np.concatenate([Q[:, :0], *(P for _, P in pairs)], axis=1))
-    return Q, [float(lam) for lam, _ in pairs], len(pairs)
+    return Q, [float(lam * scale) for lam, _ in pairs], len(pairs)
 
 
 def youla_blocks(lams: list[float], n: int) -> np.ndarray:

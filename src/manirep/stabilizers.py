@@ -167,7 +167,9 @@ def stabilizer_congruence_sym(
         Xr = np.asarray(X)
         Xr = Xr.real.astype(float) if np.iscomplexobj(Xr) else Xr.astype(float)
         _check_symmetry(Xr, -1.0, tol)
-        vals, vecs = np.linalg.eigh((Xr + Xr.T) / 2.0)
+        vals, vecs = np.linalg.eigh(Xr / 2.0 + Xr.T / 2.0)  # no overflow for finite Xr
+        if not np.isfinite(vals).all():
+            raise NonFinite("an eigenvalue is beyond the float range")
         keep = above_cutoff(vals, tol, strict=True)
         nz = vals[keep]
         vecs_nz = vecs[:, keep]
@@ -321,8 +323,8 @@ def _similarity_exact(X: np.ndarray, field: str) -> ToeplitzBlockDescriptor:
     for fac, mult in factors:
         poly = sympy.Poly(fac, lam)
         P = sympy.zeros(n, n)
-        for c in poly.all_coeffs():
-            P = P * Xs + c * sympy.eye(n)
+        for c in poly.all_coeffs():  # expanded at each step, or the entries grow as trees
+            P = (P * Xs + c * sympy.eye(n)).expand()
         blocks = _segre(sympy.Matrix.rank, P, poly.degree(), poly.degree() * mult, ManirepError)
         coeffs = np.array([complex(c) for c in poly.monic().all_coeffs()])
         if not np.isfinite(coeffs).all():

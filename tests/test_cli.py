@@ -110,6 +110,18 @@ def test_domain_error_is_json(capsys):
     assert payload["error"]["type"] == "InvalidDescriptor"
 
 
+def test_congruence_sym_of_huge_entries_fails_cleanly(tmp_path):
+    """Symmetrizing [[1e308] * 2] * 2 must not overflow; its eigenvalue 2e308 does."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(Mat.from_array(np.full((2, 2), 1e308)).to_json()))
+    proc = subprocess.run([sys.executable, "-m", "manirep", "stabilizer", "--action",
+                           "congruence-sym", "--matrix", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["type"] == "NonFinite"
+    assert proc.stderr == ""
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["dims", "--algebra", "SL"])

@@ -50,6 +50,34 @@ def test_descriptor_validation():
         so(3, "R", form=np.array([[0.0, 1.0, 0], [-1.0, 0, 0], [0, 0, 1]]))
 
 
+def test_unknown_family_is_rejected():
+    with pytest.raises(InvalidDescriptor):
+        GroupDescriptor.from_json({"family": "XYZ", "n": 3})
+    with pytest.raises(InvalidDescriptor):
+        GroupDescriptor("so", 3)
+
+
+#: (family, field) for every row of TRAITS, both fields where the algebra is complex-linear
+FAMILY_FIELDS = [(family, field) for family, t in groups.TRAITS.items()
+                 for field in ((t.field,) if t.field else ("R", "C"))]
+
+
+@pytest.mark.parametrize("family, field", FAMILY_FIELDS, ids=lambda v: str(v))
+def test_contains_reads_every_trait(family, field):
+    g = GroupDescriptor(family, 4, field, signature=(1, 3) if family == groups.SOPQ else None)
+    t = groups.TRAITS[family]
+    A = sample(g, 7)
+    assert contains(g, A)
+    # det -1, preserving I, I_pq and unitarity but not J_4: a reflection
+    assert contains(g, A @ np.diag([-1.0, 1, 1, 1])) == (not t.special)
+    # det 1, preserving J_4 but not I, I_pq or unitarity
+    assert contains(g, A @ np.diag([2.0, 1, 0.5, 1])) == (t.form != groups.SYM and not t.unitary)
+    # det 1, preserving no form and not unitary
+    assert contains(g, A @ np.diag([2.0, 0.5, 1, 1])) == (t.form is None and not t.unitary)
+    # det 2: only GL
+    assert contains(g, A @ np.diag([2.0, 1, 1, 1])) == (family == groups.GL)
+
+
 def test_contains_basics():
     assert contains(so(5), np.eye(5))
     assert not contains(sl(3), np.diag([2.0, 1.0, 1.0]))

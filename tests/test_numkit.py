@@ -531,3 +531,10 @@ def test_symmetry_check_of_an_overflowing_norm():
         numkit._check_symmetry(np.array([[0.0, 1e308], [-1e308, 0.0]]), -1.0, DEFAULT_TOL)
     numkit._check_symmetry(np.array([[0.0, 1e308], [-1e308, 0.0]]), +1.0, DEFAULT_TOL)
     numkit._check_symmetry(big, -1.0, DEFAULT_TOL)
+
+
+def test_youla_of_huge_entries():
+    """The pair vector's norm is taken after scaling by a power of two, so it cannot overflow."""
+    Q, lams, r = youla_skew(np.array([[0.0, 1e160], [-1e160, 0.0]]))
+    assert r == 1
+    assert lams == pytest.approx([1e160], rel=1e-15)

@@ -228,6 +228,14 @@ class TestSimilarity:
         assert td.commutant_dim == 2
         assert {complex(c.value) for c in td.classes} == {0j, 1j}
 
+    def test_gaussian_integer_5x5_exact_finishes(self):
+        """The Horner powers of p(X) are expanded at each step; left as nested sums, the
+        rank of this 5 x 5 matrix took minutes."""
+        rng = np.random.default_rng(2002)
+        X = rng.integers(-2, 3, (5, 5)) + 1j * rng.integers(-2, 3, (5, 5))
+        exact = stabilizer_similarity(X, "exact")
+        assert exact.commutant_dim == stabilizer_similarity(X, "numeric").commutant_dim == 5
+
     def test_block_sizes_with_conjugate_pairs(self):
         # a defective complex pair: J_2(i) + J_2(-i) realized over R
         R = np.array([[0.0, -1.0], [1.0, 0.0]])
