@@ -25,7 +25,7 @@ from . import embeddings as E
 from . import groups as G
 from . import weyl
 from .errors import InvalidDescriptor, InvalidInput, ManirepError, NonFinite
-from .numkit import Mat
+from .numkit import REAL, Mat
 from .stabilizers import (
     stabilizer_congruence_skew,
     stabilizer_congruence_sym,
@@ -60,9 +60,9 @@ def _so_pq_from_args(args) -> G.GroupDescriptor:
 
 #: --group name -> the group built from the parsed flags
 GROUPS = {
-    "SL": lambda args: G.sl(args.n, args.field),
-    "SO": lambda args: G.so(args.n, args.field),
-    "Sp": lambda args: G.sp(args.n, args.field),
+    "SL": lambda args: G.sl(args.n, args.field or REAL),
+    "SO": lambda args: G.so(args.n, args.field or REAL),
+    "Sp": lambda args: G.sp(args.n, args.field or REAL),
     "SU": lambda args: G.su(args.n),
     "SOpq": _so_pq_from_args,
     "SpCompact": lambda args: G.sp_compact(args.n),
@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", parents=[common], help="admissible faithful targets of a group")
     p.add_argument("--group", required=True, choices=list(GROUPS))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--field", default="R", choices=["R", "C"])
+    p.add_argument("--field", choices=["R", "C"])
     p.add_argument("--signature", type=ints, help="p,q for SOpq")
     p.add_argument("--enumerate", action="store_true")
     p.add_argument("--multiplicities", type=ints, help="comma-separated multiplicity tuple")
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", parents=[common], help="admissible-target summary for a group")
     p.add_argument("--group", required=True, choices=list(GROUPS))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--field", default="R", choices=["R", "C"])
+    p.add_argument("--field", choices=["R", "C"])
     p.add_argument("--signature", type=ints)
     p.set_defaults(fn=cmd_census)
 
@@ -258,7 +258,14 @@ def _error(exc: ManirepError, pretty: bool) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if getattr(args, "group", None):  # a flag the group ignores is a usage error
+        fixed = G.TRAITS[args.group].field
+        if args.signature is not None and args.group != G.SOPQ:
+            ap.error(f"--signature applies to --group SOpq only, not {args.group}")
+        if fixed and args.field not in (None, fixed):
+            ap.error(f"--group {args.group} is defined over {fixed}, not --field {args.field}")
     try:
         text, code = _dumps(args.fn(args), args.pretty), 0
     except ManirepError as exc:

@@ -35,7 +35,8 @@ from .errors import (
     SizeMismatch,
 )
 from .gmodules import ActionKind, ModuleDescriptor, act, contains as module_contains
-from .numkit import COMPLEX, DEFAULT_TOL, REAL, Tolerance, frob, mat_to_json
+from .numkit import (COMPLEX, DEFAULT_TOL, REAL, Tolerance, clusters, frob, mat_to_json,
+                     numerical_rank)
 from .stabilizers import stabilizer_dim_in_group
 
 # ---------------------------------------------------------------------------
@@ -158,9 +159,11 @@ def _quaternionic_frame(md, spec):
 
 
 def _same_eigenvalues(X, X0, atol):
+    """Each cluster of the joint spectrum holds as many eigenvalues of X as of X0."""
     ev = np.linalg.eigvals(np.asarray(X, dtype=complex))
     ev0 = np.linalg.eigvals(np.asarray(X0, dtype=complex))
-    return _multiset_close(ev, ev0, max(atol, 1e-7 * max(frob(X0), 1.0)))
+    joint = clusters(np.concatenate([ev, ev0]), max(atol, 1e-7 * max(frob(X0), 1.0)))
+    return all(2 * np.count_nonzero(c < len(ev)) == len(c) for c in joint)
 
 
 def _same(values):
@@ -191,24 +194,10 @@ def _symplectic_frame(X, X0, atol):
 
 def _unimodular_frame(X, X0, atol):
     k = X.shape[1]
-    if np.linalg.matrix_rank(np.asarray(X)) < k:
+    if numerical_rank(X) < k:
         return False
     if k == X.shape[0]:
         return abs(np.linalg.det(np.asarray(X)) - 1.0) <= atol
-    return True
-
-
-def _multiset_close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """Greedy matching of two complex multisets within tol."""
-    if len(a) != len(b):
-        return False
-    remaining = list(b)
-    for z in a:
-        dists = [abs(z - w) for w in remaining]
-        j = int(np.argmin(dists))
-        if dists[j] > tol:
-            return False
-        remaining.pop(j)
     return True
 
 
@@ -507,7 +496,7 @@ def embed(md: ManifoldDescriptor, g: np.ndarray, tol: Tolerance = DEFAULT_TOL) -
     if not G.contains(gp, g, tol):
         raise NotInGroup(f"element is not in the acting group of {md.family}")
     base = base_point(md)
-    val = act(gp, action(md), g, base.value, module=base.module, tol=tol, check=False)
+    val = act(gp, action(md), g, base.value, check=False)
     if base.module.kind != "RectNK" and not module_contains(base.module, val, tol):
         raise SizeMismatch("image escaped the module; input is likely far from the group")
     return EmbeddedPoint(manifold=md, value=val, module=base.module)
@@ -687,7 +676,6 @@ def cartan_compare(
     k: int | None = None,
     trials: int = 20,
     seed: int = 0,
-    tol: float = 1e-8,
 ) -> CartanComparison:
     """Compare the Cartan embedding with the matching orbit realization.
 
@@ -703,9 +691,9 @@ def cartan_compare(
         lhs = cartan(Q)
         rhs = minimal(Q) @ C
         worst = max(worst, frob(lhs - rhs) / max(frob(lhs), 1e-300))
-    if worst > tol:
+    if worst > 1e-8:
         raise NoConstantFactor(
-            f"type {ctype}: residual {worst:.3e} exceeds {tol:g}; no constant right factor"
+            f"type {ctype}: residual {worst:.3e} exceeds 1e-08; no constant right factor"
         )
     identical = frob(C - np.eye(C.shape[0])) <= 1e-8
     return CartanComparison(

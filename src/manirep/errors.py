@@ -51,10 +51,6 @@ class NotInGroup(ManirepError):
     """A matrix fails the defining relations of the group acting on it."""
 
 
-class ModuleNotPreserved(ManirepError):
-    """A group action moved a matrix out of its module."""
-
-
 class InvalidSpectrum(ManirepError):
     """Diagonal spectrum parameters violate the constraints of the family."""
 

@@ -8,28 +8,23 @@ its residual conditions, the unit-matrix span solving the first of them,
 the flags below, and the action of its group.  A basis is that span cut by
 the other conditions and the trace (``numkit.span_kernel``).
 ``module_dim`` reports the dimension over the descriptor's field: complex
-kinds over C, and the real-structure kinds (su_n, u_n, traceless Hermitian,
-compact sp, and the symmetric-traceless slice of su) over R, since those
-are only real-linear subspaces of complex matrices.
-
-``Alt^k`` for k >= 3 is carried for its dimension formula only; no
-membership, projection, or action is defined for it.
+kinds over C, and the real-structure kinds (su_n, compact sp, and the
+symmetric-traceless slice of su) over R, since those are only real-linear
+subspaces of complex matrices.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidDescriptor, ModuleNotPreserved, NotInGroup, SizeMismatch
+from .errors import InvalidDescriptor, NotInGroup, SizeMismatch
 from .groups import GroupDescriptor, J2n, checked_form, contains as group_contains
-from .numkit import (ALL, ANTI_HERMITIAN, COMPLEX, DEFAULT_TOL, HERMITIAN, REAL, SKEW, SYM,
-                     Tolerance, cached_basis, frob, mat_from_json, mat_to_json, span_kernel,
-                     unit_stack)
+from .numkit import (ALL, ANTI_HERMITIAN, COMPLEX, DEFAULT_TOL, REAL, SKEW, SYM, Tolerance,
+                     cached_basis, frob, mat_from_json, mat_to_json, span_kernel, unit_stack)
 
 TRIVIAL = "Trivial"
 RECT_NK = "RectNK"
@@ -38,19 +33,14 @@ SYM2 = "Sym2"
 SYM2_TRACELESS = "Sym2Traceless"
 SLN_TRACELESS = "SLnTraceless"
 SU_ALGEBRA = "SUAlgebra"
-U_ALGEBRA = "UAlgebra"
-HERM_TRACELESS = "HermTraceless"
 ALT2_FORM = "Alt2Form"
 SYM2_TRACELESS_FORM = "Sym2TracelessForm"
 SP_ALGEBRA = "SpAlgebra"
 SYM_TRACELESS_CAP_SU = "SymTracelessCapSU"
-ALT_K = "AltK"
 
 
 class ActionKind(Enum):
     LEFT_MULT = "left-mult"
-    RIGHT_MULT_INV = "right-mult-inv"
-    EQUIVALENCE = "equivalence"
     CONGRUENCE = "congruence"
     SIMILARITY = "similarity"
     CONGRUENCE_STAR = "congruence-star"
@@ -66,10 +56,6 @@ def _form_symmetric(X, F):
 
 def _anti_hermitian(X, F):
     return X.conj().mT + X
-
-
-def _hermitian(X, F):
-    return X.conj().mT - X
 
 
 @dataclass(frozen=True)
@@ -110,10 +96,6 @@ KINDS = {
     SLN_TRACELESS: Kind(lambda n, k: n * n - 1, traceless=True, action=ActionKind.SIMILARITY),
     SU_ALGEBRA: Kind(lambda n, k: n * n - 1, (_anti_hermitian,), ANTI_HERMITIAN, traceless=True,
                      real_structure=True, action=ActionKind.CONGRUENCE_STAR),
-    U_ALGEBRA: Kind(lambda n, k: n * n, (_anti_hermitian,), ANTI_HERMITIAN, real_structure=True,
-                    action=ActionKind.CONGRUENCE_STAR),
-    HERM_TRACELESS: Kind(lambda n, k: n * n - 1, (_hermitian,), HERMITIAN, traceless=True,
-                         real_structure=True, action=ActionKind.CONGRUENCE_STAR),
     ALT2_FORM: Kind(lambda n, k: n * (n + 1) // 2, (_form_skew,), SYM, skew_form=True,
                     action=ActionKind.SIMILARITY),
     SYM2_TRACELESS_FORM: Kind(lambda n, k: (n // 2 - 1) * (2 * (n // 2) + 1),
@@ -126,7 +108,6 @@ KINDS = {
                                (_anti_hermitian, _form_symmetric), ANTI_HERMITIAN,
                                traceless=True, real_structure=True, skew_form=True,
                                action=ActionKind.CONGRUENCE_STAR),
-    ALT_K: Kind(lambda n, k: math.comb(n, k), membership=False),
 }
 
 
@@ -145,7 +126,9 @@ class ModuleDescriptor:
             self.field = REAL  # dimensions are counted over R
         if self.field not in (REAL, COMPLEX):
             raise InvalidDescriptor(f"unknown field {self.field!r}")
-        if self.kind in (RECT_NK, ALT_K):
+        if type(self.n) is not int or self.n < 1 or not (self.k is None or type(self.k) is int):
+            raise InvalidDescriptor("module size n must be a positive integer, k an integer")
+        if self.kind == RECT_NK:
             if self.k is None or not (0 < self.k <= self.n):
                 raise InvalidDescriptor(f"{self.kind} needs 0 < k <= n")
         elif self.k is not None:
@@ -196,8 +179,8 @@ class ModuleDescriptor:
     @staticmethod
     def from_json(obj: dict) -> "ModuleDescriptor":
         return ModuleDescriptor(
-            kind=obj["kind"],
-            n=int(obj["n"]),
+            kind=obj.get("kind"),
+            n=obj.get("n"),
             field=obj.get("field", REAL),
             k=obj.get("k"),
             form=None if obj.get("form") is None else mat_from_json(obj["form"]),
@@ -211,6 +194,10 @@ def module_dim(m: ModuleDescriptor) -> int:
 def _conditions(m: ModuleDescriptor):
     """Residual maps that vanish exactly on the module."""
     F = m.form_matrix()
+    if m.form is not None:  # the default forms I and J have largest entry 1
+        # cF cuts out the module of F: dividing by the power of two below max |F| keeps every
+        # digit and scales each residual with X alone, whatever the size of F
+        F = F / np.ldexp(1.0, int(np.frexp(np.abs(F).max())[1]) - 1)
     conds = [lambda X, c=c: c(X, F) for c in KINDS[m.kind].conditions]
     if KINDS[m.kind].traceless:
         conds.append(lambda X: np.trace(X, axis1=-2, axis2=-1))
@@ -268,13 +255,9 @@ def real_dim(m: ModuleDescriptor) -> int:
 
 
 #: each action as (A, X) -> A . X and its derivative at the identity
-#: (Z, X) -> d/dt exp(tZ) . X, which also takes a stack of Z; EQUIVALENCE
-#: takes a pair A = (A1, A2) acting by A1 X A2^{-1}
+#: (Z, X) -> d/dt exp(tZ) . X, which also takes a stack of Z
 _ACTIONS = {
     ActionKind.LEFT_MULT: (lambda A, X: A @ X, lambda Z, X: Z @ X),
-    ActionKind.RIGHT_MULT_INV: (lambda A, X: X @ np.linalg.inv(A), lambda Z, X: -X @ Z),
-    ActionKind.EQUIVALENCE: (lambda A, X: A[0] @ X @ np.linalg.inv(A[1]),
-                             lambda Z, X: Z @ X - X @ Z),
     ActionKind.CONGRUENCE: (lambda A, X: A @ X @ A.T, lambda Z, X: Z @ X + X @ Z.mT),
     ActionKind.SIMILARITY: (lambda A, X: A @ X @ np.linalg.inv(A), lambda Z, X: Z @ X - X @ Z),
     ActionKind.CONGRUENCE_STAR: (lambda A, X: A @ X @ A.conj().T,
@@ -292,38 +275,16 @@ def dact(action: ActionKind, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
 def act(
     g: GroupDescriptor,
     action: ActionKind,
-    A,
+    A: np.ndarray,
     X: np.ndarray,
-    module: ModuleDescriptor | None = None,
     tol: Tolerance = DEFAULT_TOL,
     check: bool = True,
-):
-    """Apply a group element to a module point by matrix multiplication.
-
-    ``A`` is a single matrix, except for ``EQUIVALENCE`` which takes a pair
-    ``(A1, A2)`` acting by A1 X A2^{-1}.  When ``module`` is supplied the
-    result is checked to stay inside it.
-    """
+) -> np.ndarray:
+    """Apply a group element A to a module point X by matrix multiplication; with ``check``,
+    A must pass the group's membership test to ``tol``."""
     if action not in _ACTIONS:
         raise InvalidDescriptor(f"unknown action {action}")
-    if action == ActionKind.EQUIVALENCE:
-        A1, A2 = A
-        if check and not (group_contains(g, A1, tol) and group_contains(g, A2, tol)):
-            raise NotInGroup("equivalence pair fails the group relations")
-    else:
-        A = np.asarray(A)
-        if check and not group_contains(g, A, tol):
-            raise NotInGroup(f"matrix is not in {g.family}_{g.n} to tolerance")
-    out = _ACTIONS[action][0](A, X)
-    if module is not None and check:
-        if not contains(module, _cast_to_module(module, out), tol):
-            raise ModuleNotPreserved(f"action moved the point out of {module.kind}")
-        out = _cast_to_module(module, out)
-    return out
-
-
-def _cast_to_module(m: ModuleDescriptor, X: np.ndarray) -> np.ndarray:
-    if not m._complex_entries and np.iscomplexobj(X):
-        if np.abs(X.imag).max(initial=0.0) <= 1e-9 * max(frob(X), 1.0):
-            return X.real
-    return X
+    A = np.asarray(A)
+    if check and not group_contains(g, A, tol):
+        raise NotInGroup(f"matrix is not in {g.family}_{g.n} to tolerance")
+    return _ACTIONS[action][0](A, X)

@@ -102,14 +102,17 @@ class GroupDescriptor:
         self.field = t.field or self.field
         if self.field not in (REAL, COMPLEX):
             raise InvalidDescriptor(f"unknown field {self.field!r}")
-        if self.n < 1:
-            raise InvalidDescriptor("matrix size must be positive")
+        if type(self.n) is not int or self.n < 1:  # bool is an int subclass
+            raise InvalidDescriptor("matrix size must be a positive integer")
         if t.form == SKEW and self.n % 2:
             raise InvalidDescriptor("symplectic groups need even matrix size")
         if (self.signature is not None) != (self.family == SOPQ):
             raise InvalidDescriptor("signature is required exactly for SOpq")
         if self.signature is not None:
-            p, q = self.signature
+            if not (isinstance(self.signature, (tuple, list)) and len(self.signature) == 2
+                    and all(type(s) is int for s in self.signature)):
+                raise InvalidDescriptor("signature must be two integers p, q")
+            p, q = self.signature = tuple(self.signature)
             if p < 0 or q < 0 or p + q != self.n:
                 raise InvalidDescriptor("signature must satisfy p+q=n")
         if self.form is not None:
@@ -161,10 +164,10 @@ class GroupDescriptor:
     @staticmethod
     def from_json(obj: dict) -> "GroupDescriptor":
         return GroupDescriptor(
-            family=obj["family"],
-            n=int(obj["n"]),
+            family=obj.get("family"),
+            n=obj.get("n"),
             field=obj.get("field", REAL),
-            signature=tuple(obj["signature"]) if obj.get("signature") else None,
+            signature=obj.get("signature") or None,
             form=None if obj.get("form") is None else mat_from_json(obj["form"]),
         )
 

@@ -36,7 +36,7 @@ from .errors import (ConvergenceFailure, InvalidInput, NonFinite, NotSkew, NotSy
 REAL = "R"
 COMPLEX = "C"
 
-ALL, SYM, SKEW, HERMITIAN, ANTI_HERMITIAN = "all", "sym", "skew", "hermitian", "anti-hermitian"
+ALL, SYM, SKEW, ANTI_HERMITIAN = "all", "sym", "skew", "anti-hermitian"
 
 #: relative singular-value cutoff of the condition systems in ``span_kernel``
 KERNEL_RCOND = 1e-11
@@ -264,11 +264,10 @@ def above_cutoff(
 
 def unit_stack(part: str, n: int, k: int | None = None) -> np.ndarray:
     """An (m, n, n) stack of unit matrices, row-major: ``ALL`` every E_ij (n x k if k is given),
-    ``SYM`` E_ij + E_ji for i <= j, ``SKEW`` E_ij - E_ji for i < j; ``HERMITIAN`` the SYM and
-    i * SKEW units and ``ANTI_HERMITIAN`` the SKEW and i * SYM ones, spanning those over R."""
-    if part in (HERMITIAN, ANTI_HERMITIAN):
-        re, im = (SKEW, SYM) if part == ANTI_HERMITIAN else (SYM, SKEW)
-        return np.concatenate([unit_stack(re, n), 1j * unit_stack(im, n)])
+    ``SYM`` E_ij + E_ji for i <= j, ``SKEW`` E_ij - E_ji for i < j; ``ANTI_HERMITIAN`` the SKEW
+    and i * SYM units, spanning the anti-Hermitian matrices over R."""
+    if part == ANTI_HERMITIAN:
+        return np.concatenate([unit_stack(SKEW, n), 1j * unit_stack(SYM, n)])
     if part == ALL:
         k = n if k is None else k
         return np.eye(n * k).reshape(n * k, n, k)

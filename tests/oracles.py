@@ -1,5 +1,7 @@
 """Reference computations shared by several test modules, kept out of the library."""
 
+from itertools import permutations
+
 import numpy as np
 
 from manirep.numkit import ALL, COMPLEX, REAL, frob, span_kernel, unit_stack
@@ -18,3 +20,10 @@ def commutant_sample(X: np.ndarray, seed: int, field: str | None = None) -> np.n
     Z = np.tensordot(coeff, ns, axes=1)  # real for a real field: real units, real coefficients
     # the identity is in every commutant; shifting by it forces invertibility
     return Z + (1.0 + frob(Z)) * np.eye(len(Xc))
+
+
+def same_spectrum(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    """Whether some ordering of b lies within tol of a, entry by entry: a brute-force
+    multiset match over all len(b)! orderings, for small spectra only."""
+    return len(a) == len(b) and any(
+        all(abs(x - y) <= tol for x, y in zip(a, perm)) for perm in permutations(b))

@@ -128,6 +128,31 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--group", "SO", "--n", "3", "--signature", "1,2", "--multiplicities", "1,0,0"],
+    ["census", "--group", "SL", "--n", "3", "--signature", "1,2"],
+    ["census", "--group", "SU", "--n", "3", "--field", "R"],
+    ["classify", "--group", "SpCompact", "--n", "4", "--field", "R", "--enumerate"],
+    ["census", "--group", "SOpq", "--n", "5", "--signature", "2,3", "--field", "C"],
+], ids=["so-signature", "sl-signature", "su-real", "spcompact-real", "sopq-complex"])
+def test_flags_the_group_ignores_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("group, field", [("SU", "C"), ("SpCompact", "C"), ("SOpq", "R"),
+                                          ("SL", "R")])
+def test_the_group_field_may_be_named(group, field, capsys):
+    argv = ["census", "--group", group, "--n", "4"] + (
+        ["--signature", "2,2"] if group == "SOpq" else [])
+    assert main(argv) == 0
+    implicit = capsys.readouterr().out
+    assert main(argv + ["--field", field]) == 0
+    assert capsys.readouterr().out == implicit
+
+
 def test_determinism(capsys):
     args = ["verify", "--manifold", "gr-real", "--n", "5", "--k", "1",
             "--trials", "10", "--seed", "3"]

@@ -10,6 +10,7 @@ from manirep import groups as G
 from manirep.embeddings import (
     CARTAN_TYPES,
     FAMILIES,
+    _same_eigenvalues,
     ManifoldDescriptor,
     all_smallest_legal,
     base_point,
@@ -27,7 +28,8 @@ from manirep.embeddings import (
 )
 from manirep.errors import InvalidDescriptor, InvalidSpectrum, NotInGroup
 from manirep.gmodules import contains as module_contains, module_dim
-from manirep.numkit import frob
+from manirep.numkit import DEFAULT_TOL, frob
+from oracles import same_spectrum
 
 ALL = all_smallest_legal()
 
@@ -304,3 +306,31 @@ class TestCartan:
 def test_real_grassmannian_tangent_dim_property(n, data):
     k = data.draw(st.integers(min_value=1, max_value=n - 1))
     assert tangent_dim(ManifoldDescriptor(family="gr-real", n=n, k=k)) == k * (n - k)
+
+
+#: the rows whose orbit invariant is the spectrum, all of size at most 6 x 6
+SPECTRAL = [md for md in ALL if FAMILIES[md.family].orbit is _same_eigenvalues]
+
+
+@given(st.sampled_from(SPECTRAL), st.integers(min_value=0, max_value=2**32 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_spectrum_match_agrees_with_brute_force(md, seed, data):
+    """g . X0 is on the orbit; moving one eigenvalue onto another's value, which changes
+    the multiplicities, takes it off, and a brute-force multiset match agrees both times."""
+    X0 = base_point(md).value
+    g = G.sample(group(md), seed)
+    X = embed(md, g).value
+    atol = DEFAULT_TOL.cutoff(max(frob(X0), 1.0))
+    radius = max(atol, 1e-7 * max(frob(X0), 1.0))
+    ev0, V = np.linalg.eig(X0.astype(complex))
+    assert on_orbit(md, X)
+    assert same_spectrum(np.linalg.eigvals(X), ev0, radius)
+
+    i, j = data.draw(st.sampled_from([(i, j) for i in range(len(ev0)) for j in range(len(ev0))
+                                      if abs(ev0[i] - ev0[j]) > 0.5]))
+    moved = ev0.copy()
+    moved[i] = ev0[j]
+    P = g @ V  # g X0 g^{-1} on every spectral row
+    Y = P @ np.diag(moved) @ np.linalg.inv(P)
+    assert not _same_eigenvalues(Y, X0, atol)
+    assert not same_spectrum(np.linalg.eigvals(Y), ev0, radius)

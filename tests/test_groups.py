@@ -50,6 +50,29 @@ def test_descriptor_validation():
         so(3, "R", form=np.array([[0.0, 1.0, 0], [-1.0, 0, 0], [0, 0, 1]]))
 
 
+@pytest.mark.parametrize("obj", [
+    {"family": "SOpq", "n": 3, "signature": [1, 1, 1]},
+    {"family": "SOpq", "n": 3, "signature": ["a", "b"]},
+    {"family": "SOpq", "n": 3, "signature": [1.5, 1.5]},
+    {"family": "SOpq", "n": 3, "signature": [True, 2]},
+    {"family": "SOpq", "n": 3, "signature": 3},
+    {"family": "SO", "n": 3.0},
+    {"family": "SO", "n": 3.7},
+    {"family": "SO", "n": "3"},
+    {"family": "SO", "n": True},
+    {"family": "SO"},
+], ids=lambda obj: repr(obj.get("signature", obj.get("n"))))
+def test_sizes_must_be_integers(obj):
+    with pytest.raises(InvalidDescriptor):
+        GroupDescriptor.from_json(obj)
+
+
+def test_a_signature_list_becomes_a_hashable_tuple():
+    g = GroupDescriptor("SOpq", 3, "R", signature=[1, 2])
+    assert g.signature == (1, 2)
+    hash(g.cache_key())
+
+
 def test_unknown_family_is_rejected():
     with pytest.raises(InvalidDescriptor):
         GroupDescriptor.from_json({"family": "XYZ", "n": 3})
