@@ -4,23 +4,24 @@ For each supported group family there is a short list of low-dimensional
 irreducible modules (see :mod:`manirep.weyl`), so a candidate target is
 just a tuple of multiplicities.  Each family is one :class:`GroupFamily`
 row of ``GROUP_FAMILIES``: the multiplicity names, factor kinds and ranges.
-A target is admissible when its total module dimension dim W stays within
-n^2; the exact value reported is (dim W - n^2) / divisor, halved for Sp
-(the bound in its symplectic rank).  The unitary and compact symplectic
-families instead have hard-coded short lists.
+A target is admissible when its multiplicities are in range and its total
+module dimension dim W stays within n^2; the exact value reported is
+(dim W - n^2) / divisor, halved for Sp (the bound in its symplectic rank).
+The unitary and compact symplectic families are ``compact``: they stack no
+frames and admit no empty target.
 
 ``stabilizer_form`` assembles the subgroup realized by a tuple of witness
 points, one per module factor: per-factor structured stabilizers plus the
 exact dimension of their intersection inside the group.  Each factor kind
-is one :class:`Factor` row of ``FACTORS``: its canonical witness, its
-structured stabilizer and its block signature.  ``census`` reports only the
-intersection dimension, so it builds no factor stabilizer.
+is one :class:`Factor` row of ``FACTORS``: its canonical witness and its
+structured stabilizer.  ``census`` reports only the intersection dimension,
+so it builds no factor stabilizer.
 
 ``minimality_certificate`` checks, for a manifold family, that its target
 dimension matches the family's closed form and that no admissible target
 of strictly smaller dimension reproduces the stabilizer dimension at
-canonical (generic-spectrum) witnesses.  Stabilizer identity is compared
-at desk scale only: dimension first, block-structure signature on ties.
+canonical (generic-spectrum) witnesses.  Stabilizers are compared by
+dimension only; a tie is recorded, not decided.
 """
 
 from __future__ import annotations
@@ -49,12 +50,9 @@ from .gmodules import (
 from .numkit import (
     COMPLEX,
     DEFAULT_TOL,
-    REAL,
     Tolerance,
     clusters,
     mat_to_json,
-    numerical_rank,
-    takagi,
     youla_blocks,
 )
 from .stabilizers import (
@@ -70,30 +68,28 @@ from .stabilizers import (
 class GroupFamily:
     """Candidate targets of one group family.
 
-    With ``stack`` the first multiplicity ``b`` (0..n) is the column count
-    of one RectNK factor.  Each entry (name, kind, bound) of ``slots`` is a
-    further multiplicity, 0..bound-1 copies of one factor kind; ``twisted``
-    factors carry the group's form.  The exact admissibility value is
-    (dim W - n^2) / ``divisor`` for the total module dimension dim W.  A
-    target is admissible when it is in ``listed`` or, for a family without
-    a list, when it is in range and the value is <= 0.  ``catalog`` says
-    whether ``census`` reports the low-dimensional Weyl catalog.
+    Unless the family is ``compact``, the first multiplicity ``b`` (0..n)
+    is the column count of one RectNK factor.  Each entry (name, kind,
+    bound) of ``slots`` is a further multiplicity, 0..bound-1 copies of one
+    factor kind; ``twisted`` factors carry the group's form.  The exact
+    admissibility value is (dim W - n^2) / ``divisor`` for the total module
+    dimension dim W.  A target is admissible when it is in range and the
+    value is <= 0; a ``compact`` family also needs a nonempty target, and
+    ``census`` reports no low-dimensional Weyl catalog for it.
     """
 
     name: str
     slots: tuple[tuple[str, str, int], ...]
     divisor: int = 1
-    stack: bool = True
     twisted: bool = False
-    listed: frozenset | None = None
-    catalog: bool = True
+    compact: bool = False
 
     @property
     def names(self) -> tuple[str, ...]:
-        return (("b",) if self.stack else ()) + tuple(name for name, _, _ in self.slots)
+        return (() if self.compact else ("b",)) + tuple(name for name, _, _ in self.slots)
 
     def ranges(self, n: int) -> list[range]:
-        stack = [range(n + 1)] if self.stack else []
+        stack = [] if self.compact else [range(n + 1)]
         return stack + [range(bound) for _, _, bound in self.slots]
 
 
@@ -103,11 +99,9 @@ GROUP_FAMILIES = {
     G.SO: _SO,
     G.SOPQ: replace(_SO, twisted=True),
     G.SP: GroupFamily("Sp", (("c", "Sym2TracelessForm", 2), ("d", "Alt2Form", 2)), divisor=2),
-    G.SU: GroupFamily("SU", (("a", "SUAlgebra", 2),), stack=False,
-                      listed=frozenset({(1,)}), catalog=False),
+    G.SU: GroupFamily("SU", (("a", "SUAlgebra", 2),), compact=True),
     G.SP_COMPACT: GroupFamily("SpC", (("c", "SymTracelessCapSU", 2), ("d", "SpAlgebra", 2)),
-                              stack=False, listed=frozenset({(0, 1), (1, 0), (1, 1)}),
-                              catalog=False),
+                              compact=True),
 }
 
 
@@ -130,7 +124,7 @@ class TargetSpec:
         fam = _group_family(g)
         mult = self.multiplicities
         out: list[ModuleDescriptor] = []
-        if fam.stack:
+        if not fam.compact:
             b, *mult = mult
             if b:
                 out.append(ModuleDescriptor("RectNK", g.n, g.field, k=b))
@@ -178,10 +172,7 @@ def admissible(spec: TargetSpec) -> AdmissibilityReport:
     mods = spec.modules()
     dim_total = sum(module_dim(m) for m in mods)
     value = Fraction(dim_total - g.n**2, fam.divisor)
-    if fam.listed is not None:
-        ok = tuple(mult) in fam.listed
-    else:
-        ok = in_range and value <= 0
+    ok = in_range and value <= 0 and not (fam.compact and not mods)
     return AdmissibilityReport(spec, ok, value, dim_total, mods)
 
 
@@ -296,72 +287,38 @@ def _diagonal_witness(centered: bool, pairing: int | None = None, imaginary: boo
     return witness
 
 
-def _skew_signature(m, X):
-    r = numerical_rank(_untwisted(m, X)) // 2
-    return ("skew", r, m.n - 2 * r)
-
-
-def _sym_signature(m, X):
-    S = _untwisted(m, X)
-    if m.field == REAL:
-        vals = np.linalg.eigvalsh(np.asarray(S + S.T, dtype=complex).real / 2)
-    else:
-        _, vals = takagi(np.asarray(S, dtype=complex))
-    nz = vals[np.abs(vals) > 1e-9 * max(np.abs(vals).max(initial=0.0), 1.0)]
-    mult = tuple(sorted(k for _, k in _group_eigs(nz, 1e-7 * max(np.abs(nz).max(initial=1.0), 1.0))))
-    return ("sym", mult, m.n - len(nz))
-
-
-def _adjoint_signature(m, X):
-    """Eigenvalue multiplicity pattern of an adjoint-type factor."""
-    vals = np.linalg.eigvals(np.asarray(X, dtype=complex))
-    re = np.sort(vals.imag if np.abs(vals.real).max(initial=0.0) < 1e-9 else vals.real)
-    mult = tuple(sorted(k for _, k in _group_eigs(re, 1e-7 * max(np.abs(re).max(initial=1.0), 1.0))))
-    return ("adjoint", mult)
-
-
 @dataclass(frozen=True)
 class Factor:
     """One factor kind: its generic witness (full rank, all spectral values
-    distinct), the structured stabilizer of a witness matching the factor's
-    action, and the coarse block signature that tells stabilizers of equal
-    dimension apart."""
+    distinct) and the structured stabilizer of a witness matching the
+    factor's action."""
 
     witness: Callable[[ModuleDescriptor], np.ndarray]
     stabilizer: Callable[[ModuleDescriptor, np.ndarray, Tolerance], object]
-    signature: Callable[[ModuleDescriptor, np.ndarray], tuple]
 
 
 _SYMMETRIC = Factor(
     _diagonal_witness(centered=False),
-    lambda m, X, tol: stabilizer_congruence_sym(_untwisted(m, X), tol, field=m.field),
-    _sym_signature)
+    lambda m, X, tol: stabilizer_congruence_sym(_untwisted(m, X), tol, field=m.field))
 FACTORS = {
     "RectNK": Factor(_stack_witness,
-                     lambda m, X, tol: stabilizer_left_mult(X, tol, field=m.field),
-                     lambda m, X: ("stack", m.k)),
+                     lambda m, X, tol: stabilizer_left_mult(X, tol, field=m.field)),
     "Alt2": Factor(
         _skew_witness,
-        lambda m, X, tol: stabilizer_congruence_skew(_untwisted(m, X), tol, field=m.field),
-        _skew_signature),
+        lambda m, X, tol: stabilizer_congruence_skew(_untwisted(m, X), tol, field=m.field)),
     "Sym2": _SYMMETRIC,
     "Sym2Traceless": replace(_SYMMETRIC, witness=_diagonal_witness(centered=True)),
-    "SLnTraceless": Factor(_diagonal_witness(centered=True), _similarity_stabilizer,
-                           _adjoint_signature),
+    "SLnTraceless": Factor(_diagonal_witness(centered=True), _similarity_stabilizer),
     "Sym2TracelessForm": Factor(_diagonal_witness(centered=True, pairing=1),
-                                _similarity_stabilizer, _adjoint_signature),
-    "Alt2Form": Factor(_diagonal_witness(centered=False, pairing=-1), _similarity_stabilizer,
-                       _adjoint_signature),
+                                _similarity_stabilizer),
+    "Alt2Form": Factor(_diagonal_witness(centered=False, pairing=-1), _similarity_stabilizer),
     "SUAlgebra": Factor(_diagonal_witness(centered=True, imaginary=True),
-                        _compact_blocks("s-unitary-product", lambda c: tuple(k for _, k in c)),
-                        _adjoint_signature),
+                        _compact_blocks("s-unitary-product", lambda c: tuple(k for _, k in c))),
     "SymTracelessCapSU": Factor(_diagonal_witness(centered=True, pairing=1, imaginary=True),
-                                _compact_blocks("sp-product", _quaternionic_sizes),
-                                _adjoint_signature),
+                                _compact_blocks("sp-product", _quaternionic_sizes)),
     "SpAlgebra": Factor(_diagonal_witness(centered=False, pairing=-1, imaginary=True),
                         _compact_blocks("unitary-product",
-                                        lambda c: tuple(k for lam, k in c if lam > 0)),
-                        _adjoint_signature),
+                                        lambda c: tuple(k for lam, k in c if lam > 0))),
 }
 
 
@@ -422,7 +379,7 @@ def census(g: G.GroupDescriptor) -> dict:
         entry = rep.to_json()
         entry["canonical_h_dim"] = _canonical_h_dim(g, rep.modules)
         out["targets"].append(entry)
-    if _group_family(g).catalog:
+    if not _group_family(g).compact:
         cat = weyl.low_dim_classification(*weyl.algebra_of(g))
         out["low_dim_modules"] = [m.to_json() for m in cat.modules]
         out["low_dim_advisory"] = cat.advisory
@@ -468,12 +425,12 @@ def _comparison_dim(g: G.GroupDescriptor, m: ModuleDescriptor) -> int:
 def minimality_certificate(md: E.ManifoldDescriptor, tol: Tolerance = DEFAULT_TOL) -> MinimalityReport:
     """Desk-scale minimality check for one manifold family.
 
-    Asserts the target dimension equals the family's closed form, then
-    sweeps every admissible target of strictly smaller dimension and
-    compares stabilizer dimensions at canonical witnesses.  A candidate
-    matching both the dimension and the block signature of the family's
-    stabilizer raises :class:`NotMinimalFamily`; a bare dimension tie is
-    reported in ``dim_collisions`` (structure distinguishes the groups).
+    Asserts the target dimension equals the family's closed form (else
+    :class:`NotMinimalFamily`), then sweeps every admissible target of
+    strictly smaller dimension and compares stabilizer dimensions at
+    canonical witnesses.  A candidate whose stabilizer dimension equals the
+    family's is recorded in ``dim_collisions``; the dimension alone cannot
+    tell the two stabilizers apart.
     """
     gp = E.group(md)
     mod = E.module(md)
@@ -483,11 +440,6 @@ def minimality_certificate(md: E.ManifoldDescriptor, tol: Tolerance = DEFAULT_TO
         raise NotMinimalFamily(f"target dimension {dim_v} differs from closed form {mp}")
     h_dim = G.group_dim(gp) - E.tangent_dim(md)
     dim_v_cmp = _comparison_dim(gp, mod)
-
-    target_sig = None
-    base = E.base_point(md)
-    if base.module.kind != "RectNK":
-        target_sig = _factor(base.module).signature(base.module, base.value)
 
     candidates = []
     collisions = []
@@ -501,13 +453,6 @@ def minimality_certificate(md: E.ManifoldDescriptor, tol: Tolerance = DEFAULT_TO
         stab = _canonical_h_dim(gp, mods, tol)
         candidates.append((rep.spec.multiplicities, rep.module_dim_total, stab))
         if stab == h_dim:
-            sig = (_factor(mods[0]).signature(mods[0], canonical_witness(mods[0]))
-                   if len(mods) == 1 else None)
-            if sig is not None and target_sig is not None and sig == target_sig:
-                raise NotMinimalFamily(
-                    f"admissible target {rep.spec.multiplicities} of dimension "
-                    f"{rep.module_dim_total} reproduces the stabilizer"
-                )
             collisions.append(rep.spec.multiplicities)
     return MinimalityReport(
         manifold=md,

@@ -19,6 +19,7 @@ are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -418,6 +419,8 @@ class ManifoldDescriptor:
             if row.spectrum is None:
                 raise InvalidDescriptor(f"{self.family} takes no spectrum")
             self.spectrum = tuple(self.spectrum)
+            if not all(map(math.isfinite, self.spectrum)):
+                raise InvalidSpectrum("spectral values must be finite")
 
     @property
     def parts(self) -> tuple[int, ...]:
@@ -485,7 +488,7 @@ def base_point(md: ManifoldDescriptor) -> EmbeddedPoint:
     X = row.base(md, spec)
     if mod.field == COMPLEX:
         X = X.astype(complex)
-    if mod.kind != "RectNK" and not module_contains(mod, X):
+    if not module_contains(mod, X):
         raise ManirepError(f"base point of {md.family} escapes its module")
     return EmbeddedPoint(manifold=md, value=X, module=mod)
 
@@ -497,7 +500,7 @@ def embed(md: ManifoldDescriptor, g: np.ndarray, tol: Tolerance = DEFAULT_TOL) -
         raise NotInGroup(f"element is not in the acting group of {md.family}")
     base = base_point(md)
     val = act(gp, action(md), g, base.value, check=False)
-    if base.module.kind != "RectNK" and not module_contains(base.module, val, tol):
+    if not module_contains(base.module, val, tol):
         raise SizeMismatch("image escaped the module; input is likely far from the group")
     return EmbeddedPoint(manifold=md, value=val, module=base.module)
 
@@ -585,7 +588,7 @@ def on_orbit(md: ManifoldDescriptor, X: np.ndarray, tol: Tolerance = DEFAULT_TOL
     """Whether X carries the spectral/rank signature of the family's orbit."""
     base = base_point(md)
     mod = base.module
-    if mod.kind != "RectNK" and not module_contains(mod, X, tol):
+    if not module_contains(mod, X, tol):
         return False
     atol = tol.cutoff(max(frob(base.value), 1.0))
     return FAMILIES[md.family].orbit(X, base.value, atol)

@@ -72,4 +72,4 @@ class NoConstantFactor(ManirepError):
 
 
 class NotMinimalFamily(ManirepError):
-    """A smaller admissible target reproduced the stabilizer of the family."""
+    """A manifold family's target dimension differs from its closed form."""

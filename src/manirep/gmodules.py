@@ -15,6 +15,7 @@ subspaces of complex matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -213,6 +214,11 @@ def contains(m: ModuleDescriptor, X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -
     Xc = X.astype(complex)
     if not m._complex_entries and np.abs(Xc.imag).max(initial=0.0) > tol.abs_eps:
         return False
+    # dividing by the power of two below the largest entry, when that is at least 2, scales
+    # each residual and the bound alike (rel_eps >= abs_eps), so frob(Xc) cannot overflow
+    e = math.frexp(np.abs(Xc).max(initial=0.0))[1] - 1
+    if e > 0:
+        Xc = Xc / math.ldexp(1.0, e)
     bound = tol.cutoff(max(frob(Xc), 1.0))
     return all(frob(np.asarray(c(Xc))) <= bound for c in _conditions(m))
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDescriptor, ManirepError, SizeMismatch
+from .errors import InvalidDescriptor, ManirepError, NonFinite, SizeMismatch
 from .numkit import (ALL, ANTI_HERMITIAN, COMPLEX, DEFAULT_TOL, REAL, SKEW, SYM, Tolerance,
                      cached_basis, frob, mat_from_json, mat_to_json, span_kernel, unit_stack)
 
@@ -76,11 +76,11 @@ def Ipq(p: int, q: int) -> np.ndarray:
 
 def checked_form(F, n: int, skew: bool, dtype) -> np.ndarray:
     """F as an n x n array of dtype, checked symmetric (skew when ``skew``) to
-    1e-12 relative and nondegenerate."""
+    1e-12 relative to its own norm, whatever its scale, and nondegenerate."""
     F = np.asarray(F, dtype=dtype)
     if F.shape != (n, n):
         raise InvalidDescriptor("form has wrong size")
-    if frob(F + (1 if skew else -1) * F.T) > 1e-12 * max(frob(F), 1.0):
+    if frob(F + (1 if skew else -1) * F.T) > 1e-12 * frob(F):
         raise InvalidDescriptor(f"form must be {'skew' if skew else 'symmetric'}")
     if np.linalg.matrix_rank(F) < n:
         raise InvalidDescriptor("form must be nondegenerate")
@@ -222,14 +222,18 @@ def group_dim(g: GroupDescriptor) -> int:
 def contains(g: GroupDescriptor, A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Check the defining relations of g on A to tolerance: the form, A*A = I
     when unitary, det = 1 when special, det = +-1 for a form group that is
-    not, and det != 0 otherwise."""
+    not, and det != 0 otherwise.  A non-finite A, or one whose squared norm
+    overflows, raises :class:`NonFinite`."""
     A = np.asarray(A)
     if A.shape != (g.n, g.n):
         raise SizeMismatch(f"expected {g.n}x{g.n}, got {A.shape}")
     A = A.astype(complex)
     if g.field == REAL and np.abs(A.imag).max(initial=0.0) > tol.abs_eps:
         return False
-    scale = max(1.0, float(np.linalg.norm(A, 2)) ** 2)
+    norm = float(np.linalg.norm(A, 2)) if np.isfinite(A).all() else np.inf
+    scale = max(1.0, norm * norm)
+    if scale == np.inf:
+        raise NonFinite("the matrix or its squared norm is not finite")
     bound = tol.cutoff(scale)
     t = TRAITS[g.family]
 

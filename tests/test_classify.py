@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from manirep import groups as G
 from manirep.classify import (
+    GROUP_FAMILIES,
     CompactBlocks,
     TargetSpec,
     admissible,
@@ -42,6 +44,17 @@ class TestAdmissible:
     def test_sp_compact_pairs(self):
         for mult, ok in [((1, 1), True), ((0, 1), True), ((1, 0), True), ((0, 0), False)]:
             assert admissible(TargetSpec(G.sp_compact(10), mult)).admissible == ok
+
+    @pytest.mark.parametrize("g", [G.su(2), G.su(3), G.su(9), G.sp_compact(2), G.sp_compact(4),
+                                   G.sp_compact(10)], ids=lambda g: f"{g.family}{g.n}")
+    def test_compact_families_admit_every_nonempty_target(self, g):
+        """SU and compact Sp stack no frames: every in-range tuple but the empty one is
+        admissible, and census reports neither the empty target nor a Weyl catalog."""
+        for mult in product(*GROUP_FAMILIES[g.family].ranges(g.n)):
+            assert admissible(TargetSpec(g, mult)).admissible == any(mult), mult
+        out = census(g)
+        assert out["targets"] and all(any(t["multiplicities"].values()) for t in out["targets"])
+        assert "low_dim_modules" not in out and "low_dim_advisory" not in out
 
     def test_value_is_dim_gap(self):
         # for SL and SO the inequality value is exactly dim(W) - n^2
@@ -224,9 +237,10 @@ class TestMinimality:
         assert rep.certified and not rep.advisory
         assert rep.dim_collisions == []
 
-    def test_flag_stack_dimension_tie_is_distinguished(self):
+    def test_flag_stack_dimension_tie_is_recorded(self):
         # dim S(O_1 x O_1 x O_17) = dim SO_17: the 2-frame stack target ties
-        # the flag stabilizer dimension but has a different block structure
+        # the flag stabilizer dimension; the two groups share a Lie algebra
+        # and differ only in components, which a dimension cannot see
         rep = minimality_certificate(ManifoldDescriptor("fl-real", n=19, ks=(1, 2)))
         assert rep.certified and not rep.advisory
         assert rep.dim_collisions == [(2, 0, 0)]

@@ -442,6 +442,30 @@ def test_similarity_with_an_overflowing_spectrum_is_a_json_error(tmp_path, capsy
     assert _strict_json(capsys.readouterr().out)["error"]["type"] == "NonFinite"
 
 
+def _run_module(*argv):
+    """A fresh ``python -m manirep`` process, whose stderr catches warnings and tracebacks."""
+    return subprocess.run([sys.executable, "-m", "manirep", *argv], capture_output=True,
+                          text=True)
+
+
+def test_element_with_an_overflowing_norm_is_a_json_error(tmp_path):
+    """Finite entries of 1e160 overflow the squared norm that scales the group test."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(Mat.from_array(np.diag([1e160] * 4)).to_json()))
+    proc = _run_module("embed", "--manifold", "gr-real", "--n", "4", "--k", "2",
+                       "--element", str(path))
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert _strict_json(proc.stdout)["error"]["type"] == "NonFinite"
+
+
+@pytest.mark.parametrize("verb", ["embed", "verify"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_spectrum_is_rejected(verb, value):
+    proc = _run_module(verb, "--manifold", "lgr-c", "--n", "2", f"--spectrum={value}")
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert _strict_json(proc.stdout)["error"]["type"] == "InvalidSpectrum"
+
+
 def test_huge_symmetric_matrix_is_not_skew(tmp_path, capsys):
     assert main(["stabilizer", "--action", "congruence-skew",
                  "--matrix", _overflowing_file(tmp_path)]) == 1

@@ -26,7 +26,7 @@ from manirep.embeddings import (
     smallest_legal,
     tangent_dim,
 )
-from manirep.errors import InvalidDescriptor, InvalidSpectrum, NotInGroup
+from manirep.errors import InvalidDescriptor, InvalidSpectrum, NotInGroup, SizeMismatch
 from manirep.gmodules import contains as module_contains, module_dim
 from manirep.numkit import DEFAULT_TOL, frob
 from oracles import same_spectrum
@@ -144,6 +144,11 @@ class TestBasePoints:
             base_point(ManifoldDescriptor("gr-real", n=9, k=2, spectrum=(1.0, 1.0)))
         with pytest.raises(InvalidSpectrum):
             base_point(ManifoldDescriptor("fl-real", n=4, ks=(1, 2), spectrum=(1.0, 2.0, 3.0)))
+        for value in (np.nan, np.inf, -np.inf):  # rejected by the descriptor itself
+            with pytest.raises(InvalidSpectrum):
+                ManifoldDescriptor("lgr-c", n=2, spectrum=(value,))
+            with pytest.raises(InvalidSpectrum):
+                ManifoldDescriptor("gr-real", n=4, k=2, spectrum=(2.0, value))
 
     def test_descriptor_validation(self):
         with pytest.raises(InvalidDescriptor):
@@ -202,6 +207,16 @@ class TestEmbedProperties:
         md = ManifoldDescriptor("gr-real", n=5, k=1)
         with pytest.raises(NotInGroup):
             embed(md, 2.0 * np.eye(5))
+
+    def test_frame_rows_test_module_membership(self):
+        """A frame that is complex for a real row, or not n x k, is off the orbit."""
+        md = ManifoldDescriptor("stiefel-real", n=4, k=2)
+        assert on_orbit(md, base_point(md).value)
+        assert not on_orbit(md, 1j * base_point(md).value)
+        with pytest.raises(SizeMismatch):
+            on_orbit(md, np.eye(4))
+        with pytest.raises(SizeMismatch):
+            on_orbit(ManifoldDescriptor("st-noncompact-real", n=3, k=2), np.eye(3))
 
 
 class TestInjectivityDeskScale:

@@ -189,6 +189,18 @@ def test_membership_ignores_the_scale_of_the_form(kind, form):
         assert not contains(m, rng.standard_normal((4, 4)))
 
 
+@pytest.mark.parametrize("kind", ["Sym2", "Sym2Traceless", "Alt2"])
+def test_membership_of_huge_matrices(kind):
+    """Entries near the float limit overflow frob(X) unless X is scaled down first."""
+    m = md(kind, 3)
+    skew = np.array([[0.0, 1e154, 0], [-1e154, 0, 0], [0, 0, 0]])
+    assert contains(m, skew) == (kind == "Alt2")
+    rng = np.random.default_rng(3)
+    for e in (0, 500, 1000, 1020):
+        assert all(contains(m, np.ldexp(b, e)) for b in basis(m))
+        assert not contains(m, np.ldexp(rng.standard_normal((3, 3)), e))
+
+
 def test_every_kind_and_action_is_used():
     """Each kind is a manifold row's module, a classification factor or in a Weyl catalog,
     and each action is some kind's."""

@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 
 from manirep import groups
-from manirep.errors import InvalidDescriptor
+from manirep.errors import InvalidDescriptor, NonFinite
+from manirep.gmodules import ModuleDescriptor
 from manirep.groups import (
     GroupDescriptor,
     contains,
@@ -106,6 +107,25 @@ def test_contains_basics():
     assert not contains(sl(3), np.diag([2.0, 1.0, 1.0]))
     Z = lie_algebra_basis(sp(4, "R"))[3]
     assert contains(sp(4, "R"), scipy.linalg.expm(0.3 * Z))
+
+
+def test_contains_rejects_non_finite_matrices():
+    """NaN, an infinity, or a squared norm beyond the float range is NonFinite, not a bare
+    numpy or Python error."""
+    for big in (np.nan, np.inf, 1e160):
+        with pytest.raises(NonFinite):
+            contains(so(3), np.diag([big, 1.0, 1.0]))
+
+
+def test_form_symmetry_is_checked_at_every_scale():
+    """The symmetry bound is relative to the form, so a scaled non-symmetric form fails."""
+    A = np.array([[2.0, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    builds = (lambda F: so(4, form=F), lambda F: ModuleDescriptor("Sym2Traceless", 4, form=F))
+    for k in range(-60, 61):
+        for build in builds:
+            with pytest.raises(InvalidDescriptor):
+                build(np.ldexp(A, k))
+            build(np.ldexp(A + A.T, k))
 
 
 def test_descriptor_json_roundtrip():
