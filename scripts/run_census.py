@@ -4,15 +4,16 @@
 Enumerates every admissible module sum for SL_9(C), SO_19(C), Sp_10(C),
 SU_9, and compact Sp_10, with total dimensions and the stabilizer dimension
 realized at canonical witnesses, through ``manirep.classify.census`` (the
-report ``manirep census`` prints).  Writes one JSON document per group.
+report ``manirep census`` prints).  Writes one JSON document per group, the text
+``manirep census --pretty`` prints.
 """
 
 import argparse
-import json
 from pathlib import Path
 
 from manirep import classify as C
 from manirep import groups as G
+from manirep.numkit import dumps
 
 
 def main():
@@ -32,7 +33,7 @@ def main():
     for name, g in cases.items():
         report = C.census(g)
         path = outdir / f"{name}.json"
-        path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        path.write_text(dumps(report, pretty=True) + "\n")
         print(f"{name}: {len(report['targets'])} admissible targets -> {path}")
 
 

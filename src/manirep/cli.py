@@ -7,8 +7,10 @@ manifold realization), ``verify`` (equivariance residuals), ``cartan``
 (symmetric-space comparison), ``census`` (per-group summary report).
 
 Output is a single JSON document on stdout (``--pretty`` only adds
-whitespace); the seed comes from ``--seed`` or MANIREP_SEED.  Exit codes:
-0 success, 1 domain error (reported as an ``error`` object), 2 usage.
+whitespace), written by ``numkit.dumps`` from a result tree whose matrices
+are ``numkit.Mat`` leaves; the seed comes from ``--seed`` or MANIREP_SEED.
+Exit codes: 0 success, 1 domain error (reported as an ``error`` object),
+2 usage.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from . import classify as C
 from . import embeddings as E
 from . import groups as G
 from . import weyl
-from .errors import InvalidDescriptor, InvalidInput, ManirepError, NonFinite
-from .numkit import REAL, Mat
+from .errors import InvalidDescriptor, InvalidInput, ManirepError
+from .numkit import REAL, Mat, dumps
 from .stabilizers import (
     stabilizer_congruence_skew,
     stabilizer_congruence_sym,
@@ -245,16 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _dumps(payload, pretty: bool) -> str:
-    try:
-        return json.dumps(payload, sort_keys=True, allow_nan=False, indent=2 if pretty else None,
-                          separators=None if pretty else (",", ":"))
-    except ValueError as exc:
-        raise NonFinite("the result holds NaN or an infinity") from exc
-
-
 def _error(exc: ManirepError, pretty: bool) -> str:
-    return _dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}, pretty)
+    return dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}, pretty)
 
 
 def main(argv=None) -> int:
@@ -267,7 +261,7 @@ def main(argv=None) -> int:
         if fixed and args.field not in (None, fixed):
             ap.error(f"--group {args.group} is defined over {fixed}, not --field {args.field}")
     try:
-        text, code = _dumps(args.fn(args), args.pretty), 0
+        text, code = dumps(args.fn(args), args.pretty), 0
     except ManirepError as exc:
         text, code = _error(exc, args.pretty), 1
     if args.out:

@@ -240,7 +240,7 @@ def contains(g: GroupDescriptor, A: np.ndarray, tol: Tolerance = DEFAULT_TOL) ->
     B = g.form_matrix()
     if B is not None:
         Bc = B.astype(complex)
-        if frob(A.T @ Bc @ A - Bc) > bound * max(frob(Bc), 1.0):
+        if frob(A.T @ Bc @ A - Bc) > bound * frob(Bc):
             return False
     if t.unitary and frob(A.conj().T @ A - np.eye(g.n)) > bound:
         return False

@@ -1,5 +1,12 @@
 """Dense matrix kernel: JSON interchange, tolerant rank, bases, Takagi and Youla forms.
 
+JSON interchange is ``Mat``: a matrix file or a result tree holds it as
+``{"rows", "cols", "field", "data": [[re, im], ...]}``.  Result trees carry
+``Mat`` leaves (``mat_to_json``), and ``dumps``, the one writer of the CLI's
+documents, prints each leaf as that object, taking the ``data`` text
+straight from the float array.  ``Mat.from_json`` accepts JSON numbers
+only.
+
 Standard factorizations (QR, Hermitian eigendecomposition, SVD) are taken
 from numpy.  This module adds the two congruence canonical forms the rest
 of the library needs but the stack does not provide:
@@ -24,6 +31,8 @@ Apart from that cache all functions are pure.
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -113,17 +122,24 @@ class Mat:
             field = obj["field"]
             if field not in (REAL, COMPLEX):
                 raise SizeMismatch(f"unknown field tag {field!r}")
-            data = np.asarray(obj["data"], float)
+            pairs = obj["data"]
+            # flattened first, so types are checked and floats made in bulk; numpy would
+            # coerce "1.5", true and null, and it reads a flat list faster than nested ones
+            entries = list(itertools.chain.from_iterable(pairs))
             rows, cols = obj["rows"], obj["cols"]
+        except (KeyError, TypeError) as exc:
+            raise InvalidInput(f"not a matrix object: {exc!r}") from exc
+        odd = set(map(type, entries)) - {int, float}
+        if odd:
+            raise InvalidInput("matrix entries must be JSON numbers, not "
+                               + ", ".join(sorted(t.__name__ for t in odd)))
+        if not isinstance(pairs, list) or set(map(len, pairs)) - {2}:
+            raise InvalidInput("matrix data is not a list of [re, im] pairs")
+        try:
+            data = np.asarray(entries, float).reshape(-1, 2)
         except OverflowError as exc:  # a JSON integer beyond the float range
             raise NonFinite(f"matrix has an entry beyond the float range: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInput(f"not a matrix object: {exc!r}") from exc
-        if data.shape[1:] != (2,) and data.shape != (0,):
-            raise InvalidInput(f"matrix data is not a list of [re, im] pairs: shape {data.shape}")
         if not np.isfinite(data).all():
-            if any(x is None for entry in obj["data"] for x in entry):  # numpy reads null as nan
-                raise InvalidInput("matrix has a null entry")
             raise NonFinite("matrix has a NaN or infinite entry")
         if type(rows) is not int or type(cols) is not int:  # bool is an int subclass
             raise InvalidInput("matrix sizes must be JSON integers, got "
@@ -132,18 +148,76 @@ class Mat:
             raise InvalidInput(f"negative matrix size {rows} x {cols}")
         if rows * cols != len(data):
             raise SizeMismatch("rows*cols does not match entry count")
-        data = data.reshape(-1, 2)
         if field == REAL and data[:, 1].any():
             raise SizeMismatch("real-field matrix has nonzero imaginary part")
         return Mat(rows=rows, cols=cols, field=field, data=data)
 
 
-def mat_to_json(a: np.ndarray, field: str | None = None) -> dict:
-    return Mat.from_array(a, field).to_json()
+def mat_to_json(a: np.ndarray, field: str | None = None) -> Mat:
+    """The JSON leaf of ``a`` in a result tree: a ``Mat``, which ``dumps`` writes as
+    its ``to_json`` object."""
+    return Mat.from_array(a, field)
 
 
-def mat_from_json(obj: dict) -> np.ndarray:
-    return Mat.from_json(obj).to_array()
+def mat_from_json(obj: dict | Mat) -> np.ndarray:
+    """The array of a ``to_json`` object, or of the ``Mat`` leaf itself."""
+    return (obj if isinstance(obj, Mat) else Mat.from_json(obj)).to_array()
+
+
+#: stands for a leaf's ``data`` in the first pass of ``dumps``, and its JSON text
+_DATA = "\0data\0"
+_DATA_TEXT = json.dumps(_DATA)
+
+
+def _data_text(m: Mat) -> str:
+    """The compact JSON text of ``m.to_json()["data"]``, from the float array in bulk:
+    one ``float.__repr__`` per number, and for all-(+0.0) imaginary parts none of them."""
+    if not np.isfinite(m.data).all():
+        raise NonFinite("the result holds NaN or an infinity")
+    if not len(m.data):
+        return "[]"
+    im = m.data[:, 1]
+    if not (im.any() or np.signbit(im).any()):
+        return "[[" + ",0.0],[".join(map(float.__repr__, m.data[:, 0].tolist())) + ",0.0]]"
+    text = list(map(float.__repr__, m.data.ravel().tolist()))
+    return "[[" + "],[".join(map(",".join, zip(text[::2], text[1::2]))) + "]]"
+
+
+def dumps(tree, pretty: bool = False) -> str:
+    """The JSON text of a result tree, keys sorted: compact, or indented by 2 with ``pretty``.
+
+    The one writer of the CLI's documents.  ``Mat`` leaves read as their ``to_json``
+    object.  Compact text is one ``json.dumps`` pass that writes each leaf's ``data`` as a
+    placeholder, then the data texts of ``_data_text`` spliced in; should a string in the
+    tree hold the placeholder, so that the pieces do not match the leaves, the tree is
+    written again with plain leaves.  NaN or an infinity raises :class:`NonFinite`."""
+    leaves: list[Mat] = []
+
+    def plain(obj):
+        if not isinstance(obj, Mat):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        return obj.to_json()
+
+    def marked(obj):
+        if not isinstance(obj, Mat):
+            return plain(obj)
+        leaves.append(obj)
+        return {"rows": obj.rows, "cols": obj.cols, "field": obj.field, "data": _DATA}
+
+    def encode(default):
+        try:
+            return json.dumps(tree, sort_keys=True, allow_nan=False, default=default,
+                              indent=2 if pretty else None,
+                              separators=None if pretty else (",", ":"))
+        except ValueError as exc:
+            raise NonFinite("the result holds NaN or an infinity") from exc
+
+    if pretty:
+        return encode(plain)
+    parts = encode(marked).split(_DATA_TEXT)
+    if len(parts) != len(leaves) + 1:
+        return encode(plain)
+    return "".join(itertools.chain.from_iterable(zip(parts, map(_data_text, leaves)))) + parts[-1]
 
 
 def frob(a: np.ndarray) -> float:

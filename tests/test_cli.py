@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from manirep.cli import main
-from manirep.numkit import OMEGA2, Mat
+from manirep.numkit import OMEGA2, Mat, mat_to_json
 
 
 def run_cli(capsys, *argv):
@@ -295,6 +295,18 @@ def test_non_integer_matrix_size_is_rejected(tmp_path, capsys, size):
     assert payload["error"]["type"] == "InvalidInput"
 
 
+# numpy would read the strings and booleans as numbers, and null as NaN
+@pytest.mark.parametrize("entry", ['["1.5", "0"]', "[1.5, \"0\"]", "[true, false]", '["nan", 0]',
+                                   "[null, 0]"],
+                         ids=["string", "string-im", "bool", "string-nan", "null"])
+def test_non_number_matrix_entry_is_rejected(tmp_path, capsys, entry):
+    path = tmp_path / "m.json"
+    path.write_text(f'{{"rows": 1, "cols": 1, "field": "R", "data": [{entry}]}}')
+    code, payload = run_cli(capsys, "stabilizer", "--action", "left-mult", "--matrix", str(path))
+    assert code == 1
+    assert payload["error"]["type"] == "InvalidInput"
+
+
 @pytest.mark.parametrize("field", ["R", "C"])
 @pytest.mark.parametrize("action", ["congruence-sym", "congruence-skew"])
 def test_congruence_of_a_non_square_matrix_is_a_size_error(tmp_path, capsys, action, field):
@@ -337,6 +349,18 @@ def test_non_finite_result_is_a_json_error(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "cmd_dims", lambda args: {"dim": float("nan")})
     code, payload = run_cli(capsys, "dims", "--algebra", "SL", "--n", "3", "--kappa", "1,0")
+    assert code == 1
+    assert payload["error"]["type"] == "NonFinite"
+
+
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["compact", "pretty"])
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_in_a_result_is_a_json_error(capsys, monkeypatch, x, pretty):
+    import manirep.cli as cli
+
+    monkeypatch.setattr(cli, "cmd_dims", lambda args: {"m": mat_to_json(np.array([[1.0, x]]))})
+    code, payload = run_cli(capsys, "dims", "--algebra", "SL", "--n", "3", "--kappa", "1,0",
+                            *pretty)
     assert code == 1
     assert payload["error"]["type"] == "NonFinite"
 

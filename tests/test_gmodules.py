@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from manirep.errors import InvalidDescriptor, NotInGroup
 from manirep.gmodules import (KINDS, ActionKind, ModuleDescriptor, act, basis, contains,
                               module_dim, project)
 from manirep.groups import J2n, sample, so, so_pq, su
-from manirep.numkit import frob
+from manirep.numkit import dumps, frob
 
 
 def md(kind, n, field="R", k=None, form=None):
@@ -151,9 +153,12 @@ def test_altk_and_trivial_unsupported():
 
 
 def test_module_json_roundtrip():
-    m = md("Sym2TracelessForm", 6, "C")
-    m2 = ModuleDescriptor.from_json(m.to_json())
-    assert (m2.kind, m2.n, m2.field, m2.k) == (m.kind, m.n, m.field, m.k)
+    for form in (None, 1j * J2n(6)):
+        m = md("Sym2TracelessForm", 6, "C", form=form)
+        for obj in (m.to_json(), json.loads(dumps(m.to_json()))):  # the Mat leaf and the dict
+            m2 = ModuleDescriptor.from_json(obj)
+            assert (m2.kind, m2.n, m2.field, m2.k) == (m.kind, m.n, m.field, m.k)
+            assert (m2.form is None) if form is None else np.array_equal(m2.form, form)
 
 
 @pytest.mark.parametrize("obj", [

@@ -1,12 +1,13 @@
 """Byte-for-byte golden outputs of the CLI and of the minimality sweep.
 
 Each file under ``tests/golden/`` maps a request to the exact text it
-printed: CLI stdout for ``embed``/``verify``/``census``/``cartan``, and the
-sorted compact JSON of ``minimality_certificate(md).to_json()``.  A change
-that is meant to keep behaviour leaves every byte in place.  The outputs
-hold floating-point digits, so they are tied to the numeric stack they were
-recorded on (numpy 2.4, OpenBLAS 0.3.31, x86-64).  Regenerate them, only
-when an output is meant to change, with
+printed: CLI stdout for ``embed``/``verify``/``census``/``cartan``/``stabilizer``,
+and the sorted compact JSON of ``minimality_certificate(md).to_json()``.
+Requests run in ``tests/golden/matrices/``, which holds the ``stabilizer``
+input files.  A change that is meant to keep behaviour leaves every byte in
+place.  The outputs hold floating-point digits, so they are tied to the
+numeric stack they were recorded on (numpy 2.4, OpenBLAS 0.3.31, x86-64).
+Regenerate them, only when an output is meant to change, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -25,6 +26,7 @@ from manirep.classify import minimality_certificate
 from manirep.embeddings import ManifoldDescriptor, all_smallest_legal
 
 GOLDEN = Path(__file__).parent / "golden"
+MATRICES = GOLDEN / "matrices"
 
 CENSUS_GROUPS = (
     "--group SL --n 9 --field C",
@@ -41,6 +43,16 @@ CARTAN = (
     "--type BDI --n 4 --k 2", "--type DIII --n 2", "--type CI --n 2",
     "--type CII --n 3 --k 1",
 )
+# between them the inputs hold -0.0, 5e-324, 1e-05, 1e16 and 1e300
+STABILIZER = (
+    "--action left-mult --matrix frame.json",
+    "--action congruence-sym --matrix sym_real.json",
+    "--action congruence-sym --matrix sym_complex.json",
+    "--action congruence-skew --matrix skew_real.json",
+    "--action congruence-skew --matrix skew_complex.json",
+    "--action similarity --matrix jordan.json",
+    "--action similarity --mode numeric --matrix spectrum.json",
+)
 
 
 def manifold_flags(md: ManifoldDescriptor) -> str:
@@ -56,7 +68,7 @@ def manifold_flags(md: ManifoldDescriptor) -> str:
 
 def cli_stdout(line: str) -> str:
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    with contextlib.chdir(MATRICES), contextlib.redirect_stdout(buf):
         code = cli.main(line.split())
     assert code == 0, buf.getvalue()
     return buf.getvalue()
@@ -74,6 +86,7 @@ def cases() -> dict[str, dict]:
         "verify": ["verify --manifold all --trials 20 --seed 7"],
         "census": [f"census {g}" for g in CENSUS_GROUPS],
         "cartan": [f"cartan {c} --seed 7" for c in CARTAN],
+        "stabilizer": [f"stabilizer {s}{p}" for s in STABILIZER for p in ("", " --pretty")],
     }
     out = {name: {line: (lambda line=line: cli_stdout(line)) for line in lines}
            for name, lines in table.items()}

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,7 +22,7 @@ from manirep.groups import (
     sp_compact,
     su,
 )
-from manirep.numkit import Tolerance, frob
+from manirep.numkit import Tolerance, dumps, frob
 
 ALL_SMALL = [
     sl(4, "R"), sl(4, "C"),
@@ -128,11 +130,24 @@ def test_form_symmetry_is_checked_at_every_scale():
             build(np.ldexp(A + A.T, k))
 
 
+def test_membership_is_checked_at_every_scale_of_the_form():
+    """The form residual is bounded relative to the form, so however small or large the form,
+    a non-member of the conjugated copy stays out and a member stays in."""
+    A = np.array([[2.0, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    c, s = np.cos(0.3), np.sin(0.3)
+    member = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, c, -s], [0, 0, s, c]])
+    for k in range(-60, 61):
+        g = so(4, form=np.ldexp(A + A.T, k))
+        assert not contains(g, np.diag([2.0, 0.5, 1.0, 1.0]))
+        assert contains(g, member)
+
+
 def test_descriptor_json_roundtrip():
     g = so(4, "R", form=np.diag([2.0, 1.0, 1.0, 3.0]))
-    g2 = GroupDescriptor.from_json(g.to_json())
-    assert g2.family == g.family and g2.n == g.n
-    np.testing.assert_allclose(g2.form, g.form)
+    for obj in (g.to_json(), json.loads(dumps(g.to_json()))):  # the Mat leaf and the dict
+        g2 = GroupDescriptor.from_json(obj)
+        assert g2.family == g.family and g2.n == g.n
+        np.testing.assert_array_equal(g2.form, g.form)
 
 
 @pytest.mark.parametrize("g", ALL_SMALL, ids=lambda g: f"{g.family}{g.n}{g.field}")

@@ -96,6 +96,65 @@ class TestMatJson:
             np.testing.assert_array_equal(np.signbit(b), np.signbit(a))
 
 
+#: entries whose text is easy to get wrong: signed zeros, subnormals, the range ends, and
+#: neighbours of 1e+-16, where repr switches between positional and exponent notation
+AWKWARD = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+           -1e300, 1e-05, 0.0001, 1e-16, 9999999999999998.0, 1e16, 1.0000000000000002e16,
+           -1e16, 0.1, 1 / 3)
+
+
+def entries(n):
+    return st.lists(st.one_of(st.sampled_from(AWKWARD),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=n, max_size=n)
+
+
+@st.composite
+def mats(draw, min_entries=0):
+    """A ``Mat`` of up to 4 x 4 entries: real (tagged R or C), complex, or complex with
+    imaginary parts that are zero except one."""
+    rows = draw(st.integers(min_value=1 if min_entries else 0, max_value=4))
+    cols = draw(st.integers(min_value=1 if min_entries else 0, max_value=4))
+    n = rows * cols
+    re = draw(entries(n))
+    kind = draw(st.sampled_from(["R", "C-real", "C", "C-one"]))
+    im = draw(entries(n)) if kind == "C" else [0.0] * n
+    if kind == "C-one" and n:
+        im[draw(st.integers(min_value=0, max_value=n - 1))] = draw(entries(1))[0]
+    data = np.array([re, im], dtype=float).T.reshape(n, 2)
+    return Mat(rows, cols, "R" if kind == "R" else "C", data)
+
+
+def plain_text(tree, pretty):
+    """What the writer must print: ``json.dumps`` of the tree with dicts for the leaves."""
+    if pretty:
+        return json.dumps(tree, sort_keys=True, indent=2, default=Mat.to_json)
+    return json.dumps(tree, sort_keys=True, separators=(",", ":"), default=Mat.to_json)
+
+
+@given(st.lists(mats(), max_size=3), st.sampled_from(["", "data", numkit._DATA]),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_writer_prints_the_plain_tree(leaves, text, pretty):
+    """The writer's text is json.dumps of the tree with each leaf as its dict, also when a
+    string in the tree is the writer's placeholder for a leaf's data."""
+    tree = {"leaves": leaves, "first": leaves[0] if leaves else None, "s": text, "x": -0.0}
+    assert numkit.dumps(tree, pretty) == plain_text(tree, pretty)
+    for m in leaves:
+        assert numkit.dumps(m, pretty) == plain_text(m, pretty)
+        np.testing.assert_array_equal(Mat.from_json(json.loads(numkit.dumps(m))).data, m.data)
+
+
+@given(mats(min_entries=1), st.sampled_from([np.nan, np.inf, -np.inf]),
+       st.integers(min_value=0), st.integers(min_value=0, max_value=1), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_writer_rejects_non_finite_entries(m, x, at, part, pretty):
+    data = m.data.copy()
+    data[at % len(data), part] = x
+    with pytest.raises(NonFinite):
+        numkit.dumps({"m": Mat(m.rows, m.cols, m.field, data)}, pretty)
+
+
 class TestNumericalRank:
     def test_identity(self):
         assert numerical_rank(np.eye(5)) == 5
