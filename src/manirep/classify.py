@@ -15,7 +15,10 @@ points, one per module factor: per-factor structured stabilizers plus the
 exact dimension of their intersection inside the group.  Each factor kind
 is one :class:`Factor` row of ``FACTORS``: its canonical witness and its
 structured stabilizer.  ``census`` reports only the intersection dimension,
-so it builds no factor stabilizer.
+so it builds no factor stabilizer.  A canonical witness depends only on its
+module, so ``census`` and ``minimality_certificate`` build the condition rows
+of each distinct slot factor once per call and count a factor repeated in a
+target once; only the frame is rebuilt per target.
 
 ``minimality_certificate`` checks, for a manifold family, that its target
 dimension matches the family's closed form and that no admissible target
@@ -56,10 +59,12 @@ from .numkit import (
     youla_blocks,
 )
 from .stabilizers import (
+    _kernel_dim,
     intersect_stabilizer_dim,
     stabilizer_congruence_skew,
     stabilizer_congruence_sym,
     stabilizer_left_mult,
+    stabilizer_rows,
     stabilizer_similarity,
 )
 
@@ -111,6 +116,13 @@ def _group_family(g: G.GroupDescriptor) -> GroupFamily:
     return GROUP_FAMILIES[g.family]
 
 
+def _slot_modules(g: G.GroupDescriptor) -> list[ModuleDescriptor]:
+    """One module per slot of g's family, in slot order."""
+    fam = _group_family(g)
+    form = g.form_matrix() if fam.twisted else None
+    return [ModuleDescriptor(kind, g.n, g.field, form=form) for _, kind, _ in fam.slots]
+
+
 @dataclass(frozen=True)
 class TargetSpec:
     """A candidate module sum for one group, as factor multiplicities in the
@@ -120,18 +132,20 @@ class TargetSpec:
     multiplicities: tuple[int, ...]
 
     def modules(self) -> list[ModuleDescriptor]:
-        g = self.group
-        fam = _group_family(g)
-        mult = self.multiplicities
-        out: list[ModuleDescriptor] = []
-        if not fam.compact:
-            b, *mult = mult
-            if b:
-                out.append(ModuleDescriptor("RectNK", g.n, g.field, k=b))
-        form = g.form_matrix() if fam.twisted else None
-        for (_, kind, _), count in zip(fam.slots, mult):
-            out += [ModuleDescriptor(kind, g.n, g.field, form=form)] * count
+        frame, counts = self.split()
+        out = [] if frame is None else [frame]
+        for m, count in zip(_slot_modules(self.group), counts):
+            out += [m] * count
         return out
+
+    def split(self) -> tuple[ModuleDescriptor | None, tuple[int, ...]]:
+        """The frame (RectNK with ``b`` columns; None when b = 0 or the family is
+        ``compact``) and the multiplicities of the family's slots."""
+        g, mult = self.group, self.multiplicities
+        if _group_family(g).compact:
+            return None, mult
+        frame = ModuleDescriptor("RectNK", g.n, g.field, k=mult[0]) if mult[0] else None
+        return frame, mult[1:]
 
     def to_json(self) -> dict:
         return {
@@ -365,19 +379,42 @@ def canonical_witness(module: ModuleDescriptor) -> np.ndarray:
     return _factor(module).witness(module)
 
 
-def _canonical_h_dim(g: G.GroupDescriptor, mods: list[ModuleDescriptor],
-                     tol: Tolerance = DEFAULT_TOL) -> int:
-    """Stabilizer dimension in g at the canonical witnesses of ``mods``."""
-    return intersect_stabilizer_dim(g, [(m, m.action, canonical_witness(m)) for m in mods], tol)
+def _canonical_h_dims(g: G.GroupDescriptor, specs: list[TargetSpec],
+                      tol: Tolerance = DEFAULT_TOL) -> list[int]:
+    """Stabilizer dimension in g at the canonical witnesses of each target.
+
+    A canonical witness depends only on its module, so each slot module's condition rows are
+    built (and its witness checked) once per call, and a module repeated in a target counts
+    once: equal rows cut out the same kernel.  The frame's rows, a cheap left multiplication
+    whose width varies with the target, are built per target.  Each target is ranked as in
+    ``intersect_stabilizer_dim``."""
+
+    def rows(m: ModuleDescriptor) -> np.ndarray:
+        return stabilizer_rows(g, m, m.action, canonical_witness(m), tol)
+
+    slots = _slot_modules(g)
+    blocks: dict[int, np.ndarray] = {}
+    dims = []
+    for spec in specs:
+        frame, counts = spec.split()
+        target = [] if frame is None else [rows(frame)]
+        for i, count in enumerate(counts):
+            if count:
+                if i not in blocks:
+                    blocks[i] = rows(slots[i])
+                target.append(blocks[i])
+        dims.append(_kernel_dim(g, target, tol))
+    return dims
 
 
 def census(g: G.GroupDescriptor) -> dict:
     """Every admissible target of g with its stabilizer dimension at canonical
     witnesses, plus the low-dimensional Weyl catalog for the split families."""
     out = {"group": g.to_json(), "targets": []}
-    for rep in enumerate_admissible(g):
+    reports = enumerate_admissible(g)
+    for rep, h_dim in zip(reports, _canonical_h_dims(g, [rep.spec for rep in reports])):
         entry = rep.to_json()
-        entry["canonical_h_dim"] = _canonical_h_dim(g, rep.modules)
+        entry["canonical_h_dim"] = h_dim
         out["targets"].append(entry)
     if not _group_family(g).compact:
         cat = weyl.low_dim_classification(*weyl.algebra_of(g))
@@ -441,19 +478,12 @@ def minimality_certificate(md: E.ManifoldDescriptor, tol: Tolerance = DEFAULT_TO
     h_dim = G.group_dim(gp) - E.tangent_dim(md)
     dim_v_cmp = _comparison_dim(gp, mod)
 
-    candidates = []
-    collisions = []
-    for rep in enumerate_admissible(gp):
-        mods = rep.modules
-        if not mods:
-            continue
-        cmp_dim = sum(_comparison_dim(gp, m) for m in mods)
-        if cmp_dim >= dim_v_cmp:
-            continue
-        stab = _canonical_h_dim(gp, mods, tol)
-        candidates.append((rep.spec.multiplicities, rep.module_dim_total, stab))
-        if stab == h_dim:
-            collisions.append(rep.spec.multiplicities)
+    smaller = [rep for rep in enumerate_admissible(gp)
+               if rep.modules and sum(_comparison_dim(gp, m) for m in rep.modules) < dim_v_cmp]
+    stabs = _canonical_h_dims(gp, [rep.spec for rep in smaller], tol)
+    candidates = [(rep.spec.multiplicities, rep.module_dim_total, stab)
+                  for rep, stab in zip(smaller, stabs)]
+    collisions = [mult for mult, _, stab in candidates if stab == h_dim]
     return MinimalityReport(
         manifold=md,
         dim_v=dim_v,

@@ -102,7 +102,11 @@ def _seed(args) -> int:
 
 def cmd_dims(args) -> dict:
     w = weyl.HighestWeight(args.algebra, args.n, args.kappa)
-    return {"dim": str(weyl.weyl_dim(w))}
+    dim = weyl.weyl_dim(w)
+    try:
+        return {"dim": str(dim)}
+    except ValueError as exc:  # more digits than int-to-str conversion allows
+        raise InvalidDescriptor(f"the dimension has too many digits to print: {exc}") from exc
 
 
 def cmd_irreps(args) -> dict:

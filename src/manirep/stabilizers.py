@@ -391,31 +391,48 @@ def stabilizer_dim_in_group(
     return intersect_stabilizer_dim(g, [(module, action, X)], tol)
 
 
+def stabilizer_rows(
+    g: G.GroupDescriptor,
+    module: ModuleDescriptor,
+    action: ActionKind,
+    X: np.ndarray,
+    tol: Tolerance = DEFAULT_TOL,
+) -> np.ndarray:
+    """The fixing condition of one module point as rows: row i is the infinitesimal action of
+    the i-th Lie basis element of g on X, so the stabilizer algebra of X is their kernel, and
+    the blocks of several points, joined column-wise, cut out the joint stabilizer.
+
+    X must have the module's shape and lie in the module to ``tol``; congruence-star needs a
+    real form.  For a real form, whose rank is taken over R, complex entries are split into
+    (re, im) columns.  When the basis and X are real, the rows are built in real arithmetic;
+    their rank is then the same over R and over C."""
+    basis = G.lie_algebra_basis(g)
+    X = np.asarray(X)
+    if X.shape != module.shape:
+        raise SizeMismatch("witness has the wrong shape for its module")
+    if KINDS[module.kind].membership and not module_contains(module, X, tol):
+        raise WitnessNotInModule(f"witness is not in {module.kind} to tolerance")
+    if action == ActionKind.CONGRUENCE_STAR and g.is_complex_group:
+        raise InvalidDescriptor("congruence-star is conjugate-linear; use a real form")
+    if not any(np.iscomplexobj(A) and A.imag.any() for A in (basis, X)):
+        basis, X = basis.real, X.real
+    return _rows(dact(action, basis, X), not g.is_complex_group)
+
+
 def intersect_stabilizer_dim(
     g: G.GroupDescriptor,
     constraints: list[tuple[ModuleDescriptor, ActionKind, np.ndarray]],
     tol: Tolerance = DEFAULT_TOL,
 ) -> int:
-    """dim of the joint stabilizer algebra of several module points.
+    """dim of the joint stabilizer algebra of several module points."""
+    return _kernel_dim(g, [stabilizer_rows(g, module, action, X, tol)
+                           for module, action, X in constraints], tol)
 
-    The rank is taken over C for a complex group and over R for a real form,
-    whose complex entries are split into (re, im) coordinates.  When the basis
-    and every witness are real, the condition rows are built in real arithmetic;
-    their rank is then the same over R and over C."""
-    basis = G.lie_algebra_basis(g)
-    if not constraints:
-        return len(basis)
-    complex_rank = g.is_complex_group
-    witnesses = [np.asarray(X) for _, _, X in constraints]
-    if not any(np.iscomplexobj(A) and A.imag.any() for A in (basis, *witnesses)):
-        basis, witnesses = basis.real, [X.real for X in witnesses]
-    for (module, action, _), X in zip(constraints, witnesses):
-        if X.shape != module.shape:
-            raise SizeMismatch("witness has the wrong shape for its module")
-        if KINDS[module.kind].membership and not module_contains(module, X, tol):
-            raise WitnessNotInModule(f"witness is not in {module.kind} to tolerance")
-        if action == ActionKind.CONGRUENCE_STAR and complex_rank:
-            raise InvalidDescriptor("congruence-star is conjugate-linear; use a real form")
-    A = np.concatenate([_rows(dact(action, basis, X), not complex_rank)
-                        for (_, action, _), X in zip(constraints, witnesses)], axis=1)
-    return len(basis) - numerical_rank(A, tol)
+
+def _kernel_dim(g: G.GroupDescriptor, blocks: list[np.ndarray], tol: Tolerance) -> int:
+    """dim of the joint stabilizer cut out by ``stabilizer_rows`` blocks: the Lie algebra
+    dimension minus one ``numerical_rank`` of the blocks joined column-wise."""
+    if not blocks:
+        return len(G.lie_algebra_basis(g))
+    A = np.concatenate(blocks, axis=1)
+    return len(A) - numerical_rank(A, tol)

@@ -263,3 +263,56 @@ def test_census_h_dim_matches_the_structured_stabilizers(g):
         for factor in form.factors:
             factor.to_json()
         assert entry["canonical_h_dim"] == (form.h_dim if rep.modules else G.group_dim(g))
+
+
+def test_census_builds_each_slot_factor_once(monkeypatch):
+    """A canonical witness depends only on its module, so one census of SO_11(C) builds the
+    congruence rows of each distinct slot module once and checks each slot witness once,
+    however many targets repeat it; only the frame (left multiplication) is rebuilt per
+    target."""
+    from manirep import stabilizers
+    from manirep.gmodules import ActionKind
+
+    g = G.so(11, "C")
+    congruence, checked = [], []
+    dact, contains = stabilizers.dact, stabilizers.module_contains
+
+    def counted_dact(action, Z, X):
+        if action == ActionKind.CONGRUENCE:
+            congruence.append(np.asarray(X).tobytes())
+        return dact(action, Z, X)
+
+    def counted_contains(m, X, *args):
+        if m.action != ActionKind.LEFT_MULT:
+            checked.append((m.cache_key(), np.asarray(X).tobytes()))
+        return contains(m, X, *args)
+
+    monkeypatch.setattr(stabilizers, "dact", counted_dact)
+    monkeypatch.setattr(stabilizers, "module_contains", counted_contains)
+    census(g)
+    slots = {(m.cache_key(), canonical_witness(m).tobytes())
+             for rep in enumerate_admissible(g) for m in rep.modules
+             if m.action != ActionKind.LEFT_MULT}
+    assert len(slots) == 2  # Alt2 and Sym2Traceless, each repeated across targets
+    assert sorted(checked) == sorted(slots)
+    assert len(congruence) == len(slots)
+
+
+def test_minimality_stab_dims_match_the_full_intersection():
+    """Each candidate's stabilizer dimension, computed with every distinct factor built once
+    and a repeated factor counted once, equals intersect_stabilizer_dim on the full constraint
+    list at the canonical witnesses, repeated factors kept."""
+    from manirep.embeddings import all_smallest_legal, group
+    from manirep.stabilizers import intersect_stabilizer_dim
+
+    rows = all_smallest_legal()
+    assert len(rows) == 25
+    candidates = 0
+    for md in rows:
+        g = group(md)
+        for mult, _, stab in minimality_certificate(md).candidates:
+            mods = TargetSpec(g, mult).modules()
+            assert stab == intersect_stabilizer_dim(
+                g, [(m, m.action, canonical_witness(m)) for m in mods])
+            candidates += 1
+    assert candidates == 35

@@ -494,3 +494,12 @@ def test_huge_symmetric_matrix_is_not_skew(tmp_path, capsys):
     assert main(["stabilizer", "--action", "congruence-skew",
                  "--matrix", _overflowing_file(tmp_path)]) == 1
     assert _strict_json(capsys.readouterr().out)["error"]["type"] == "NotSkew"
+
+
+def test_dimension_with_too_many_digits_is_a_json_error():
+    """SL_30 at kappa = (99999999999, ...) has a dimension of more than 4,300 digits, beyond
+    the int-to-str conversion limit."""
+    proc = _run_module("dims", "--algebra", "SL", "--n", "30", "--kappa",
+                       ",".join(["99999999999"] * 29))
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert _strict_json(proc.stdout)["error"]["type"] == "InvalidDescriptor"

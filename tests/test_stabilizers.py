@@ -523,3 +523,49 @@ def test_numeric_similarity_finds_planned_classes_property(plan):
     assert td.commutant_dim == sum((2 if field == "R" and z.imag else 1) * m * m for z, m in spec)
     for c in td.classes:
         assert min(abs(c.value - z) for z, _ in spec) < 1e-8
+
+
+@st.composite
+def _group_module_point(draw):
+    """A group of SO_n(C), Sp_n(R), SU_n or SO(p,q) with n <= 8, one of its classification
+    modules, and a point of it: the canonical witness or a random combination of its basis."""
+    from manirep.classify import GROUP_FAMILIES, TargetSpec, canonical_witness
+    from manirep.gmodules import basis
+
+    family = draw(st.sampled_from(["SO", "Sp", "SU", "SOpq"]))
+    if family == "SO":
+        g = groups.so(draw(st.integers(3, 8)), "C")
+    elif family == "Sp":
+        g = groups.sp(2 * draw(st.integers(1, 4)), "R")
+    elif family == "SU":
+        g = groups.su(draw(st.integers(2, 8)))
+    else:
+        p = draw(st.integers(1, 7))
+        g = groups.so_pq(p, draw(st.integers(1, 8 - p)))
+    fam = GROUP_FAMILIES[g.family]
+    frame = () if fam.compact else (draw(st.integers(1, g.n)),)
+    m = draw(st.sampled_from(TargetSpec(g, frame + (1,) * len(fam.slots)).modules()))
+    seed = draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        X = canonical_witness(m)
+    else:
+        rng = np.random.default_rng(seed)
+        B = basis(m)
+        c = rng.standard_normal(len(B))
+        if m.field == "C":
+            c = c + 1j * rng.standard_normal(len(B))
+        X = np.tensordot(c, B, axes=1)
+    return g, m, X, seed
+
+
+@given(_group_module_point())
+@settings(max_examples=80, deadline=None)
+def test_stabilizer_dim_is_invariant_along_the_orbit(case):
+    """The stabilizer of A.X is A G_X A^{-1}, so its dimension is that of G_X for every
+    group element A."""
+    from manirep.gmodules import act
+
+    g, m, X, seed = case
+    Y = act(g, m.action, groups.sample(g, seed), X)
+    assert stabilizer_dim_in_group(g, m, m.action, Y) == stabilizer_dim_in_group(
+        g, m, m.action, X)
