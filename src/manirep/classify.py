@@ -4,21 +4,20 @@ For each supported group family there is a short list of low-dimensional
 irreducible modules (see :mod:`manirep.weyl`), so a candidate target is
 just a tuple of multiplicities.  Each family is one :class:`GroupFamily`
 row of ``GROUP_FAMILIES``: the multiplicity names, factor kinds and ranges.
-A target is admissible when its multiplicities are in range and its total
-module dimension dim W stays within n^2; the exact value reported is
+Each multiplicity must lie in its range, and a target is admissible when its
+total module dimension dim W stays within n^2; the exact value reported is
 (dim W - n^2) / divisor, halved for Sp (the bound in its symplectic rank).
 The unitary and compact symplectic families are ``compact``: they stack no
 frames and admit no empty target.
 
-``stabilizer_form`` assembles the subgroup realized by a tuple of witness
-points, one per module factor: per-factor structured stabilizers plus the
-exact dimension of their intersection inside the group.  Each factor kind
-is one :class:`Factor` row of ``FACTORS``: its canonical witness and its
-structured stabilizer.  ``census`` reports only the intersection dimension,
-so it builds no factor stabilizer.  A canonical witness depends only on its
-module, so ``census`` and ``minimality_certificate`` build the condition rows
-of each distinct slot factor once per call and count a factor repeated in a
-target once; only the frame is rebuilt per target.
+``census`` reports, for each admissible target, the dimension of the
+stabilizer in the group of a tuple of canonical witnesses, one per module
+factor; ``FACTORS`` maps each factor kind to its canonical witness.  The
+structured stabilizer of a single point lives in :mod:`manirep.stabilizers`.
+A canonical witness depends only on its module, so ``census`` and
+``minimality_certificate`` build the condition rows of each distinct slot
+factor once per call and count a factor repeated in a target once; only the
+frame is rebuilt per target.
 
 ``minimality_certificate`` checks, for a manifold family, that its target
 dimension matches the family's closed form and that no admissible target
@@ -39,34 +38,10 @@ import numpy as np
 from . import embeddings as E
 from . import groups as G
 from . import weyl
-from .errors import (
-    InvalidDescriptor,
-    NotMinimalFamily,
-    UnsupportedGroup,
-    WitnessNotInModule,
-)
-from .gmodules import (
-    ModuleDescriptor,
-    module_dim,
-    real_dim,
-)
-from .numkit import (
-    COMPLEX,
-    DEFAULT_TOL,
-    Tolerance,
-    clusters,
-    mat_to_json,
-    youla_blocks,
-)
-from .stabilizers import (
-    _kernel_dim,
-    intersect_stabilizer_dim,
-    stabilizer_congruence_skew,
-    stabilizer_congruence_sym,
-    stabilizer_left_mult,
-    stabilizer_rows,
-    stabilizer_similarity,
-)
+from .errors import InvalidDescriptor, NotMinimalFamily, UnsupportedGroup
+from .gmodules import ModuleDescriptor, module_dim, real_dim
+from .numkit import COMPLEX, DEFAULT_TOL, Tolerance, youla_blocks
+from .stabilizers import _kernel_dim, stabilizer_rows
 
 
 @dataclass(frozen=True)
@@ -78,9 +53,10 @@ class GroupFamily:
     bound) of ``slots`` is a further multiplicity, 0..bound-1 copies of one
     factor kind; ``twisted`` factors carry the group's form.  The exact
     admissibility value is (dim W - n^2) / ``divisor`` for the total module
-    dimension dim W.  A target is admissible when it is in range and the
-    value is <= 0; a ``compact`` family also needs a nonempty target, and
-    ``census`` reports no low-dimensional Weyl catalog for it.
+    dimension dim W.  A target (in range, else ``admissible`` raises) is
+    admissible when the value is <= 0; a ``compact`` family also needs a
+    nonempty target, and ``census`` reports no low-dimensional Weyl catalog
+    for it.
     """
 
     name: str
@@ -148,10 +124,8 @@ class TargetSpec:
         return frame, mult[1:]
 
     def to_json(self) -> dict:
-        return {
-            "group": self.group.to_json(),
-            "multiplicities": dict(zip(_group_family(self.group).names, self.multiplicities)),
-        }
+        mult = dict(zip(_group_family(self.group).names, self.multiplicities))
+        return {"group": self.group.to_json(), "multiplicities": mult}
 
 
 @dataclass
@@ -163,108 +137,40 @@ class AdmissibilityReport:
     modules: list[ModuleDescriptor]
 
     def to_json(self) -> dict:
-        out = self.spec.to_json()
-        out.update(
-            {
-                "admissible": self.admissible,
+        return {**self.spec.to_json(), "admissible": self.admissible,
                 "inequality_value": str(self.inequality_value),
-                "dim_total": str(self.module_dim_total),
-            }
-        )
-        return out
+                "dim_total": str(self.module_dim_total)}
 
 
 def admissible(spec: TargetSpec) -> AdmissibilityReport:
-    """Evaluate the family's admissibility rule exactly over rationals."""
+    """Evaluate the family's admissibility rule exactly over rationals.  A multiplicity out of
+    its family's range is an :class:`InvalidDescriptor`."""
     g = spec.group
     fam = _group_family(g)
     mult = spec.multiplicities
     ranges = fam.ranges(g.n)
     if len(mult) != len(ranges):
         raise InvalidDescriptor(f"{fam.name} expects {len(ranges)} multiplicities")
-    in_range = all(m in r for m, r in zip(mult, ranges))
+    for name, m, r in zip(fam.names, mult, ranges):
+        if m not in r:
+            raise InvalidDescriptor(f"{fam.name} multiplicity {name} must be in 0..{r[-1]}")
     mods = spec.modules()
     dim_total = sum(module_dim(m) for m in mods)
     value = Fraction(dim_total - g.n**2, fam.divisor)
-    ok = in_range and value <= 0 and not (fam.compact and not mods)
+    ok = value <= 0 and not (fam.compact and not mods)
     return AdmissibilityReport(spec, ok, value, dim_total, mods)
 
 
 def enumerate_admissible(g: G.GroupDescriptor) -> list[AdmissibilityReport]:
     """All admissible multiplicity tuples, by total dimension then lex order."""
-    out = []
-    for mult in product(*_group_family(g).ranges(g.n)):
-        rep = admissible(TargetSpec(g, mult))
-        if rep.admissible:
-            out.append(rep)
-    out.sort(key=lambda r: (r.module_dim_total, r.spec.multiplicities))
-    return out
+    ranges = _group_family(g).ranges(g.n)
+    reports = (admissible(TargetSpec(g, mult)) for mult in product(*ranges))
+    return sorted((r for r in reports if r.admissible),
+                  key=lambda r: (r.module_dim_total, r.spec.multiplicities))
 
 
 # ---------------------------------------------------------------------------
-# stabilizers realized by witness tuples
-
-
-@dataclass
-class CompactBlocks:
-    """Block stabilizer of a spectral witness inside a compact group."""
-
-    conjugator: np.ndarray
-    sizes: tuple[int, ...]
-    flavor: str  # "s-unitary-product" | "unitary-product" | "sp-product"
-
-    @property
-    def dim(self) -> int:
-        if self.flavor == "s-unitary-product":
-            return sum(k * k for k in self.sizes) - 1
-        if self.flavor == "unitary-product":
-            return sum(k * k for k in self.sizes)
-        if self.flavor == "sp-product":
-            return sum(2 * k * k + k for k in self.sizes)
-        raise InvalidDescriptor(self.flavor)
-
-    def to_json(self) -> dict:
-        return {
-            "conjugator": mat_to_json(self.conjugator, COMPLEX),
-            "sizes": list(self.sizes),
-            "flavor": self.flavor,
-            "dim": self.dim,
-        }
-
-
-def _group_eigs(vals: np.ndarray, tol: float) -> list[tuple[float, int]]:
-    """(mean, multiplicity) of each ``clusters`` cluster of the sorted real values, ascending."""
-    vals = np.sort(vals)
-    return [(float(np.mean(vals[idx])), len(idx)) for idx in clusters(vals, tol)]
-
-
-def _untwisted(m: ModuleDescriptor, X: np.ndarray) -> np.ndarray:
-    """The form-twisted copy of a witness as a plain symmetric or skew matrix."""
-    return X if m.form is None else m.form @ X
-
-
-def _similarity_stabilizer(m, X, tol):
-    Z = np.asarray(X, dtype=complex) * 16
-    dyadic = bool(np.all(Z == np.round(Z.real) + 1j * np.round(Z.imag)))
-    return stabilizer_similarity(X, "exact" if dyadic else "numeric", tol, field=m.field)
-
-
-def _compact_blocks(flavor, sizes):
-    """Stabilizer of a compact witness: ``sizes`` maps the eigenvalue
-    clusters (value, multiplicity) of -iX to the block sizes."""
-
-    def stabilizer(m, X, tol):
-        vals, vecs = np.linalg.eigh(-1j * np.asarray(X, dtype=complex))
-        classes = _group_eigs(vals, tol.cutoff(np.abs(vals).max(initial=1.0)))
-        return CompactBlocks(vecs, sizes(classes), flavor)
-
-    return stabilizer
-
-
-def _quaternionic_sizes(classes):
-    if any(k % 2 for _, k in classes):
-        raise WitnessNotInModule("quaternionic witness spectra must pair up")
-    return tuple(k // 2 for _, k in classes)
+# canonical witnesses and their stabilizer dimensions
 
 
 def _stack_witness(m):
@@ -301,82 +207,26 @@ def _diagonal_witness(centered: bool, pairing: int | None = None, imaginary: boo
     return witness
 
 
-@dataclass(frozen=True)
-class Factor:
-    """One factor kind: its generic witness (full rank, all spectral values
-    distinct) and the structured stabilizer of a witness matching the
-    factor's action."""
-
-    witness: Callable[[ModuleDescriptor], np.ndarray]
-    stabilizer: Callable[[ModuleDescriptor, np.ndarray, Tolerance], object]
-
-
-_SYMMETRIC = Factor(
-    _diagonal_witness(centered=False),
-    lambda m, X, tol: stabilizer_congruence_sym(_untwisted(m, X), tol, field=m.field))
-FACTORS = {
-    "RectNK": Factor(_stack_witness,
-                     lambda m, X, tol: stabilizer_left_mult(X, tol, field=m.field)),
-    "Alt2": Factor(
-        _skew_witness,
-        lambda m, X, tol: stabilizer_congruence_skew(_untwisted(m, X), tol, field=m.field)),
-    "Sym2": _SYMMETRIC,
-    "Sym2Traceless": replace(_SYMMETRIC, witness=_diagonal_witness(centered=True)),
-    "SLnTraceless": Factor(_diagonal_witness(centered=True), _similarity_stabilizer),
-    "Sym2TracelessForm": Factor(_diagonal_witness(centered=True, pairing=1),
-                                _similarity_stabilizer),
-    "Alt2Form": Factor(_diagonal_witness(centered=False, pairing=-1), _similarity_stabilizer),
-    "SUAlgebra": Factor(_diagonal_witness(centered=True, imaginary=True),
-                        _compact_blocks("s-unitary-product", lambda c: tuple(k for _, k in c))),
-    "SymTracelessCapSU": Factor(_diagonal_witness(centered=True, pairing=1, imaginary=True),
-                                _compact_blocks("sp-product", _quaternionic_sizes)),
-    "SpAlgebra": Factor(_diagonal_witness(centered=False, pairing=-1, imaginary=True),
-                        _compact_blocks("unitary-product",
-                                        lambda c: tuple(k for lam, k in c if lam > 0))),
+#: module kind -> its generic witness: full rank, all spectral values distinct
+FACTORS: dict[str, Callable[[ModuleDescriptor], np.ndarray]] = {
+    "RectNK": _stack_witness,
+    "Alt2": _skew_witness,
+    "Sym2": _diagonal_witness(centered=False),
+    "Sym2Traceless": _diagonal_witness(centered=True),
+    "SLnTraceless": _diagonal_witness(centered=True),
+    "Sym2TracelessForm": _diagonal_witness(centered=True, pairing=1),
+    "Alt2Form": _diagonal_witness(centered=False, pairing=-1),
+    "SUAlgebra": _diagonal_witness(centered=True, imaginary=True),
+    "SymTracelessCapSU": _diagonal_witness(centered=True, pairing=1, imaginary=True),
+    "SpAlgebra": _diagonal_witness(centered=False, pairing=-1, imaginary=True),
 }
-
-
-def _factor(m: ModuleDescriptor) -> Factor:
-    if m.kind not in FACTORS:
-        raise InvalidDescriptor(f"{m.kind} is not a classification factor")
-    return FACTORS[m.kind]
-
-
-def factor_stabilizer(module: ModuleDescriptor, X: np.ndarray, tol: Tolerance = DEFAULT_TOL):
-    """Structured stabilizer of one witness, matching the factor's action."""
-    return _factor(module).stabilizer(module, X, tol)
-
-
-@dataclass
-class StabilizerFormReport:
-    spec: TargetSpec
-    factors: list
-    h_dim: int
-
-    def to_json(self) -> dict:
-        return {
-            "spec": self.spec.to_json(),
-            "factors": [f.to_json() for f in self.factors],
-            "h_dim": self.h_dim,
-        }
-
-
-def stabilizer_form(
-    spec: TargetSpec, witnesses: list[np.ndarray], tol: Tolerance = DEFAULT_TOL
-) -> StabilizerFormReport:
-    """Per-factor structured stabilizers and the intersection dimension in G."""
-    mods = spec.modules()
-    if len(witnesses) != len(mods):
-        raise InvalidDescriptor(f"expected {len(mods)} witnesses, got {len(witnesses)}")
-    constraints = [(m, m.action, X) for m, X in zip(mods, witnesses)]
-    h_dim = intersect_stabilizer_dim(spec.group, constraints, tol)  # rejects non-members first
-    factors = [factor_stabilizer(m, X, tol) for m, X in zip(mods, witnesses)]
-    return StabilizerFormReport(spec=spec, factors=factors, h_dim=h_dim)
 
 
 def canonical_witness(module: ModuleDescriptor) -> np.ndarray:
     """The generic witness of a factor: full rank, all spectral values distinct."""
-    return _factor(module).witness(module)
+    if module.kind not in FACTORS:
+        raise InvalidDescriptor(f"{module.kind} is not a classification factor")
+    return FACTORS[module.kind](module)
 
 
 def _canonical_h_dims(g: G.GroupDescriptor, specs: list[TargetSpec],
@@ -484,13 +334,6 @@ def minimality_certificate(md: E.ManifoldDescriptor, tol: Tolerance = DEFAULT_TO
     candidates = [(rep.spec.multiplicities, rep.module_dim_total, stab)
                   for rep, stab in zip(smaller, stabs)]
     collisions = [mult for mult, _, stab in candidates if stab == h_dim]
-    return MinimalityReport(
-        manifold=md,
-        dim_v=dim_v,
-        mp_dim=mp,
-        h_dim=h_dim,
-        advisory=E.minimality_advisory(md),
-        candidates=candidates,
-        dim_collisions=collisions,
-        certified=True,
-    )
+    return MinimalityReport(manifold=md, dim_v=dim_v, mp_dim=mp, h_dim=h_dim,
+                            advisory=E.minimality_advisory(md), candidates=candidates,
+                            dim_collisions=collisions, certified=True)

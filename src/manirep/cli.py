@@ -44,6 +44,13 @@ def floats(text: str) -> tuple[float, ...]:
     return tuple(float(t) for t in text.split(",") if t != "")
 
 
+def seed(text: str) -> int:
+    """A seed of ``numpy.random.default_rng``: a non-negative integer."""
+    if int(text) < 0:
+        raise ValueError(f"a seed must be non-negative, not {text}")
+    return int(text)
+
+
 def _read_matrix(path: str) -> np.ndarray:
     try:
         with open(path) as fh:
@@ -97,7 +104,10 @@ def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("MANIREP_SEED")
-    return int(env) if env else 0
+    try:
+        return seed(env) if env else 0
+    except ValueError as exc:
+        raise InvalidInput(f"MANIREP_SEED must be a non-negative integer, not {env!r}") from exc
 
 
 def cmd_dims(args) -> dict:
@@ -203,9 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="exact", choices=["exact", "numeric"])
     p.set_defaults(fn=cmd_stabilizer)
 
-    def add_manifold_flags(p):
-        p.add_argument("--manifold", required=True)
-        p.add_argument("--n", type=int, required=True)
+    def add_manifold_flags(p):  # --n is checked in main: verify --manifold all takes none
+        p.add_argument("--manifold", required=True, help="a family name; verify also takes "
+                       "'all', for every family at its smallest legal sizes")
+        p.add_argument("--n", type=int)
         p.add_argument("--k", type=int)
         p.add_argument("--ks", type=ints, help="flag sizes, e.g. 1,2")
         p.add_argument("--p", type=int, help="odd part for ifl-odd")
@@ -220,17 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_embed)
 
     p = sub.add_parser("verify", parents=[common], help="equivariance residuals")
-    p.add_argument("--manifold", required=True, help="a family name or 'all'")
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--k", type=int)
-    p.add_argument("--ks", type=ints)
-    p.add_argument("--p", type=int)
-    p.add_argument("--pq", type=ints)
-    p.add_argument("--sizes", type=ints)
-    p.add_argument("--field", choices=["R", "C"])
-    p.add_argument("--spectrum", type=floats)
+    add_manifold_flags(p)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=seed)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("cartan", parents=[common], help="Cartan embedding vs minimal realization")
@@ -238,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=seed)
     p.set_defaults(fn=cmd_cartan)
 
     p = sub.add_parser("census", parents=[common], help="admissible-target summary for a group")
@@ -264,6 +267,14 @@ def main(argv=None) -> int:
             ap.error(f"--signature applies to --group SOpq only, not {args.group}")
         if fixed and args.field not in (None, fixed):
             ap.error(f"--group {args.group} is defined over {fixed}, not --field {args.field}")
+    if getattr(args, "manifold", None):  # verify --manifold all sets every size itself
+        every = args.verb == "verify" and args.manifold == "all"
+        given = [f for f in ("n", "k", "ks", "p", "pq", "sizes", "field", "spectrum")
+                 if getattr(args, f) is not None]
+        if every and given:
+            ap.error(f"--manifold all takes no --{given[0]}")
+        if not every and args.n is None:
+            ap.error(f"--manifold {args.manifold} needs --n")
     try:
         text, code = dumps(args.fn(args), args.pretty), 0
     except ManirepError as exc:

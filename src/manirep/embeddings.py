@@ -686,6 +686,8 @@ def cartan_compare(
     cartan(Q) = minimal(Q) C, verifying it across all trials.  Raises
     :class:`NoConstantFactor` when the relation fails.
     """
+    if trials < 1:
+        raise InvalidDescriptor("need at least one trial")
     gp, cartan, minimal = _cartan_maps(ctype, n, k)
     samples = [G.sample(gp, seed + t) for t in range(max(trials, 2))]
     C = np.linalg.solve(minimal(samples[0]), cartan(samples[0]))

@@ -75,14 +75,23 @@ def Ipq(p: int, q: int) -> np.ndarray:
 
 
 def checked_form(F, n: int, skew: bool, dtype) -> np.ndarray:
-    """F as an n x n array of dtype, checked symmetric (skew when ``skew``) to
+    """F as an n x n array of dtype, checked finite, symmetric (skew when ``skew``) to
     1e-12 relative to its own norm, whatever its scale, and nondegenerate."""
-    F = np.asarray(F, dtype=dtype)
+    try:
+        F = np.asarray(F, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise InvalidDescriptor(f"form entries must be numbers: {exc}") from exc
     if F.shape != (n, n):
         raise InvalidDescriptor("form has wrong size")
-    if frob(F + (1 if skew else -1) * F.T) > 1e-12 * frob(F):
+    if not np.isfinite(F).all():
+        raise NonFinite("form entries must be finite")
+    # scaling by the power of two that brings the largest real or imaginary part into [1, 2)
+    # (at most 2^1022) keeps every digit and both sides of each test, and no norm overflows
+    e = int(np.frexp(np.maximum(abs(F.real), abs(F.imag)).max(initial=0.0))[1]) - 1
+    S = F * np.ldexp(1.0, min(-e, 1022))
+    if frob(S + (1 if skew else -1) * S.T) > 1e-12 * frob(S):
         raise InvalidDescriptor(f"form must be {'skew' if skew else 'symmetric'}")
-    if np.linalg.matrix_rank(F) < n:
+    if np.linalg.matrix_rank(S) < n:
         raise InvalidDescriptor("form must be nondegenerate")
     return F
 

@@ -7,18 +7,24 @@ import pytest
 from manirep import groups as G
 from manirep.classify import (
     GROUP_FAMILIES,
-    CompactBlocks,
     TargetSpec,
     admissible,
     canonical_witness,
     census,
     enumerate_admissible,
     minimality_certificate,
-    stabilizer_form,
 )
 from manirep.embeddings import ManifoldDescriptor
-from manirep.errors import UnsupportedGroup, WitnessNotInModule
+from manirep.errors import InvalidDescriptor, UnsupportedGroup, WitnessNotInModule
 from manirep.gmodules import module_dim
+from manirep.stabilizers import intersect_stabilizer_dim, stabilizer_similarity
+
+
+def h_dim(spec: TargetSpec, witnesses: list[np.ndarray]) -> int:
+    """Stabilizer dimension in the spec's group of one witness per module factor."""
+    mods = spec.modules()
+    assert len(witnesses) == len(mods)
+    return intersect_stabilizer_dim(spec.group, [(m, m.action, X) for m, X in zip(mods, witnesses)])
 
 
 class TestAdmissible:
@@ -69,6 +75,14 @@ class TestAdmissible:
         for mult in [(0, 1, 1), (1, 0, 1), (10, 0, 0)]:
             rep = admissible(TargetSpec(G.sp(10, "C"), mult))
             assert rep.inequality_value == Fraction(rep.module_dim_total - 100, 2)
+
+    @pytest.mark.parametrize("mult", [(0, 3, 0, 0), (0, 0, 2, 0), (0, -1, 0, 0), (4, 0, 0, 0),
+                                      (0, 10**20, 0, 0)])
+    def test_multiplicity_out_of_range_is_invalid(self, mult):
+        """Out of its range a multiplicity is outside the classification, even where the
+        dimension bound holds: 3 copies of Alt2 of SL_3 have dimension 9 = n^2."""
+        with pytest.raises(InvalidDescriptor, match="multiplicity"):
+            admissible(TargetSpec(G.sl(3, "C"), mult))
 
     def test_unsupported_group(self):
         with pytest.raises(UnsupportedGroup):
@@ -121,40 +135,32 @@ class TestStabilizerForm:
     def test_sl9_adjoint_witness(self):
         spec = TargetSpec(G.sl(9, "C"), (0, 0, 0, 1))
         X = np.diag(np.arange(1.0, 10.0) - 5.0).astype(complex)
-        rep = stabilizer_form(spec, [X])
         # distinct spectrum: the commutant torus cut to determinant one
-        assert rep.h_dim == 8
-        assert rep.factors[0].commutant_dim == 9
+        assert h_dim(spec, [X]) == 8
+        assert stabilizer_similarity(X, "exact", field="C").commutant_dim == 9
 
     def test_so9_vector_witness(self):
         spec = TargetSpec(G.so(9, "R"), (1, 0, 0))
         e1 = np.zeros((9, 1))
         e1[0, 0] = 1.0
-        rep = stabilizer_form(spec, [e1])
-        assert rep.h_dim == 28
+        assert h_dim(spec, [e1]) == 28
 
     def test_sl9_adjoint_multiplicity_witness(self):
         # traceless spectrum 1,1,2,2,2,-2,-2,-2,-2: commutant blocks (2,3,4)
         spec = TargetSpec(G.sl(9, "C"), (0, 0, 0, 1))
         X = np.diag([1.0, 1, 2, 2, 2, -2, -2, -2, -2]).astype(complex)
-        rep = stabilizer_form(spec, [X])
-        assert rep.h_dim == 4 + 9 + 16 - 1
+        assert h_dim(spec, [X]) == 4 + 9 + 16 - 1
 
     def test_su9_witness(self):
+        # eigenvalue clusters of sizes 2 and 7: S(U_2 x U_7)
         spec = TargetSpec(G.su(9), (1,))
         X = 1j * np.diag([7.0] * 2 + [-2.0] * 7)
-        rep = stabilizer_form(spec, [X])
-        assert rep.h_dim == 52
-        blk = rep.factors[0]
-        assert isinstance(blk, CompactBlocks)
-        assert sorted(blk.sizes) == [2, 7]
-        assert blk.dim == 52
+        assert h_dim(spec, [X]) == 52
 
     def test_direct_sum_consistency(self):
         # two witnesses vs the stacked pair: identical dimensions
         rng = np.random.default_rng(0)
         from manirep.gmodules import ActionKind, ModuleDescriptor
-        from manirep.stabilizers import intersect_stabilizer_dim
 
         m = ModuleDescriptor("RectNK", 7, "R", k=1)
         mm = ModuleDescriptor("RectNK", 7, "R", k=2)
@@ -172,15 +178,15 @@ class TestStabilizerForm:
     def test_witness_validation(self):
         spec = TargetSpec(G.so(9, "R"), (0, 1, 0))
         with pytest.raises(WitnessNotInModule):
-            stabilizer_form(spec, [np.eye(9)])
+            h_dim(spec, [np.eye(9)])
 
     def test_intersection_dims_example(self):
         # stabilizers of (e1, e1) and (e1, e9): same factors, different H
         spec = TargetSpec(G.so(9, "R"), (2, 0, 0))
         Y_same = np.zeros((9, 2)); Y_same[0, 0] = Y_same[0, 1] = 1.0
         Y_diff = np.zeros((9, 2)); Y_diff[0, 0] = Y_diff[8, 1] = 1.0
-        assert stabilizer_form(spec, [Y_same]).h_dim == 28
-        assert stabilizer_form(spec, [Y_diff]).h_dim == 21
+        assert h_dim(spec, [Y_same]) == 28
+        assert h_dim(spec, [Y_diff]) == 21
 
 
 class TestMinimality:
@@ -251,18 +257,16 @@ class TestMinimality:
                                G.sp_compact(6), G.so_pq(2, 3)],
                          ids=["SL5C", "SO7C", "Sp6C", "Sp6R", "SU5", "SpCompact6", "SOpq23"])
 def test_census_h_dim_matches_the_structured_stabilizers(g):
-    """census computes only the intersection dimension; stabilizer_form, which also builds
-    every factor stabilizer at the same canonical witnesses, must agree with it."""
+    """census builds each distinct factor's rows once and counts a repeated factor once; its
+    dimension must equal intersect_stabilizer_dim on the full constraint list at the same
+    canonical witnesses, repeated factors kept (no constraint: the whole group)."""
     targets = census(g)["targets"]
     reports = enumerate_admissible(g)
     assert len(targets) == len(reports)
     for entry, rep in zip(targets, reports):
         assert entry["multiplicities"] == rep.to_json()["multiplicities"]
-        form = stabilizer_form(rep.spec, [canonical_witness(m) for m in rep.modules])
-        assert len(form.factors) == len(rep.modules)
-        for factor in form.factors:
-            factor.to_json()
-        assert entry["canonical_h_dim"] == (form.h_dim if rep.modules else G.group_dim(g))
+        witnesses = [canonical_witness(m) for m in rep.modules]
+        assert entry["canonical_h_dim"] == h_dim(rep.spec, witnesses)
 
 
 def test_census_builds_each_slot_factor_once(monkeypatch):
@@ -303,7 +307,6 @@ def test_minimality_stab_dims_match_the_full_intersection():
     and a repeated factor counted once, equals intersect_stabilizer_dim on the full constraint
     list at the canonical witnesses, repeated factors kept."""
     from manirep.embeddings import all_smallest_legal, group
-    from manirep.stabilizers import intersect_stabilizer_dim
 
     rows = all_smallest_legal()
     assert len(rows) == 25

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from manirep import embeddings as E
 from manirep.cli import main
 from manirep.numkit import OMEGA2, Mat, mat_to_json
 
@@ -490,6 +497,50 @@ def test_non_finite_spectrum_is_rejected(verb, value):
     assert _strict_json(proc.stdout)["error"]["type"] == "InvalidSpectrum"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--manifold", "all", "--trials", "1", "--seed", "-5"],
+    ["cartan", "--type", "AIII", "--n", "2", "--k", "1", "--seed", "-1"],
+], ids=["verify", "cartan"])
+def test_a_negative_seed_is_a_usage_error(argv):
+    """numpy's default_rng rejects negative seeds; the parser rejects them first."""
+    proc = _run_module(*argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "invalid seed value: '-" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+def test_a_bad_seed_in_the_environment_is_a_json_error(value):
+    proc = subprocess.run([sys.executable, "-m", "manirep", "cartan", "--type", "AIII", "--n",
+                           "2", "--k", "1"], capture_output=True, text=True,
+                          env=dict(os.environ, MANIREP_SEED=value))
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert _strict_json(proc.stdout)["error"]["type"] == "InvalidInput"
+
+
+@pytest.mark.parametrize("trials", ["0", "-4"])
+def test_cartan_needs_at_least_one_trial(capsys, trials):
+    code, payload = run_cli(capsys, "cartan", "--type", "AI", "--n", "3", "--trials", trials)
+    assert code == 1 and payload["error"]["type"] == "InvalidDescriptor"
+
+
+@pytest.mark.parametrize("flag", [["--n", "7"], ["--k", "2"], ["--ks", "1,2"], ["--p", "1"],
+                                  ["--pq", "1,1"], ["--sizes", "2,3"], ["--field", "R"],
+                                  ["--spectrum", "7,-2"]], ids=lambda f: f[0])
+def test_verify_all_takes_no_manifold_flag(capsys, flag):
+    """--manifold all verifies every family at its smallest legal sizes, so a size flag would
+    be ignored; it is a usage error instead."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--manifold", "all", "--trials", "1"] + flag)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_of_one_family_needs_n(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--manifold", "gr-real", "--k", "2", "--trials", "1"])
+    assert exc.value.code == 2
+
+
 def test_huge_symmetric_matrix_is_not_skew(tmp_path, capsys):
     assert main(["stabilizer", "--action", "congruence-skew",
                  "--matrix", _overflowing_file(tmp_path)]) == 1
@@ -503,3 +554,91 @@ def test_dimension_with_too_many_digits_is_a_json_error():
                        ",".join(["99999999999"] * 29))
     assert proc.returncode == 1 and proc.stderr == ""
     assert _strict_json(proc.stdout)["error"]["type"] == "InvalidDescriptor"
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract for any argv
+
+_MATRICES = sorted(str(p) for p in (Path(__file__).parent / "golden" / "matrices").glob("*.json"))
+_HUGE = st.sampled_from(["99999999999999999999", str(2**63), "-99999999999999999999"])
+_JUNK = st.sampled_from(["", "x", "1.5", "nan", "inf", "-", ",", "1,,2", "0x1"])
+_SMALL = st.integers(-2, 6).map(str)
+#: sizes, trial counts and bounds stay small, so that every drawn request runs in milliseconds
+_SIZE = st.one_of(_SMALL, _JUNK)
+_TRIALS = st.one_of(st.integers(-3, 3).map(str), _JUNK)
+_INT = st.one_of(_SMALL, _HUGE, _JUNK)
+_LIST = st.one_of(st.lists(st.one_of(_SMALL, _HUGE), max_size=5).map(",".join), _JUNK)
+_FIELD = st.sampled_from(["R", "C", "H"])
+_GROUP = st.sampled_from(["SL", "SO", "Sp", "SU", "SOpq", "SpCompact", "GL"])
+_ALGEBRA = st.sampled_from(["SL", "SO", "SP", "sl"])
+_FLAG = st.just(None)  # a flag that takes no value
+_MANIFOLD_FLAGS = {"--k": _INT, "--ks": _LIST, "--p": _INT, "--pq": _LIST, "--sizes": _LIST,
+                   "--field": _FIELD, "--spectrum": _LIST}
+
+
+def _verb(name, required, optional):
+    """argv of one verb: every required flag and some optional ones, a None value standing for
+    a flag that takes no value."""
+    def argv(flags):
+        return [name] + [s for f, v in flags.items() for s in ([f] if v is None else [f, v])]
+    return st.fixed_dictionaries(required, optional=optional).map(argv)
+
+
+_ARGV = st.one_of(
+    _verb("dims", {"--algebra": _ALGEBRA, "--n": _SIZE, "--kappa": _LIST}, {}),
+    _verb("irreps", {"--algebra": _ALGEBRA, "--n": _SIZE},
+          {"--bound": st.one_of(st.integers(-3, 500).map(str), _JUNK)}),
+    _verb("classify", {"--group": _GROUP, "--n": _SIZE},
+          {"--field": _FIELD, "--signature": _LIST, "--enumerate": _FLAG,
+           "--multiplicities": _LIST}),
+    _verb("stabilizer", {"--action": st.sampled_from(
+        ["left-mult", "congruence-skew", "congruence-sym", "similarity", "shear"]),
+        "--matrix": st.sampled_from(_MATRICES + ["missing.json"])},
+        {"--mode": st.sampled_from(["exact", "numeric", "fast"])}),
+    _verb("embed", {"--manifold": st.sampled_from(list(E.FAMILIES) + ["all", "torus"]),
+                    "--n": _SIZE},
+          dict(_MANIFOLD_FLAGS, **{"--element": st.sampled_from(_MATRICES)})),
+    _verb("verify", {"--manifold": st.sampled_from(list(E.FAMILIES) + ["all", "torus"]),
+                     "--trials": _TRIALS},
+          dict(_MANIFOLD_FLAGS, **{"--n": _SIZE, "--seed": _INT})),
+    _verb("cartan", {"--type": st.sampled_from(list(E.CARTAN_TYPES) + ["ZZ"]), "--n": _SIZE,
+                     "--trials": _TRIALS}, {"--k": _INT, "--seed": _INT}),
+    _verb("census", {"--group": _GROUP, "--n": _SIZE}, {"--field": _FIELD, "--signature": _LIST}),
+).flatmap(lambda argv: st.sampled_from([argv, ["--pretty"] + argv]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_ARGV, env_seed=st.sampled_from([None, "3", "-1", "abc", " "]))
+@example(argv=["verify", "--manifold", "all", "--trials", "1", "--seed", "-5"], env_seed=None)
+@example(argv=["cartan", "--type", "AIII", "--n", "2", "--k", "1", "--seed", "-1"],
+         env_seed=None)
+@example(argv=["cartan", "--type", "AIII", "--n", "2", "--k", "1"], env_seed="abc")
+@example(argv=["cartan", "--type", "AIII", "--n", "2", "--k", "1"], env_seed="-1")
+@example(argv=["cartan", "--type", "AI", "--n", "3", "--trials", "-4"], env_seed=None)
+@example(argv=["classify", "--group", "SL", "--n", "3", "--multiplicities",
+               "0,99999999999999999999,0,0"], env_seed=None)
+def test_any_argv_exits_0_1_or_2_with_strict_json(argv, env_seed):
+    """The CLI contract: exit code 0, 1 or 2, strict JSON on stdout unless the code is 2 (a
+    usage error), and no other exception.  A trial count below one never succeeds."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = os.environ.pop("MANIREP_SEED", None)
+    if env_seed is not None:
+        os.environ["MANIREP_SEED"] = env_seed
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.environ.pop("MANIREP_SEED", None)
+        if saved is not None:
+            os.environ["MANIREP_SEED"] = saved
+    assert code in (0, 1, 2), (code, err.getvalue())
+    if code != 2:
+        payload = _strict_json(out.getvalue())
+        assert (code == 1) == ("error" in payload)
+    if "--trials" in argv:
+        trials = argv[argv.index("--trials") + 1]
+        if trials.lstrip("-").isdigit() and int(trials) < 1:
+            assert code != 0

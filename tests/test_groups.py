@@ -130,6 +130,49 @@ def test_form_symmetry_is_checked_at_every_scale():
             build(np.ldexp(A + A.T, k))
 
 
+_FORM_BUILDS = {
+    "SO": lambda F: so(len(F), form=F),
+    "SO-C": lambda F: so(len(F), "C", form=F),
+    "Sym2Traceless": lambda F: ModuleDescriptor("Sym2Traceless", len(F), form=F),
+    "Sym2Traceless-C": lambda F: ModuleDescriptor("Sym2Traceless", len(F), "C", form=F),
+}
+
+
+@pytest.mark.parametrize("build", _FORM_BUILDS.values(), ids=list(_FORM_BUILDS))
+def test_forms_near_the_ends_of_the_float_range_get_the_verdict_of_any_scale(build):
+    """The form is divided by the power of two below its largest entry before any norm is
+    taken, so no norm overflows (a RuntimeWarning) or underflows to a vacuous 0 <= 0."""
+    A = np.array([[2.0, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    for k in (-1070, -1060, -1000, -600, 600, 1000, 1020):
+        with pytest.raises(InvalidDescriptor, match="symmetric"):
+            build(np.ldexp(A, k))
+        with pytest.raises(InvalidDescriptor, match="nondegenerate"):
+            build(np.ldexp(np.diag([1.0, 1, 1, 0]), k))
+        build(np.ldexp(A + A.T, k))
+
+
+@pytest.mark.parametrize("build", _FORM_BUILDS.values(), ids=list(_FORM_BUILDS))
+@pytest.mark.parametrize("form, error", [
+    ([[np.nan, 0.0], [0.0, 1.0]], NonFinite),
+    ([[1.0, 0.0], [0.0, np.inf]], NonFinite),
+    ([[1.0, -np.inf], [-np.inf, 1.0]], NonFinite),
+    ([["a", "b"], ["c", "d"]], InvalidDescriptor),
+    ([[1.0, 0.0], [0.0]], InvalidDescriptor),
+], ids=["nan", "inf", "-inf", "strings", "ragged"])
+def test_non_finite_or_non_numeric_forms_are_typed_errors(build, form, error):
+    with pytest.raises(error):
+        build(form)
+
+
+def test_complex_forms_whose_moduli_overflow_are_checked():
+    """Entries with finite parts but moduli beyond the float range are scaled by their parts."""
+    F = np.array([[1e308 + 1e308j, 0], [0, 1e308]])
+    for build in (_FORM_BUILDS["SO-C"], _FORM_BUILDS["Sym2Traceless-C"]):
+        build(F)
+        with pytest.raises(InvalidDescriptor, match="symmetric"):
+            build(F + np.array([[0, 1e300], [0, 0]]))
+
+
 def test_membership_is_checked_at_every_scale_of_the_form():
     """The form residual is bounded relative to the form, so however small or large the form,
     a non-member of the conjugated copy stays out and a member stays in."""
