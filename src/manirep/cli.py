@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 domain error (reported as an ``error`` object),
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -54,10 +53,10 @@ def seed(text: str) -> int:
 def _read_matrix(path: str) -> np.ndarray:
     try:
         with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not text
+            text = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: not text
         raise InvalidInput(f"cannot read a matrix JSON file: {exc}") from exc
-    return Mat.from_json(obj).to_array()
+    return Mat.loads(text).to_array()
 
 
 def _so_pq_from_args(args) -> G.GroupDescriptor:

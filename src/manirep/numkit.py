@@ -1,11 +1,16 @@
 """Dense matrix kernel: JSON interchange, tolerant rank, bases, Takagi and Youla forms.
 
 JSON interchange is ``Mat``: a matrix file or a result tree holds it as
-``{"rows", "cols", "field", "data": [[re, im], ...]}``.  Result trees carry
-``Mat`` leaves (``mat_to_json``), and ``dumps``, the one writer of the CLI's
-documents, prints each leaf as that object, taking the ``data`` text
-straight from the float array.  ``Mat.from_json`` accepts JSON numbers
-only.
+``{"rows", "cols", "field", "data": [[re, im], ...]}``.  ``Mat.loads`` is the
+one reader of matrix files: it parses the document's object with the
+stdlib's object parser and a ``data`` list of pairs in bulk (its bracket
+and comma skeleton, with number bytes only inside the pairs, checked by
+``bytes.translate``, its numbers read by one ``json.loads``), then applies
+``Mat.from_json``'s checks, which accept JSON numbers only.  Result trees
+carry ``Mat`` leaves (``mat_to_json``), and ``dumps``, the one writer of the
+CLI's documents, prints each leaf as that object, taking the ``data`` text
+straight from the float array, its zeros from a lookup and the other
+entries from ``float.__repr__``.
 
 Standard factorizations (QR, Hermitian eigendecomposition, SVD) are taken
 from numpy.  This module adds the two congruence canonical forms the rest
@@ -34,6 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -118,23 +124,17 @@ class Mat:
 
     @staticmethod
     def from_json(obj: dict) -> "Mat":
+        """The ``Mat`` of a parsed ``to_json`` object: the checks after parsing, which
+        ``Mat.loads`` shares.  ``data`` is a list of [re, im] pairs of JSON numbers, or the
+        ``_Entries`` that ``Mat.loads`` parsed from one."""
         try:
             field = obj["field"]
             if field not in (REAL, COMPLEX):
                 raise SizeMismatch(f"unknown field tag {field!r}")
-            pairs = obj["data"]
-            # flattened first, so types are checked and floats made in bulk; numpy would
-            # coerce "1.5", true and null, and it reads a flat list faster than nested ones
-            entries = list(itertools.chain.from_iterable(pairs))
+            entries = _entries(obj["data"])
             rows, cols = obj["rows"], obj["cols"]
         except (KeyError, TypeError) as exc:
             raise InvalidInput(f"not a matrix object: {exc!r}") from exc
-        odd = set(map(type, entries)) - {int, float}
-        if odd:
-            raise InvalidInput("matrix entries must be JSON numbers, not "
-                               + ", ".join(sorted(t.__name__ for t in odd)))
-        if not isinstance(pairs, list) or set(map(len, pairs)) - {2}:
-            raise InvalidInput("matrix data is not a list of [re, im] pairs")
         try:
             data = np.asarray(entries, float).reshape(-1, 2)
         except OverflowError as exc:  # a JSON integer beyond the float range
@@ -151,6 +151,72 @@ class Mat:
         if field == REAL and data[:, 1].any():
             raise SizeMismatch("real-field matrix has nonzero imaginary part")
         return Mat(rows=rows, cols=cols, field=field, data=data)
+
+    @staticmethod
+    def loads(text: str) -> "Mat":
+        """The ``Mat`` of a JSON document, decided as ``Mat.from_json(json.loads(text))`` is,
+        with a ``data`` list of pairs parsed in bulk (``_value``)."""
+        try:
+            i = _WS(text).end()
+            if not text.startswith("{", i):
+                raise InvalidInput("not a matrix object")
+            obj, i = json.decoder.JSONObject((text, i + 1), True, _value, None, None)
+            if _WS(text, i).end() != len(text):
+                raise ValueError(f"extra data at char {i}")
+        except (ValueError, RecursionError) as exc:  # ValueError: not JSON
+            raise InvalidInput(f"cannot read a matrix JSON file: {exc}") from exc
+        return Mat.from_json(obj)
+
+
+class _Entries(list):
+    """The numbers of a list of [re, im] pairs, flattened by ``_value``."""
+
+
+def _entries(pairs) -> list:
+    """The numbers of a JSON ``data`` list, flattened; :class:`InvalidInput` unless it is a
+    list of [re, im] pairs of JSON numbers.  A value that is not iterable raises TypeError."""
+    if isinstance(pairs, _Entries):
+        return pairs
+    # flattened first, so types are checked and floats made in bulk; numpy would
+    # coerce "1.5", true and null, and it reads a flat list faster than nested ones
+    entries = list(itertools.chain.from_iterable(pairs))
+    odd = set(map(type, entries)) - {int, float}
+    if odd:
+        raise InvalidInput("matrix entries must be JSON numbers, not "
+                           + ", ".join(sorted(t.__name__ for t in odd)))
+    if not isinstance(pairs, list) or set(map(len, pairs)) - {2}:
+        raise InvalidInput("matrix data is not a list of [re, im] pairs")
+    return entries
+
+
+_DECODER = json.JSONDecoder()
+_WS = json.decoder.WHITESPACE.match
+#: the end of a list of pairs: the first ``]`` that closes a pair and then the list
+_PAIRS_END = re.compile(r"\][ \t\n\r]*\]")
+#: JSON whitespace, and what a JSON number or JSON whitespace may hold
+_WS_BYTES = b" \t\n\r"
+_NUMBER_BYTES = b"0123456789+-.eE" + _WS_BYTES
+
+
+def _value(text: str, i: int):
+    """A top-level value of a matrix document and its end, for the stdlib's object parser.
+
+    A list whose brackets and commas are exactly ``[[,],[,],...]``, with number bytes only
+    inside the pairs (checked by ``bytes.translate``: the skeleton without number bytes and
+    whitespace, and the k - 1 ``],[`` between k pairs with only whitespace removed), is the
+    ``_Entries`` of one ``json.loads`` of its numbers, inner brackets stripped; whitespace
+    stays, so a slot holds a valid number exactly when it does in ``text``.  Any other value
+    is the stdlib decoder's."""
+    end = _PAIRS_END.search(text, i) if text.startswith("[", i) else None
+    if end:
+        span = text[i:end.end()].encode("ascii", "replace")
+        skeleton = span.translate(None, _NUMBER_BYTES)
+        k = len(skeleton) // 4
+        compact = span.translate(None, _WS_BYTES)
+        if (skeleton == b"[" + b"[,]," * (k - 1) + b"[,]]" and compact.startswith(b"[[")
+                and compact.count(b"],[") == k - 1):
+            return _Entries(json.loads(b"[" + span.translate(None, b"[]") + b"]")), end.end()
+    return _DECODER.raw_decode(text, i)
 
 
 def mat_to_json(a: np.ndarray, field: str | None = None) -> Mat:
@@ -169,17 +235,31 @@ _DATA = "\0data\0"
 _DATA_TEXT = json.dumps(_DATA)
 
 
+#: the text of a zero keyed by its sign bit; None stands for any other entry
+_ZEROS = np.array(["0.0", "-0.0", None], dtype=object)
+
+
+def _reprs(x: np.ndarray) -> list[str]:
+    """``float.__repr__`` of each entry of a 1-d float array, the zeros looked up in
+    ``_ZEROS`` by a vectorized key."""
+    key = np.where(x == 0, np.signbit(x), 2)
+    rest = key == 2
+    text = _ZEROS[key]
+    text[rest] = list(map(float.__repr__, x[rest].tolist()))
+    return text.tolist()
+
+
 def _data_text(m: Mat) -> str:
-    """The compact JSON text of ``m.to_json()["data"]``, from the float array in bulk:
-    one ``float.__repr__`` per number, and for all-(+0.0) imaginary parts none of them."""
+    """The compact JSON text of ``m.to_json()["data"]``, from the float array in bulk
+    (``_reprs``), and for all-(+0.0) imaginary parts without them."""
     if not np.isfinite(m.data).all():
         raise NonFinite("the result holds NaN or an infinity")
     if not len(m.data):
         return "[]"
     im = m.data[:, 1]
     if not (im.any() or np.signbit(im).any()):
-        return "[[" + ",0.0],[".join(map(float.__repr__, m.data[:, 0].tolist())) + ",0.0]]"
-    text = list(map(float.__repr__, m.data.ravel().tolist()))
+        return "[[" + ",0.0],[".join(_reprs(m.data[:, 0])) + ",0.0]]"
+    text = _reprs(m.data.ravel())
     return "[[" + "],[".join(map(",".join, zip(text[::2], text[1::2]))) + "]]"
 
 
@@ -221,7 +301,15 @@ def dumps(tree, pretty: bool = False) -> str:
 
 
 def frob(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+    """The Frobenius norm of ``a``.  When the squares of finite entries overflow, it is taken
+    in a / 2^e, 2^e near the largest entry, and scaled back: dividing by a power of two keeps
+    every digit, so only a norm beyond the float range is inf."""
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(a))
+    if n == math.inf and np.isfinite(a).all():
+        scale = math.ldexp(1.0, math.frexp(float(np.abs(a).max()))[1] - 1)
+        n = float(np.linalg.norm(np.divide(a, scale))) * scale
+    return n
 
 
 def require_square(X: np.ndarray) -> int:
@@ -325,10 +413,14 @@ def above_cutoff(
     With ``strict=True`` a value within ``abs_eps`` of the cutoff and within a factor of two
     of it raises :class:`RankAmbiguous` instead of being silently classified.  The factor keeps
     the band off 0 when the cutoff is ``abs_eps`` itself, so roundoff-level values of a small
-    rank-deficient matrix are not ambiguous.
+    rank-deficient matrix are not ambiguous.  A NaN or infinite value, such as the singular
+    value of a matrix whose norm overflows, leaves no cutoff and raises :class:`NonFinite`.
     """
     s = np.abs(np.asarray(s))
-    cut = tol.cutoff(s.max(initial=0.0))
+    top = float(s.max(initial=0.0))
+    if not math.isfinite(top):
+        raise NonFinite("a singular value or eigenvalue is beyond the float range")
+    cut = tol.cutoff(top)
     if strict and np.any((np.abs(s - cut) < tol.abs_eps) & (s > cut / 2) & (s < 2 * cut)):
         raise RankAmbiguous(
             f"singular value within {tol.abs_eps:g} of the rank cutoff {cut:g}"
@@ -428,7 +520,7 @@ def takagi(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.
     n = require_square(X)
     X = np.asarray(X, dtype=complex)
     _check_symmetry(X, -1.0, tol)
-    X = (X + X.T) / 2.0
+    X = X / 2.0 + X.T / 2.0  # halved first, so finite X cannot overflow
 
     w, V = np.linalg.eigh(np.block([[X.real, X.imag], [X.imag, -X.real]]))
     top = above_cutoff(w, tol) & (w > 0)
@@ -476,7 +568,7 @@ def youla_skew(
     _check_symmetry(X, +1.0, tol)
     if np.iscomplexobj(X) and not X.imag.any():
         X = X.real
-    Y = (X - X.T) / 2.0
+    Y = X / 2.0 - X.T / 2.0  # halved first, so finite X cannot overflow
     U, s, _ = np.linalg.svd(Y)
     keep = above_cutoff(s, tol, strict=True)
     if keep.sum() % 2 != 0:

@@ -168,9 +168,7 @@ def stabilizer_congruence_sym(
         Xr = Xr.real.astype(float) if np.iscomplexobj(Xr) else Xr.astype(float)
         _check_symmetry(Xr, -1.0, tol)
         vals, vecs = np.linalg.eigh(Xr / 2.0 + Xr.T / 2.0)  # no overflow for finite Xr
-        if not np.isfinite(vals).all():
-            raise NonFinite("an eigenvalue is beyond the float range")
-        keep = above_cutoff(vals, tol, strict=True)
+        keep = above_cutoff(vals, tol, strict=True)  # NonFinite for an overflowing eigenvalue
         nz = vals[keep]
         vecs_nz = vecs[:, keep]
         order = np.argsort(-nz)

@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import matrix_documents
 
 from manirep import embeddings as E
 from manirep.cli import main
@@ -541,6 +543,35 @@ def test_verify_of_one_family_needs_n(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("action, field, pairs, dim", [
+    ("congruence-sym", "C", [[1e308, 1e308], [0, 0], [0, 0], [1, 0]], 2),
+    ("congruence-skew", "R", [[0, 0], [1e308, 0], [-1e308, 0], [0, 0]], 3),
+    ("congruence-skew", "C", [[0, 0], [1e308, 1e308], [-1e308, -1e308], [0, 0]], 3),
+], ids=["takagi", "youla-real", "youla-complex"])
+def test_congruence_of_entries_near_the_float_range(tmp_path, action, field, pairs, dim):
+    """X / 2 + X^T / 2 (X / 2 - X^T / 2 for skew X) cannot overflow for finite X, where
+    (X + X^T) / 2 does: the Takagi form of diag(1e308(1 + i), 1) keeps rank 1 under the
+    relative cutoff (O_1 x GL_1 and the free block, dim 2), and the skew matrices
+    [[0, x], [-x, 0]] with x = 1e308 or 1e308(1 + i) have stabilizer Sp_2 (dim 3), where
+    the overflow gave all of GL_2 and a traceback.  Nothing reaches stderr."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 2, "field": field, "data": pairs}))
+    proc = _run_module("stabilizer", "--action", action, "--matrix", str(path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert _strict_json(proc.stdout)["dim"] == dim
+
+
+def test_left_mult_with_an_overflowing_singular_value_is_a_json_error(tmp_path):
+    """A 2 x 1 column of entries near 1.8e308 has a singular value beyond the float range; the
+    rank rule raises NonFinite instead of ranking inf against an infinite cutoff."""
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": 2, "cols": 1, "field": "C", "data": '
+                    '[[1.7976931348623157e308, 2], [1.7976931348623157e308, -1.5e206]]}')
+    proc = _run_module("stabilizer", "--action", "left-mult", "--matrix", str(path))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert _strict_json(proc.stdout)["error"]["type"] == "NonFinite"
+
+
 def test_huge_symmetric_matrix_is_not_skew(tmp_path, capsys):
     assert main(["stabilizer", "--action", "congruence-skew",
                  "--matrix", _overflowing_file(tmp_path)]) == 1
@@ -576,6 +607,22 @@ _MANIFOLD_FLAGS = {"--k": _INT, "--ks": _LIST, "--p": _INT, "--pq": _LIST, "--si
                    "--field": _FIELD, "--spectrum": _LIST}
 
 
+class _Document(str):
+    """The text of a drawn matrix file, which the test writes to a file and names by path."""
+
+
+def _written(argv, folder):
+    """argv with each drawn ``_Document`` written to a file in ``folder``, named by its path."""
+    out = []
+    for i, arg in enumerate(argv):
+        if isinstance(arg, _Document):
+            path = Path(folder) / f"m{i}.json"
+            path.write_text(arg)
+            arg = str(path)
+        out.append(arg)
+    return out
+
+
 def _verb(name, required, optional):
     """argv of one verb: every required flag and some optional ones, a None value standing for
     a flag that takes no value."""
@@ -593,7 +640,8 @@ _ARGV = st.one_of(
            "--multiplicities": _LIST}),
     _verb("stabilizer", {"--action": st.sampled_from(
         ["left-mult", "congruence-skew", "congruence-sym", "similarity", "shear"]),
-        "--matrix": st.sampled_from(_MATRICES + ["missing.json"])},
+        "--matrix": st.one_of(st.sampled_from(_MATRICES + ["missing.json"]),
+                              matrix_documents().map(_Document))},
         {"--mode": st.sampled_from(["exact", "numeric", "fast"])}),
     _verb("embed", {"--manifold": st.sampled_from(list(E.FAMILIES) + ["all", "torus"]),
                     "--n": _SIZE},
@@ -625,9 +673,10 @@ def test_any_argv_exits_0_1_or_2_with_strict_json(argv, env_seed):
     if env_seed is not None:
         os.environ["MANIREP_SEED"] = env_seed
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with (tempfile.TemporaryDirectory() as folder, contextlib.redirect_stdout(out),
+              contextlib.redirect_stderr(err)):
             try:
-                code = main(argv)
+                code = main(_written(argv, folder))
             except SystemExit as exc:
                 code = exc.code
     finally:

@@ -114,6 +114,13 @@ def test_golden_output(name, request_line):
     assert CASES[name][request_line]() == golden(name)[request_line]
 
 
+def test_a_matrix_file_in_another_layout_prints_the_same_bytes():
+    """``sym_real_layout.json`` is ``sym_real.json`` pretty-printed, with its keys reordered
+    and one extra key; the reader sees the same matrix, so the output bytes are the same."""
+    want = golden("stabilizer")["stabilizer --action congruence-sym --matrix sym_real.json"]
+    assert cli_stdout("stabilizer --action congruence-sym --matrix sym_real_layout.json") == want
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, requests in CASES.items():

@@ -2,12 +2,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import matrix_documents, reference_read
 
 from manirep import numkit
-from manirep.errors import (InvalidInput, NonFinite, NotSkew, NotSymmetric, RankAmbiguous,
-                            SizeMismatch)
+from manirep.errors import (InvalidInput, ManirepError, NonFinite, NotSkew, NotSymmetric,
+                            RankAmbiguous, SizeMismatch)
 from manirep.numkit import (
     DEFAULT_TOL,
     Mat,
@@ -109,20 +110,28 @@ def entries(n):
                     min_size=n, max_size=n)
 
 
+def sparse_entries(n):
+    """Mostly +0.0, with some -0.0, integers and ``AWKWARD`` values."""
+    return st.lists(st.one_of(st.just(0.0), st.just(0.0), st.just(0.0), st.just(-0.0),
+                              st.integers(-2**60, 2**60).map(float), st.sampled_from(AWKWARD)),
+                    min_size=n, max_size=n)
+
+
 @st.composite
 def mats(draw, min_entries=0):
-    """A ``Mat`` of up to 4 x 4 entries: real (tagged R or C), complex, or complex with
-    imaginary parts that are zero except one."""
+    """A ``Mat`` of up to 4 x 4 entries: real (tagged R or C), complex, complex with
+    imaginary parts that are zero except one, or sparse, real or complex."""
     rows = draw(st.integers(min_value=1 if min_entries else 0, max_value=4))
     cols = draw(st.integers(min_value=1 if min_entries else 0, max_value=4))
     n = rows * cols
-    re = draw(entries(n))
-    kind = draw(st.sampled_from(["R", "C-real", "C", "C-one"]))
-    im = draw(entries(n)) if kind == "C" else [0.0] * n
+    kind = draw(st.sampled_from(["R", "C-real", "C", "C-one", "R-sparse", "C-sparse"]))
+    re = draw(sparse_entries(n) if kind.endswith("sparse") else entries(n))
+    im = (draw(entries(n)) if kind == "C" else draw(sparse_entries(n)) if kind == "C-sparse"
+          else [0.0] * n)
     if kind == "C-one" and n:
         im[draw(st.integers(min_value=0, max_value=n - 1))] = draw(entries(1))[0]
     data = np.array([re, im], dtype=float).T.reshape(n, 2)
-    return Mat(rows, cols, "R" if kind == "R" else "C", data)
+    return Mat(rows, cols, "R" if kind.startswith("R") else "C", data)
 
 
 def plain_text(tree, pretty):
@@ -143,6 +152,29 @@ def test_writer_prints_the_plain_tree(leaves, text, pretty):
     for m in leaves:
         assert numkit.dumps(m, pretty) == plain_text(m, pretty)
         np.testing.assert_array_equal(Mat.from_json(json.loads(numkit.dumps(m))).data, m.data)
+
+
+def read_outcome(read, text):
+    """What reading ``text`` gives: the error type, or the Mat's tags and data bytes."""
+    try:
+        m = read(text)
+    except ManirepError as exc:
+        return type(exc)
+    return m.rows, m.cols, m.field, m.data.dtype, m.data.shape, m.data.tobytes()
+
+
+@given(st.one_of(matrix_documents(), matrix_documents(flaws=["glued"])))
+@example('{"rows": 1, "cols": 2, "field": "R", "data": [[1,2]5,[3,4]]}')
+@example('{"rows": 1, "cols": 2, "field": "R", "data": [[1,2],-[3,4]]}')
+@example('{"rows": 1, "cols": 2, "field": "R", "data": [[1,2],1[3,4]]}')
+@example('{"rows": 1, "cols": 1, "field": "R", "data": [5[1,0]]}')
+@settings(max_examples=500, deadline=None)
+def test_reader_decides_as_json_loads_and_from_json(text):
+    """The bulk reader accepts what json.loads and Mat.from_json accept, with bit-equal data
+    (signed zeros included), and otherwise raises the same error type.  Half the documents
+    have a number byte glued to a pair's bracket, which is not JSON and must not merge into
+    an entry when the brackets are stripped: [[1,2]5,[3,4]] is not [1, 25, 3, 4]."""
+    assert read_outcome(Mat.loads, text) == read_outcome(reference_read, text)
 
 
 @given(mats(min_entries=1), st.sampled_from([np.nan, np.inf, -np.inf]),
