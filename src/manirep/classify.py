@@ -1,12 +1,15 @@
 """Which module sums admit a faithful orbit realization, and minimality sweeps.
 
 For each supported group family there is a short list of low-dimensional
-irreducible modules (see :mod:`manirep.weyl`), so a candidate target is
-just a tuple of multiplicities.  Each family is one :class:`GroupFamily`
-row of ``GROUP_FAMILIES``: the multiplicity names, factor kinds and ranges.
-Each multiplicity must lie in its range, and a target is admissible when its
-total module dimension dim W stays within n^2; the exact value reported is
-(dim W - n^2) / divisor, halved for Sp (the bound in its symplectic rank).
+irreducible modules, so a candidate target is just a tuple of
+multiplicities.  Each family is one :class:`GroupFamily` row of
+``GROUP_FAMILIES``: the multiplicity names, factor kinds and ranges.  Unless
+the family is ``compact``, the trivial and vector modules and its slot kinds
+are the catalog of irreducibles of dimension <= n^2 that ``census`` prints,
+complete from ``weyl.LOW_DIM_THRESHOLD`` on.  Each multiplicity must lie in
+its range, and a target is admissible when its total module dimension dim W
+stays within n^2; the exact value reported is (dim W - n^2) / divisor,
+halved for Sp (the bound in its symplectic rank).
 The unitary and compact symplectic families are ``compact``: they stack no
 frames and admit no empty target.
 
@@ -259,17 +262,24 @@ def _canonical_h_dims(g: G.GroupDescriptor, specs: list[TargetSpec],
 
 def census(g: G.GroupDescriptor) -> dict:
     """Every admissible target of g with its stabilizer dimension at canonical
-    witnesses, plus the low-dimensional Weyl catalog for the split families."""
+    witnesses and, unless g's family is ``compact``, its catalog of irreducible
+    modules of dimension <= n^2: the trivial and vector modules and the family's
+    slot kinds, over C, flagged advisory below ``weyl.LOW_DIM_THRESHOLD``."""
     out = {"group": g.to_json(), "targets": []}
     reports = enumerate_admissible(g)
     for rep, h_dim in zip(reports, _canonical_h_dims(g, [rep.spec for rep in reports])):
         entry = rep.to_json()
         entry["canonical_h_dim"] = h_dim
         out["targets"].append(entry)
-    if not _group_family(g).compact:
-        cat = weyl.low_dim_classification(*weyl.algebra_of(g))
-        out["low_dim_modules"] = [m.to_json() for m in cat.modules]
-        out["low_dim_advisory"] = cat.advisory
+    fam = _group_family(g)
+    if not fam.compact:
+        algebra, n = G.algebra_of(g)
+        weyl.rank_of(algebra, n)  # SL_1, SO_1 and SO_2 have no catalog
+        mods = [ModuleDescriptor("Trivial", g.n, COMPLEX),
+                ModuleDescriptor("RectNK", g.n, COMPLEX, k=1)]
+        mods += [ModuleDescriptor(kind, g.n, COMPLEX) for _, kind, _ in fam.slots]
+        out["low_dim_modules"] = [m.to_json() for m in mods]
+        out["low_dim_advisory"] = n < weyl.LOW_DIM_THRESHOLD[algebra]
     return out
 
 

@@ -580,7 +580,7 @@ def mp_dimension(md: ManifoldDescriptor) -> int:
 
 def minimality_advisory(md: ManifoldDescriptor) -> bool:
     """True when the size is below the range where minimality is proved."""
-    algebra, n = weyl.algebra_of(group(md))
+    algebra, n = G.algebra_of(group(md))
     return n < weyl.LOW_DIM_THRESHOLD[algebra]
 
 

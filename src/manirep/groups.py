@@ -5,10 +5,10 @@ core families are the special linear, orthogonal, symplectic, unitary,
 indefinite-orthogonal, and compact-symplectic groups; GL, O, and U are also
 supported so that stabilizer computations can hand back their block factors
 as first-class descriptors.  Each family is one :class:`Traits` row of
-``TRAITS``, which every function below reads; only SO_{p,q}, whose form
-comes from its signature, is told apart by name.  A nonstandard symmetric
-form B or skew form Omega (checked by ``checked_form``) selects a
-conjugated copy of the same abstract group.
+``TRAITS``, which every function below reads (``algebra_of`` its algebra
+type); only SO_{p,q}, whose form comes from its signature, is told apart by
+name.  A nonstandard symmetric form B or skew form Omega (checked by
+``checked_form``) selects a conjugated copy of the same abstract group.
 
 Lie algebra bases are read-only (d, n, n) arrays built from ``numkit`` unit
 stacks and kept in its basis cache (see ``lie_algebra_basis``).
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDescriptor, ManirepError, NonFinite, SizeMismatch
+from .errors import InvalidDescriptor, ManirepError, NonFinite, SizeMismatch, UnsupportedGroup
 from .numkit import (ALL, ANTI_HERMITIAN, COMPLEX, DEFAULT_TOL, REAL, SKEW, SYM, Tolerance,
                      cached_basis, frob, mat_from_json, mat_to_json, span_kernel, unit_stack)
 
@@ -37,26 +37,37 @@ SL, SO, SP, SU, SOPQ, SP_COMPACT, GL, O, U = (
 @dataclass(frozen=True)
 class Traits:
     """One group family: the ``form`` it preserves (``SYM``, ``SKEW`` or None),
-    ``special`` (det = 1), ``unitary`` (A*A = I), and the ``field`` of a real
-    form (None when the algebra is complex-linear and the descriptor picks it)."""
+    ``special`` (det = 1), ``unitary`` (A*A = I), the ``field`` of a real
+    form (None when the algebra is complex-linear and the descriptor picks it),
+    and the ``algebra`` type of its complexified Lie algebra as :mod:`manirep.weyl`
+    names it (``"SL"``, ``"SO"`` or ``"SP"``; None for GL, O and U)."""
 
     form: str | None
     special: bool
     unitary: bool
     field: str | None
+    algebra: str | None
 
 
 TRAITS = {
-    SL: Traits(None, True, False, None),
-    SO: Traits(SYM, True, False, None),
-    SP: Traits(SKEW, True, False, None),
-    SU: Traits(None, True, True, COMPLEX),
-    SOPQ: Traits(SYM, True, False, REAL),
-    SP_COMPACT: Traits(SKEW, True, True, COMPLEX),
-    GL: Traits(None, False, False, None),
-    O: Traits(SYM, False, False, None),
-    U: Traits(None, False, True, COMPLEX),
+    SL: Traits(None, True, False, None, "SL"),
+    SO: Traits(SYM, True, False, None, "SO"),
+    SP: Traits(SKEW, True, False, None, "SP"),
+    SU: Traits(None, True, True, COMPLEX, "SL"),
+    SOPQ: Traits(SYM, True, False, REAL, "SO"),
+    SP_COMPACT: Traits(SKEW, True, True, COMPLEX, "SP"),
+    GL: Traits(None, False, False, None, None),
+    O: Traits(SYM, False, False, None, None),
+    U: Traits(None, False, True, COMPLEX, None),
 }
+
+
+def algebra_of(g: GroupDescriptor) -> tuple[str, int]:
+    """The (algebra, n) of g's complexified Lie algebra for weyl: n is the rank for SP."""
+    algebra = TRAITS[g.family].algebra
+    if algebra is None:
+        raise UnsupportedGroup(f"family {g.family} has no simple algebra")
+    return algebra, g.n // 2 if algebra == "SP" else g.n
 
 
 def J2n(n: int) -> np.ndarray:

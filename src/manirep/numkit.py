@@ -146,6 +146,8 @@ class Mat:
                                f"{type(rows).__name__} x {type(cols).__name__}")
         if rows < 0 or cols < 0:
             raise InvalidInput(f"negative matrix size {rows} x {cols}")
+        if max(rows, cols) > _MAX_SIDE:
+            raise InvalidInput(f"matrix size {rows} x {cols} is beyond numpy's array sizes")
         if rows * cols != len(data):
             raise SizeMismatch("rows*cols does not match entry count")
         if field == REAL and data[:, 1].any():
@@ -189,6 +191,9 @@ def _entries(pairs) -> list:
     return entries
 
 
+#: the longest side numpy gives a complex128 array, even one with no entries: it checks
+#: each side times 16 bytes against the index range
+_MAX_SIDE = np.iinfo(np.intp).max // 16
 _DECODER = json.JSONDecoder()
 _WS = json.decoder.WHITESPACE.match
 #: the end of a list of pairs: the first ``]`` that closes a pair and then the list

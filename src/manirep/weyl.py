@@ -7,8 +7,11 @@ epsilon-coordinates of the classical root systems (types A, B, C, D), with
 half-integer bookkeeping done over doubled integers so every result is an
 exact Python int.  The bounded enumeration walks the weight lattice depth
 first and updates the dimension by the factors one step moves.  The
-closed-form catalog entries (vector, alternating and symmetric squares,
-adjoints, spins) are the anchors everything else is validated against.
+highest weights of the named modules (vector, alternating and symmetric
+squares, adjoints, spins; ``catalog_weight``) are the anchors everything else
+is validated against.  ``LOW_DIM_THRESHOLD`` is where the census catalog of
+:mod:`manirep.classify` is complete.  The module imports nothing of the
+package but its errors.
 
 Conventions: for ``SL`` and ``SO`` the parameter ``n`` is the matrix size
 (weights have length n-1 and floor(n/2)); for ``SP`` it is the rank, the
@@ -22,9 +25,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import prod
 
-from . import groups as G
-from .errors import InvalidDescriptor, ManirepError, UnsupportedGroup
-from .gmodules import ModuleDescriptor, module_dim
+from .errors import InvalidDescriptor, ManirepError
 
 SL, SO, SP = "SL", "SO", "SP"
 
@@ -207,102 +208,6 @@ def catalog_weight(algebra: str, n: int, name: str) -> HighestWeight | None:
     return None if k is None else HighestWeight(algebra, n, k)
 
 
-#: smallest n for which the low-dimension catalog below is complete
+#: smallest n (per algebra) from which every irreducible of dimension <= n^2 (4n^2 for SP)
+#: is in the census catalog of :mod:`manirep.classify`
 LOW_DIM_THRESHOLD = {SL: 9, SO: 19, SP: 5}
-
-#: group family -> its complexified algebra and the divisor taking g.n to that algebra's n
-_ALGEBRA_OF = {G.SL: (SL, 1), G.SU: (SL, 1), G.SO: (SO, 1), G.SOPQ: (SO, 1),
-               G.SP: (SP, 2), G.SP_COMPACT: (SP, 2)}
-
-
-def algebra_of(g: G.GroupDescriptor) -> tuple[str, int]:
-    """The (algebra, n) of a classical group's complexified Lie algebra."""
-    algebra, divisor = _ALGEBRA_OF[g.family]
-    return algebra, g.n // divisor
-
-
-#: per algebra: the catalog kinds after the trivial and vector modules, the
-#: matrix size per unit of n, and the dimension bound per unit of n^2
-_CATALOG = {
-    SL: (("Alt2", "Sym2", "SLnTraceless"), 1, 1),
-    SO: (("Alt2", "Sym2Traceless"), 1, 1),
-    SP: (("Sym2TracelessForm", "Alt2Form"), 2, 4),
-}
-
-
-@dataclass
-class LowDimCatalog:
-    algebra: str
-    n: int
-    bound: int
-    modules: list[ModuleDescriptor]
-    weights: list[tuple[HighestWeight, int]]
-    advisory: bool
-    unexplained: list[tuple[HighestWeight, int]]
-
-
-def low_dim_classification(algebra: str, n: int) -> LowDimCatalog:
-    """The catalog of irreducibles of dimension <= n^2 (4n^2 for SP).
-
-    Below the proved thresholds the result is still computed and any
-    enumerated weight whose dimension is not explained by the catalog is
-    reported in ``unexplained`` with ``advisory=True``.
-    """
-    if algebra not in _CATALOG:
-        raise InvalidDescriptor(f"unknown algebra {algebra!r}")
-    kinds, size, scale = _CATALOG[algebra]
-    bound, N = scale * n * n, size * n
-    mods = [ModuleDescriptor("Trivial", N, "C"), ModuleDescriptor("RectNK", N, "C", k=1)]
-    mods += [ModuleDescriptor(kind, N, "C") for kind in kinds]
-    weights = enumerate_irreps_below(algebra, n, bound)
-    catalog_dims = {module_dim(md) for md in mods}
-    unexplained = [(w, d) for w, d in weights if d not in catalog_dims]
-    advisory = n < LOW_DIM_THRESHOLD[algebra]
-    return LowDimCatalog(algebra, n, bound, mods, weights, advisory, unexplained)
-
-
-def _is_spinor(w: HighestWeight) -> bool:
-    m = len(w.kappa)
-    if w.n % 2 == 1:
-        return w.kappa[m - 1] % 2 == 1
-    return (w.kappa[m - 2] + w.kappa[m - 1]) % 2 == 1
-
-
-def real_form_admissible(g: G.GroupDescriptor, w: HighestWeight) -> bool:
-    """Whether the complex module descends to a real module of the real form.
-
-    Split forms admit every weight.  SU_n needs a palindromic kappa plus the
-    mod-4 condition on n; the compact symplectic group needs kappa_i even at
-    every odd position i.  For indefinite SO_{p,q} the tensor (non-spinor)
-    weights are realizable over R for every signature; spinor weights of a
-    non-split signature are outside the supported range.
-    """
-    split = g.family in (G.SL, G.SP) and g.field == "R"
-    if not split and g.family not in (G.SU, G.SP_COMPACT, G.SOPQ):
-        raise UnsupportedGroup(f"no real-form criterion for family {g.family!r}")
-    _require(w, *algebra_of(g))
-    kap = w.kappa
-    if split:
-        return True
-    if g.family == G.SU:
-        n = g.n
-        if any(kap[i] != kap[n - 2 - i] for i in range(n - 1)):
-            return False
-        if n % 2 == 1 or n % 4 == 0:
-            return True
-        return kap[n // 2 - 1] % 2 == 0
-    if g.family == G.SP_COMPACT:
-        return all(kap[i] % 2 == 0 for i in range(0, len(kap), 2))
-    p, q = g.signature
-    if abs(p - q) <= 1 or not _is_spinor(w):
-        return True
-    raise UnsupportedGroup(
-        f"spinor weights of SO_{p},{q} are outside the supported classification"
-    )
-
-
-def _require(w: HighestWeight, algebra: str, n: int) -> None:
-    if w.algebra != algebra or w.n != n:
-        raise InvalidDescriptor(
-            f"weight is for {w.algebra}_{w.n}, group expects {algebra}_{n}"
-        )

@@ -112,7 +112,8 @@ def matrix_documents(draw, flaws=None):
     }
     if "size" in flaws:
         values[draw(st.sampled_from(['"rows"', '"cols"']))] = draw(st.sampled_from(
-            ["1.5", "-1", "true", '"2"', "null", "2.0", str(rows + 1), "1e400"]))
+            ["1.5", "-1", "true", '"2"', "null", "2.0", str(rows + 1), "1e400",
+             str(10**20)]))
     if "field" in flaws:
         values['"field"'] = draw(st.sampled_from(['"H"', "1", "null", '["R"]', '"r"']))
     if "missing" in flaws:

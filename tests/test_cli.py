@@ -491,6 +491,35 @@ def test_element_with_an_overflowing_norm_is_a_json_error(tmp_path):
     assert _strict_json(proc.stdout)["error"]["type"] == "NonFinite"
 
 
+@pytest.mark.parametrize("argv", [
+    ["stabilizer", "--action", "left-mult", "--matrix"],
+    ["stabilizer", "--action", "congruence-sym", "--matrix"],
+    ["stabilizer", "--action", "congruence-skew", "--matrix"],
+    ["stabilizer", "--action", "similarity", "--matrix"],
+    ["embed", "--manifold", "gr-real", "--n", "4", "--k", "2", "--element"],
+], ids=["left-mult", "congruence-sym", "congruence-skew", "similarity", "embed"])
+@pytest.mark.parametrize("rows,cols", [(10**20, 0), (0, 2**63 - 1)], ids=["rows", "cols"])
+def test_an_empty_matrix_of_a_size_numpy_cannot_shape_is_a_json_error(tmp_path, capsys, argv,
+                                                                      rows, cols):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": rows, "cols": cols, "field": "R", "data": []}))
+    assert main([*argv, str(path)]) == 1
+    assert _strict_json(capsys.readouterr().out)["error"]["type"] == "InvalidInput"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--group", "SL", "--n", "1"], "SL needs n >= 2"),
+    (["--group", "SO", "--n", "1"], "SO needs n >= 3"),
+    (["--group", "SO", "--n", "2", "--field", "C"], "SO needs n >= 3"),
+    (["--group", "SOpq", "--n", "2", "--signature", "1,1"], "SO needs n >= 3"),
+], ids=["SL_1", "SO_1", "SO_2(C)", "SO_1,1"])
+def test_census_of_a_group_with_no_weyl_algebra_is_a_json_error(capsys, argv, message):
+    """The census catalog needs a simple algebra: weyl.rank_of rejects these sizes."""
+    assert main(["census", *argv]) == 1
+    error = _strict_json(capsys.readouterr().out)["error"]
+    assert error == {"type": "InvalidDescriptor", "message": message}
+
+
 @pytest.mark.parametrize("verb", ["embed", "verify"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_spectrum_is_rejected(verb, value):

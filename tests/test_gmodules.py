@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from manirep import gmodules, groups, weyl
-from manirep.classify import FACTORS
+from manirep import gmodules, groups
+from manirep.classify import FACTORS, GROUP_FAMILIES, census
 from manirep.embeddings import all_smallest_legal, module
 from manirep.errors import InvalidDescriptor, NotInGroup
 from manirep.gmodules import (KINDS, ActionKind, ModuleDescriptor, act, basis, contains,
@@ -207,11 +207,11 @@ def test_membership_of_huge_matrices(kind):
 
 
 def test_every_kind_and_action_is_used():
-    """Each kind is a manifold row's module, a classification factor or in a Weyl catalog,
-    and each action is some kind's."""
+    """Each kind is a manifold row's module, a classification factor, a family's slot kind or
+    in census's low-dimension catalog, and each action is some kind's."""
     used = {module(md).kind for md in all_smallest_legal()} | set(FACTORS)
-    for algebra in ("SL", "SO", "SP"):
-        used |= {m.kind for m in weyl.low_dim_classification(algebra, 3).modules}
+    used |= {kind for fam in GROUP_FAMILIES.values() for _, kind, _ in fam.slots}
+    used |= {m["kind"] for m in census(groups.sl(3, "C"))["low_dim_modules"]}
     assert used == set(KINDS)
     assert {row.action for row in KINDS.values()} - {None} == set(ActionKind)
 

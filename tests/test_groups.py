@@ -5,10 +5,11 @@ import pytest
 import scipy.linalg
 
 from manirep import groups
-from manirep.errors import InvalidDescriptor, NonFinite
+from manirep.errors import InvalidDescriptor, NonFinite, UnsupportedGroup
 from manirep.gmodules import ModuleDescriptor
 from manirep.groups import (
     GroupDescriptor,
+    algebra_of,
     contains,
     gl,
     group_dim,
@@ -74,6 +75,16 @@ def test_a_signature_list_becomes_a_hashable_tuple():
     g = GroupDescriptor("SOpq", 3, "R", signature=[1, 2])
     assert g.signature == (1, 2)
     hash(g.cache_key())
+
+
+def test_algebra_of_names_each_complexified_algebra():
+    """n is the matrix size for SL and SO and the rank for SP; GL, O and U have none."""
+    assert [algebra_of(g) for g in (sl(9, "C"), su(9), so(19, "C"), so_pq(2, 3), sp(10, "R"),
+                                    sp_compact(10))] == [
+        ("SL", 9), ("SL", 9), ("SO", 19), ("SO", 5), ("SP", 5), ("SP", 5)]
+    for g in (gl(3), orth(3), groups.unitary(3)):
+        with pytest.raises(UnsupportedGroup):
+            algebra_of(g)
 
 
 def test_unknown_family_is_rejected():

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -5,18 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manirep.errors import InvalidDescriptor, UnsupportedGroup
-from manirep.gmodules import module_dim
-from manirep.groups import sl, so_pq, sp, sp_compact, su
-from manirep.weyl import (
-    HighestWeight,
-    catalog_weight,
-    enumerate_irreps_below,
-    low_dim_classification,
-    rank_of,
-    real_form_admissible,
-    weyl_dim,
-)
+from manirep import groups as G
+from manirep.classify import GROUP_FAMILIES, census
+from manirep.errors import InvalidDescriptor
+from manirep.gmodules import ModuleDescriptor, module_dim
+from manirep.weyl import HighestWeight, catalog_weight, enumerate_irreps_below, rank_of, weyl_dim
 
 
 def W(algebra, n, kappa):
@@ -231,60 +226,49 @@ class TestEnumeration:
 
 
 class TestLowDimClassification:
+    """census's catalog (the trivial and vector modules and the family's slot kinds, over C)
+    against the enumeration of the irreducibles of dimension <= n^2."""
+
+    @staticmethod
+    def catalog(g):
+        """census's catalog of g, its kinds checked against ``GROUP_FAMILIES``, the dimensions
+        of the weights below n^2 that it does not explain, and its advisory flag."""
+        out = census(g)
+        mods = [ModuleDescriptor(m["kind"], m["n"], m["field"], k=m["k"])
+                for m in out["low_dim_modules"]]
+        slots = [kind for _, kind, _ in GROUP_FAMILIES[g.family].slots]
+        assert [m.kind for m in mods] == ["Trivial", "RectNK"] + slots
+        dims = {module_dim(m) for m in mods}
+        weights = enumerate_irreps_below(*G.algebra_of(g), g.n**2)
+        return mods, [d for _, d in weights if d not in dims], out["low_dim_advisory"]
+
     def test_sl9(self):
-        cat = low_dim_classification("SL", 9)
-        kinds = [m.kind for m in cat.modules]
-        assert kinds == ["Trivial", "RectNK", "Alt2", "Sym2", "SLnTraceless"]
-        assert not cat.advisory and not cat.unexplained
-        assert sorted(module_dim(m) for m in cat.modules) == [1, 9, 36, 45, 80]
+        mods, unexplained, advisory = self.catalog(G.sl(9, "C"))
+        assert [m.kind for m in mods] == ["Trivial", "RectNK", "Alt2", "Sym2", "SLnTraceless"]
+        assert [module_dim(m) for m in mods] == [1, 9, 36, 45, 80]
+        assert not unexplained and not advisory
 
     def test_so19(self):
-        cat = low_dim_classification("SO", 19)
-        assert [m.kind for m in cat.modules] == ["Trivial", "RectNK", "Alt2", "Sym2Traceless"]
-        assert sorted(set(d for _, d in cat.weights)) == [1, 19, 171, 189]
-        assert not cat.advisory and not cat.unexplained
+        mods, unexplained, advisory = self.catalog(G.so(19, "C"))
+        assert [module_dim(m) for m in mods] == [1, 19, 171, 189]
+        assert not unexplained and not advisory
 
     def test_sp5(self):
-        cat = low_dim_classification("SP", 5)
-        assert sorted(set(d for _, d in cat.weights)) == [1, 10, 44, 55]
-        assert not cat.advisory and not cat.unexplained
+        mods, unexplained, advisory = self.catalog(G.sp(10, "C"))
+        assert [module_dim(m) for m in mods] == [1, 10, 44, 55]
+        assert not unexplained and not advisory
 
     def test_below_threshold_flagged(self):
-        cat = low_dim_classification("SO", 9)
-        assert cat.advisory
-        # the 16-dimensional spin module is below 81 but not in the catalog
-        assert any(d == 16 for _, d in cat.unexplained)
+        # the 16-dimensional spin module of SO_9 is below 81 but not in the catalog
+        _, unexplained, advisory = self.catalog(G.so(9, "C"))
+        assert unexplained == [16] and advisory
 
 
-class TestRealFormAdmissible:
-    def test_split_forms_always(self):
-        assert real_form_admissible(sl(9, "R"), W("SL", 9, (3, 1, 0, 0, 0, 0, 0, 2)))
-        assert real_form_admissible(sp(10, "R"), W("SP", 5, (1, 1, 1, 0, 1)))
-
-    def test_su_palindrome(self):
-        assert real_form_admissible(su(9), W("SL", 9, (1, 0, 0, 0, 0, 0, 0, 1)))
-        assert not real_form_admissible(su(9), W("SL", 9, (1, 0, 0, 0, 0, 0, 0, 0)))
-
-    def test_su_mod4(self):
-        e5 = tuple(1 if i == 4 else 0 for i in range(9))
-        assert not real_form_admissible(su(10), W("SL", 10, e5))
-        e5even = tuple(2 if i == 4 else 0 for i in range(9))
-        assert real_form_admissible(su(10), W("SL", 10, e5even))
-        # n = 0 mod 4: palindromic is enough
-        e2 = tuple(1 if i in (1, 5) else 0 for i in range(7))
-        assert real_form_admissible(su(8), W("SL", 8, e2))
-
-    def test_sp_compact_parity(self):
-        assert not real_form_admissible(sp_compact(10), W("SP", 5, (1, 0, 0, 0, 0)))
-        assert real_form_admissible(sp_compact(10), W("SP", 5, (2, 0, 0, 0, 0)))
-        assert real_form_admissible(sp_compact(10), W("SP", 5, (0, 1, 0, 0, 0)))
-
-    def test_sopq(self):
-        assert real_form_admissible(so_pq(2, 3), W("SO", 5, (1, 1)))
-        assert real_form_admissible(so_pq(1, 6), W("SO", 7, (0, 1, 0)))
-        with pytest.raises(UnsupportedGroup):
-            real_form_admissible(so_pq(1, 6), W("SO", 7, (0, 0, 1)))
-
-    def test_group_weight_mismatch(self):
-        with pytest.raises(InvalidDescriptor):
-            real_form_admissible(su(9), W("SO", 9, (1, 0, 0, 0)))
+def test_weyl_loads_neither_groups_nor_gmodules():
+    """weyl is integer arithmetic; it imports nothing of the package but its errors."""
+    script = ("import sys\n"
+              "import manirep.weyl\n"
+              "print('manirep.groups' in sys.modules, 'manirep.gmodules' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
