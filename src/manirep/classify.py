@@ -18,9 +18,10 @@ stabilizer in the group of a tuple of canonical witnesses, one per module
 factor; ``FACTORS`` maps each factor kind to its canonical witness.  The
 structured stabilizer of a single point lives in :mod:`manirep.stabilizers`.
 A canonical witness depends only on its module, so ``census`` and
-``minimality_certificate`` build the condition rows of each distinct slot
-factor once per call and count a factor repeated in a target once; only the
-frame is rebuilt per target.
+``minimality_certificate`` pool, once per call, the condition rows of the
+frame at full width and of each distinct slot factor; each target is a set
+of pool columns, a factor repeated in it counted once, and one
+``numerical_ranks`` pass ranks them all.
 
 ``minimality_certificate`` checks, for a manifold family, that its target
 dimension matches the family's closed form and that no admissible target
@@ -43,8 +44,8 @@ from . import groups as G
 from . import weyl
 from .errors import InvalidDescriptor, NotMinimalFamily, UnsupportedGroup
 from .gmodules import ModuleDescriptor, module_dim, real_dim
-from .numkit import COMPLEX, DEFAULT_TOL, Tolerance, youla_blocks
-from .stabilizers import _kernel_dim, stabilizer_rows
+from .numkit import COMPLEX, DEFAULT_TOL, Tolerance, numerical_ranks, youla_blocks
+from .stabilizers import stabilizer_rows
 
 
 @dataclass(frozen=True)
@@ -145,6 +146,14 @@ class AdmissibilityReport:
                 "dim_total": str(self.module_dim_total)}
 
 
+def _verdict(fam: GroupFamily, n: int, dim_total: int, empty: bool) -> tuple[bool, Fraction]:
+    """The family's admissibility rule for a target of total module dimension dim W, exactly
+    over rationals: whether it admits the target (``empty`` when it has no factor), and the
+    value (dim W - n^2) / divisor."""
+    value = Fraction(dim_total - n**2, fam.divisor)
+    return value <= 0 and not (fam.compact and empty), value
+
+
 def admissible(spec: TargetSpec) -> AdmissibilityReport:
     """Evaluate the family's admissibility rule exactly over rationals.  A multiplicity out of
     its family's range is an :class:`InvalidDescriptor`."""
@@ -159,17 +168,21 @@ def admissible(spec: TargetSpec) -> AdmissibilityReport:
             raise InvalidDescriptor(f"{fam.name} multiplicity {name} must be in 0..{r[-1]}")
     mods = spec.modules()
     dim_total = sum(module_dim(m) for m in mods)
-    value = Fraction(dim_total - g.n**2, fam.divisor)
-    ok = value <= 0 and not (fam.compact and not mods)
+    ok, value = _verdict(fam, g.n, dim_total, not mods)
     return AdmissibilityReport(spec, ok, value, dim_total, mods)
 
 
 def enumerate_admissible(g: G.GroupDescriptor) -> list[AdmissibilityReport]:
-    """All admissible multiplicity tuples, by total dimension then lex order."""
-    ranges = _group_family(g).ranges(g.n)
-    reports = (admissible(TargetSpec(g, mult)) for mult in product(*ranges))
-    return sorted((r for r in reports if r.admissible),
-                  key=lambda r: (r.module_dim_total, r.spec.multiplicities))
+    """All admissible multiplicity tuples, by total dimension then lex order.  A tuple's total
+    dimension, from the dimensions of one frame column and of each slot module taken once per
+    call, decides it before its ``TargetSpec`` and modules are built."""
+    fam = _group_family(g)
+    unit = [module_dim(m) for m in _slot_modules(g)]
+    if not fam.compact:
+        unit.insert(0, module_dim(ModuleDescriptor("RectNK", g.n, g.field, k=1)))
+    reports = [admissible(TargetSpec(g, mult)) for mult in product(*fam.ranges(g.n))
+               if _verdict(fam, g.n, sum(a * d for a, d in zip(mult, unit)), not any(mult))[0]]
+    return sorted(reports, key=lambda r: (r.module_dim_total, r.spec.multiplicities))
 
 
 # ---------------------------------------------------------------------------
@@ -236,28 +249,31 @@ def _canonical_h_dims(g: G.GroupDescriptor, specs: list[TargetSpec],
                       tol: Tolerance = DEFAULT_TOL) -> list[int]:
     """Stabilizer dimension in g at the canonical witnesses of each target.
 
-    A canonical witness depends only on its module, so each slot module's condition rows are
-    built (and its witness checked) once per call, and a module repeated in a target counts
-    once: equal rows cut out the same kernel.  The frame's rows, a cheap left multiplication
-    whose width varies with the target, are built per target.  Each target is ranked as in
-    ``intersect_stabilizer_dim``."""
-
-    def rows(m: ModuleDescriptor) -> np.ndarray:
-        return stabilizer_rows(g, m, m.action, canonical_witness(m), tol)
-
-    slots = _slot_modules(g)
-    blocks: dict[int, np.ndarray] = {}
-    dims = []
-    for spec in specs:
-        frame, counts = spec.split()
-        target = [] if frame is None else [rows(frame)]
-        for i, count in enumerate(counts):
-            if count:
-                if i not in blocks:
-                    blocks[i] = rows(slots[i])
-                target.append(blocks[i])
-        dims.append(_kernel_dim(g, target, tol))
-    return dims
+    A canonical witness depends only on its module, so one pooled row matrix, built once per
+    call, holds the condition rows of every target: joined column-wise, the frame's rows at
+    full width b = n (witness I_n) and the rows of each distinct slot module, each built (and
+    its witness checked) only if some target holds it.  A target is a set of pool columns:
+    as Z [I_b; 0] is the first b columns of Z, the frame's columns of witness columns c < b,
+    and the columns of each slot it holds; a module repeated in a target counts once, as
+    equal rows cut out the same kernel.  ``numerical_ranks`` ranks every target in one
+    batched pass, each as in ``intersect_stabilizer_dim``."""
+    mods = [ModuleDescriptor("RectNK", g.n, g.field, k=g.n), *_slot_modules(g)]
+    # per target: the frame width b (0 for a compact family), then each slot's multiplicity
+    uses = np.array([[0 if frame is None else frame.k, *counts] for frame, counts
+                     in map(TargetSpec.split, specs)], int).reshape(len(specs), len(mods))
+    used = np.flatnonzero(uses.any(axis=0))
+    pool = [stabilizer_rows(g, mods[i], mods[i].action, canonical_witness(mods[i]), tol)
+            for i in used]
+    # a pool column is in a target when its level, the witness column c for the frame and
+    # 0 for a slot, is below the target's use of its factor
+    factor = np.repeat(used, [B.shape[1] for B in pool])
+    level = [np.arange(B.shape[1]) // (B.shape[1] // g.n**2) % g.n if i == 0
+             else np.zeros(B.shape[1], int) for i, B in zip(used, pool)]
+    level = np.concatenate([np.zeros(0, int), *level])
+    A = np.concatenate([np.zeros((len(G.lie_algebra_basis(g)), 0)), *pool], axis=1)
+    del pool  # frees the blocks: only their joined copy is ranked
+    sets = [np.flatnonzero(level < u[factor]) for u in uses]
+    return [len(A) - rank for rank in numerical_ranks(A, sets, tol)]
 
 
 def census(g: G.GroupDescriptor) -> dict:

@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 domain error (reported as an ``error`` object),
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -174,6 +175,7 @@ def cmd_census(args) -> dict:
     return C.census(GROUPS[args.group](args))
 
 
+@functools.cache  # built once per process: a build costs far more than a parse
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="manirep", description=__doc__)
     ap.add_argument("--pretty", action="store_true", help="indent the JSON output")
@@ -189,13 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True, choices=["SL", "SO", "SP"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kappa", required=True, type=ints)
-    p.set_defaults(fn=cmd_dims)
 
     p = sub.add_parser("irreps", parents=[common], help="all irreducibles below a dimension bound")
     p.add_argument("--algebra", required=True, choices=["SL", "SO", "SP"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
-    p.set_defaults(fn=cmd_irreps)
 
     p = sub.add_parser("classify", parents=[common], help="admissible faithful targets of a group")
     p.add_argument("--group", required=True, choices=list(GROUPS))
@@ -204,13 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signature", type=ints, help="p,q for SOpq")
     p.add_argument("--enumerate", action="store_true")
     p.add_argument("--multiplicities", type=ints, help="comma-separated multiplicity tuple")
-    p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("stabilizer", parents=[common], help="structured stabilizer of a matrix")
     p.add_argument("--action", required=True, choices=list(STABILIZERS))
     p.add_argument("--matrix", required=True, help="path to a matrix JSON file")
     p.add_argument("--mode", default="exact", choices=["exact", "numeric"])
-    p.set_defaults(fn=cmd_stabilizer)
 
     def add_manifold_flags(p):  # --n is checked in main: verify --manifold all takes none
         p.add_argument("--manifold", required=True, help="a family name; verify also takes "
@@ -227,13 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", parents=[common], help="a point of a manifold realization")
     add_manifold_flags(p)
     p.add_argument("--element", help="path to a group-element JSON file")
-    p.set_defaults(fn=cmd_embed)
 
     p = sub.add_parser("verify", parents=[common], help="equivariance residuals")
     add_manifold_flags(p)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=seed)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("cartan", parents=[common], help="Cartan embedding vs minimal realization")
     p.add_argument("--type", required=True, choices=list(E.CARTAN_TYPES))
@@ -241,14 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=seed)
-    p.set_defaults(fn=cmd_cartan)
 
     p = sub.add_parser("census", parents=[common], help="admissible-target summary for a group")
     p.add_argument("--group", required=True, choices=list(GROUPS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--field", choices=["R", "C"])
     p.add_argument("--signature", type=ints)
-    p.set_defaults(fn=cmd_census)
 
     return ap
 
@@ -275,7 +269,9 @@ def main(argv=None) -> int:
         if not every and args.n is None:
             ap.error(f"--manifold {args.manifold} needs --n")
     try:
-        text, code = dumps(args.fn(args), args.pretty), 0
+        # the handler is looked up by name on each call rather than held by the cached
+        # parser, so a rebinding of cmd_<verb> (as by bench/tracer.py) takes effect
+        text, code = dumps(globals()[f"cmd_{args.verb}"](args), args.pretty), 0
     except ManirepError as exc:
         text, code = _error(exc, args.pretty), 1
     if args.out:

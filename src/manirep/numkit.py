@@ -23,12 +23,14 @@ each read off one decomposition (a Hermitian eigendecomposition of a real
 symmetric 2n x 2n matrix for Takagi, an SVD of X for Youla) and completed
 to a unitary by the trailing columns of one complete QR.
 ``above_cutoff`` is the one rank rule, used wherever a rank or block size is
-decided.  ``numerical_rank`` splits X into the connected blocks of its
-nonzero pattern (rows and columns joined by nonzero entries), takes one
-batched SVD per block shape and applies ``above_cutoff`` once to all their
-singular values, so one cutoff holds for every block.  The same label
-propagation (``_labels``) gives the single-linkage ``clusters`` of a set of
-eigenvalues, the one clustering rule.  Bases are built one
+decided.  ``numerical_ranks`` ranks A on several column sets in one pass:
+it splits each A[:, s] into the connected blocks of its nonzero pattern
+(rows and columns joined by nonzero entries), takes one batched SVD per
+block shape over all sets and applies ``above_cutoff`` once per set, so one
+cutoff holds for every block of a set; ``numerical_rank`` is its one set of
+every column.  The same label propagation (``_labels``) gives the
+single-linkage ``clusters`` of a set of eigenvalues, the one clustering
+rule.  Bases are built one
 way: a span of unit matrices (``unit_stack``) cut by linear conditions
 (``span_kernel``), kept read-only in one bounded LRU (``cached_basis``).
 Apart from that cache all functions are pure.
@@ -325,43 +327,53 @@ def require_square(X: np.ndarray) -> int:
 
 
 def numerical_rank(X: np.ndarray, tol: Tolerance = DEFAULT_TOL, *, strict: bool = False) -> int:
-    """Number of singular values of X that ``above_cutoff`` keeps.
-
-    X is ranked one connected block at a time (``_blocks``): some row and
-    column permutation makes X block diagonal, and its singular values are
-    those of the blocks.  Blocks of one shape take one batched SVD, and one
-    ``above_cutoff`` call sees the singular values of all blocks, so one
-    cutoff, ``tol.cutoff`` of the largest over all blocks, holds for every
-    block, as for the dense SVD.  A complex X with zero imaginary part is
-    ranked as the real matrix it is.
-    """
+    """Number of singular values of X that ``above_cutoff`` keeps: ``numerical_ranks`` of X
+    on all its columns."""
     X = np.asarray(X)
-    real = not (np.iscomplexobj(X) and X.imag.any())
-    X = X.real.astype(float, copy=False) if real else X.astype(complex, copy=False)
-    s = [np.linalg.svd(B, compute_uv=False).ravel() for B in _blocks(X)]
-    return int(above_cutoff(np.concatenate([np.zeros(0), *s]), tol, strict=strict).sum())
+    return numerical_ranks(X, [np.arange(X.shape[1])], tol, strict=strict)[0]
 
 
-def _labels(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Component labels of the rows and columns of a 2-d X, by label propagation.
+def numerical_ranks(A: np.ndarray, column_sets, tol: Tolerance = DEFAULT_TOL, *,
+                    strict: bool = False) -> list[int]:
+    """The ``numerical_rank`` of A[:, s] for each set s of column indices, in one pass.
 
-    Rows and columns are the nodes of a bipartite graph with an edge at each nonzero entry.
-    Labels are row numbers.  A pass gives each column the least label of its rows and stops
-    once the columns of each row share one label, which is then the label of the row's
-    component.  Otherwise each row and the row its label names take the least label of the
-    row's columns, and each row its label's label, so labels only fall, stay inside their
-    component, and meet in a few passes.  Each component ends labelled by its least row;
-    all-zero rows and columns, in no component, get the label ``len(X)``."""
-    m, n = X.shape
-    flat = np.flatnonzero(X != 0)  # row by row, so each row's edges are one run
-    bounds = np.searchsorted(flat, np.arange(m + 1) * n)
-    counts = np.diff(bounds)
-    live = np.flatnonzero(counts)
+    Each A[:, s] is ranked one connected block at a time (``_blocks``): some row and column
+    permutation makes it block diagonal, and its singular values are those of the blocks.
+    Blocks of one shape, from any of the sets, take one batched SVD.  One ``above_cutoff``
+    call per set sees the singular values of all its blocks, so each set keeps its own
+    cutoff, ``tol.cutoff`` of its largest singular value, as for its dense SVD, and its own
+    ``strict`` band and :class:`NonFinite` rule.  A set whose columns have zero imaginary
+    part is ranked in real arithmetic.
+    """
+    A = np.asarray(A, complex if np.iscomplexobj(A) else float)
+    member = np.zeros((len(column_sets), A.shape[1]), bool)
+    for t, cols in enumerate(column_sets):
+        member[t, np.asarray(cols, int)] = True
+    owner, s = [np.zeros(0, int)], [np.zeros(0)]
+    for t, stack in _blocks(A, member):
+        s.append(np.linalg.svd(stack, compute_uv=False).ravel())
+        owner.append(np.repeat(t, min(stack.shape[1:])))
+    owner, s = np.concatenate(owner), np.concatenate(s)
+    return [int(above_cutoff(s[owner == t], tol, strict=strict).sum()) for t in range(len(member))]
+
+
+def _labels(r: np.ndarray, c: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Component labels of m rows and n columns joined by the edges (r_i, c_i), listed row by
+    row (r ascending), by label propagation.
+
+    Rows and columns are the nodes of a bipartite graph.  Labels are row numbers.  A pass
+    gives each column the least label of its rows and stops once the columns of each row
+    share one label, which is then the label of the row's component.  Otherwise each row and
+    the row its label names take the least label of the row's columns, and each row its
+    label's label, so labels only fall, stay inside their component, and meet in a few
+    passes.  Each component ends labelled by its least row; rows and columns with no edge,
+    in no component, get the label m."""
+    bounds = np.searchsorted(r, np.arange(m + 1))
+    live = np.flatnonzero(np.diff(bounds))
     starts = bounds[live]
-    c = flat - np.repeat(np.arange(m) * n, counts)
     rl, cl = np.arange(m), np.full(n, m)
     while True:
-        np.minimum.at(cl, c, np.repeat(rl, counts))
+        np.minimum.at(cl, c, rl[r])
         ends = cl[c]
         lo = np.minimum.reduceat(ends, starts)
         if np.array_equal(lo, np.maximum.reduceat(ends, starts)):
@@ -374,28 +386,49 @@ def _labels(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rl, cl
 
 
-def _blocks(X: np.ndarray):
-    """The connected blocks of a 2-d X, as one (k, p, q) stack per block shape.
+def _blocks(A: np.ndarray, member: np.ndarray):
+    """The connected blocks of each A[:, member[t]], as (owners, stack) pairs: one (k, p, q)
+    stack per block shape and field, and the set t that owns each of its k blocks.
 
-    A block is X on the rows and columns of one component of ``_labels``, blocks in label
-    order.  All-zero rows and columns, whose singular values are 0, are in no block.  A
-    block spanning every row and column is X itself, not a copy."""
-    m, n = X.shape
-    rl, cl = _labels(X)
-    if m and not (rl.any() or cl.any()):  # one block spanning X: no gather
-        yield X[None]
+    The submatrices are laid out block diagonally, set t on rows t m + r and columns t n + c,
+    and a block is that layout on the rows and columns of one component of ``_labels``, its
+    rows and columns in the order they have in A, blocks in label order.  Its entries are
+    scattered from the nonzero entries of A; it is real when its set's columns of A have zero
+    imaginary part.  All-zero rows and columns, whose singular values are 0, are in no
+    block.  A lone block spanning A is A itself, not a copy."""
+    m, n = A.shape
+    M, N = member.shape[0] * m, member.size
+    imag = A.imag.any(axis=0) if np.iscomplexobj(A) else np.zeros(n, bool)
+    real = ~(member & imag).any(axis=1)  # sets whose columns have zero imaginary part
+    whole = len(member) == 1 and member.all()  # one set: every column
+    flat = np.flatnonzero(A != 0)  # row by row
+    dense = whole and 0 < len(flat) == A.size  # then one block, found without labels
+    if not dense:
+        r = np.repeat(np.arange(m), np.diff(np.searchsorted(flat, np.arange(m + 1) * n)))
+        c = flat - r * n
+        t, e = (0, slice(None)) if whole else np.nonzero(member[:, c])  # set by set, row by row
+        rows, cols = t * m + r[e], t * n + c[e]
+        rl, cl = _labels(rows, cols, M, N)
+    if dense or M and not (rl.any() or cl.any()):  # one set, one block spanning A: no scatter
+        yield np.zeros(1, int), (A.real if real[0] else A)[None]
         return
-    rows, cols = np.flatnonzero(rl < m), np.flatnonzero(cl < m)
-    rows = rows[np.argsort(rl[rows], kind="stable")]
-    cols = cols[np.argsort(cl[cols], kind="stable")]
-    p, q = np.bincount(rl[rows], minlength=m), np.bincount(cl[cols], minlength=m)
-    p, q = p[p > 0], q[q > 0]  # rows and columns of each block, blocks in label order
-    r0, c0 = np.cumsum(p) - p, np.cumsum(q) - q
-    shape = p * (n + 1) + q
-    for key in np.unique(shape):
-        k = shape == key
-        yield X[rows[r0[k, None] + np.arange(key // (n + 1))][:, :, None],
-                cols[c0[k, None] + np.arange(key % (n + 1))][:, None, :]]
+    R, C = np.flatnonzero(rl < M), np.flatnonzero(cl < M)
+    R, C = R[np.argsort(rl[R], kind="stable")], C[np.argsort(cl[C], kind="stable")]
+    p, q = np.bincount(rl[R], minlength=M), np.bincount(cl[C], minlength=M)
+    at = np.zeros(M + N, int)  # each row's and column's place in its block
+    at[R] = np.arange(len(R)) - (np.cumsum(p) - p)[rl[R]]
+    at[M + C] = np.arange(len(C)) - (np.cumsum(q) - q)[cl[C]]
+    key = (p * (N + 1) + q) * 2 + real[np.arange(M) // max(m, 1)]  # by label: shape, field
+    label = np.flatnonzero(p)  # blocks in label order, labelled by their least row
+    block, vals = rl[rows], A.ravel()[flat[e]]
+    for k in np.unique(key[label]):
+        own = label[key[label] == k]
+        sel = key[block] == k
+        shape, is_real = divmod(k // 2, N + 1), k % 2
+        stack = np.zeros((len(own), *shape), float if is_real else complex)
+        stack[np.searchsorted(own, block[sel]), at[rows[sel]], at[M + cols[sel]]] = (
+            vals[sel].real if is_real else vals[sel])
+        yield own // m, stack
 
 
 def clusters(values: np.ndarray, radius: float) -> list[np.ndarray]:
@@ -405,7 +438,7 @@ def clusters(values: np.ndarray, radius: float) -> list[np.ndarray]:
     v = np.ravel(values)
     if not v.size:
         return []
-    labels = _labels(np.abs(v[:, None] - v) <= radius)[0]
+    labels = _labels(*np.nonzero(np.abs(v[:, None] - v) <= radius), len(v), len(v))[0]
     order = np.argsort(labels, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 

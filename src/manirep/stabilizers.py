@@ -422,15 +422,8 @@ def intersect_stabilizer_dim(
     constraints: list[tuple[ModuleDescriptor, ActionKind, np.ndarray]],
     tol: Tolerance = DEFAULT_TOL,
 ) -> int:
-    """dim of the joint stabilizer algebra of several module points."""
-    return _kernel_dim(g, [stabilizer_rows(g, module, action, X, tol)
-                           for module, action, X in constraints], tol)
-
-
-def _kernel_dim(g: G.GroupDescriptor, blocks: list[np.ndarray], tol: Tolerance) -> int:
-    """dim of the joint stabilizer cut out by ``stabilizer_rows`` blocks: the Lie algebra
-    dimension minus one ``numerical_rank`` of the blocks joined column-wise."""
-    if not blocks:
-        return len(G.lie_algebra_basis(g))
-    A = np.concatenate(blocks, axis=1)
+    """dim of the joint stabilizer algebra of several module points: the Lie algebra dimension
+    minus one ``numerical_rank`` of their ``stabilizer_rows`` joined column-wise."""
+    blocks = [stabilizer_rows(g, module, action, X, tol) for module, action, X in constraints]
+    A = np.concatenate([np.zeros((len(G.lie_algebra_basis(g)), 0)), *blocks], axis=1)
     return len(A) - numerical_rank(A, tol)

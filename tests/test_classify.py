@@ -302,6 +302,43 @@ def test_census_builds_each_slot_factor_once(monkeypatch):
     assert len(congruence) == len(slots)
 
 
+def test_census_builds_the_frame_once(monkeypatch):
+    """One census of SO_11(C) builds the frame's rows once, at full width b = n with witness
+    I_n: a target with a b-column frame ranks the pool columns of witness columns c < b, as
+    Z [I_b; 0] is the first b columns of Z."""
+    from manirep import stabilizers
+    from manirep.gmodules import ActionKind
+
+    frames, dact = [], stabilizers.dact
+
+    def counted_dact(action, Z, X):
+        if action == ActionKind.LEFT_MULT:
+            frames.append(np.asarray(X))
+        return dact(action, Z, X)
+
+    monkeypatch.setattr(stabilizers, "dact", counted_dact)
+    census(G.so(11, "C"))
+    assert len(frames) == 1
+    np.testing.assert_array_equal(frames[0], np.eye(11))
+
+
+@pytest.mark.parametrize("g", [G.sl(9, "C"), G.so(19, "C"), G.sp(10, "C"), G.sp(6, "R"),
+                               G.su(5), G.sp_compact(10), G.so_pq(2, 3)],
+                         ids=["SL9C", "SO19C", "Sp10C", "Sp6R", "SU5", "SpCompact10", "SOpq23"])
+def test_enumerate_admissible_keeps_what_admissible_admits(g):
+    """enumerate_admissible decides a tuple from module dimensions before building its target;
+    it keeps exactly the in-range tuples that ``admissible`` admits, with the same reports,
+    by total dimension then lex order."""
+    every = (admissible(TargetSpec(g, mult))
+             for mult in product(*GROUP_FAMILIES[g.family].ranges(g.n)))
+    want = sorted((r for r in every if r.admissible),
+                  key=lambda r: (r.module_dim_total, r.spec.multiplicities))
+    got = enumerate_admissible(g)
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+    assert [[m.cache_key() for m in r.modules] for r in got] == \
+        [[m.cache_key() for m in r.modules] for r in want]
+
+
 def test_minimality_stab_dims_match_the_full_intersection():
     """Each candidate's stabilizer dimension, computed with every distinct factor built once
     and a repeated factor counted once, equals intersect_stabilizer_dim on the full constraint

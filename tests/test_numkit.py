@@ -16,6 +16,7 @@ from manirep.numkit import (
     above_cutoff,
     complete_unitary,
     numerical_rank,
+    numerical_ranks,
     takagi,
     youla_blocks,
     youla_skew,
@@ -222,13 +223,17 @@ class TestNumericalRank:
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_a_block_spanning_x_is_x_itself(self, dtype):
         X = np.arange(1.0, 13.0).reshape(3, 4).astype(dtype)
+
+        def blocks(A):  # the blocks of A on all its columns
+            return [B for _, B in numkit._blocks(A, np.ones((1, A.shape[1]), bool))]
+
         for A in (X, X.T):
-            (B,) = numkit._blocks(A)
+            (B,) = blocks(A)
             assert B.shape == (1, *A.shape) and np.shares_memory(B, A)
             np.testing.assert_array_equal(B[0], A)
         # a zero row or column leaves a smaller block, which is gathered
         for A, shape in ((X * [[1], [0], [1]], (2, 4)), (X * [1, 1, 0, 1], (3, 3))):
-            (B,) = numkit._blocks(A)
+            (B,) = blocks(A)
             assert B.shape == (1, *shape) and not np.shares_memory(B, A)
 
     @pytest.mark.parametrize("seed", range(100))
@@ -573,6 +578,39 @@ def test_block_rank_equals_dense_rank_property(X):
             numerical_rank(X, strict=True)
     else:
         assert numerical_rank(X, strict=True) == want
+
+
+@given(permuted_blocks(), permuted_blocks(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_batched_ranks_equal_ranks_one_set_at_a_time_property(X, Y, data):
+    """``numerical_ranks`` ranks each column set as ``numerical_rank`` ranks those columns
+    alone: with its own cutoff (X and Y have tops from 1e-4 to 1e3), in real arithmetic when
+    the chosen columns are real (A is complex when X or Y is), and with ``strict`` raising
+    for exactly the sets whose lone call raises.  Sets are empty, all columns, the zero
+    columns, the columns of X or of Y, or drawn."""
+    A = np.zeros((len(X) + len(Y), X.shape[1] + Y.shape[1]), np.result_type(X, Y))
+    A[:len(X), :X.shape[1]], A[len(X):, X.shape[1]:] = X, Y
+    n = A.shape[1]
+    fixed = [[], list(range(n)), list(np.flatnonzero(~A.any(axis=0))),
+             list(range(X.shape[1])), list(range(X.shape[1], n))]
+    drawn = st.lists(st.integers(0, n - 1), unique=True).map(sorted) if n else st.just([])
+    sets = data.draw(st.lists(st.sampled_from(fixed) | drawn, max_size=6))
+    assert numerical_ranks(A, sets) == [numerical_rank(A[:, s]) for s in sets]
+    want = []
+    for s in sets:
+        try:
+            want.append(numerical_rank(A[:, s], strict=True))
+        except RankAmbiguous:
+            want.append(None)
+            with pytest.raises(RankAmbiguous):
+                numerical_ranks(A, [s], strict=True)
+        else:
+            assert numerical_ranks(A, [s], strict=True) == [want[-1]]
+    if None in want:
+        with pytest.raises(RankAmbiguous):
+            numerical_ranks(A, sets, strict=True)
+    else:
+        assert numerical_ranks(A, sets, strict=True) == want
 
 
 def union_find_clusters(values, radius):
