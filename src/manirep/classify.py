@@ -190,7 +190,7 @@ def enumerate_admissible(g: G.GroupDescriptor) -> list[AdmissibilityReport]:
 
 
 def _stack_witness(m):
-    X = np.zeros(m.shape, dtype=complex if m.field == COMPLEX else float)
+    X = np.zeros(m.shape, dtype=m.dtype)
     X[: m.k, : m.k] = np.eye(m.k)
     return X
 
@@ -200,7 +200,7 @@ def _skew_witness(m):
     S = youla_blocks([float(i) for i in range(r, 0, -1)], m.n)
     if m.form is not None:
         S = np.linalg.inv(m.form) @ S
-    return S.astype(complex if m.field == COMPLEX else float)
+    return S.astype(m.dtype)
 
 
 def _diagonal_witness(centered: bool, pairing: int | None = None, imaginary: bool = False):
@@ -218,7 +218,7 @@ def _diagonal_witness(centered: bool, pairing: int | None = None, imaginary: boo
             vals = np.concatenate([vals, pairing * vals])
         if imaginary:
             return 1j * np.diag(vals)
-        return np.diag(vals).astype(complex if m.field == COMPLEX else float)
+        return np.diag(vals).astype(m.dtype)
 
     return witness
 
@@ -289,13 +289,12 @@ def census(g: G.GroupDescriptor) -> dict:
         out["targets"].append(entry)
     fam = _group_family(g)
     if not fam.compact:
-        algebra, n = G.algebra_of(g)
-        weyl.rank_of(algebra, n)  # SL_1, SO_1 and SO_2 have no catalog
+        weyl.rank_of(*G.algebra_of(g))  # SL_1, SO_1 and SO_2 have no catalog
         mods = [ModuleDescriptor("Trivial", g.n, COMPLEX),
                 ModuleDescriptor("RectNK", g.n, COMPLEX, k=1)]
         mods += [ModuleDescriptor(kind, g.n, COMPLEX) for _, kind, _ in fam.slots]
         out["low_dim_modules"] = [m.to_json() for m in mods]
-        out["low_dim_advisory"] = n < weyl.LOW_DIM_THRESHOLD[algebra]
+        out["low_dim_advisory"] = E.low_dim_advisory(g)
     return out
 
 

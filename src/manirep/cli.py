@@ -20,8 +20,6 @@ import functools
 import os
 import sys
 
-import numpy as np
-
 from . import classify as C
 from . import embeddings as E
 from . import groups as G
@@ -51,38 +49,25 @@ def seed(text: str) -> int:
     return int(text)
 
 
-def _read_matrix(path: str) -> np.ndarray:
+def _read_matrix(path: str) -> Mat:
     try:
         with open(path) as fh:
             text = fh.read()
     except (OSError, ValueError) as exc:  # ValueError: not text
         raise InvalidInput(f"cannot read a matrix JSON file: {exc}") from exc
-    return Mat.loads(text).to_array()
+    return Mat.loads(text)
 
 
-def _so_pq_from_args(args) -> G.GroupDescriptor:
-    sig = args.signature or ()
-    if len(sig) != 2 or sum(sig) != args.n:
-        raise InvalidDescriptor("SOpq needs --signature p,q with p + q = n")
-    return G.so_pq(*sig)
+def _group_from_args(args) -> G.GroupDescriptor:
+    return G.GroupDescriptor(args.group, args.n, args.field or REAL, signature=args.signature)
 
 
-#: --group name -> the group built from the parsed flags
-GROUPS = {
-    "SL": lambda args: G.sl(args.n, args.field or REAL),
-    "SO": lambda args: G.so(args.n, args.field or REAL),
-    "Sp": lambda args: G.sp(args.n, args.field or REAL),
-    "SU": lambda args: G.su(args.n),
-    "SOpq": _so_pq_from_args,
-    "SpCompact": lambda args: G.sp_compact(args.n),
-}
-
-#: --action name -> the structured stabilizer of a matrix
+#: --action name -> the structured stabilizer of a matrix over its file's field
 STABILIZERS = {
-    "left-mult": lambda X, mode: stabilizer_left_mult(X),
-    "congruence-skew": lambda X, mode: stabilizer_congruence_skew(X),
-    "congruence-sym": lambda X, mode: stabilizer_congruence_sym(X),
-    "similarity": lambda X, mode: stabilizer_similarity(X, mode),
+    "left-mult": lambda X, mode, field: stabilizer_left_mult(X, field=field),
+    "congruence-skew": lambda X, mode, field: stabilizer_congruence_skew(X, field=field),
+    "congruence-sym": lambda X, mode, field: stabilizer_congruence_sym(X, field=field),
+    "similarity": lambda X, mode, field: stabilizer_similarity(X, mode, field=field),
 }
 
 
@@ -131,7 +116,7 @@ def cmd_irreps(args) -> dict:
 
 
 def cmd_classify(args) -> dict:
-    g = GROUPS[args.group](args)
+    g = _group_from_args(args)
     if args.enumerate:
         reports = C.enumerate_admissible(g)
         return {"group": g.to_json(), "admissible": [r.to_json() for r in reports]}
@@ -142,14 +127,14 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_stabilizer(args) -> dict:
-    return STABILIZERS[args.action](_read_matrix(args.matrix), args.mode).to_json()
+    mat = _read_matrix(args.matrix)
+    return STABILIZERS[args.action](mat.to_array(), args.mode, mat.field).to_json()
 
 
 def cmd_embed(args) -> dict:
     md = _manifold_from_args(args)
     if args.element:
-        g = _read_matrix(args.element)
-        return E.embed(md, g).to_json()
+        return E.embed(md, _read_matrix(args.element).to_array()).to_json()
     return E.base_point(md).to_json()
 
 
@@ -172,7 +157,7 @@ def cmd_cartan(args) -> dict:
 
 
 def cmd_census(args) -> dict:
-    return C.census(GROUPS[args.group](args))
+    return C.census(_group_from_args(args))
 
 
 @functools.cache  # built once per process: a build costs far more than a parse
@@ -197,8 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
 
+    # the families that classify knows, in the order of groups.TRAITS
+    groups = [family for family in G.TRAITS if family in C.GROUP_FAMILIES]
+
     p = sub.add_parser("classify", parents=[common], help="admissible faithful targets of a group")
-    p.add_argument("--group", required=True, choices=list(GROUPS))
+    p.add_argument("--group", required=True, choices=groups)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--field", choices=["R", "C"])
     p.add_argument("--signature", type=ints, help="p,q for SOpq")
@@ -239,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=seed)
 
     p = sub.add_parser("census", parents=[common], help="admissible-target summary for a group")
-    p.add_argument("--group", required=True, choices=list(GROUPS))
+    p.add_argument("--group", required=True, choices=groups)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--field", choices=["R", "C"])
     p.add_argument("--signature", type=ints)

@@ -450,10 +450,9 @@ class EmbeddedPoint:
     module: ModuleDescriptor
 
     def to_json(self) -> dict:
-        field = COMPLEX if np.iscomplexobj(self.value) else REAL
         return {
             "manifold": self.manifold.to_json(),
-            "value": mat_to_json(self.value, field),
+            "value": mat_to_json(self.value),
             "module": self.module.to_json(),
             # the realization is valid at any size; only the optimality of
             # the target dimension needs the family threshold
@@ -499,7 +498,7 @@ def embed(md: ManifoldDescriptor, g: np.ndarray, tol: Tolerance = DEFAULT_TOL) -
     if not G.contains(gp, g, tol):
         raise NotInGroup(f"element is not in the acting group of {md.family}")
     base = base_point(md)
-    val = act(gp, action(md), g, base.value, check=False)
+    val = act(action(md), g, base.value)
     if not module_contains(base.module, val, tol):
         raise SizeMismatch("image escaped the module; input is likely far from the group")
     return EmbeddedPoint(manifold=md, value=val, module=base.module)
@@ -521,8 +520,7 @@ def lift_subspace(md: ManifoldDescriptor, Y: np.ndarray) -> np.ndarray:
         raise InvalidDescriptor(f"no subspace lift for {md.family}")
     gp = group(md)
     n, k = gp.n, md.k
-    dt = complex if gp.field == COMPLEX else float
-    Y = np.asarray(Y).astype(dt)
+    Y = np.asarray(Y).astype(gp.dtype)
     if Y.shape != (n, k):
         raise SizeMismatch(f"expected {n} x {k}")
     if np.linalg.matrix_rank(Y) != k:
@@ -558,9 +556,9 @@ def check_equivariance(md: ManifoldDescriptor, trials: int, seed: int) -> float:
     for t in range(trials):
         g1 = G.sample(gp, seed + 2 * t)
         g2 = G.sample(gp, seed + 2 * t + 1)
-        img2 = act(gp, kind, g2, base.value, check=False)
-        lhs = act(gp, kind, g1 @ g2, base.value, check=False)
-        rhs = act(gp, kind, g1, img2, check=False)
+        img2 = act(kind, g2, base.value)
+        lhs = act(kind, g1 @ g2, base.value)
+        rhs = act(kind, g1, img2)
         worst = max(worst, frob(lhs - rhs) / max(frob(img2), 1e-300))
     return worst
 
@@ -578,10 +576,16 @@ def mp_dimension(md: ManifoldDescriptor) -> int:
     return FAMILIES[md.family].mp_dim(md)
 
 
+def low_dim_advisory(g: G.GroupDescriptor) -> bool:
+    """True when g is below ``weyl.LOW_DIM_THRESHOLD``, where the catalog of its irreducibles
+    of dimension <= n^2, and with it the minimality of the families it acts on, is proved."""
+    algebra, n = G.algebra_of(g)
+    return n < weyl.LOW_DIM_THRESHOLD[algebra]
+
+
 def minimality_advisory(md: ManifoldDescriptor) -> bool:
     """True when the size is below the range where minimality is proved."""
-    algebra, n = G.algebra_of(group(md))
-    return n < weyl.LOW_DIM_THRESHOLD[algebra]
+    return low_dim_advisory(group(md))
 
 
 def on_orbit(md: ManifoldDescriptor, X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -614,11 +618,6 @@ def all_smallest_legal() -> list[ManifoldDescriptor]:
 # Cartan embeddings of the classical symmetric spaces
 
 
-def _signs(k, n):
-    """diag(I_k, -I_{n-k})."""
-    return _flag_diag((k, n - k), (1.0, -1.0))
-
-
 #: type -> (needs k, (n, k) -> (group, the matrix M of the involution),
 #: cartan map (Q, M), aligned minimal map (Q, M)).  The minimal map is the
 #: matching orbit map with its base point chosen in the same orbit so that a
@@ -630,15 +629,15 @@ _CARTAN = {
            lambda Q, M: Q @ Q.T, lambda Q, M: Q @ Q.T),
     "AII": (False, lambda n, k: (G.su(2 * n), G.J2n(2 * n).astype(complex)),
             lambda Q, J: Q @ J @ Q.T @ J.T, lambda Q, J: Q @ J @ Q.T),
-    "AIII": (True, lambda n, k: (G.su(n), _signs(k, n).astype(complex)),
+    "AIII": (True, lambda n, k: (G.su(n), G.Ipq(k, n - k).astype(complex)),
              lambda Q, D: Q @ (1j * D) @ Q.conj().T @ D, lambda Q, D: 1j * Q @ D @ Q.conj().T),
-    "BDI": (True, lambda n, k: (G.so(n), _signs(k, n)),
+    "BDI": (True, lambda n, k: (G.so(n), G.Ipq(k, n - k)),
             lambda Q, D: Q @ D @ Q.T @ D, lambda Q, D: Q @ D @ Q.T),
     "DIII": (False, lambda n, k: (G.so(2 * n), G.J2n(2 * n)),
              lambda Q, J: Q @ J @ Q.T @ J.T, lambda Q, J: Q @ J @ Q.T),
     "CI": (False, lambda n, k: (G.sp_compact(2 * n), G.J2n(2 * n).astype(complex)),
            lambda Q, J: Q @ J @ Q.conj().T @ J.T, lambda Q, J: Q @ (-J) @ Q.conj().T),
-    "CII": (True, lambda n, k: (G.sp_compact(2 * n), _doubled(_signs(k, n)).astype(complex)),
+    "CII": (True, lambda n, k: (G.sp_compact(2 * n), _doubled(G.Ipq(k, n - k)).astype(complex)),
             lambda Q, D: Q @ D @ Q.conj().T @ D, lambda Q, D: 1j * Q @ D @ Q.conj().T),
 }
 CARTAN_TYPES = tuple(_CARTAN)

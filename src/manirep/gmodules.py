@@ -10,22 +10,24 @@ the other conditions and the trace (``numkit.span_kernel``).
 ``module_dim`` reports the dimension over the descriptor's field: complex
 kinds over C, and the real-structure kinds (su_n, compact sp, and the
 symmetric-traceless slice of su) over R, since those are only real-linear
-subspaces of complex matrices.
+subspaces of complex matrices.  ``act`` applies a matrix by the action's
+products and checks no membership: ``embeddings.embed`` checks the one
+element that comes from outside, and the other callers apply group samples.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidDescriptor, NotInGroup, SizeMismatch
-from .groups import GroupDescriptor, J2n, checked_form, contains as group_contains
+from .errors import InvalidDescriptor, SizeMismatch
+from .groups import J2n, checked_form
 from .numkit import (ALL, ANTI_HERMITIAN, COMPLEX, DEFAULT_TOL, REAL, SKEW, SYM, Tolerance,
-                     cached_basis, frob, mat_from_json, mat_to_json, span_kernel, unit_stack)
+                     cached_basis, frob, mat_from_json, mat_to_json, pow2_below, span_kernel,
+                     unit_stack)
 
 TRIVIAL = "Trivial"
 RECT_NK = "RectNK"
@@ -137,12 +139,12 @@ class ModuleDescriptor:
         if KINDS[self.kind].skew_form and self.n % 2:
             raise InvalidDescriptor(f"{self.kind} needs even ambient size")
         if self.form is not None:
-            self.form = checked_form(self.form, self.n, KINDS[self.kind].skew_form,
-                                     complex if self._complex_entries else float)
+            self.form = checked_form(self.form, self.n, KINDS[self.kind].skew_form, self.dtype)
 
     @property
-    def _complex_entries(self) -> bool:
-        return self.field == COMPLEX or KINDS[self.kind].real_structure
+    def dtype(self):
+        """The type of the entries: complex over C and for the real-structure kinds."""
+        return complex if self.field == COMPLEX or KINDS[self.kind].real_structure else float
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -159,10 +161,9 @@ class ModuleDescriptor:
     def form_matrix(self) -> np.ndarray:
         if self.form is not None:
             return self.form
-        dt = complex if self._complex_entries else float
         if KINDS[self.kind].skew_form:
-            return J2n(self.n).astype(dt)
-        return np.eye(self.n, dtype=dt)
+            return J2n(self.n).astype(self.dtype)
+        return np.eye(self.n, dtype=self.dtype)
 
     def cache_key(self):
         fk = None if self.form is None else self.form.tobytes()
@@ -196,9 +197,9 @@ def _conditions(m: ModuleDescriptor):
     """Residual maps that vanish exactly on the module."""
     F = m.form_matrix()
     if m.form is not None:  # the default forms I and J have largest entry 1
-        # cF cuts out the module of F: dividing by the power of two below max |F| keeps every
-        # digit and scales each residual with X alone, whatever the size of F
-        F = F / np.ldexp(1.0, int(np.frexp(np.abs(F).max())[1]) - 1)
+        # cF cuts out the module of F: dividing by pow2_below(F) keeps every digit and
+        # scales each residual with X alone, whatever the size of F
+        F = F / pow2_below(F)
     conds = [lambda X, c=c: c(X, F) for c in KINDS[m.kind].conditions]
     if KINDS[m.kind].traceless:
         conds.append(lambda X: np.trace(X, axis1=-2, axis2=-1))
@@ -212,13 +213,14 @@ def contains(m: ModuleDescriptor, X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -
     if X.shape != m.shape:
         raise SizeMismatch(f"expected shape {m.shape}, got {X.shape}")
     Xc = X.astype(complex)
-    if not m._complex_entries and np.abs(Xc.imag).max(initial=0.0) > tol.abs_eps:
+    if m.dtype is float and np.abs(Xc.imag).max(initial=0.0) > tol.abs_eps:
         return False
     # dividing by the power of two below the largest entry, when that is at least 2, scales
-    # each residual and the bound alike (rel_eps >= abs_eps), so frob(Xc) cannot overflow
-    e = math.frexp(np.abs(Xc).max(initial=0.0))[1] - 1
-    if e > 0:
-        Xc = Xc / math.ldexp(1.0, e)
+    # each residual and the bound alike (rel_eps >= abs_eps), so frob(Xc) cannot overflow;
+    # only scaling down, as a complex division by 1 would turn inf + 1j into inf + nan j
+    scale = pow2_below(Xc)
+    if scale > 1.0:
+        Xc = Xc / scale
     bound = tol.cutoff(max(frob(Xc), 1.0))
     return all(frob(np.asarray(c(Xc))) <= bound for c in _conditions(m))
 
@@ -251,7 +253,7 @@ def project(m: ModuleDescriptor, X: np.ndarray) -> np.ndarray:
     if m.field == REAL:
         coef = coef.real
     out = (coef @ B).reshape(m.shape)
-    return out if m._complex_entries else out.real
+    return out if m.dtype is complex else out.real
 
 
 def real_dim(m: ModuleDescriptor) -> int:
@@ -278,19 +280,9 @@ def dact(action: ActionKind, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
     return _ACTIONS[action][1](Z, X)
 
 
-def act(
-    g: GroupDescriptor,
-    action: ActionKind,
-    A: np.ndarray,
-    X: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
-    check: bool = True,
-) -> np.ndarray:
-    """Apply a group element A to a module point X by matrix multiplication; with ``check``,
-    A must pass the group's membership test to ``tol``."""
+def act(action: ActionKind, A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Apply a matrix A to a module point X by the action's matrix products.  A is not
+    checked for membership: a caller that takes A from outside checks it first."""
     if action not in _ACTIONS:
         raise InvalidDescriptor(f"unknown action {action}")
-    A = np.asarray(A)
-    if check and not group_contains(g, A, tol):
-        raise NotInGroup(f"matrix is not in {g.family}_{g.n} to tolerance")
-    return _ACTIONS[action][0](A, X)
+    return _ACTIONS[action][0](np.asarray(A), X)

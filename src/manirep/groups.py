@@ -8,7 +8,9 @@ as first-class descriptors.  Each family is one :class:`Traits` row of
 ``TRAITS``, which every function below reads (``algebra_of`` its algebra
 type); only SO_{p,q}, whose form comes from its signature, is told apart by
 name.  A nonstandard symmetric form B or skew form Omega (checked by
-``checked_form``) selects a conjugated copy of the same abstract group.
+``checked_form``) selects a conjugated copy of the same abstract group; only
+the form families whose field the descriptor picks (SO, Sp, O) take one.  A
+unitary family (SU, compact Sp, U) takes no form, as does SO_{p,q}.
 
 Lie algebra bases are read-only (d, n, n) arrays built from ``numkit`` unit
 stacks and kept in its basis cache (see ``lie_algebra_basis``).
@@ -26,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDescriptor, ManirepError, NonFinite, SizeMismatch, UnsupportedGroup
-from .numkit import (ALL, ANTI_HERMITIAN, COMPLEX, DEFAULT_TOL, REAL, SKEW, SYM, Tolerance,
-                     cached_basis, frob, mat_from_json, mat_to_json, span_kernel, unit_stack)
+from .numkit import (ALL, COMPLEX, DEFAULT_TOL, REAL, SKEW, SYM, Tolerance, cached_basis, frob,
+                     mat_from_json, mat_to_json, unit_stack)
 
 SL, SO, SP, SU, SOPQ, SP_COMPACT, GL, O, U = (
     "SL", "SO", "Sp", "SU", "SOpq", "SpCompact", "GL", "O", "U",
@@ -97,7 +99,8 @@ def checked_form(F, n: int, skew: bool, dtype) -> np.ndarray:
     if not np.isfinite(F).all():
         raise NonFinite("form entries must be finite")
     # scaling by the power of two that brings the largest real or imaginary part into [1, 2)
-    # (at most 2^1022) keeps every digit and both sides of each test, and no norm overflows
+    # (at most 2^1022) keeps every digit and both sides of each test, and no norm overflows;
+    # not numkit.pow2_below, whose |z| of a huge complex entry overflows to inf
     e = int(np.frexp(np.maximum(abs(F.real), abs(F.imag)).max(initial=0.0))[1]) - 1
     S = F * np.ldexp(1.0, min(-e, 1022))
     if frob(S + (1 if skew else -1) * S.T) > 1e-12 * frob(S):
@@ -136,14 +139,9 @@ class GroupDescriptor:
             if p < 0 or q < 0 or p + q != self.n:
                 raise InvalidDescriptor("signature must satisfy p+q=n")
         if self.form is not None:
-            if t.form is None or self.signature is not None:
+            if t.form is None or t.unitary or self.signature is not None:
                 raise InvalidDescriptor(f"family {self.family} takes no form")
             self.form = checked_form(self.form, self.n, t.form == SKEW, self.dtype)
-            if t.unitary:  # else U_n cap G(F) is a smaller group
-                s = np.linalg.svd(self.form, compute_uv=False)
-                if s[0] - s[-1] > 1e-10 * s[0]:
-                    raise InvalidDescriptor(
-                        "a unitary family's form must be proportional to a unitary matrix")
 
     @property
     def is_complex_group(self) -> bool:
@@ -152,8 +150,7 @@ class GroupDescriptor:
 
     @property
     def dtype(self):
-        matrices_complex = self.field == COMPLEX
-        return complex if matrices_complex else float
+        return complex if self.field == COMPLEX else float
 
     def form_matrix(self) -> np.ndarray | None:
         """The bilinear form defining this copy (None for SL/GL/SU/U)."""
@@ -212,8 +209,8 @@ def so_pq(p, q):
     return GroupDescriptor(SOPQ, p + q, REAL, signature=(p, q))
 
 
-def sp_compact(n, form=None):
-    return GroupDescriptor(SP_COMPACT, n, COMPLEX, form=form)
+def sp_compact(n):
+    return GroupDescriptor(SP_COMPACT, n, COMPLEX)
 
 
 def gl(n, field=REAL):
@@ -286,9 +283,7 @@ def lie_algebra_basis(g: GroupDescriptor) -> np.ndarray:
     Complex groups get a basis over C; real forms a basis over R.  A basis
     with zero imaginary part is stored as a real array.  The length always
     equals ``group_dim``.  A copy twisted by a form B is B^{-1}
-    times the skew (orthogonal) or symmetric (symplectic) units; the
-    twisted compact symplectic algebra is the part of the anti-Hermitian
-    span that also solves the form condition.
+    times the skew (orthogonal) or symmetric (symplectic) units.
     """
     return cached_basis(_lie_algebra_basis, g)
 
@@ -309,12 +304,8 @@ def _lie_algebra_basis(g: GroupDescriptor) -> np.ndarray:
     elif not t.unitary:
         units = unit_stack(SYM if t.form == SKEW else SKEW, n).astype(g.dtype)
         basis = np.asarray(np.linalg.inv(g.form_matrix()) @ units, dtype=g.dtype)
-    elif g.form is None:
-        basis = _sp_compact_basis(n // 2)
     else:
-        Om = g.form_matrix().astype(complex)
-        basis = span_kernel(unit_stack(ANTI_HERMITIAN, n), [lambda Z: Z.mT @ Om + Om @ Z],
-                            real=True)
+        basis = _sp_compact_basis(n // 2)
     if len(basis) != group_dim(g):
         raise ManirepError(f"Lie basis of {g.family}_{n} has the wrong length {len(basis)}")
     if np.iscomplexobj(basis) and not basis.imag.any():

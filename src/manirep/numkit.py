@@ -33,7 +33,10 @@ single-linkage ``clusters`` of a set of eigenvalues, the one clustering
 rule.  Bases are built one
 way: a span of unit matrices (``unit_stack``) cut by linear conditions
 (``span_kernel``), kept read-only in one bounded LRU (``cached_basis``).
-Apart from that cache all functions are pure.
+``pow2_below`` is the one scale that keeps every digit: the power of two at
+or below the largest |entry|, by which ``frob``, ``youla_skew`` and the
+module conditions and membership of :mod:`manirep.gmodules` divide.  Apart
+from that cache all functions are pure.
 """
 
 from __future__ import annotations
@@ -307,14 +310,20 @@ def dumps(tree, pretty: bool = False) -> str:
     return "".join(itertools.chain.from_iterable(zip(parts, map(_data_text, leaves)))) + parts[-1]
 
 
+def pow2_below(a) -> float:
+    """The power of two at or below the largest |entry| of ``a`` (2^(e-1) for the ``frexp``
+    exponent e of max |a|), and 1/2 when every entry is zero or ``a`` is empty.  Dividing by
+    it keeps every digit and brings the largest entry into [1, 2)."""
+    return math.ldexp(1.0, math.frexp(float(np.max(np.abs(a), initial=0.0)))[1] - 1)
+
+
 def frob(a: np.ndarray) -> float:
     """The Frobenius norm of ``a``.  When the squares of finite entries overflow, it is taken
-    in a / 2^e, 2^e near the largest entry, and scaled back: dividing by a power of two keeps
-    every digit, so only a norm beyond the float range is inf."""
+    in a / ``pow2_below(a)`` and scaled back, so only a norm beyond the float range is inf."""
     with np.errstate(over="ignore"):
         n = float(np.linalg.norm(a))
     if n == math.inf and np.isfinite(a).all():
-        scale = math.ldexp(1.0, math.frexp(float(np.abs(a).max()))[1] - 1)
+        scale = pow2_below(a)
         n = float(np.linalg.norm(np.divide(a, scale))) * scale
     return n
 
@@ -612,9 +621,7 @@ def youla_skew(
     if keep.sum() % 2 != 0:
         raise RankAmbiguous("numerical rank of a skew matrix must be even")
     cand, s = U[:, keep], s[keep]
-    # pair in Y / 2^e, 2^e near its largest entry, so no norm overflows; dividing by a
-    # power of two keeps every digit
-    scale = np.ldexp(1.0, int(np.frexp(np.abs(Y).max(initial=0.0))[1]) - 1)
+    scale = pow2_below(Y)  # pair in Y / scale, so no norm overflows
     Y = Y / scale
 
     Q, pairs = U[:, :0], []

@@ -121,6 +121,15 @@ class BlockParabolic:
         }
 
 
+def _parabolic(Q: np.ndarray, r: int, top: G.GroupDescriptor | None,
+               field: str) -> BlockParabolic:
+    """Q P(top, GL_{n-r}) Q^{-1}: the r x r group ``top`` (None: the identity block) on top
+    and GL_{n-r} below when n > r."""
+    n = Q.shape[0]
+    return BlockParabolic(conjugator=Q, top=IdentityBlock(r) if top is None else top,
+                          bottom=G.gl(n - r, field) if n > r else None, field=field)
+
+
 def stabilizer_left_mult(
     X: np.ndarray, tol: Tolerance = DEFAULT_TOL, field: str | None = None
 ) -> BlockParabolic:
@@ -133,12 +142,8 @@ def stabilizer_left_mult(
     if X.ndim != 2 or X.shape[1] > X.shape[0]:
         raise SizeMismatch("left multiplication expects n x k with k <= n")
     field = _field_of(X, field)
-    n = X.shape[0]
     Q, s, _ = np.linalg.svd(X.astype(complex) if field == COMPLEX else X.real)
-    r = int(above_cutoff(s, tol, strict=True).sum())
-    top = IdentityBlock(r)
-    bottom = G.gl(n - r, field) if n - r > 0 else None
-    return BlockParabolic(conjugator=Q, top=top, bottom=bottom, field=field)
+    return _parabolic(Q, int(above_cutoff(s, tol, strict=True).sum()), None, field)
 
 
 def stabilizer_congruence_skew(
@@ -147,21 +152,15 @@ def stabilizer_congruence_skew(
     """Stabilizer of skew X under A |-> A X A^T."""
     field = _field_of(X, field)
     Q, lams, r = youla_skew(X, tol)
-    n = Q.shape[0]
-    if r == 0:
-        top: G.GroupDescriptor | IdentityBlock = IdentityBlock(0)
-    else:
-        inv_form = youla_blocks([1.0 / lam for lam in lams], 2 * r)[: 2 * r, : 2 * r]
-        top = G.sp(2 * r, field, form=inv_form)
-    bottom = G.gl(n - 2 * r, field) if n - 2 * r > 0 else None
-    return BlockParabolic(conjugator=Q, top=top, bottom=bottom, field=field)
+    inv_form = youla_blocks([1.0 / lam for lam in lams], 2 * r)
+    return _parabolic(Q, 2 * r, G.sp(2 * r, field, form=inv_form) if r else None, field)
 
 
 def stabilizer_congruence_sym(
     X: np.ndarray, tol: Tolerance = DEFAULT_TOL, field: str | None = None
 ) -> BlockParabolic:
     """Stabilizer of symmetric X (complex symmetric, not Hermitian) under congruence."""
-    n = require_square(X)
+    require_square(X)
     field = _field_of(X, field)
     if field == REAL:
         Xr = np.asarray(X)
@@ -181,12 +180,7 @@ def stabilizer_congruence_sym(
         Q, sigma = takagi(np.asarray(X, dtype=complex), tol)
         r = int(above_cutoff(sigma, tol, strict=True).sum())
         B = np.diag(sigma[:r]).astype(complex)
-    if r == 0:
-        top: G.GroupDescriptor | IdentityBlock = IdentityBlock(0)
-    else:
-        top = G.orth(r, field, form=np.linalg.inv(B))
-    bottom = G.gl(n - r, field) if n - r > 0 else None
-    return BlockParabolic(conjugator=Q, top=top, bottom=bottom, field=field)
+    return _parabolic(Q, r, G.orth(r, field, form=np.linalg.inv(B)) if r else None, field)
 
 
 @dataclass

@@ -8,8 +8,10 @@ half-integer bookkeeping done over doubled integers so every result is an
 exact Python int.  The bounded enumeration walks the weight lattice depth
 first and updates the dimension by the factors one step moves.  The
 highest weights of the named modules (vector, alternating and symmetric
-squares, adjoints, spins; ``catalog_weight``) are the anchors everything else
-is validated against.  ``LOW_DIM_THRESHOLD`` is where the census catalog of
+squares, adjoints, spins) are the anchors everything else is validated
+against; ``catalog_weight`` reads them from one table, ``_CATALOG``, in doubled
+epsilon-coordinates and turns them into kappa by one rule per root-system
+type.  ``LOW_DIM_THRESHOLD`` is where the census catalog of
 :mod:`manirep.classify` is complete.  The module imports nothing of the
 package but its errors.
 
@@ -145,67 +147,51 @@ def enumerate_irreps_below(algebra: str, n: int, bound: int) -> list[tuple[Highe
     return [(HighestWeight(algebra, n, kap), d) for d, kap in found]
 
 
-def _basis_weight(m: int, i: int, value: int = 1) -> tuple[int, ...]:
-    v = [0] * m
-    v[i - 1] = value
-    return tuple(v)
+#: algebra -> name -> the highest weight of a named catalog module in doubled
+#: epsilon-coordinates (so spin weights are integral), as (leading entries, the value of
+#: every other entry, trailing entries); leading entries past the last coordinate are dropped
+_CATALOG = {
+    SL: {"trivial": ((), 0, ()), "vector": ((2,), 0, ()), "vector_dual": ((), 0, (-2,)),
+         "alt2": ((2, 2), 0, ()), "alt2_dual": ((), 0, (-2, -2)), "sym2": ((4,), 0, ()),
+         "sym2_dual": ((), 0, (-4,)), "adjoint": ((2,), 0, (-2,))},
+    SO: {"trivial": ((), 0, ()), "vector": ((2,), 0, ()), "alt2": ((2, 2), 0, ()),
+         "adjoint": ((2, 2), 0, ()), "sym2_0": ((4,), 0, ()), "spin": ((), 1, ()),
+         "spin_minus": ((), 1, (-1,))},
+    SP: {"trivial": ((), 0, ()), "vector": ((2,), 0, ()), "adjoint": ((4,), 0, ()),
+         "alt2_form": ((4,), 0, ()), "sym2_0_form": ((2, 2), 0, ())},
+}
+
+
+def _not_one_irreducible(algebra: str, n: int, name: str) -> bool:
+    """Alt^2 (and its dual) of sl_2 is trivial, Alt^2 = adjoint of so_4 splits, Sym^2_0 of
+    sp_2 is zero, and so_{2m+1} has one spin module."""
+    return ((algebra, n, name) in {(SL, 2, "alt2"), (SL, 2, "alt2_dual"), (SO, 4, "alt2"),
+                                   (SO, 4, "adjoint"), (SP, 1, "sym2_0_form")}
+            or (algebra, name) == (SO, "spin_minus") and n % 2 == 1)
 
 
 def catalog_weight(algebra: str, n: int, name: str) -> HighestWeight | None:
     """Highest weight of a named catalog module, or None where it is not
-    a single irreducible (e.g. Alt^2 of so_4)."""
+    a single irreducible (e.g. Alt^2 of so_4).
+
+    The doubled epsilon-coordinates L of ``_CATALOG`` give kappa_i = (L_i - L_{i+1}) / 2,
+    where past the last coordinate L_{m+1} is -L_m for type B, 0 for type C and -L_{m-1}
+    for type D (type A has a coordinate per row, one more than its rank)."""
     m = rank_of(algebra, n)
-    k = None
-    if algebra == SL:
-        k = {
-            "trivial": tuple([0] * m),
-            "vector": _basis_weight(m, 1),
-            "vector_dual": _basis_weight(m, m),
-            "alt2": _basis_weight(m, 2) if m >= 2 else None,
-            "alt2_dual": _basis_weight(m, m - 1) if m >= 2 else None,
-            "sym2": _basis_weight(m, 1, 2),
-            "sym2_dual": _basis_weight(m, m, 2),
-            "adjoint": tuple(
-                2 if (i == 0 and m == 1) else (1 if i in (0, m - 1) else 0) for i in range(m)
-            ),
-        }.get(name, "missing")
-    elif algebra == SO:
-        odd = n % 2 == 1
-        alt2 = None
-        if odd:
-            alt2 = (2,) if m == 1 else ((0, 2) if m == 2 else _basis_weight(m, 2))
-        else:
-            alt2 = None if m == 2 else ((0, 1, 1) if m == 3 else _basis_weight(m, 2))
-        vector = None
-        if odd:
-            vector = (2,) if m == 1 else _basis_weight(m, 1)
-        else:
-            vector = (1, 1) if m == 2 else _basis_weight(m, 1)
-        sym2_0 = None
-        if odd:
-            sym2_0 = (4,) if m == 1 else _basis_weight(m, 1, 2)
-        else:
-            sym2_0 = (2, 2) if m == 2 else _basis_weight(m, 1, 2)
-        k = {
-            "trivial": tuple([0] * m),
-            "vector": vector,
-            "alt2": alt2,
-            "adjoint": alt2,
-            "sym2_0": sym2_0,
-            "spin": _basis_weight(m, m),
-            "spin_minus": None if odd else _basis_weight(m, m - 1),
-        }.get(name, "missing")
-    elif algebra == SP:
-        k = {
-            "trivial": tuple([0] * m),
-            "vector": _basis_weight(m, 1),
-            "adjoint": _basis_weight(m, 1, 2),
-            "alt2_form": _basis_weight(m, 1, 2),
-            "sym2_0_form": _basis_weight(m, 2) if m >= 2 else None,
-        }.get(name, "missing")
-    if k == "missing":
+    if name not in _CATALOG[algebra]:
         raise InvalidDescriptor(f"unknown catalog module {name!r} for {algebra}")
-    return None if k is None else HighestWeight(algebra, n, k)
+    if _not_one_irreducible(algebra, n, name):
+        return None
+    head, fill, tail = _CATALOG[algebra][name]
+    size = n if algebra == SL else m
+    lam = [fill] * size
+    lam[:len(head)] = head[:size]
+    lam[size - len(tail):] = tail
+    if algebra == SO:
+        lam.append(-lam[-1] if n % 2 else -lam[-2])
+    elif algebra == SP:
+        lam.append(0)
+    return HighestWeight(algebra, n, tuple((a - b) // 2 for a, b in zip(lam, lam[1:])))
 
 
 #: smallest n (per algebra) from which every irreducible of dimension <= n^2 (4n^2 for SP)

@@ -100,6 +100,35 @@ def test_stabilizer_file(tmp_path, capsys):
     assert payload["off_block"] == [2, 7]
 
 
+def _c_tagged_file(tmp_path, X):
+    """A matrix file tagged with field C whose entries are all real."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(Mat.from_array(np.asarray(X, dtype=float), "C").to_json()))
+    return str(path)
+
+
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+def test_similarity_reads_the_field_tag_of_the_file(tmp_path, capsys, mode):
+    """Over C, the rotation [[0, -1], [1, 0]] has two eigenvalue classes +-i, not one
+    complex-pair class as over R."""
+    path = _c_tagged_file(tmp_path, [[0.0, -1.0], [1.0, 0.0]])
+    code, payload = run_cli(capsys, "stabilizer", "--action", "similarity", "--mode", mode,
+                            "--matrix", path)
+    assert code == 0
+    assert [c["kind"] for c in payload["classes"]] == ["complex", "complex"]
+    eigs = sorted((complex(*c["eig"]) for c in payload["classes"]), key=lambda z: z.imag)
+    assert eigs == pytest.approx([-1j, 1j], abs=1e-12)
+
+
+def test_congruence_sym_reads_the_field_tag_of_the_file(tmp_path, capsys):
+    """Over C, diag(1, -1) is congruent to I: its stabilizer is O_2 over C."""
+    path = _c_tagged_file(tmp_path, np.diag([1.0, -1.0]))
+    code, payload = run_cli(capsys, "stabilizer", "--action", "congruence-sym", "--matrix", path)
+    assert code == 0
+    assert (payload["top"]["family"], payload["top"]["field"]) == ("O", "C")
+    assert payload["conjugator"]["field"] == "C"
+
+
 def test_cartan(capsys):
     code, payload = run_cli(capsys, "cartan", "--type", "AII", "--n", "3")
     assert code == 0

@@ -6,7 +6,7 @@ import pytest
 from manirep import gmodules, groups
 from manirep.classify import FACTORS, GROUP_FAMILIES, census
 from manirep.embeddings import all_smallest_legal, module
-from manirep.errors import InvalidDescriptor, NotInGroup
+from manirep.errors import InvalidDescriptor
 from manirep.gmodules import (KINDS, ActionKind, ModuleDescriptor, act, basis, contains,
                               module_dim, project)
 from manirep.groups import J2n, sample, so, so_pq, su
@@ -56,7 +56,7 @@ def test_projection_idempotent_and_orthogonal(m):
     rng = np.random.default_rng(1)
     for _ in range(10):
         X = rng.standard_normal(m.shape)
-        if m._complex_entries:
+        if m.dtype is complex:
             X = X + 1j * rng.standard_normal(m.shape)
         P = project(m, X)
         assert contains(m, P)
@@ -97,7 +97,7 @@ def test_act_congruence_preserves_module():
     g = so(9)
     X = np.diag([7.0, 7, -2, -2, -2, -2, -2, -2, -2])
     Q = sample(g, 5)
-    Y = act(g, ActionKind.CONGRUENCE, Q, X)
+    Y = act(ActionKind.CONGRUENCE, Q, X)
     assert contains(m, Y)
     ev = np.sort(np.linalg.eigvalsh(Y))
     np.testing.assert_allclose(ev, sorted([7.0] * 2 + [-2.0] * 7), atol=1e-9)
@@ -107,7 +107,7 @@ def test_act_identity_left():
     m = md("RectNK", 5, k=2)
     X = np.zeros((5, 2))
     X[0, 0] = X[1, 1] = 1.0
-    out = act(groups.sl(5), ActionKind.LEFT_MULT, np.eye(5), X)
+    out = act(ActionKind.LEFT_MULT, np.eye(5), X)
     np.testing.assert_array_equal(out, X)
     assert contains(m, out)
 
@@ -117,14 +117,8 @@ def test_act_similarity_indefinite():
     g = so_pq(2, 3)
     X = np.diag([3.0, 3, -2, -2, -2])
     V = sample(g, 4, scale=0.5)
-    Y = act(g, ActionKind.SIMILARITY, V, X)
+    Y = act(ActionKind.SIMILARITY, V, X)
     assert contains(m, Y)
-
-
-def test_act_rejects_outsiders():
-    g = so(4)
-    with pytest.raises(NotInGroup):
-        act(g, ActionKind.CONGRUENCE, 2 * np.eye(4), np.zeros((4, 4)))
 
 
 def test_action_law_composition():
@@ -139,9 +133,9 @@ def test_action_law_composition():
         for trial in range(25):
             A1 = sample(g, 3 * trial)
             A2 = sample(g, 3 * trial + 1)
-            X = project(m, rng.standard_normal(m.shape) + (1j * rng.standard_normal(m.shape) if m._complex_entries else 0))
-            lhs = act(g, action, A1, act(g, action, A2, X, check=False), check=False)
-            rhs = act(g, action, A1 @ A2, X, check=False)
+            X = project(m, rng.standard_normal(m.shape) + (1j * rng.standard_normal(m.shape) if m.dtype is complex else 0))
+            lhs = act(action, A1, act(action, A2, X))
+            rhs = act(action, A1 @ A2, X)
             assert frob(lhs - rhs) <= 1e-9 * max(1.0, frob(rhs))
 
 

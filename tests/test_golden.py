@@ -1,8 +1,11 @@
 """Byte-for-byte golden outputs of the CLI and of the minimality sweep.
 
 Each file under ``tests/golden/`` maps a request to the exact text it
-printed: CLI stdout for ``embed``/``verify``/``census``/``cartan``/``stabilizer``,
-and the sorted compact JSON of ``minimality_certificate(md).to_json()``.
+printed: CLI stdout for ``embed``/``verify``/``census``/``cartan``/``stabilizer``
+and for ``--help`` of the top level and of every verb (at 80 columns), the
+sorted compact JSON of ``minimality_certificate(md).to_json()``, and the JSON
+of ``weyl.catalog_weight`` on every catalog name (and one unknown name) of
+each algebra at n = 0..29: its kappa, null, or its error's type and message.
 Requests run in ``tests/golden/matrices/``, which holds the ``stabilizer``
 input files.  A change that is meant to keep behaviour leaves every byte in
 place.  The outputs hold floating-point digits, so they are tied to the
@@ -17,13 +20,17 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from manirep import cli
 from manirep.classify import minimality_certificate
 from manirep.embeddings import ManifoldDescriptor, all_smallest_legal
+from manirep.errors import ManirepError
+from manirep.weyl import catalog_weight
 
 GOLDEN = Path(__file__).parent / "golden"
 MATRICES = GOLDEN / "matrices"
@@ -53,6 +60,15 @@ STABILIZER = (
     "--action similarity --matrix jordan.json",
     "--action similarity --mode numeric --matrix spectrum.json",
 )
+VERBS = ("dims", "irreps", "classify", "stabilizer", "embed", "verify", "cartan", "census")
+#: algebra -> its catalog names, then one name that is not in the catalog
+CATALOG = {
+    "SL": ("trivial", "vector", "vector_dual", "alt2", "alt2_dual", "sym2", "sym2_dual",
+           "adjoint", "no_such_module"),
+    "SO": ("trivial", "vector", "alt2", "adjoint", "sym2_0", "spin", "spin_minus",
+           "no_such_module"),
+    "SP": ("trivial", "vector", "adjoint", "alt2_form", "sym2_0_form", "no_such_module"),
+}
 
 
 def manifold_flags(md: ManifoldDescriptor) -> str:
@@ -74,6 +90,25 @@ def cli_stdout(line: str) -> str:
     return buf.getvalue()
 
 
+def help_stdout(line: str) -> str:
+    """What ``--help`` prints, wrapped at 80 columns whatever the terminal."""
+    buf = io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), contextlib.redirect_stdout(buf):
+        try:
+            cli.main(line.split())
+        except SystemExit as exc:
+            assert exc.code == 0, buf.getvalue()
+    return buf.getvalue()
+
+
+def catalog(algebra: str, n: int, name: str) -> str:
+    try:
+        w = catalog_weight(algebra, n, name)
+    except ManirepError as exc:
+        return json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n"
+    return json.dumps(None if w is None else list(w.kappa)) + "\n"
+
+
 def certificate(md: ManifoldDescriptor) -> str:
     return json.dumps(minimality_certificate(md).to_json(), sort_keys=True) + "\n"
 
@@ -90,6 +125,10 @@ def cases() -> dict[str, dict]:
     }
     out = {name: {line: (lambda line=line: cli_stdout(line)) for line in lines}
            for name, lines in table.items()}
+    helps = ["--help"] + [f"{verb} --help" for verb in VERBS]
+    out["help"] = {line: (lambda line=line: help_stdout(line)) for line in helps}
+    out["catalog"] = {f"{a} {n} {name}": (lambda a=a, n=n, name=name: catalog(a, n, name))
+                      for a, names in CATALOG.items() for n in range(30) for name in names}
     out["minimality"] = {manifold_flags(md): (lambda md=md: certificate(md)) for md in rows}
     return out
 

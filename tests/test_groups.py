@@ -52,6 +52,9 @@ def test_descriptor_validation():
         GroupDescriptor("SOpq", 5, "R", signature=(1, 2))
     with pytest.raises(InvalidDescriptor):
         so(3, "R", form=np.array([[0.0, 1.0, 0], [-1.0, 0, 0], [0, 0, 1]]))
+    # a unitary family takes no form, not even its standard one
+    with pytest.raises(InvalidDescriptor, match="takes no form"):
+        GroupDescriptor("SpCompact", 4, form=groups.J2n(4))
 
 
 @pytest.mark.parametrize("obj", [
@@ -269,24 +272,3 @@ def test_conjugated_copy():
         assert frob(Z.T @ B + B @ Z) <= 1e-10
     A = sample(g, 7)
     assert contains(g, A)
-
-
-def test_conjugated_sp_compact():
-    J4 = groups.J2n(4)
-    Q = sample(so(4), 11)
-    Om = Q @ J4 @ Q.T
-    g = sp_compact(4, form=Om)
-    lab = lie_algebra_basis(g)
-    assert len(lab) == group_dim(g) == 10
-    for Z in lab:
-        assert frob(Z.conj().T + Z) <= 1e-9
-        assert frob(Z.T @ Om + Om @ Z) <= 1e-9
-    assert contains(g, sample(g, 3))
-
-    # forms with unequal singular values cut SU down to a smaller group
-    lam = np.diag([2.0, 1.0])
-    bad = np.zeros((4, 4))
-    bad[:2, 2:] = lam
-    bad[2:, :2] = -lam
-    with pytest.raises(InvalidDescriptor):
-        sp_compact(4, form=bad)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -667,3 +668,32 @@ def test_youla_of_huge_entries():
     Q, lams, r = youla_skew(np.array([[0.0, 1e160], [-1e160, 0.0]]))
     assert r == 1
     assert lams == pytest.approx([1e160], rel=1e-15)
+
+
+@pytest.mark.parametrize("a, want", [
+    (0.0, 0.5), (-0.0, 0.5), (5e-324, 5e-324), (1.0, 1.0), (1.5, 1.0), (-3.0, 2.0),
+    (1e308, 2.0 ** 1023), (np.array([[3 + 4j, 1j]]), 4.0), (np.zeros((0, 3)), 0.5),
+    (np.zeros((2, 2), complex), 0.5),
+], ids=["0", "-0", "5e-324", "1", "1.5", "-3", "1e308", "complex", "empty", "zeros"])
+def test_pow2_below(a, want):
+    got = numkit.pow2_below(a)
+    assert type(got) is float and got == want
+
+
+_magnitudes = st.one_of(st.just(0.0), st.floats(min_value=1e-320, max_value=1e300))
+
+
+@given(st.lists(st.tuples(_magnitudes, _magnitudes, st.booleans(), st.booleans()),
+                min_size=1, max_size=12), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_pow2_below_is_each_inline_scale_it_replaced(entries, complex_entries):
+    """frob, youla_skew, the form scaling of gmodules' conditions and gmodules.contains each
+    took this power of two by its own expression; pow2_below gives it bit for bit."""
+    a = np.array([(-x if sx else x) + 1j * (-y if sy else y) for x, y, sx, sy in entries])
+    a = a if complex_entries else a.real
+    got = numkit.pow2_below(a).hex()
+    assert got == math.ldexp(1.0, math.frexp(float(np.abs(a).max()))[1] - 1).hex()  # frob
+    assert got == float(np.ldexp(1.0, int(np.frexp(np.abs(a).max(initial=0.0))[1]) - 1)).hex()
+    assert got == float(np.ldexp(1.0, int(np.frexp(np.abs(a).max())[1]) - 1)).hex()
+    e = math.frexp(np.abs(a).max(initial=0.0))[1] - 1  # contains: only scaling down
+    assert max(numkit.pow2_below(a), 1.0) == (math.ldexp(1.0, e) if e > 0 else 1.0)

@@ -566,6 +566,6 @@ def test_stabilizer_dim_is_invariant_along_the_orbit(case):
     from manirep.gmodules import act
 
     g, m, X, seed = case
-    Y = act(g, m.action, groups.sample(g, seed), X)
+    Y = act(m.action, groups.sample(g, seed), X)
     assert stabilizer_dim_in_group(g, m, m.action, Y) == stabilizer_dim_in_group(
         g, m, m.action, X)
