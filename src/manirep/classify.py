@@ -2,21 +2,25 @@
 
 For each supported group family there is a short list of low-dimensional
 irreducible modules, so a candidate target is just a tuple of
-multiplicities.  Each family is one :class:`GroupFamily` row of
-``GROUP_FAMILIES``: the multiplicity names, factor kinds and ranges.  Unless
-the family is ``compact``, the trivial and vector modules and its slot kinds
-are the catalog of irreducibles of dimension <= n^2 that ``census`` prints,
-complete from ``weyl.LOW_DIM_THRESHOLD`` on.  Each multiplicity must lie in
-its range, and a target is admissible when its total module dimension dim W
-stays within n^2; the exact value reported is (dim W - n^2) / divisor,
-halved for Sp (the bound in its symplectic rank).
-The unitary and compact symplectic families are ``compact``: they stack no
-frames and admit no empty target.
+multiplicities.  The family's row of ``groups.TRAITS`` holds them as
+``slots``, each a (name, kind, bound) entry: a slot is 0..bound-1 copies of
+one module kind, twisted by the group's form when the copy of the group
+has a nonstandard form or a signature.  Unless the family is unitary, a
+first multiplicity ``b`` (0..n) is the column count of one RectNK frame,
+and the trivial and vector modules and the slot kinds are the catalog of
+irreducibles of dimension <= n^2 that ``census`` prints, complete from
+``weyl.LOW_DIM_THRESHOLD`` on.  Each multiplicity must lie in its range,
+and a target is admissible when its total module dimension dim W stays
+within n^2; the exact value reported is (dim W - n^2) / divisor, halved
+for Sp (the bound in its symplectic rank).
+The unitary families, SU and compact Sp, stack no frames and admit no
+empty target.
 
 ``census`` reports, for each admissible target, the dimension of the
 stabilizer in the group of a tuple of canonical witnesses, one per module
-factor; ``FACTORS`` maps each factor kind to its canonical witness.  The
-structured stabilizer of a single point lives in :mod:`manirep.stabilizers`.
+factor (``gmodules.canonical_witness``, read from each kind's row of
+``gmodules.KINDS``).  The structured stabilizer of a single point lives in
+:mod:`manirep.stabilizers`.
 A canonical witness depends only on its module, so ``census`` and
 ``minimality_certificate`` pool, once per call, the condition rows of the
 frame at full width and of each distinct slot factor; each target is a set
@@ -32,10 +36,9 @@ dimension only; a tie is recorded, not decided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable
 
 import numpy as np
 
@@ -43,92 +46,61 @@ from . import embeddings as E
 from . import groups as G
 from . import weyl
 from .errors import InvalidDescriptor, NotMinimalFamily, UnsupportedGroup
-from .gmodules import ModuleDescriptor, module_dim, real_dim
-from .numkit import COMPLEX, DEFAULT_TOL, Tolerance, numerical_ranks, youla_blocks
+from .gmodules import ModuleDescriptor, canonical_witness, module_dim, real_dim
+from .numkit import COMPLEX, DEFAULT_TOL, Tolerance, numerical_ranks
 from .stabilizers import stabilizer_rows
 
 
-@dataclass(frozen=True)
-class GroupFamily:
-    """Candidate targets of one group family.
-
-    Unless the family is ``compact``, the first multiplicity ``b`` (0..n)
-    is the column count of one RectNK factor.  Each entry (name, kind,
-    bound) of ``slots`` is a further multiplicity, 0..bound-1 copies of one
-    factor kind; ``twisted`` factors carry the group's form.  The exact
-    admissibility value is (dim W - n^2) / ``divisor`` for the total module
-    dimension dim W.  A target (in range, else ``admissible`` raises) is
-    admissible when the value is <= 0; a ``compact`` family also needs a
-    nonempty target, and ``census`` reports no low-dimensional Weyl catalog
-    for it.
-    """
-
-    name: str
-    slots: tuple[tuple[str, str, int], ...]
-    divisor: int = 1
-    twisted: bool = False
-    compact: bool = False
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return (() if self.compact else ("b",)) + tuple(name for name, _, _ in self.slots)
-
-    def ranges(self, n: int) -> list[range]:
-        stack = [] if self.compact else [range(n + 1)]
-        return stack + [range(bound) for _, _, bound in self.slots]
-
-
-_SO = GroupFamily("SO", (("c", "Alt2", 3), ("d", "Sym2Traceless", 3)))
-GROUP_FAMILIES = {
-    G.SL: GroupFamily("SL", (("c", "Alt2", 3), ("d", "Sym2", 2), ("e", "SLnTraceless", 2))),
-    G.SO: _SO,
-    G.SOPQ: replace(_SO, twisted=True),
-    G.SP: GroupFamily("Sp", (("c", "Sym2TracelessForm", 2), ("d", "Alt2Form", 2)), divisor=2),
-    G.SU: GroupFamily("SU", (("a", "SUAlgebra", 2),), compact=True),
-    G.SP_COMPACT: GroupFamily("SpC", (("c", "SymTracelessCapSU", 2), ("d", "SpAlgebra", 2)),
-                              compact=True),
-}
-
-
-def _group_family(g: G.GroupDescriptor) -> GroupFamily:
-    if g.family not in GROUP_FAMILIES:
+def _slots(g: G.GroupDescriptor) -> tuple[tuple[str, str, int], ...]:
+    slots = G.TRAITS[g.family].slots
+    if slots is None:
         raise UnsupportedGroup(f"no classification for family {g.family!r}")
-    return GROUP_FAMILIES[g.family]
+    return slots
+
+
+def _names(g: G.GroupDescriptor) -> tuple[str, ...]:
+    """The frame width ``b`` unless g's family is unitary, then each slot's name."""
+    frame = () if G.TRAITS[g.family].unitary else ("b",)
+    return frame + tuple(name for name, _, _ in _slots(g))
+
+
+def _ranges(g: G.GroupDescriptor) -> list[range]:
+    """0..n frame columns unless g's family is unitary, then 0..bound-1 copies per slot."""
+    frame = [] if G.TRAITS[g.family].unitary else [range(g.n + 1)]
+    return frame + [range(bound) for _, _, bound in _slots(g)]
 
 
 def _slot_modules(g: G.GroupDescriptor) -> list[ModuleDescriptor]:
-    """One module per slot of g's family, in slot order."""
-    fam = _group_family(g)
-    form = g.form_matrix() if fam.twisted else None
-    return [ModuleDescriptor(kind, g.n, g.field, form=form) for _, kind, _ in fam.slots]
+    """One module per slot of g's family, in slot order, carrying g's form when g is a copy
+    with a nonstandard form or a signature."""
+    form = g.form_matrix() if g.form is not None or g.signature is not None else None
+    return [ModuleDescriptor(kind, g.n, g.field, form=form) for _, kind, _ in _slots(g)]
+
+
+def _uses(spec: TargetSpec) -> list[int]:
+    """The frame width b (a leading 0 for a unitary family), then each slot's multiplicity."""
+    return [0] * G.TRAITS[spec.group.family].unitary + [*spec.multiplicities]
 
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """A candidate module sum for one group, as factor multiplicities in the
-    order of its family's row in ``GROUP_FAMILIES``."""
+    """A candidate module sum for one group, as multiplicities: the frame width b unless
+    the family is unitary, then one per slot of its ``TRAITS`` row."""
 
     group: G.GroupDescriptor
     multiplicities: tuple[int, ...]
 
     def modules(self) -> list[ModuleDescriptor]:
-        frame, counts = self.split()
-        out = [] if frame is None else [frame]
-        for m, count in zip(_slot_modules(self.group), counts):
-            out += [m] * count
-        return out
-
-    def split(self) -> tuple[ModuleDescriptor | None, tuple[int, ...]]:
-        """The frame (RectNK with ``b`` columns; None when b = 0 or the family is
-        ``compact``) and the multiplicities of the family's slots."""
-        g, mult = self.group, self.multiplicities
-        if _group_family(g).compact:
-            return None, mult
-        frame = ModuleDescriptor("RectNK", g.n, g.field, k=mult[0]) if mult[0] else None
-        return frame, mult[1:]
+        """The RectNK frame of b columns (none when b = 0), then each slot's module once
+        per copy."""
+        g = self.group
+        mods = _slot_modules(g)
+        b, *counts = _uses(self)
+        frame = [ModuleDescriptor("RectNK", g.n, g.field, k=b)] if b else []
+        return frame + [m for m, count in zip(mods, counts) for _ in range(count)]
 
     def to_json(self) -> dict:
-        mult = dict(zip(_group_family(self.group).names, self.multiplicities))
+        mult = dict(zip(_names(self.group), self.multiplicities))
         return {"group": self.group.to_json(), "multiplicities": mult}
 
 
@@ -146,29 +118,29 @@ class AdmissibilityReport:
                 "dim_total": str(self.module_dim_total)}
 
 
-def _verdict(fam: GroupFamily, n: int, dim_total: int, empty: bool) -> tuple[bool, Fraction]:
-    """The family's admissibility rule for a target of total module dimension dim W, exactly
-    over rationals: whether it admits the target (``empty`` when it has no factor), and the
-    value (dim W - n^2) / divisor."""
-    value = Fraction(dim_total - n**2, fam.divisor)
-    return value <= 0 and not (fam.compact and empty), value
+def _verdict(g: G.GroupDescriptor, dim_total: int, empty: bool) -> tuple[bool, Fraction]:
+    """g's admissibility rule for a target of total module dimension dim W, exactly over
+    rationals: whether it admits the target (``empty`` when it has no factor), and the value
+    (dim W - n^2) / divisor."""
+    t = G.TRAITS[g.family]
+    value = Fraction(dim_total - g.n**2, t.divisor)
+    return value <= 0 and not (t.unitary and empty), value
 
 
 def admissible(spec: TargetSpec) -> AdmissibilityReport:
     """Evaluate the family's admissibility rule exactly over rationals.  A multiplicity out of
     its family's range is an :class:`InvalidDescriptor`."""
     g = spec.group
-    fam = _group_family(g)
     mult = spec.multiplicities
-    ranges = fam.ranges(g.n)
+    ranges = _ranges(g)
     if len(mult) != len(ranges):
-        raise InvalidDescriptor(f"{fam.name} expects {len(ranges)} multiplicities")
-    for name, m, r in zip(fam.names, mult, ranges):
+        raise InvalidDescriptor(f"{g.family} expects {len(ranges)} multiplicities")
+    for name, m, r in zip(_names(g), mult, ranges):
         if m not in r:
-            raise InvalidDescriptor(f"{fam.name} multiplicity {name} must be in 0..{r[-1]}")
+            raise InvalidDescriptor(f"{g.family} multiplicity {name} must be in 0..{r[-1]}")
     mods = spec.modules()
     dim_total = sum(module_dim(m) for m in mods)
-    ok, value = _verdict(fam, g.n, dim_total, not mods)
+    ok, value = _verdict(g, dim_total, not mods)
     return AdmissibilityReport(spec, ok, value, dim_total, mods)
 
 
@@ -176,73 +148,17 @@ def enumerate_admissible(g: G.GroupDescriptor) -> list[AdmissibilityReport]:
     """All admissible multiplicity tuples, by total dimension then lex order.  A tuple's total
     dimension, from the dimensions of one frame column and of each slot module taken once per
     call, decides it before its ``TargetSpec`` and modules are built."""
-    fam = _group_family(g)
+    ranges = _ranges(g)
     unit = [module_dim(m) for m in _slot_modules(g)]
-    if not fam.compact:
+    if not G.TRAITS[g.family].unitary:
         unit.insert(0, module_dim(ModuleDescriptor("RectNK", g.n, g.field, k=1)))
-    reports = [admissible(TargetSpec(g, mult)) for mult in product(*fam.ranges(g.n))
-               if _verdict(fam, g.n, sum(a * d for a, d in zip(mult, unit)), not any(mult))[0]]
+    reports = [admissible(TargetSpec(g, mult)) for mult in product(*ranges)
+               if _verdict(g, sum(a * d for a, d in zip(mult, unit)), not any(mult))[0]]
     return sorted(reports, key=lambda r: (r.module_dim_total, r.spec.multiplicities))
 
 
 # ---------------------------------------------------------------------------
-# canonical witnesses and their stabilizer dimensions
-
-
-def _stack_witness(m):
-    X = np.zeros(m.shape, dtype=m.dtype)
-    X[: m.k, : m.k] = np.eye(m.k)
-    return X
-
-
-def _skew_witness(m):
-    r = m.n // 2
-    S = youla_blocks([float(i) for i in range(r, 0, -1)], m.n)
-    if m.form is not None:
-        S = np.linalg.inv(m.form) @ S
-    return S.astype(m.dtype)
-
-
-def _diagonal_witness(centered: bool, pairing: int | None = None, imaginary: bool = False):
-    """diag(1, ..., n), or diag(v, pairing * v) with v = (1, ..., n/2).
-
-    ``centered`` shifts the values to trace zero; ``imaginary`` multiplies
-    by i for the compact kinds instead of casting to the module's field.
-    """
-
-    def witness(m):
-        vals = np.arange(1.0, (m.n if pairing is None else m.n // 2) + 1)
-        if centered:
-            vals = vals - vals.mean()
-        if pairing is not None:
-            vals = np.concatenate([vals, pairing * vals])
-        if imaginary:
-            return 1j * np.diag(vals)
-        return np.diag(vals).astype(m.dtype)
-
-    return witness
-
-
-#: module kind -> its generic witness: full rank, all spectral values distinct
-FACTORS: dict[str, Callable[[ModuleDescriptor], np.ndarray]] = {
-    "RectNK": _stack_witness,
-    "Alt2": _skew_witness,
-    "Sym2": _diagonal_witness(centered=False),
-    "Sym2Traceless": _diagonal_witness(centered=True),
-    "SLnTraceless": _diagonal_witness(centered=True),
-    "Sym2TracelessForm": _diagonal_witness(centered=True, pairing=1),
-    "Alt2Form": _diagonal_witness(centered=False, pairing=-1),
-    "SUAlgebra": _diagonal_witness(centered=True, imaginary=True),
-    "SymTracelessCapSU": _diagonal_witness(centered=True, pairing=1, imaginary=True),
-    "SpAlgebra": _diagonal_witness(centered=False, pairing=-1, imaginary=True),
-}
-
-
-def canonical_witness(module: ModuleDescriptor) -> np.ndarray:
-    """The generic witness of a factor: full rank, all spectral values distinct."""
-    if module.kind not in FACTORS:
-        raise InvalidDescriptor(f"{module.kind} is not a classification factor")
-    return FACTORS[module.kind](module)
+# stabilizer dimensions at canonical witnesses
 
 
 def _canonical_h_dims(g: G.GroupDescriptor, specs: list[TargetSpec],
@@ -258,9 +174,7 @@ def _canonical_h_dims(g: G.GroupDescriptor, specs: list[TargetSpec],
     equal rows cut out the same kernel.  ``numerical_ranks`` ranks every target in one
     batched pass, each as in ``intersect_stabilizer_dim``."""
     mods = [ModuleDescriptor("RectNK", g.n, g.field, k=g.n), *_slot_modules(g)]
-    # per target: the frame width b (0 for a compact family), then each slot's multiplicity
-    uses = np.array([[0 if frame is None else frame.k, *counts] for frame, counts
-                     in map(TargetSpec.split, specs)], int).reshape(len(specs), len(mods))
+    uses = np.array([_uses(spec) for spec in specs], int).reshape(len(specs), len(mods))
     used = np.flatnonzero(uses.any(axis=0))
     pool = [stabilizer_rows(g, mods[i], mods[i].action, canonical_witness(mods[i]), tol)
             for i in used]
@@ -278,7 +192,7 @@ def _canonical_h_dims(g: G.GroupDescriptor, specs: list[TargetSpec],
 
 def census(g: G.GroupDescriptor) -> dict:
     """Every admissible target of g with its stabilizer dimension at canonical
-    witnesses and, unless g's family is ``compact``, its catalog of irreducible
+    witnesses and, unless g's family is unitary, its catalog of irreducible
     modules of dimension <= n^2: the trivial and vector modules and the family's
     slot kinds, over C, flagged advisory below ``weyl.LOW_DIM_THRESHOLD``."""
     out = {"group": g.to_json(), "targets": []}
@@ -287,12 +201,11 @@ def census(g: G.GroupDescriptor) -> dict:
         entry = rep.to_json()
         entry["canonical_h_dim"] = h_dim
         out["targets"].append(entry)
-    fam = _group_family(g)
-    if not fam.compact:
+    if not G.TRAITS[g.family].unitary:
         weyl.rank_of(*G.algebra_of(g))  # SL_1, SO_1 and SO_2 have no catalog
         mods = [ModuleDescriptor("Trivial", g.n, COMPLEX),
                 ModuleDescriptor("RectNK", g.n, COMPLEX, k=1)]
-        mods += [ModuleDescriptor(kind, g.n, COMPLEX) for _, kind, _ in fam.slots]
+        mods += [ModuleDescriptor(kind, g.n, COMPLEX) for _, kind, _ in _slots(g)]
         out["low_dim_modules"] = [m.to_json() for m in mods]
         out["low_dim_advisory"] = E.low_dim_advisory(g)
     return out

@@ -67,7 +67,7 @@ STABILIZERS = {
     "left-mult": lambda X, mode, field: stabilizer_left_mult(X, field=field),
     "congruence-skew": lambda X, mode, field: stabilizer_congruence_skew(X, field=field),
     "congruence-sym": lambda X, mode, field: stabilizer_congruence_sym(X, field=field),
-    "similarity": lambda X, mode, field: stabilizer_similarity(X, mode, field=field),
+    "similarity": lambda X, mode, field: stabilizer_similarity(X, mode or "exact", field=field),
 }
 
 
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, required=True)
 
     # the families that classify knows, in the order of groups.TRAITS
-    groups = [family for family in G.TRAITS if family in C.GROUP_FAMILIES]
+    groups = [family for family, t in G.TRAITS.items() if t.slots is not None]
 
     p = sub.add_parser("classify", parents=[common], help="admissible faithful targets of a group")
     p.add_argument("--group", required=True, choices=groups)
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stabilizer", parents=[common], help="structured stabilizer of a matrix")
     p.add_argument("--action", required=True, choices=list(STABILIZERS))
     p.add_argument("--matrix", required=True, help="path to a matrix JSON file")
-    p.add_argument("--mode", default="exact", choices=["exact", "numeric"])
+    p.add_argument("--mode", choices=["exact", "numeric"])
 
     def add_manifold_flags(p):  # --n is checked in main: verify --manifold all takes none
         p.add_argument("--manifold", required=True, help="a family name; verify also takes "
@@ -248,6 +248,8 @@ def main(argv=None) -> int:
             ap.error(f"--signature applies to --group SOpq only, not {args.group}")
         if fixed and args.field not in (None, fixed):
             ap.error(f"--group {args.group} is defined over {fixed}, not --field {args.field}")
+    if getattr(args, "mode", None) and args.action != "similarity":  # read by similarity only
+        ap.error(f"--mode applies to --action similarity only, not {args.action}")
     if getattr(args, "manifold", None):  # verify --manifold all sets every size itself
         every = args.verb == "verify" and args.manifold == "all"
         given = [f for f in ("n", "k", "ks", "p", "pq", "sizes", "field", "spectrum")

@@ -3,10 +3,12 @@
 Each :class:`ModuleDescriptor` names a linear subspace of F^{n x n} (or the
 rectangular slab F^{n x k}) cut out by transpose/adjoint conditions against
 a bilinear form, optionally with a trace constraint.  Everything known about
-a module kind is one :class:`Kind` row of ``KINDS``: its dimension formula,
-its residual conditions, the unit-matrix span solving the first of them,
-the flags below, and the action of its group.  A basis is that span cut by
-the other conditions and the trace (``numkit.span_kernel``).
+a module kind is one :class:`Kind` row of ``KINDS``, keyed by the kind's
+name: its dimension formula, its residual conditions, the unit-matrix span
+solving the first of them, the flags below, the action of its group, and,
+for a classification factor, the builder of its canonical witness
+(``canonical_witness``).  A basis is that span cut by the other conditions
+and the trace (``numkit.span_kernel``).
 ``module_dim`` reports the dimension over the descriptor's field: complex
 kinds over C, and the real-structure kinds (su_n, compact sp, and the
 symmetric-traceless slice of su) over R, since those are only real-linear
@@ -27,19 +29,7 @@ from .errors import InvalidDescriptor, SizeMismatch
 from .groups import J2n, checked_form
 from .numkit import (ALL, ANTI_HERMITIAN, COMPLEX, DEFAULT_TOL, REAL, SKEW, SYM, Tolerance,
                      cached_basis, frob, mat_from_json, mat_to_json, pow2_below, span_kernel,
-                     unit_stack)
-
-TRIVIAL = "Trivial"
-RECT_NK = "RectNK"
-ALT2 = "Alt2"
-SYM2 = "Sym2"
-SYM2_TRACELESS = "Sym2Traceless"
-SLN_TRACELESS = "SLnTraceless"
-SU_ALGEBRA = "SUAlgebra"
-ALT2_FORM = "Alt2Form"
-SYM2_TRACELESS_FORM = "Sym2TracelessForm"
-SP_ALGEBRA = "SpAlgebra"
-SYM_TRACELESS_CAP_SU = "SymTracelessCapSU"
+                     unit_stack, youla_blocks)
 
 
 class ActionKind(Enum):
@@ -61,6 +51,40 @@ def _anti_hermitian(X, F):
     return X.conj().mT + X
 
 
+def _stack_witness(m):
+    X = np.zeros(m.shape, dtype=m.dtype)
+    X[: m.k, : m.k] = np.eye(m.k)
+    return X
+
+
+def _skew_witness(m):
+    r = m.n // 2
+    S = youla_blocks([float(i) for i in range(r, 0, -1)], m.n)
+    if m.form is not None:
+        S = np.linalg.inv(m.form) @ S
+    return S.astype(m.dtype)
+
+
+def _diagonal_witness(centered: bool, pairing: int | None = None, imaginary: bool = False):
+    """diag(1, ..., n), or diag(v, pairing * v) with v = (1, ..., n/2).
+
+    ``centered`` shifts the values to trace zero; ``imaginary`` multiplies
+    by i for the compact kinds instead of casting to the module's field.
+    """
+
+    def witness(m):
+        vals = np.arange(1.0, (m.n if pairing is None else m.n // 2) + 1)
+        if centered:
+            vals = vals - vals.mean()
+        if pairing is not None:
+            vals = np.concatenate([vals, pairing * vals])
+        if imaginary:
+            return 1j * np.diag(vals)
+        return np.diag(vals).astype(m.dtype)
+
+    return witness
+
+
 @dataclass(frozen=True)
 class Kind:
     """One module kind.
@@ -75,7 +99,9 @@ class Kind:
     size is even.  ``membership`` is False for the kinds carried for
     their dimension only; they have no ``action`` either.  ``action`` is
     how the kind's group acts on it (see :attr:`ModuleDescriptor.action`
-    for the twist by a form).
+    for the twist by a form).  ``witness`` builds the kind's canonical
+    witness (see ``canonical_witness``); None for a kind that is no
+    classification factor.
     """
 
     dim: Callable[[int, int | None], int]
@@ -86,31 +112,40 @@ class Kind:
     skew_form: bool = False
     membership: bool = True
     action: ActionKind | None = None
+    witness: Callable[[ModuleDescriptor], np.ndarray] | None = None
 
 
 KINDS = {
-    TRIVIAL: Kind(lambda n, k: 1, membership=False),
-    RECT_NK: Kind(lambda n, k: n * k, action=ActionKind.LEFT_MULT),
-    ALT2: Kind(lambda n, k: n * (n - 1) // 2, (_form_skew,), SKEW, action=ActionKind.CONGRUENCE),
-    SYM2: Kind(lambda n, k: n * (n + 1) // 2, (_form_symmetric,), SYM,
-               action=ActionKind.CONGRUENCE),
-    SYM2_TRACELESS: Kind(lambda n, k: (n + 2) * (n - 1) // 2, (_form_symmetric,), SYM,
-                         traceless=True, action=ActionKind.CONGRUENCE),
-    SLN_TRACELESS: Kind(lambda n, k: n * n - 1, traceless=True, action=ActionKind.SIMILARITY),
-    SU_ALGEBRA: Kind(lambda n, k: n * n - 1, (_anti_hermitian,), ANTI_HERMITIAN, traceless=True,
-                     real_structure=True, action=ActionKind.CONGRUENCE_STAR),
-    ALT2_FORM: Kind(lambda n, k: n * (n + 1) // 2, (_form_skew,), SYM, skew_form=True,
-                    action=ActionKind.SIMILARITY),
-    SYM2_TRACELESS_FORM: Kind(lambda n, k: (n // 2 - 1) * (2 * (n // 2) + 1),
+    "Trivial": Kind(lambda n, k: 1, membership=False),
+    "RectNK": Kind(lambda n, k: n * k, action=ActionKind.LEFT_MULT, witness=_stack_witness),
+    "Alt2": Kind(lambda n, k: n * (n - 1) // 2, (_form_skew,), SKEW,
+                 action=ActionKind.CONGRUENCE, witness=_skew_witness),
+    "Sym2": Kind(lambda n, k: n * (n + 1) // 2, (_form_symmetric,), SYM,
+                 action=ActionKind.CONGRUENCE, witness=_diagonal_witness(centered=False)),
+    "Sym2Traceless": Kind(lambda n, k: (n + 2) * (n - 1) // 2, (_form_symmetric,), SYM,
+                          traceless=True, action=ActionKind.CONGRUENCE,
+                          witness=_diagonal_witness(centered=True)),
+    "SLnTraceless": Kind(lambda n, k: n * n - 1, traceless=True, action=ActionKind.SIMILARITY,
+                         witness=_diagonal_witness(centered=True)),
+    "SUAlgebra": Kind(lambda n, k: n * n - 1, (_anti_hermitian,), ANTI_HERMITIAN, traceless=True,
+                      real_structure=True, action=ActionKind.CONGRUENCE_STAR,
+                      witness=_diagonal_witness(centered=True, imaginary=True)),
+    "Alt2Form": Kind(lambda n, k: n * (n + 1) // 2, (_form_skew,), SYM, skew_form=True,
+                     action=ActionKind.SIMILARITY,
+                     witness=_diagonal_witness(centered=False, pairing=-1)),
+    "Sym2TracelessForm": Kind(lambda n, k: (n // 2 - 1) * (2 * (n // 2) + 1),
                               (_form_symmetric,), SKEW, traceless=True, skew_form=True,
-                              action=ActionKind.SIMILARITY),
-    SP_ALGEBRA: Kind(lambda n, k: 2 * (n // 2) ** 2 + n // 2, (_anti_hermitian, _form_skew),
-                     ANTI_HERMITIAN, traceless=True, real_structure=True, skew_form=True,
-                     action=ActionKind.CONGRUENCE_STAR),
-    SYM_TRACELESS_CAP_SU: Kind(lambda n, k: (n // 2 - 1) * (2 * (n // 2) + 1),
-                               (_anti_hermitian, _form_symmetric), ANTI_HERMITIAN,
-                               traceless=True, real_structure=True, skew_form=True,
-                               action=ActionKind.CONGRUENCE_STAR),
+                              action=ActionKind.SIMILARITY,
+                              witness=_diagonal_witness(centered=True, pairing=1)),
+    "SpAlgebra": Kind(lambda n, k: 2 * (n // 2) ** 2 + n // 2, (_anti_hermitian, _form_skew),
+                      ANTI_HERMITIAN, traceless=True, real_structure=True, skew_form=True,
+                      action=ActionKind.CONGRUENCE_STAR,
+                      witness=_diagonal_witness(centered=False, pairing=-1, imaginary=True)),
+    "SymTracelessCapSU": Kind(lambda n, k: (n // 2 - 1) * (2 * (n // 2) + 1),
+                              (_anti_hermitian, _form_symmetric), ANTI_HERMITIAN,
+                              traceless=True, real_structure=True, skew_form=True,
+                              action=ActionKind.CONGRUENCE_STAR,
+                              witness=_diagonal_witness(centered=True, pairing=1, imaginary=True)),
 }
 
 
@@ -131,7 +166,7 @@ class ModuleDescriptor:
             raise InvalidDescriptor(f"unknown field {self.field!r}")
         if type(self.n) is not int or self.n < 1 or not (self.k is None or type(self.k) is int):
             raise InvalidDescriptor("module size n must be a positive integer, k an integer")
-        if self.kind == RECT_NK:
+        if self.kind == "RectNK":
             if self.k is None or not (0 < self.k <= self.n):
                 raise InvalidDescriptor(f"{self.kind} needs 0 < k <= n")
         elif self.k is not None:
@@ -148,7 +183,7 @@ class ModuleDescriptor:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.n, self.k) if self.kind == RECT_NK else (self.n, self.n)
+        return (self.n, self.k) if self.kind == "RectNK" else (self.n, self.n)
 
     @property
     def action(self) -> ActionKind | None:
@@ -191,6 +226,15 @@ class ModuleDescriptor:
 
 def module_dim(m: ModuleDescriptor) -> int:
     return KINDS[m.kind].dim(m.n, m.k)
+
+
+def canonical_witness(m: ModuleDescriptor) -> np.ndarray:
+    """The generic witness of a classification factor: full rank, all spectral values
+    distinct."""
+    witness = KINDS[m.kind].witness
+    if witness is None:
+        raise InvalidDescriptor(f"{m.kind} is not a classification factor")
+    return witness(m)
 
 
 def _conditions(m: ModuleDescriptor):

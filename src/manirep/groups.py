@@ -6,11 +6,13 @@ indefinite-orthogonal, and compact-symplectic groups; GL, O, and U are also
 supported so that stabilizer computations can hand back their block factors
 as first-class descriptors.  Each family is one :class:`Traits` row of
 ``TRAITS``, which every function below reads (``algebra_of`` its algebra
-type); only SO_{p,q}, whose form comes from its signature, is told apart by
-name.  A nonstandard symmetric form B or skew form Omega (checked by
-``checked_form``) selects a conjugated copy of the same abstract group; only
-the form families whose field the descriptor picks (SO, Sp, O) take one.  A
-unitary family (SU, compact Sp, U) takes no form, as does SO_{p,q}.
+type); its ``slots`` and ``divisor`` are the family's classification, read
+by :mod:`manirep.classify`.  Only SO_{p,q}, whose form comes from its
+signature, is told apart by name.  A nonstandard symmetric form B or skew
+form Omega (checked by ``checked_form``) selects a conjugated copy of the
+same abstract group; only the form families whose field the descriptor
+picks (SO, Sp, O) take one.  A unitary family (SU, compact Sp, U) takes no
+form, as does SO_{p,q}.
 
 Lie algebra bases are read-only (d, n, n) arrays built from ``numkit`` unit
 stacks and kept in its basis cache (see ``lie_algebra_basis``).
@@ -42,22 +44,33 @@ class Traits:
     ``special`` (det = 1), ``unitary`` (A*A = I), the ``field`` of a real
     form (None when the algebra is complex-linear and the descriptor picks it),
     and the ``algebra`` type of its complexified Lie algebra as :mod:`manirep.weyl`
-    names it (``"SL"``, ``"SO"`` or ``"SP"``; None for GL, O and U)."""
+    names it (``"SL"``, ``"SO"`` or ``"SP"``; None for GL, O and U).
+
+    ``slots`` and ``divisor`` are read by :mod:`manirep.classify`: each
+    (name, kind, bound) slot is a multiplicity of 0..bound-1 copies of one
+    module kind, and a target's admissibility value is (dim W - n^2) /
+    ``divisor``.  A family without ``slots`` has no classification."""
 
     form: str | None
     special: bool
     unitary: bool
     field: str | None
     algebra: str | None
+    slots: tuple[tuple[str, str, int], ...] | None = None
+    divisor: int = 1
 
 
+_SO_SLOTS = (("c", "Alt2", 3), ("d", "Sym2Traceless", 3))
 TRAITS = {
-    SL: Traits(None, True, False, None, "SL"),
-    SO: Traits(SYM, True, False, None, "SO"),
-    SP: Traits(SKEW, True, False, None, "SP"),
-    SU: Traits(None, True, True, COMPLEX, "SL"),
-    SOPQ: Traits(SYM, True, False, REAL, "SO"),
-    SP_COMPACT: Traits(SKEW, True, True, COMPLEX, "SP"),
+    SL: Traits(None, True, False, None, "SL",
+               (("c", "Alt2", 3), ("d", "Sym2", 2), ("e", "SLnTraceless", 2))),
+    SO: Traits(SYM, True, False, None, "SO", _SO_SLOTS),
+    SP: Traits(SKEW, True, False, None, "SP",
+               (("c", "Sym2TracelessForm", 2), ("d", "Alt2Form", 2)), divisor=2),
+    SU: Traits(None, True, True, COMPLEX, "SL", (("a", "SUAlgebra", 2),)),
+    SOPQ: Traits(SYM, True, False, REAL, "SO", _SO_SLOTS),
+    SP_COMPACT: Traits(SKEW, True, True, COMPLEX, "SP",
+                       (("c", "SymTracelessCapSU", 2), ("d", "SpAlgebra", 2))),
     GL: Traits(None, False, False, None, None),
     O: Traits(SYM, False, False, None, None),
     U: Traits(None, False, True, COMPLEX, None),

@@ -404,23 +404,21 @@ def _blocks(A: np.ndarray, member: np.ndarray):
     rows and columns in the order they have in A, blocks in label order.  Its entries are
     scattered from the nonzero entries of A; it is real when its set's columns of A have zero
     imaginary part.  All-zero rows and columns, whose singular values are 0, are in no
-    block.  A lone block spanning A is A itself, not a copy."""
+    block.  One set holding every column of a dense A is one block, A itself, not a copy."""
     m, n = A.shape
     M, N = member.shape[0] * m, member.size
     imag = A.imag.any(axis=0) if np.iscomplexobj(A) else np.zeros(n, bool)
     real = ~(member & imag).any(axis=1)  # sets whose columns have zero imaginary part
     whole = len(member) == 1 and member.all()  # one set: every column
     flat = np.flatnonzero(A != 0)  # row by row
-    dense = whole and 0 < len(flat) == A.size  # then one block, found without labels
-    if not dense:
-        r = np.repeat(np.arange(m), np.diff(np.searchsorted(flat, np.arange(m + 1) * n)))
-        c = flat - r * n
-        t, e = (0, slice(None)) if whole else np.nonzero(member[:, c])  # set by set, row by row
-        rows, cols = t * m + r[e], t * n + c[e]
-        rl, cl = _labels(rows, cols, M, N)
-    if dense or M and not (rl.any() or cl.any()):  # one set, one block spanning A: no scatter
+    if whole and 0 < len(flat) == A.size:  # dense: one block, found without labels or scatter
         yield np.zeros(1, int), (A.real if real[0] else A)[None]
         return
+    r = np.repeat(np.arange(m), np.diff(np.searchsorted(flat, np.arange(m + 1) * n)))
+    c = flat - r * n
+    t, e = (0, slice(None)) if whole else np.nonzero(member[:, c])  # set by set, row by row
+    rows, cols = t * m + r[e], t * n + c[e]
+    rl, cl = _labels(rows, cols, M, N)
     R, C = np.flatnonzero(rl < M), np.flatnonzero(cl < M)
     R, C = R[np.argsort(rl[R], kind="stable")], C[np.argsort(cl[C], kind="stable")]
     p, q = np.bincount(rl[R], minlength=M), np.bincount(cl[C], minlength=M)

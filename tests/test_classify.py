@@ -4,19 +4,18 @@ from itertools import product
 import numpy as np
 import pytest
 
+from manirep import classify as C
 from manirep import groups as G
 from manirep.classify import (
-    GROUP_FAMILIES,
     TargetSpec,
     admissible,
-    canonical_witness,
     census,
     enumerate_admissible,
     minimality_certificate,
 )
 from manirep.embeddings import ManifoldDescriptor
 from manirep.errors import InvalidDescriptor, UnsupportedGroup, WitnessNotInModule
-from manirep.gmodules import module_dim
+from manirep.gmodules import canonical_witness, module_dim
 from manirep.stabilizers import intersect_stabilizer_dim, stabilizer_similarity
 
 
@@ -56,7 +55,7 @@ class TestAdmissible:
     def test_compact_families_admit_every_nonempty_target(self, g):
         """SU and compact Sp stack no frames: every in-range tuple but the empty one is
         admissible, and census reports neither the empty target nor a Weyl catalog."""
-        for mult in product(*GROUP_FAMILIES[g.family].ranges(g.n)):
+        for mult in product(*C._ranges(g)):
             assert admissible(TargetSpec(g, mult)).admissible == any(mult), mult
         out = census(g)
         assert out["targets"] and all(any(t["multiplicities"].values()) for t in out["targets"])
@@ -269,6 +268,33 @@ def test_census_h_dim_matches_the_structured_stabilizers(g):
         assert entry["canonical_h_dim"] == h_dim(rep.spec, witnesses)
 
 
+@pytest.mark.parametrize("n, field", [(5, "R"), (5, "C"), (6, "C")])
+def test_census_of_a_diagonal_form_copy_matches_the_standard_group(n, field):
+    """SO_n with a positive diagonal form D is conjugate to SO_n.  Its slot modules carry D,
+    the canonical witnesses of those twisted modules are still generic, and the two censuses
+    agree target for target."""
+    std = census(G.so(n, field))
+    twisted = census(G.so(n, field, form=np.diag(np.arange(1.0, n + 1))))
+
+    def targets(out):
+        return [{key: v for key, v in t.items() if key != "group"} for t in out["targets"]]
+
+    assert targets(twisted) == targets(std)
+    assert twisted["low_dim_modules"] == std["low_dim_modules"]
+
+
+def test_census_of_a_general_form_copy_raises():
+    """The diagonal canonical witnesses lie in no module twisted by a general form, so the
+    census of such a copy raises rather than reporting the stabilizers of other points."""
+    rng = np.random.default_rng(1)
+    Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    P = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+    for g in (G.so(5, form=Q @ np.diag(np.arange(1.0, 6)) @ Q.T),
+              G.sp(4, form=P.T @ G.J2n(4) @ P)):
+        with pytest.raises(WitnessNotInModule):
+            census(g)
+
+
 def test_census_builds_each_slot_factor_once(monkeypatch):
     """A canonical witness depends only on its module, so one census of SO_11(C) builds the
     congruence rows of each distinct slot module once and checks each slot witness once,
@@ -330,7 +356,7 @@ def test_enumerate_admissible_keeps_what_admissible_admits(g):
     it keeps exactly the in-range tuples that ``admissible`` admits, with the same reports,
     by total dimension then lex order."""
     every = (admissible(TargetSpec(g, mult))
-             for mult in product(*GROUP_FAMILIES[g.family].ranges(g.n)))
+             for mult in product(*C._ranges(g)))
     want = sorted((r for r in every if r.admissible),
                   key=lambda r: (r.module_dim_total, r.spec.multiplicities))
     got = enumerate_admissible(g)

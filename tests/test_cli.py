@@ -601,6 +601,22 @@ def test_verify_of_one_family_needs_n(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("action", ["left-mult", "congruence-skew", "congruence-sym"])
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+def test_stabilizer_mode_applies_to_similarity_only(tmp_path, capsys, action, mode):
+    """Only --action similarity reads --mode, so with any other action it is a usage error
+    rather than a flag silently ignored; similarity still takes either mode."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(Mat.from_array(np.eye(2)).to_json()))
+    with pytest.raises(SystemExit) as exc:
+        main(["stabilizer", "--action", action, "--matrix", str(path), "--mode", mode])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    code, payload = run_cli(capsys, "stabilizer", "--action", "similarity", "--matrix",
+                            str(path), "--mode", mode)
+    assert code == 0 and payload["commutant_dim"] == 4
+
+
 @pytest.mark.parametrize("action, field, pairs, dim", [
     ("congruence-sym", "C", [[1e308, 1e308], [0, 0], [0, 0], [1, 0]], 2),
     ("congruence-skew", "R", [[0, 0], [1e308, 0], [-1e308, 0], [0, 0]], 3),

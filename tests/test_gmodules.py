@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from manirep import gmodules, groups
-from manirep.classify import FACTORS, GROUP_FAMILIES, census
+from manirep.classify import census
 from manirep.embeddings import all_smallest_legal, module
 from manirep.errors import InvalidDescriptor
 from manirep.gmodules import (KINDS, ActionKind, ModuleDescriptor, act, basis, contains,
@@ -202,12 +202,17 @@ def test_membership_of_huge_matrices(kind):
 
 def test_every_kind_and_action_is_used():
     """Each kind is a manifold row's module, a classification factor, a family's slot kind or
-    in census's low-dimension catalog, and each action is some kind's."""
-    used = {module(md).kind for md in all_smallest_legal()} | set(FACTORS)
-    used |= {kind for fam in GROUP_FAMILIES.values() for _, kind, _ in fam.slots}
+    in census's low-dimension catalog, and each action is some kind's.  Every slot kind of a
+    ``TRAITS`` row has a witness, and every family with slots an algebra for its catalog."""
+    slotted = {family: t for family, t in groups.TRAITS.items() if t.slots is not None}
+    slot_kinds = {kind for t in slotted.values() for _, kind, _ in t.slots}
+    used = {module(md).kind for md in all_smallest_legal()} | slot_kinds
+    used |= {kind for kind, row in KINDS.items() if row.witness is not None}
     used |= {m["kind"] for m in census(groups.sl(3, "C"))["low_dim_modules"]}
     assert used == set(KINDS)
     assert {row.action for row in KINDS.values()} - {None} == set(ActionKind)
+    assert all(KINDS[kind].witness is not None for kind in slot_kinds)
+    assert all(t.algebra is not None for t in slotted.values())
 
 
 def test_real_dim_doubles_complex_kinds():

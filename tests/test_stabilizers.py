@@ -400,7 +400,8 @@ def test_intersection_dim_equals_the_dense_rank(g):
     """At the canonical witnesses of every admissible target, the block-by-block rank agrees
     with len(basis) minus the rank of one dense SVD of the dact rows, stacked in
     complex arithmetic and split into (re, im) columns for a real form."""
-    from manirep.classify import canonical_witness, enumerate_admissible
+    from manirep.classify import enumerate_admissible
+    from manirep.gmodules import canonical_witness
 
     basis = groups.lie_algebra_basis(g).astype(complex)
     for rep in enumerate_admissible(g):
@@ -529,8 +530,8 @@ def test_numeric_similarity_finds_planned_classes_property(plan):
 def _group_module_point(draw):
     """A group of SO_n(C), Sp_n(R), SU_n or SO(p,q) with n <= 8, one of its classification
     modules, and a point of it: the canonical witness or a random combination of its basis."""
-    from manirep.classify import GROUP_FAMILIES, TargetSpec, canonical_witness
-    from manirep.gmodules import basis
+    from manirep.classify import TargetSpec
+    from manirep.gmodules import basis, canonical_witness
 
     family = draw(st.sampled_from(["SO", "Sp", "SU", "SOpq"]))
     if family == "SO":
@@ -542,9 +543,9 @@ def _group_module_point(draw):
     else:
         p = draw(st.integers(1, 7))
         g = groups.so_pq(p, draw(st.integers(1, 8 - p)))
-    fam = GROUP_FAMILIES[g.family]
-    frame = () if fam.compact else (draw(st.integers(1, g.n)),)
-    m = draw(st.sampled_from(TargetSpec(g, frame + (1,) * len(fam.slots)).modules()))
+    t = groups.TRAITS[g.family]
+    frame = () if t.unitary else (draw(st.integers(1, g.n)),)
+    m = draw(st.sampled_from(TargetSpec(g, frame + (1,) * len(t.slots)).modules()))
     seed = draw(st.integers(0, 10**6))
     if draw(st.booleans()):
         X = canonical_witness(m)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manirep import groups as G
-from manirep.classify import GROUP_FAMILIES, census
+from manirep.classify import census
 from manirep.errors import InvalidDescriptor
 from manirep.gmodules import ModuleDescriptor, module_dim
 from manirep.weyl import HighestWeight, catalog_weight, enumerate_irreps_below, rank_of, weyl_dim
@@ -231,12 +231,12 @@ class TestLowDimClassification:
 
     @staticmethod
     def catalog(g):
-        """census's catalog of g, its kinds checked against ``GROUP_FAMILIES``, the dimensions
-        of the weights below n^2 that it does not explain, and its advisory flag."""
+        """census's catalog of g, its kinds checked against the family's ``TRAITS`` slots, the
+        dimensions of the weights below n^2 that it does not explain, and its advisory flag."""
         out = census(g)
         mods = [ModuleDescriptor(m["kind"], m["n"], m["field"], k=m["k"])
                 for m in out["low_dim_modules"]]
-        slots = [kind for _, kind, _ in GROUP_FAMILIES[g.family].slots]
+        slots = [kind for _, kind, _ in G.TRAITS[g.family].slots]
         assert [m.kind for m in mods] == ["Trivial", "RectNK"] + slots
         dims = {module_dim(m) for m in mods}
         weights = enumerate_irreps_below(*G.algebra_of(g), g.n**2)
