@@ -24,15 +24,17 @@ symmetric 2n x 2n matrix for Takagi, an SVD of X for Youla) and completed
 to a unitary by the trailing columns of one complete QR.
 ``above_cutoff`` is the one rank rule, used wherever a rank or block size is
 decided.  ``numerical_ranks`` ranks A on several column sets in one pass:
-it splits each A[:, s] into the connected blocks of its nonzero pattern
-(rows and columns joined by nonzero entries), takes one batched SVD per
-block shape over all sets and applies ``above_cutoff`` once per set, so one
-cutoff holds for every block of a set; ``numerical_rank`` is its one set of
-every column.  The same label propagation (``_labels``) gives the
+it finds the connected blocks of A's own nonzero pattern (rows and columns
+joined by nonzero entries) once, so each A[:, s] is block diagonal in the
+sub-blocks that s cuts from them; sets holding the same columns of a block
+share a sub-block, each distinct sub-block takes part in one batched SVD per
+shape, and ``above_cutoff`` runs once per set on that set's singular values,
+so one cutoff holds for every block of a set; ``numerical_rank`` is its one
+set of every column.  The same label propagation (``_labels``) gives the
 single-linkage ``clusters`` of a set of eigenvalues, the one clustering
-rule.  Bases are built one
-way: a span of unit matrices (``unit_stack``) cut by linear conditions
-(``span_kernel``), kept read-only in one bounded LRU (``cached_basis``).
+rule.  Bases are built one way: a span of unit matrices (``unit_stack``) cut
+by linear conditions (``span_kernel``), kept read-only in one bounded LRU
+(``cached_basis``).
 ``pow2_below`` is the one scale that keeps every digit: the power of two at
 or below the largest |entry|, by which ``frob``, ``youla_skew`` and the
 module conditions and membership of :mod:`manirep.gmodules` divide.  Apart
@@ -346,24 +348,29 @@ def numerical_ranks(A: np.ndarray, column_sets, tol: Tolerance = DEFAULT_TOL, *,
                     strict: bool = False) -> list[int]:
     """The ``numerical_rank`` of A[:, s] for each set s of column indices, in one pass.
 
-    Each A[:, s] is ranked one connected block at a time (``_blocks``): some row and column
-    permutation makes it block diagonal, and its singular values are those of the blocks.
-    Blocks of one shape, from any of the sets, take one batched SVD.  One ``above_cutoff``
-    call per set sees the singular values of all its blocks, so each set keeps its own
-    cutoff, ``tol.cutoff`` of its largest singular value, as for its dense SVD, and its own
-    ``strict`` band and :class:`NonFinite` rule.  A set whose columns have zero imaginary
-    part is ranked in real arithmetic.
+    A[:, s] is block diagonal along the connected blocks of A, so its singular values are
+    those of its sub-blocks, the blocks of A on the columns of s (``_blocks``).  Sets that
+    hold the same columns of a block share that sub-block, and each distinct sub-block is
+    taken once, in one batched SVD per shape, each matrix tall (B and B^T have the same
+    singular values).  The values are gathered by set, and one ``above_cutoff`` call per set
+    sees those of all its sub-blocks, so each set keeps its own cutoff, ``tol.cutoff`` of its
+    largest singular value, as for its dense SVD, and its own ``strict`` band and
+    :class:`NonFinite` rule.
     """
     A = np.asarray(A, complex if np.iscomplexobj(A) else float)
     member = np.zeros((len(column_sets), A.shape[1]), bool)
     for t, cols in enumerate(column_sets):
         member[t, np.asarray(cols, int)] = True
     owner, s = [np.zeros(0, int)], [np.zeros(0)]
-    for t, stack in _blocks(A, member):
-        s.append(np.linalg.svd(stack, compute_uv=False).ravel())
-        owner.append(np.repeat(t, min(stack.shape[1:])))
+    for (t, j), stack in _blocks(A, member):
+        vals = np.linalg.svd(stack if stack.shape[1] >= stack.shape[2] else stack.mT,
+                             compute_uv=False)
+        s.append(vals[j].ravel())
+        owner.append(np.repeat(t, vals.shape[1]))
     owner, s = np.concatenate(owner), np.concatenate(s)
-    return [int(above_cutoff(s[owner == t], tol, strict=strict).sum()) for t in range(len(member))]
+    s = s[np.argsort(owner)]  # set by set
+    ends = np.cumsum(np.bincount(owner, minlength=len(member))).tolist()
+    return [int(above_cutoff(s[a:b], tol, strict=strict).sum()) for a, b in zip([0, *ends], ends)]
 
 
 def _labels(r: np.ndarray, c: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -396,46 +403,79 @@ def _labels(r: np.ndarray, c: np.ndarray, m: int, n: int) -> tuple[np.ndarray, n
 
 
 def _blocks(A: np.ndarray, member: np.ndarray):
-    """The connected blocks of each A[:, member[t]], as (owners, stack) pairs: one (k, p, q)
-    stack per block shape and field, and the set t that owns each of its k blocks.
+    """The distinct sub-blocks of A on the column sets member[t], as ((t, j), stack) pairs:
+    one (k, p, q) stack per shape and field, and for each set t that holds matrix j of the
+    stack, t and j, as two index arrays.
 
-    The submatrices are laid out block diagonally, set t on rows t m + r and columns t n + c,
-    and a block is that layout on the rows and columns of one component of ``_labels``, its
-    rows and columns in the order they have in A, blocks in label order.  Its entries are
-    scattered from the nonzero entries of A; it is real when its set's columns of A have zero
-    imaginary part.  All-zero rows and columns, whose singular values are 0, are in no
-    block.  One set holding every column of a dense A is one block, A itself, not a copy."""
+    The blocks of A are the components of ``_labels`` on A's own nonzero pattern (rows and
+    columns joined by nonzero entries), found once for all sets; a block's rows and columns
+    keep their order in A.  Set t's sub-block of block k is A on the rows of k and the
+    columns of k that t holds, if any.  Sets holding the same columns of a block hold one
+    sub-block: a set's columns of a block are read as bits, 31 to a chunk, and each chunk
+    refines a code of the (set, block) pairs by one ``np.unique``.  A sub-block is real when
+    its columns have zero imaginary part.  All-zero rows and columns, whose singular values
+    are 0, are in no block.  One set holding every column of a dense A is one block, A
+    itself, not a copy."""
     m, n = A.shape
-    M, N = member.shape[0] * m, member.size
-    imag = A.imag.any(axis=0) if np.iscomplexobj(A) else np.zeros(n, bool)
-    real = ~(member & imag).any(axis=1)  # sets whose columns have zero imaginary part
     whole = len(member) == 1 and member.all()  # one set: every column
     flat = np.flatnonzero(A != 0)  # row by row
-    if whole and 0 < len(flat) == A.size:  # dense: one block, found without labels or scatter
-        yield np.zeros(1, int), (A.real if real[0] else A)[None]
+    if whole and 0 < len(flat) == A.size:  # dense: one block, found without labels or gather
+        B = A if np.iscomplexobj(A) and A.imag.any() else A.real
+        yield (np.zeros(1, int), np.zeros(1, int)), B[None]
         return
-    r = np.repeat(np.arange(m), np.diff(np.searchsorted(flat, np.arange(m + 1) * n)))
-    c = flat - r * n
-    t, e = (0, slice(None)) if whole else np.nonzero(member[:, c])  # set by set, row by row
-    rows, cols = t * m + r[e], t * n + c[e]
-    rl, cl = _labels(rows, cols, M, N)
-    R, C = np.flatnonzero(rl < M), np.flatnonzero(cl < M)
-    R, C = R[np.argsort(rl[R], kind="stable")], C[np.argsort(cl[C], kind="stable")]
-    p, q = np.bincount(rl[R], minlength=M), np.bincount(cl[C], minlength=M)
-    at = np.zeros(M + N, int)  # each row's and column's place in its block
-    at[R] = np.arange(len(R)) - (np.cumsum(p) - p)[rl[R]]
-    at[M + C] = np.arange(len(C)) - (np.cumsum(q) - q)[cl[C]]
-    key = (p * (N + 1) + q) * 2 + real[np.arange(M) // max(m, 1)]  # by label: shape, field
-    label = np.flatnonzero(p)  # blocks in label order, labelled by their least row
-    block, vals = rl[rows], A.ravel()[flat[e]]
-    for k in np.unique(key[label]):
-        own = label[key[label] == k]
-        sel = key[block] == k
-        shape, is_real = divmod(k // 2, N + 1), k % 2
-        stack = np.zeros((len(own), *shape), float if is_real else complex)
-        stack[np.searchsorted(own, block[sel]), at[rows[sel]], at[M + cols[sel]]] = (
-            vals[sel].real if is_real else vals[sel])
-        yield own // m, stack
+    r, c = np.divmod(flat, n)
+    imag = np.zeros(n, bool)  # the columns with an entry off the real line
+    if np.iscomplexobj(A):
+        imag[c[A.ravel()[flat].imag != 0]] = True
+    rl, cl = _labels(r, c, m, n)
+    p, q = np.bincount(rl, minlength=m + 1)[:m], np.bincount(cl, minlength=m + 1)[:m]
+    label = np.flatnonzero(p)  # blocks, labelled by their least row
+    p, q = p[label], q[label]
+    if not len(q):
+        return
+    # rows and columns block by block, in their order in A; those in no block are cut
+    R, C = np.argsort(rl, kind="stable")[:p.sum()], np.argsort(cl, kind="stable")[:q.sum()]
+    r0, c0 = np.cumsum(p) - p, np.cumsum(q) - q  # each block's first row in R, column in C
+    if whole:  # the sub-blocks are the blocks
+        t, sub, block = np.zeros(len(q), int), np.arange(len(q)), np.arange(len(q))
+        width, cols, head = q, C, c0
+    else:
+        place = (np.arange(len(C)) - np.repeat(c0, q)).astype(np.int32)
+        held = member[:, C]
+        bits = np.add.reduceat(held << place % 31, np.flatnonzero(place % 31 == 0), axis=1)
+        nch = (q + 30) // 31
+        f = np.cumsum(nch) - nch  # each block's first chunk
+        count = np.add.reduceat(np.bitwise_count(bits), f, axis=1, dtype=int)
+        t, sub = np.nonzero(count)  # (set, block) pairs that share a column, set by set
+        block = sub
+        for i in range(nch.max()):  # codes stay below 2^32, one per (set, block) pair
+            at = np.minimum(f[block] + i, bits.shape[1] - 1)
+            chunk = np.where(nch[block] > i, bits[t, at], 0)
+            sub = np.unique(sub << 31 | chunk, return_inverse=True)[1]
+        rep = np.zeros(sub.max(initial=-1) + 1, int)
+        rep[sub] = np.arange(len(sub))  # a pair holding each sub-block
+        block, width = block[rep], count[t[rep], block[rep]]
+        # the columns of each sub-block: those of its block that its pair's set holds
+        qb = q[block]
+        own = np.repeat(np.arange(len(rep)), qb)
+        at = C[np.arange(len(own)) + np.repeat(c0[block] - np.cumsum(qb) + qb, qb)]
+        cols, head = at[member[t[rep][own], at]], np.cumsum(width) - width
+    real = ~np.logical_or.reduceat(imag[cols], head)
+    shape = (p[block] * (n + 1) + width) * 2 + real  # by sub-block: shape, field
+    order = np.argsort(shape)
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))  # each sub-block's place in shape order
+    j = place[sub]
+    by = np.argsort(j)  # pairs by sub-block
+    t, j = t[by], j[by]
+    ends = (np.flatnonzero(np.diff(shape[order], append=-1)) + 1).tolist()
+    for a, b in zip([0, *ends], ends):  # the sub-blocks order[a:b] of one shape
+        u = order[a:b]
+        rows = R[r0[block[u], None] + np.arange(p[block[u[0]]])]
+        at = cols[head[u, None] + np.arange(width[u[0]])]
+        lo, hi = j.searchsorted(a), j.searchsorted(b)
+        yield ((t[lo:hi], j[lo:hi] - a),
+               (A.real if real[u[0]] else A)[rows[:, :, None], at[:, None, :]])
 
 
 def clusters(values: np.ndarray, radius: float) -> list[np.ndarray]:

@@ -190,7 +190,10 @@ class EigenClass:
     blocks: tuple[int, ...]
 
     def min_sum(self) -> int:
-        return sum(min(a, b) for a in self.blocks for b in self.blocks)
+        """The sum of min(b_i, b_j) over all pairs (i, j) of blocks: with the blocks in
+        descending order, b_i is the least of the pairs (i, j) and (j, i) for j < i and of
+        (i, i), so it counts 2i - 1 times (i from 1)."""
+        return sum((2 * i + 1) * b for i, b in enumerate(sorted(self.blocks, reverse=True)))
 
     def to_json(self) -> dict:
         return {

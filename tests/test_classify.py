@@ -295,6 +295,27 @@ def test_census_of_a_general_form_copy_raises():
             census(g)
 
 
+def test_census_checks_each_slot_form_once(monkeypatch):
+    """The slot modules of a copy with a signature carry its form, and building one checks
+    the form; census and enumerate_admissible build them once per call, not once per
+    target."""
+    from manirep import gmodules
+
+    checked, calls = gmodules.checked_form, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return checked(*args, **kwargs)
+
+    monkeypatch.setattr(gmodules, "checked_form", counted)
+    g = G.so_pq(9, 10)
+    slots = len(G.TRAITS[g.family].slots)
+    for run in (census, enumerate_admissible):
+        calls.clear()
+        run(g)
+        assert 0 < len(calls) <= slots, run.__name__
+
+
 def test_census_builds_each_slot_factor_once(monkeypatch):
     """A canonical witness depends only on its module, so one census of SO_11(C) builds the
     congruence rows of each distinct slot module once and checks each slot witness once,

@@ -596,6 +596,12 @@ def test_batched_ranks_equal_ranks_one_set_at_a_time_property(X, Y, data):
              list(range(X.shape[1])), list(range(X.shape[1], n))]
     drawn = st.lists(st.integers(0, n - 1), unique=True).map(sorted) if n else st.just([])
     sets = data.draw(st.lists(st.sampled_from(fixed) | drawn, max_size=6))
+    assert_ranked_as_alone(A, sets)
+
+
+def assert_ranked_as_alone(A, sets):
+    """``numerical_ranks(A, sets)`` is the ``numerical_rank`` of each A[:, s], and with
+    ``strict`` it raises exactly when some lone call raises."""
     assert numerical_ranks(A, sets) == [numerical_rank(A[:, s]) for s in sets]
     want = []
     for s in sets:
@@ -612,6 +618,79 @@ def test_batched_ranks_equal_ranks_one_set_at_a_time_property(X, Y, data):
             numerical_ranks(A, sets, strict=True)
     else:
         assert numerical_ranks(A, sets, strict=True) == want
+
+
+@given(st.lists(permuted_blocks(), min_size=1, max_size=3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sets_sharing_sub_blocks_rank_as_alone_property(draws, data):
+    """Sets that hold the same columns of a block share one sub-block, taken once; each set
+    still ranks as its columns alone.  A is block diagonal in copies of a few drawn matrices,
+    each set picks, copy by copy, one of a few column subsets of that copy, and sets repeat,
+    so many sets share sub-blocks."""
+    parts = [draws[i] for i in data.draw(st.lists(st.integers(0, len(draws) - 1),
+                                                  min_size=1, max_size=6))]
+    A = np.zeros((sum(len(B) for B in parts), sum(B.shape[1] for B in parts)),
+                 np.result_type(*parts))
+    i = j = 0
+    choices = []  # per copy, its column subsets
+    for B in parts:
+        A[i:i + len(B), j:j + B.shape[1]] = B
+        cols = st.lists(st.sampled_from(range(j, j + B.shape[1])), unique=True).map(sorted)
+        choices.append(data.draw(st.lists(cols if B.shape[1] else st.just([]),
+                                          min_size=1, max_size=3)))
+        i, j = i + len(B), j + B.shape[1]
+    picks = st.tuples(*(st.sampled_from(c) for c in choices))
+    sets = [sum(pick, []) for pick in data.draw(st.lists(picks, min_size=1, max_size=10))]
+    sets += data.draw(st.lists(st.sampled_from(sets), max_size=4))
+    assert_ranked_as_alone(A, sets)
+
+
+def test_sets_differing_past_the_first_31_columns_of_a_block_are_told_apart():
+    """A block's columns are compared 31 at a time: sets that agree on a wide block's first
+    chunk but not on its second or third hold different sub-blocks.  Every column of the
+    wide block is v1 but for column 40 (v2) and column 65 (v3), so a set's rank counts which
+    of v1, v2, v3 it holds."""
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal((3, 3))
+    A = np.zeros((5, 72))
+    A[:2, 70:] = rng.standard_normal((2, 2))  # a small first block
+    A[2:, :70] = v[:, [0]]
+    A[2:, 40], A[2:, 65] = v[:, 1], v[:, 2]
+    first = list(range(31))
+    sets = [first, first + [40], first + [41], first + [64], first + [65], first + [40, 65],
+            [40, 65], first + [41], list(range(72)), [70, 71], first + [40]]
+    assert numerical_ranks(A, sets) == [1, 2, 1, 1, 2, 3, 2, 1, 5, 2, 2]
+    assert numerical_ranks(A, sets) == [numerical_rank(A[:, s]) for s in sets]
+
+
+def test_ranks_of_a_census_pool_allocate_less_than_the_pool(monkeypatch):
+    """Ranking SO_19(C)'s census pool on its 44 target sets finds A's blocks once, on A's own
+    pattern, and takes each shared sub-block once: it allocates less than A itself, where a
+    layout of one copy of A's columns per set would take several times that."""
+    import tracemalloc
+
+    from manirep import classify
+    from manirep import groups as G
+
+    pool = {}
+
+    def captured(A, sets, tol):
+        pool.update(A=A, sets=sets)
+        return numerical_ranks(A, sets, tol)
+
+    monkeypatch.setattr(classify, "numerical_ranks", captured)
+    classify.census(G.so(19, "C"))
+    A, sets = pool["A"], pool["sets"]
+    assert A.shape == (171, 1083) and len(sets) == 44
+    want = numerical_ranks(A, sets)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert numerical_ranks(A, sets) == want
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < A.nbytes
 
 
 def union_find_clusters(values, radius):

@@ -9,6 +9,7 @@ from manirep.gmodules import ActionKind, ModuleDescriptor, dact
 from manirep.groups import gl, so, su
 from manirep.numkit import OMEGA2, Tolerance, above_cutoff, frob, youla_blocks
 from manirep.stabilizers import (
+    EigenClass,
     IdentityBlock,
     _segre,
     intersect_stabilizer_dim,
@@ -461,6 +462,15 @@ def test_exact_similarity_reports_extreme_eigenvalues(x):
 def test_similarity_of_an_overflowing_spectrum_is_non_finite(mode):
     with pytest.raises(NonFinite):
         stabilizer_similarity(np.full((2, 2), 1e308), mode)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=12), max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_min_sum_equals_the_double_sum_property(blocks):
+    """``EigenClass.min_sum`` is the sum of min(b_i, b_j) over all ordered pairs of blocks,
+    in whatever order the blocks are listed."""
+    want = sum(min(a, b) for a in blocks for b in blocks)
+    assert EigenClass("real", 0.0, tuple(blocks)).min_sum() == want
 
 
 def test_segre_reads_blocks_off_the_weyr_characteristic():
