@@ -2,35 +2,26 @@
 """Minimality sweep over every manifold family.
 
 Runs ``manirep.classify.minimality_certificate`` on the rows of ``all_smallest_legal()``
-or, with ``--grow g``, on each row g sizes above its smallest legal one (for gr-indefinite,
-its first size), and prints one JSON document: the grow step and the rows' reports, in
-sweep order, as ``manirep.numkit.dumps`` writes them.
+or, with ``--grow g``, on each row grown g sizes by ``manirep.embeddings.grow``, and prints
+one compact JSON document: the grow step and the rows' reports, in sweep order, as
+``manirep.numkit.dumps`` writes them.
 """
 
 import argparse
-from dataclasses import replace
 
 from manirep.classify import minimality_certificate
-from manirep.embeddings import ManifoldDescriptor, all_smallest_legal
+from manirep.embeddings import all_smallest_legal, grow
 from manirep.numkit import dumps
-
-
-def grow(md: ManifoldDescriptor, g: int) -> ManifoldDescriptor:
-    """The same manifold row, ``g`` sizes above its smallest legal one."""
-    if md.family == "gr-indefinite":
-        return replace(md, sizes=(md.sizes[0] + g, md.sizes[1]))
-    return replace(md, n=md.n + g)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--grow", type=int, default=0, help="sizes above the smallest legal ones")
-    ap.add_argument("--pretty", action="store_true", help="indent the JSON by 2")
     args = ap.parse_args()
     if args.grow < 0:
         ap.error("--grow must be nonnegative")
     rows = [minimality_certificate(grow(md, args.grow)).to_json() for md in all_smallest_legal()]
-    print(dumps({"grow": args.grow, "rows": rows}, pretty=args.pretty))
+    print(dumps({"grow": args.grow, "rows": rows}))
 
 
 if __name__ == "__main__":

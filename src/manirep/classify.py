@@ -73,8 +73,7 @@ def _ranges(g: G.GroupDescriptor) -> list[range]:
 def _slot_modules(g: G.GroupDescriptor) -> list[ModuleDescriptor]:
     """One module per slot of g's family, in slot order, carrying g's form when g is a copy
     with a nonstandard form or a signature.  Each form-carrying module checks its form, so
-    ``enumerate_admissible``, ``census`` and ``minimality_certificate`` build them once per
-    call and pass them down."""
+    ``enumerate_admissible`` and ``_canonical_h_dims`` build them once per call."""
     form = g.form_matrix() if g.form is not None or g.signature is not None else None
     return [ModuleDescriptor(kind, g.n, g.field, form=form) for _, kind, _ in _slots(g)]
 
@@ -136,11 +135,6 @@ def _verdict(g: G.GroupDescriptor, dim_total: int, empty: bool) -> tuple[bool, F
 def admissible(spec: TargetSpec) -> AdmissibilityReport:
     """Evaluate the family's admissibility rule exactly over rationals.  A multiplicity out of
     its family's range is an :class:`InvalidDescriptor`."""
-    return _admissible(spec, _slot_modules(spec.group))
-
-
-def _admissible(spec: TargetSpec, slots: list[ModuleDescriptor]) -> AdmissibilityReport:
-    """``admissible(spec)`` from ``slots``, the ``_slot_modules`` of its group."""
     g = spec.group
     mult = spec.multiplicities
     ranges = _ranges(g)
@@ -149,26 +143,28 @@ def _admissible(spec: TargetSpec, slots: list[ModuleDescriptor]) -> Admissibilit
     for name, m, r in zip(_names(g), mult, ranges):
         if m not in r:
             raise InvalidDescriptor(f"{g.family} multiplicity {name} must be in 0..{r[-1]}")
-    mods = _modules(spec, slots)
+    mods = spec.modules()
     dim_total = sum(module_dim(m) for m in mods)
     ok, value = _verdict(g, dim_total, not mods)
     return AdmissibilityReport(spec, ok, value, dim_total, mods)
 
 
 def enumerate_admissible(g: G.GroupDescriptor) -> list[AdmissibilityReport]:
-    """All admissible multiplicity tuples, by total dimension then lex order.  A tuple's total
-    dimension, from the dimensions of one frame column and of each slot module taken once per
-    call, decides it before its ``TargetSpec`` and modules are built."""
-    return _enumerate(g, _slot_modules(g))
-
-
-def _enumerate(g: G.GroupDescriptor, slots: list[ModuleDescriptor]) -> list[AdmissibilityReport]:
-    """``enumerate_admissible(g)`` from ``slots``, g's ``_slot_modules``."""
+    """All admissible multiplicity tuples, by total dimension then lex order, each reported
+    as by ``admissible``.  A tuple's total dimension, from the dimensions of one frame column
+    and of each slot module built once per call, decides it before its ``TargetSpec`` and
+    modules are built."""
+    slots = _slot_modules(g)
     unit = [module_dim(m) for m in slots]
     if not G.TRAITS[g.family].unitary:
         unit.insert(0, module_dim(ModuleDescriptor("RectNK", g.n, g.field, k=1)))
-    reports = [_admissible(TargetSpec(g, mult), slots) for mult in product(*_ranges(g))
-               if _verdict(g, sum(a * d for a, d in zip(mult, unit)), not any(mult))[0]]
+    reports = []
+    for mult in product(*_ranges(g)):
+        dim_total = sum(a * d for a, d in zip(mult, unit))
+        ok, value = _verdict(g, dim_total, not any(mult))
+        if ok:
+            spec = TargetSpec(g, mult)
+            reports.append(AdmissibilityReport(spec, ok, value, dim_total, _modules(spec, slots)))
     return sorted(reports, key=lambda r: (r.module_dim_total, r.spec.multiplicities))
 
 
@@ -177,9 +173,8 @@ def _enumerate(g: G.GroupDescriptor, slots: list[ModuleDescriptor]) -> list[Admi
 
 
 def _canonical_h_dims(g: G.GroupDescriptor, specs: list[TargetSpec],
-                      slots: list[ModuleDescriptor], tol: Tolerance = DEFAULT_TOL) -> list[int]:
-    """Stabilizer dimension in g at the canonical witnesses of each target, ``slots`` being
-    g's ``_slot_modules``.
+                      tol: Tolerance = DEFAULT_TOL) -> list[int]:
+    """Stabilizer dimension in g at the canonical witnesses of each target.
 
     A canonical witness depends only on its module, so one pooled row matrix, built once per
     call, holds the condition rows of every target: joined column-wise, the frame's rows at
@@ -189,7 +184,7 @@ def _canonical_h_dims(g: G.GroupDescriptor, specs: list[TargetSpec],
     and the columns of each slot it holds; a module repeated in a target counts once, as
     equal rows cut out the same kernel.  ``numerical_ranks`` ranks every target in one
     batched pass, each as in ``intersect_stabilizer_dim``."""
-    mods = [ModuleDescriptor("RectNK", g.n, g.field, k=g.n), *slots]
+    mods = [ModuleDescriptor("RectNK", g.n, g.field, k=g.n), *_slot_modules(g)]
     uses = np.array([_uses(spec) for spec in specs], int).reshape(len(specs), len(mods))
     used = np.flatnonzero(uses.any(axis=0))
     pool = [stabilizer_rows(g, mods[i], mods[i].action, canonical_witness(mods[i]), tol)
@@ -212,9 +207,8 @@ def census(g: G.GroupDescriptor) -> dict:
     modules of dimension <= n^2: the trivial and vector modules and the family's
     slot kinds, over C, flagged advisory below ``weyl.LOW_DIM_THRESHOLD``."""
     out = {"group": g.to_json(), "targets": []}
-    slots = _slot_modules(g)
-    reports = _enumerate(g, slots)
-    for rep, h_dim in zip(reports, _canonical_h_dims(g, [rep.spec for rep in reports], slots)):
+    reports = enumerate_admissible(g)
+    for rep, h_dim in zip(reports, _canonical_h_dims(g, [rep.spec for rep in reports])):
         entry = rep.to_json()
         entry["canonical_h_dim"] = h_dim
         out["targets"].append(entry)
@@ -283,10 +277,9 @@ def minimality_certificate(md: E.ManifoldDescriptor, tol: Tolerance = DEFAULT_TO
     h_dim = G.group_dim(gp) - E.tangent_dim(md)
     dim_v_cmp = _comparison_dim(gp, mod)
 
-    slots = _slot_modules(gp)
-    smaller = [rep for rep in _enumerate(gp, slots)
+    smaller = [rep for rep in enumerate_admissible(gp)
                if rep.modules and sum(_comparison_dim(gp, m) for m in rep.modules) < dim_v_cmp]
-    stabs = _canonical_h_dims(gp, [rep.spec for rep in smaller], slots, tol)
+    stabs = _canonical_h_dims(gp, [rep.spec for rep in smaller], tol)
     candidates = [(rep.spec.multiplicities, rep.module_dim_total, stab)
                   for rep, stab in zip(smaller, stabs)]
     collisions = [mult for mult, _, stab in candidates if stab == h_dim]

@@ -614,6 +614,14 @@ def all_smallest_legal() -> list[ManifoldDescriptor]:
     return out
 
 
+def grow(md: ManifoldDescriptor, g: int) -> ManifoldDescriptor:
+    """The same manifold row, ``g`` sizes above its smallest legal one: the first size for
+    gr-indefinite, n for every other family."""
+    if md.family == "gr-indefinite":
+        return replace(md, sizes=(md.sizes[0] + g, md.sizes[1]))
+    return replace(md, n=md.n + g)
+
+
 # ---------------------------------------------------------------------------
 # Cartan embeddings of the classical symmetric spaces
 

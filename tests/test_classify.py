@@ -107,6 +107,16 @@ class TestEnumerate:
         assert (0, 0, 0, 1) in mults
         assert (1, 1, 1, 0) not in mults
 
+    @pytest.mark.parametrize("g", [G.sl(9, "C"), G.so(19, "C"), G.sp(10, "C"), G.su(9),
+                                   G.sp_compact(10), G.so_pq(2, 3)],
+                             ids=lambda g: f"{g.family}{g.n}")
+    def test_reports_are_those_of_admissible(self, g):
+        """enumerate_admissible reports each tuple it keeps as admissible(spec) does."""
+        for rep in enumerate_admissible(g):
+            one = admissible(rep.spec)
+            assert rep.to_json() == one.to_json()
+            assert [(m.kind, m.k) for m in rep.modules] == [(m.kind, m.k) for m in one.modules]
+
     def test_sorted_by_dimension(self):
         reps = enumerate_admissible(G.so(19, "C"))
         dims = [r.module_dim_total for r in reps]
@@ -295,10 +305,10 @@ def test_census_of_a_general_form_copy_raises():
             census(g)
 
 
-def test_census_checks_each_slot_form_once(monkeypatch):
+def test_slot_forms_are_checked_per_call_not_per_target(monkeypatch):
     """The slot modules of a copy with a signature carry its form, and building one checks
-    the form; census and enumerate_admissible build them once per call, not once per
-    target."""
+    the form; enumerate_admissible builds them once per call, not once per target, and
+    census once more for its stabilizer ranks."""
     from manirep import gmodules
 
     checked, calls = gmodules.checked_form, []
@@ -310,10 +320,10 @@ def test_census_checks_each_slot_form_once(monkeypatch):
     monkeypatch.setattr(gmodules, "checked_form", counted)
     g = G.so_pq(9, 10)
     slots = len(G.TRAITS[g.family].slots)
-    for run in (census, enumerate_admissible):
+    for run, builds in ((census, 2), (enumerate_admissible, 1)):
         calls.clear()
         run(g)
-        assert 0 < len(calls) <= slots, run.__name__
+        assert 0 < len(calls) <= builds * slots, run.__name__
 
 
 def test_census_builds_each_slot_factor_once(monkeypatch):

@@ -4,14 +4,13 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from manirep import classify as C
 from manirep import groups as G
-from manirep.embeddings import all_smallest_legal
+from manirep.embeddings import all_smallest_legal, grow
 from manirep.numkit import dumps
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,15 +43,12 @@ def test_census_files_are_the_census(tmp_path):
         assert written == json.loads(json.dumps(C.census(g)))
 
 
-@pytest.mark.parametrize("grow", [0, 2])
-def test_minimality_sweep_rows_are_the_certificates(grow):
-    out = run_script("minimality_sweep.py", "--grow", str(grow))
+@pytest.mark.parametrize("g", [0, 2])
+def test_minimality_sweep_rows_are_the_certificates(g):
+    out = run_script("minimality_sweep.py", "--grow", str(g))
     assert out.returncode == 0, out.stderr
     doc = json.loads(out.stdout)
-    rows = all_smallest_legal()
-    if grow:
-        rows = [replace(md, sizes=(md.sizes[0] + grow, md.sizes[1]))
-                if md.family == "gr-indefinite" else replace(md, n=md.n + grow) for md in rows]
-    assert len(rows) == 25 and doc["grow"] == grow
+    rows = [grow(md, g) for md in all_smallest_legal()]
+    assert len(rows) == 25 and doc["grow"] == g
     assert doc["rows"] == [json.loads(dumps(C.minimality_certificate(md).to_json()))
                            for md in rows]
