@@ -23,9 +23,10 @@ factor (``gmodules.canonical_witness``, read from each kind's row of
 :mod:`manirep.stabilizers`.
 A canonical witness depends only on its module, so ``census`` and
 ``minimality_certificate`` pool, once per call, the condition rows of the
-frame at full width and of each distinct slot factor; each target is a set
-of pool columns, a factor repeated in it counted once, and one
-``numerical_ranks`` pass ranks them all.
+frame at full width and of each distinct slot factor, on the columns that
+hold a nonzero; each target is a set of pool columns, a factor repeated in
+it counted once, and one ``numerical_ranks`` pass ranks them all, with the
+base point's rows for ``minimality_certificate``.
 
 ``minimality_certificate`` checks, for a manifold family, that its target
 dimension matches the family's closed form and that no admissible target
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from . import weyl
 from .errors import InvalidDescriptor, NotMinimalFamily, UnsupportedGroup
 from .gmodules import ModuleDescriptor, canonical_witness, module_dim, real_dim
 from .numkit import COMPLEX, DEFAULT_TOL, Tolerance, numerical_ranks
-from .stabilizers import stabilizer_rows
+from .stabilizers import join_rows, stabilizer_rows
 
 
 def _slots(g: G.GroupDescriptor) -> tuple[tuple[str, str, int], ...]:
@@ -151,20 +151,25 @@ def admissible(spec: TargetSpec) -> AdmissibilityReport:
 
 def enumerate_admissible(g: G.GroupDescriptor) -> list[AdmissibilityReport]:
     """All admissible multiplicity tuples, by total dimension then lex order, each reported
-    as by ``admissible``.  A tuple's total dimension, from the dimensions of one frame column
-    and of each slot module built once per call, decides it before its ``TargetSpec`` and
-    modules are built."""
+    as by ``admissible``.  The total dimensions of all tuples, from the dimensions of one frame
+    column and of each slot module built once per call, decide them on integers in one array
+    pass, before any value, ``TargetSpec`` or module list is built: as every divisor is
+    positive, ``_verdict`` admits exactly the tuples with dim W <= n^2, apart from a unitary
+    family's empty one."""
     slots = _slot_modules(g)
     unit = [module_dim(m) for m in slots]
-    if not G.TRAITS[g.family].unitary:
+    unitary = G.TRAITS[g.family].unitary
+    if not unitary:
         unit.insert(0, module_dim(ModuleDescriptor("RectNK", g.n, g.field, k=1)))
+    # every tuple, in lex order (each range starts at 0), and its dim W
+    mults = np.indices([len(r) for r in _ranges(g)]).reshape(len(unit), -1).T
+    dims = mults @ np.array(unit, int)
+    keep = (dims <= g.n**2) & (mults.any(axis=1) | (not unitary))
     reports = []
-    for mult in product(*_ranges(g)):
-        dim_total = sum(a * d for a, d in zip(mult, unit))
-        ok, value = _verdict(g, dim_total, not any(mult))
-        if ok:
-            spec = TargetSpec(g, mult)
-            reports.append(AdmissibilityReport(spec, ok, value, dim_total, _modules(spec, slots)))
+    for mult, dim_total in zip(mults[keep].tolist(), dims[keep].tolist()):
+        spec = TargetSpec(g, tuple(mult))
+        value = Fraction(dim_total - g.n**2, G.TRAITS[g.family].divisor)  # as in _verdict
+        reports.append(AdmissibilityReport(spec, True, value, dim_total, _modules(spec, slots)))
     return sorted(reports, key=lambda r: (r.module_dim_total, r.spec.multiplicities))
 
 
@@ -173,32 +178,39 @@ def enumerate_admissible(g: G.GroupDescriptor) -> list[AdmissibilityReport]:
 
 
 def _canonical_h_dims(g: G.GroupDescriptor, specs: list[TargetSpec],
-                      tol: Tolerance = DEFAULT_TOL) -> list[int]:
-    """Stabilizer dimension in g at the canonical witnesses of each target.
+                      tol: Tolerance = DEFAULT_TOL, point=None) -> list[int]:
+    """Stabilizer dimension in g at the canonical witnesses of each target, then, when a
+    ``point`` (module, action, X) is given, at that point.
 
-    A canonical witness depends only on its module, so one pooled row matrix, built once per
-    call, holds the condition rows of every target: joined column-wise, the frame's rows at
-    full width b = n (witness I_n) and the rows of each distinct slot module, each built (and
-    its witness checked) only if some target holds it.  A target is a set of pool columns:
+    A canonical witness depends only on its module, so one pool, built once per call, holds
+    the condition rows of every target: joined column-wise (``join_rows``), the frame's rows
+    at full width b = n (witness I_n) and the rows of each distinct slot module, each built
+    (and its witness checked) only if some target holds it, and the point's rows, as a dense
+    matrix on the rows and columns that hold a nonzero.  A target is a set of those columns:
     as Z [I_b; 0] is the first b columns of Z, the frame's columns of witness columns c < b,
     and the columns of each slot it holds; a module repeated in a target counts once, as
-    equal rows cut out the same kernel.  ``numerical_ranks`` ranks every target in one
-    batched pass, each as in ``intersect_stabilizer_dim``."""
+    equal rows cut out the same kernel.  The point's set is its own columns.
+    ``numerical_ranks`` ranks every set in one batched pass, each as in
+    ``intersect_stabilizer_dim``."""
     mods = [ModuleDescriptor("RectNK", g.n, g.field, k=g.n), *_slot_modules(g)]
     uses = np.array([_uses(spec) for spec in specs], int).reshape(len(specs), len(mods))
     used = np.flatnonzero(uses.any(axis=0))
-    pool = [stabilizer_rows(g, mods[i], mods[i].action, canonical_witness(mods[i]), tol)
-            for i in used]
-    # a pool column is in a target when its level, the witness column c for the frame and
-    # 0 for a slot, is below the target's use of its factor
-    factor = np.repeat(used, [B.shape[1] for B in pool])
-    level = [np.arange(B.shape[1]) // (B.shape[1] // g.n**2) % g.n if i == 0
-             else np.zeros(B.shape[1], int) for i, B in zip(used, pool)]
-    level = np.concatenate([np.zeros(0, int), *level])
-    A = np.concatenate([np.zeros((len(G.lie_algebra_basis(g)), 0)), *pool], axis=1)
-    del pool  # frees the blocks: only their joined copy is ranked
-    sets = [np.flatnonzero(level < u[factor]) for u in uses]
-    return [len(A) - rank for rank in numerical_ranks(A, sets, tol)]
+    points = [(mods[i], mods[i].action, canonical_witness(mods[i])) for i in used]
+    parts = [stabilizer_rows(g, *p, tol) for p in points + ([point] if point else [])]
+    d = len(G.lie_algebra_basis(g))
+    A, cols = join_rows(d, parts)
+    # the pool's columns come first, then the point's; a pool column is in a target when its
+    # level, the witness column c for the frame (two columns per entry when split into
+    # (re, im)) and 0 for a slot, is below the target's use of its factor
+    widths = [p.width for p in parts]
+    end = np.cumsum(widths[:len(used)], dtype=int)
+    pool = cols[:cols.searchsorted(end[-1])] if len(used) else cols[:0]
+    factor = used[end.searchsorted(pool, side="right")]
+    level = np.where(factor == 0, pool // (widths[0] // g.n**2) % g.n, 0) if len(used) else pool
+    sets = [row.nonzero()[0] for row in level < uses[:, factor]]
+    if point:
+        sets.append(np.arange(len(pool), len(cols)))
+    return [d - rank for rank in numerical_ranks(A, sets, tol)]
 
 
 def census(g: G.GroupDescriptor) -> dict:
@@ -264,7 +276,8 @@ def minimality_certificate(md: E.ManifoldDescriptor, tol: Tolerance = DEFAULT_TO
     Asserts the target dimension equals the family's closed form (else
     :class:`NotMinimalFamily`), then sweeps every admissible target of
     strictly smaller dimension and compares stabilizer dimensions at
-    canonical witnesses.  A candidate whose stabilizer dimension equals the
+    canonical witnesses with the family's, dim H = group_dim - ``tangent_dim``, ranked at
+    the base point in the same pass.  A candidate whose stabilizer dimension equals the
     family's is recorded in ``dim_collisions``; the dimension alone cannot
     tell the two stabilizers apart.
     """
@@ -274,12 +287,13 @@ def minimality_certificate(md: E.ManifoldDescriptor, tol: Tolerance = DEFAULT_TO
     mp = E.mp_dimension(md)
     if dim_v != mp:
         raise NotMinimalFamily(f"target dimension {dim_v} differs from closed form {mp}")
-    h_dim = G.group_dim(gp) - E.tangent_dim(md)
     dim_v_cmp = _comparison_dim(gp, mod)
 
     smaller = [rep for rep in enumerate_admissible(gp)
                if rep.modules and sum(_comparison_dim(gp, m) for m in rep.modules) < dim_v_cmp]
-    stabs = _canonical_h_dims(gp, [rep.spec for rep in smaller], tol)
+    base = E.base_point(md)
+    *stabs, h_dim = _canonical_h_dims(gp, [rep.spec for rep in smaller], tol,
+                                      (base.module, E.action(md), base.value))
     candidates = [(rep.spec.multiplicities, rep.module_dim_total, stab)
                   for rep, stab in zip(smaller, stabs)]
     collisions = [mult for mult, _, stab in candidates if stab == h_dim]

@@ -15,7 +15,8 @@ picks (SO, Sp, O) take one.  A unitary family (SU, compact Sp, U) takes no
 form, as does SO_{p,q}.
 
 Lie algebra bases are read-only (d, n, n) arrays built from ``numkit`` unit
-stacks and kept in its basis cache (see ``lie_algebra_basis``).
+stacks and kept in its basis cache, each with its support, the list of its
+nonzeros (see ``lie_algebra_basis``).
 
 Dimensions follow the convention of reporting over the group's natural
 scalar field: complex dimension for the complex groups (field ``C`` with a
@@ -290,15 +291,42 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([a, b], axis=1).reshape(-1, *a.shape[1:])
 
 
-def lie_algebra_basis(g: GroupDescriptor) -> np.ndarray:
+class LieBasis(np.ndarray):
+    """A Lie basis array with its ``support``: when every element is monomial, with at most
+    one nonzero in each row and in each column, the (element, row, column, value) arrays of
+    its nonzeros, in element then row order; None otherwise.  A slice of it, or a result
+    computed from it, has support None."""
+
+    support = None
+
+
+def lie_algebra_basis(g: GroupDescriptor) -> LieBasis:
     """Basis of the tangent space at the identity, a read-only (d, n, n) array.
 
     Complex groups get a basis over C; real forms a basis over R.  A basis
     with zero imaginary part is stored as a real array.  The length always
     equals ``group_dim``.  A copy twisted by a form B is B^{-1}
     times the skew (orthogonal) or symmetric (symplectic) units.
+
+    The basis carries its support (``LieBasis``), found once, when the basis is built, and
+    kept in the same cache entry.  Every family's basis at its standard form, a signature, a
+    diagonal form or a form of Youla blocks is monomial, as B^{-1} then is and each unit
+    is; only a general form's basis has no support.
     """
     return cached_basis(_lie_algebra_basis, g)
+
+
+def _support(basis: np.ndarray):
+    """The (element, row, column, value) arrays of the nonzeros of a monomial basis, read-only;
+    None when some element has two nonzeros in one row or in one column."""
+    e, r, c = basis.nonzero()  # element, then row, then column order
+    n = basis.shape[1]
+    if max(np.bincount(e * n + r).max(initial=0), np.bincount(e * n + c).max(initial=0)) > 1:
+        return None
+    support = e, r, c, basis[e, r, c]
+    for a in support:
+        a.flags.writeable = False
+    return support
 
 
 def _lie_algebra_basis(g: GroupDescriptor) -> np.ndarray:
@@ -323,6 +351,9 @@ def _lie_algebra_basis(g: GroupDescriptor) -> np.ndarray:
         raise ManirepError(f"Lie basis of {g.family}_{n} has the wrong length {len(basis)}")
     if np.iscomplexobj(basis) and not basis.imag.any():
         basis = np.ascontiguousarray(basis.real)
+    support = _support(basis)
+    basis = basis.view(LieBasis)
+    basis.support = support
     return basis
 
 

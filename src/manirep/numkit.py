@@ -28,13 +28,13 @@ it finds the connected blocks of A's own nonzero pattern (rows and columns
 joined by nonzero entries) once, so each A[:, s] is block diagonal in the
 sub-blocks that s cuts from them; sets holding the same columns of a block
 share a sub-block, each distinct sub-block takes part in one batched SVD per
-shape, and ``above_cutoff`` runs once per set on that set's singular values,
-so one cutoff holds for every block of a set; ``numerical_rank`` is its one
-set of every column.  The same label propagation (``_labels``) gives the
-single-linkage ``clusters`` of a set of eigenvalues, the one clustering
-rule.  Bases are built one way: a span of unit matrices (``unit_stack``) cut
-by linear conditions (``span_kernel``), kept read-only in one bounded LRU
-(``cached_basis``).
+shape, and one ``above_cutoff`` call decides every set, each on its own
+singular values, so one cutoff holds for every block of a set;
+``numerical_rank`` is its one set of every column.  The same label
+propagation (``_labels``) gives the single-linkage ``clusters`` of a set of
+eigenvalues, the one clustering rule.  Bases are built one way: a span of
+unit matrices (``unit_stack``) cut by linear conditions (``span_kernel``),
+kept read-only in one bounded LRU (``cached_basis``).
 ``pow2_below`` is the one scale that keeps every digit: the power of two at
 or below the largest |entry|, by which ``frob``, ``youla_skew`` and the
 module conditions and membership of :mod:`manirep.gmodules` divide.  Apart
@@ -352,10 +352,10 @@ def numerical_ranks(A: np.ndarray, column_sets, tol: Tolerance = DEFAULT_TOL, *,
     those of its sub-blocks, the blocks of A on the columns of s (``_blocks``).  Sets that
     hold the same columns of a block share that sub-block, and each distinct sub-block is
     taken once, in one batched SVD per shape, each matrix tall (B and B^T have the same
-    singular values).  The values are gathered by set, and one ``above_cutoff`` call per set
-    sees those of all its sub-blocks, so each set keeps its own cutoff, ``tol.cutoff`` of its
-    largest singular value, as for its dense SVD, and its own ``strict`` band and
-    :class:`NonFinite` rule.
+    singular values).  The values are gathered by set, and one ``above_cutoff`` call decides
+    them all, each set as one segment holding those of all its sub-blocks, so each set keeps
+    its own cutoff, ``tol.cutoff`` of its largest singular value, as for its dense SVD, and
+    its own ``strict`` band and :class:`NonFinite` rule.
     """
     A = np.asarray(A, complex if np.iscomplexobj(A) else float)
     member = np.zeros((len(column_sets), A.shape[1]), bool)
@@ -368,9 +368,11 @@ def numerical_ranks(A: np.ndarray, column_sets, tol: Tolerance = DEFAULT_TOL, *,
         s.append(vals[j].ravel())
         owner.append(np.repeat(t, vals.shape[1]))
     owner, s = np.concatenate(owner), np.concatenate(s)
-    s = s[np.argsort(owner)]  # set by set
-    ends = np.cumsum(np.bincount(owner, minlength=len(member))).tolist()
-    return [int(above_cutoff(s[a:b], tol, strict=strict).sum()) for a, b in zip([0, *ends], ends)]
+    order = np.argsort(owner)  # set by set
+    owner, s = owner[order], s[order]
+    keep = above_cutoff(s, tol, strict=strict,
+                        ends=np.cumsum(np.bincount(owner, minlength=len(member))))
+    return np.bincount(owner[keep], minlength=len(member)).tolist()
 
 
 def _labels(r: np.ndarray, c: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -491,7 +493,7 @@ def clusters(values: np.ndarray, radius: float) -> list[np.ndarray]:
 
 
 def above_cutoff(
-    s: np.ndarray, tol: Tolerance = DEFAULT_TOL, *, strict: bool = False
+    s: np.ndarray, tol: Tolerance = DEFAULT_TOL, *, strict: bool = False, ends=None
 ) -> np.ndarray:
     """Mask of the values with |s_i| above ``max(abs_eps, rel_eps * max |s|)``: the one rank rule.
 
@@ -500,16 +502,25 @@ def above_cutoff(
     the band off 0 when the cutoff is ``abs_eps`` itself, so roundoff-level values of a small
     rank-deficient matrix are not ambiguous.  A NaN or infinite value, such as the singular
     value of a matrix whose norm overflows, leaves no cutoff and raises :class:`NonFinite`.
+
+    With ``ends``, the ascending ends of consecutive segments, the last of them len(s), one
+    call decides each segment s[a:b] as a call on it alone would: against its own largest
+    value, with its own ``strict`` band.
     """
     s = np.abs(np.asarray(s))
-    top = float(s.max(initial=0.0))
-    if not math.isfinite(top):
+    ends = np.asarray([len(s)] if ends is None else ends, int)
+    starts = np.concatenate([[0], ends])[:-1]
+    # each segment's largest value; an empty one reads the next value, or the 0 appended,
+    # which only the segment holding it is decided by
+    top = np.maximum.reduceat(np.append(s, 0.0), starts)
+    if not np.isfinite(top).all():
         raise NonFinite("a singular value or eigenvalue is beyond the float range")
-    cut = tol.cutoff(top)
-    if strict and np.any((np.abs(s - cut) < tol.abs_eps) & (s > cut / 2) & (s < 2 * cut)):
-        raise RankAmbiguous(
-            f"singular value within {tol.abs_eps:g} of the rank cutoff {cut:g}"
-        )
+    cut = np.repeat([tol.cutoff(t) for t in top.tolist()], ends - starts)
+    if strict:
+        near = (np.abs(s - cut) < tol.abs_eps) & (s > cut / 2) & (s < 2 * cut)
+        if near.any():
+            raise RankAmbiguous(f"singular value within {tol.abs_eps:g} of the rank cutoff "
+                                f"{cut[near.argmax()]:g}")
     return s > cut
 
 
@@ -556,10 +567,11 @@ _bases: OrderedDict = OrderedDict()
 
 def cached_basis(build, desc) -> np.ndarray:
     """``build(desc)`` as a read-only array, kept in one LRU of ``BASIS_CACHE_SIZE`` entries
-    keyed by ``build`` and ``desc.cache_key()``."""
+    keyed by ``build`` and ``desc.cache_key()``.  An ndarray subclass is kept as it is, with
+    what it carries."""
     key = (build, desc.cache_key())
     if key not in _bases:
-        _bases[key] = np.asarray(build(desc))
+        _bases[key] = np.asanyarray(build(desc))
         _bases[key].flags.writeable = False
         if len(_bases) > BASIS_CACHE_SIZE:
             _bases.popitem(last=False)

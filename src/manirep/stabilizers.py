@@ -10,6 +10,12 @@ the nullities of the powers of its factor.  Each structured result carries
 its exact dimension, which must (and in the test suite does) agree with the
 numeric kernel of the linearized fixing condition.
 
+That condition's rows (``stabilizer_rows``) are built from the nonzeros of
+the Lie basis, its support (``groups.LieBasis``), and of the point, not as
+a dense stack of products over the whole basis (which only a general
+form's basis, having no support, still takes), and are ranked as a dense
+matrix on the rows and columns that hold a nonzero (``join_rows``).
+
 Convention note: a congruence stabilizer block satisfies C G C^T = G for
 the canonical middle form G; in the standard convention (Q^T F Q = F) that
 block group preserves F = G^{-1}, and descriptors store that F so they can
@@ -20,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -386,22 +394,37 @@ def stabilizer_dim_in_group(
     return intersect_stabilizer_dim(g, [(module, action, X)], tol)
 
 
+class Rows(NamedTuple):
+    """The nonzero entries of d condition rows, as (row, column, value) arrays, and the rows'
+    column count."""
+
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    width: int
+
+
 def stabilizer_rows(
     g: G.GroupDescriptor,
     module: ModuleDescriptor,
     action: ActionKind,
     X: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
-) -> np.ndarray:
+) -> Rows:
     """The fixing condition of one module point as rows: row i is the infinitesimal action of
-    the i-th Lie basis element of g on X, so the stabilizer algebra of X is their kernel, and
-    the blocks of several points, joined column-wise, cut out the joint stabilizer.
+    the i-th Lie basis element of g on X, flattened, so the stabilizer algebra of X is their
+    kernel, and the rows of several points, joined column-wise (``join_rows``), cut out the
+    joint stabilizer.  They are returned as their nonzero entries and column count
+    (``Rows``).
 
     X must have the module's shape and lie in the module to ``tol``; congruence-star needs a
     real form.  For a real form, whose rank is taken over R, complex entries are split into
-    (re, im) columns.  When the basis and X are real, the rows are built in real arithmetic;
-    their rank is then the same over R and over C."""
+    (re, im) columns.  When the basis and X are real, the entries are real; their rank is
+    then the same over R and over C.  A basis with a support (``groups.LieBasis``) gives the
+    entries from its nonzeros and those of X (``_products``); a general form's basis, which
+    has none, from the batched ``dact`` product."""
     basis = G.lie_algebra_basis(g)
+    support = basis.support
     X = np.asarray(X)
     if X.shape != module.shape:
         raise SizeMismatch("witness has the wrong shape for its module")
@@ -409,9 +432,80 @@ def stabilizer_rows(
         raise WitnessNotInModule(f"witness is not in {module.kind} to tolerance")
     if action == ActionKind.CONGRUENCE_STAR and g.is_complex_group:
         raise InvalidDescriptor("congruence-star is conjugate-linear; use a real form")
-    if not any(np.iscomplexobj(A) and A.imag.any() for A in (basis, X)):
-        basis, X = basis.real, X.real
-    return _rows(dact(action, basis, X), not g.is_complex_group)
+    if np.iscomplexobj(X) and not X.imag.any():  # a basis is stored real when it can be
+        X = X.real
+    real = not g.is_complex_group
+    if support is None:
+        rows = _rows(dact(action, basis, X), real)
+        e, col = np.nonzero(rows)
+        return Rows(e, col, rows[e, col], rows.shape[1])
+    e, col, val = _products(action, support, X)
+    if real and np.iscomplexobj(val):  # the (re, im) columns 2 col and 2 col + 1 that are not 0
+        at = val.view(float).nonzero()[0]
+        return Rows(e[at >> 1], 2 * col[at >> 1] + (at & 1), val.view(float)[at], 2 * X.size)
+    return Rows(e, col, val, X.size)
+
+
+def _products(action: ActionKind, support, X: np.ndarray):
+    """The nonzero entries (element, column, value) of ``dact(action, Z, X)`` over the basis
+    Z_t whose support (element, row, column, value) is given, the column of (i, j) being
+    i * k + j for n x k X, in element then column order.
+
+    Both factors of the action are products M Y: Z_t X, and X Z_t^T = (Z_t X^T)^T,
+    X Z_t* = (conj(Z_t) X^T)^T or -X Z_t = (-Z_t^T X^T)^T, so one pass joins each nonzero w of
+    M at (a, b) with the nonzeros Y[b, j] of the row b of Y = [X; X^T], for an entry
+    w Y[b, j] at (a, j), or at (j, a) for Y = X^T.  As Z_t has at most one nonzero in each
+    row and each column, each entry of a factor is that one term, and the factors are summed
+    where they meet, so every entry is the batched ``dact`` value bit for bit; a sum that
+    cancels is dropped."""
+    e, a, b, w = support
+    n, k = X.shape
+    m, Y = len(w), X
+    if action != ActionKind.LEFT_MULT:
+        similarity = action == ActionKind.SIMILARITY
+        r, c = a, b
+        e, Y = np.concatenate([e, e]), np.concatenate([X, X.T])
+        a = np.concatenate([r, c if similarity else r])
+        b = np.concatenate([c, (r if similarity else c) + n])
+        w = np.concatenate([w, -w if similarity else
+                            w.conj() if action == ActionKind.CONGRUENCE_STAR else w])
+    # pair each nonzero z of M with the hits[z] nonzeros (b[z], j) of Y, row by row
+    yb, yj = Y.nonzero()
+    count = np.bincount(yb, minlength=len(Y))
+    hits = count[b]
+    z = np.arange(len(b)).repeat(hits)
+    j = yj[np.arange(len(z)) + (count.cumsum()[b] - hits.cumsum()).repeat(hits)]
+    place = a[z] * k + j  # (a, j)
+    if action != ActionKind.LEFT_MULT:
+        place = np.where(z < m, place, j * n + a[z])  # (j, a) from Y = X^T
+    key, val = e[z] * X.size + place, w[z] * Y[b[z], j]
+    if action != ActionKind.LEFT_MULT:
+        order = key.argsort(kind="stable")
+        key, val = key[order], val[order]
+        same = key[1:] == key[:-1]  # Z_t X's term, then the other factor's
+        val[:-1][same] += val[1:][same]
+        keep = np.concatenate([[True], ~same]) & (val != 0)
+    else:
+        keep = val != 0
+    e, col = np.divmod(key[keep], X.size)
+    return e, col, val[keep]
+
+
+def join_rows(d: int, parts: list[Rows]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``stabilizer_rows`` of several points, each with d rows, joined column-wise: the
+    dense matrix on the rows and the columns of the join that hold a nonzero, in their order,
+    and those columns.  An all-zero row or column adds no singular value, so the matrix has
+    the rank of the whole join."""
+    offsets = [0, *accumulate(p.width for p in parts)]
+    rows = np.concatenate([np.zeros(0, int), *(p.row for p in parts)])
+    cols = np.concatenate([np.zeros(0, int), *(p.col + at for p, at in zip(parts, offsets))])
+    vals = np.concatenate([np.zeros(0), *(p.val for p in parts)])
+    row_held, held = np.zeros(d, bool), np.zeros(offsets[-1], bool)
+    row_held[rows] = held[cols] = True
+    used = held.nonzero()[0]
+    A = np.zeros((np.count_nonzero(row_held), len(used)), vals.dtype)
+    A[row_held.cumsum()[rows] - 1, held.cumsum()[cols] - 1] = vals
+    return A, used
 
 
 def intersect_stabilizer_dim(
@@ -420,7 +514,9 @@ def intersect_stabilizer_dim(
     tol: Tolerance = DEFAULT_TOL,
 ) -> int:
     """dim of the joint stabilizer algebra of several module points: the Lie algebra dimension
-    minus one ``numerical_rank`` of their ``stabilizer_rows`` joined column-wise."""
-    blocks = [stabilizer_rows(g, module, action, X, tol) for module, action, X in constraints]
-    A = np.concatenate([np.zeros((len(G.lie_algebra_basis(g)), 0)), *blocks], axis=1)
-    return len(A) - numerical_rank(A, tol)
+    minus one ``numerical_rank`` of their ``stabilizer_rows`` joined column-wise, on the
+    columns that hold a nonzero (``join_rows``)."""
+    d = len(G.lie_algebra_basis(g))
+    A, _ = join_rows(d, [stabilizer_rows(g, module, action, X, tol)
+                         for module, action, X in constraints])
+    return d - numerical_rank(A, tol)

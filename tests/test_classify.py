@@ -328,27 +328,26 @@ def test_slot_forms_are_checked_per_call_not_per_target(monkeypatch):
 
 def test_census_builds_each_slot_factor_once(monkeypatch):
     """A canonical witness depends only on its module, so one census of SO_11(C) builds the
-    congruence rows of each distinct slot module once and checks each slot witness once,
-    however many targets repeat it; only the frame (left multiplication) is rebuilt per
-    target."""
+    congruence rows of each distinct slot module once, from the Lie basis's support, and
+    checks each slot witness once, however many targets repeat it."""
     from manirep import stabilizers
     from manirep.gmodules import ActionKind
 
     g = G.so(11, "C")
     congruence, checked = [], []
-    dact, contains = stabilizers.dact, stabilizers.module_contains
+    products, contains = stabilizers._products, stabilizers.module_contains
 
-    def counted_dact(action, Z, X):
+    def counted_products(action, support, X):
         if action == ActionKind.CONGRUENCE:
             congruence.append(np.asarray(X).tobytes())
-        return dact(action, Z, X)
+        return products(action, support, X)
 
     def counted_contains(m, X, *args):
         if m.action != ActionKind.LEFT_MULT:
             checked.append((m.cache_key(), np.asarray(X).tobytes()))
         return contains(m, X, *args)
 
-    monkeypatch.setattr(stabilizers, "dact", counted_dact)
+    monkeypatch.setattr(stabilizers, "_products", counted_products)
     monkeypatch.setattr(stabilizers, "module_contains", counted_contains)
     census(g)
     slots = {(m.cache_key(), canonical_witness(m).tobytes())
@@ -366,17 +365,45 @@ def test_census_builds_the_frame_once(monkeypatch):
     from manirep import stabilizers
     from manirep.gmodules import ActionKind
 
-    frames, dact = [], stabilizers.dact
+    frames, products = [], stabilizers._products
 
-    def counted_dact(action, Z, X):
+    def counted_products(action, support, X):
         if action == ActionKind.LEFT_MULT:
             frames.append(np.asarray(X))
-        return dact(action, Z, X)
+        return products(action, support, X)
 
-    monkeypatch.setattr(stabilizers, "dact", counted_dact)
+    monkeypatch.setattr(stabilizers, "_products", counted_products)
     census(G.so(11, "C"))
     assert len(frames) == 1
     np.testing.assert_array_equal(frames[0], np.eye(11))
+
+
+def _classified_groups():
+    """Every classified family at n = 2, 3, 4 and 6, where the family allows n, over each
+    field it takes (SO_{p,q} at p = 1)."""
+    for family, t in G.TRAITS.items():
+        for n in (2, 3, 4, 6):
+            if t.slots is None or (t.form == "skew" and n % 2):
+                continue
+            for field in ("R", "C") if t.field is None else (t.field,):
+                yield G.so_pq(1, n - 1) if family == G.SOPQ else G.GroupDescriptor(family, n,
+                                                                                   field)
+
+
+@pytest.mark.parametrize("g", list(_classified_groups()),
+                         ids=lambda g: f"{g.family}{g.n}{g.field}")
+def test_enumerate_admissible_keeps_the_tuples_and_values_of_verdict(g):
+    """The integer filter of ``enumerate_admissible`` keeps exactly the tuples that ``_verdict``
+    admits, each with ``_verdict``'s exact value."""
+    want = {}
+    for mult in product(*C._ranges(g)):
+        mods = TargetSpec(g, mult).modules()
+        ok, value = C._verdict(g, sum(module_dim(m) for m in mods), not mods)
+        if ok:
+            want[mult] = value
+    got = {r.spec.multiplicities: r.inequality_value for r in enumerate_admissible(g)}
+    assert got == want
+    assert all(type(v) is Fraction for v in got.values())
 
 
 @pytest.mark.parametrize("g", [G.sl(9, "C"), G.so(19, "C"), G.sp(10, "C"), G.sp(6, "R"),
@@ -399,15 +426,19 @@ def test_enumerate_admissible_keeps_what_admissible_admits(g):
 def test_minimality_stab_dims_match_the_full_intersection():
     """Each candidate's stabilizer dimension, computed with every distinct factor built once
     and a repeated factor counted once, equals intersect_stabilizer_dim on the full constraint
-    list at the canonical witnesses, repeated factors kept."""
-    from manirep.embeddings import all_smallest_legal, group
+    list at the canonical witnesses, repeated factors kept; the family's own, ranked in the
+    same pass, is group_dim - tangent_dim."""
+    from manirep.embeddings import all_smallest_legal, group, tangent_dim
 
     rows = all_smallest_legal()
     assert len(rows) == 25
     candidates = 0
     for md in rows:
         g = group(md)
-        for mult, _, stab in minimality_certificate(md).candidates:
+        rep = minimality_certificate(md)
+        # dim H, ranked in the candidates' pass, is group_dim - tangent_dim
+        assert rep.h_dim == G.group_dim(g) - tangent_dim(md)
+        for mult, _, stab in rep.candidates:
             mods = TargetSpec(g, mult).modules()
             assert stab == intersect_stabilizer_dim(
                 g, [(m, m.action, canonical_witness(m)) for m in mods])

@@ -253,6 +253,35 @@ class TestAboveCutoff:
         np.testing.assert_array_equal(above_cutoff(np.array([-2.0, 1e-12, 1.0, 0.0])),
                                       [True, False, True, False])
 
+    def test_segments_decide_as_alone(self):
+        """With ``ends``, each segment is cut at its own top: 5e-6 stays beside 1e-3 and goes
+        beside 1e3, and empty segments (at the start, between and at the end) are skipped."""
+        segs = [[], [1e-3, 5e-6, 0.0], [], [1e3, 5e-6], [-2.0, 1e-12], []]
+        s = np.concatenate([np.zeros(0)] + [np.array(x, float) for x in segs])
+        ends = np.cumsum([len(x) for x in segs])
+        want = np.concatenate([np.zeros(0, bool)] + [above_cutoff(np.array(x, float))
+                                                     for x in segs])
+        np.testing.assert_array_equal(above_cutoff(s, ends=ends), want)
+        np.testing.assert_array_equal(want, [True, True, False, True, False, True, False])
+        np.testing.assert_array_equal(above_cutoff(np.zeros(0), ends=[0, 0]), np.zeros(0, bool))
+
+    def test_strict_band_and_non_finite_per_segment(self):
+        """Tops six orders of magnitude apart: 1e-5 + 5e-11 is in the strict band of the top
+        1e3 (cutoff 1e-5) but far above the cutoff 1e-10 of the top 1e-3, so ``strict`` raises
+        only when that value shares a segment with 1e3.  A non-finite value in any segment
+        raises NonFinite."""
+        near = 1e-5 + 5e-11
+        s = np.array([1e-3, near, 1e3, 2e-5])
+        np.testing.assert_array_equal(above_cutoff(s, strict=True, ends=[2, 4]), [True] * 4)
+        with pytest.raises(RankAmbiguous):
+            above_cutoff(s, strict=True)
+        with pytest.raises(RankAmbiguous):
+            above_cutoff(np.array([1e-3, 2e-5, 1e3, near]), strict=True, ends=[2, 4])
+        with pytest.raises(NonFinite):
+            above_cutoff(np.array([1.0, 2.0, np.nan]), ends=[2, 3])
+        with pytest.raises(NonFinite):
+            above_cutoff(np.array([np.inf, 2.0]), ends=[1, 1, 2])
+
 
 class TestCompleteUnitary:
     @pytest.mark.parametrize("n,k", [(0, 0), (1, 0), (4, 0), (4, 2), (5, 5)])
@@ -599,6 +628,17 @@ def test_batched_ranks_equal_ranks_one_set_at_a_time_property(X, Y, data):
     assert_ranked_as_alone(A, sets)
 
 
+def test_strict_ranks_of_sets_whose_tops_differ_by_orders_of_magnitude():
+    """Two blocks with tops 1e3 and 1e-3: the second holds 1e-5 + 5e-11, inside the strict
+    band of the first block's cutoff 1e-5 but not of its own cutoff 1e-10.  Each block's
+    columns alone rank with ``strict``; the set of all columns raises, alone and batched."""
+    A = np.zeros((4, 4))
+    A[[0, 1, 2, 3], [0, 1, 2, 3]] = [1e3, 2e-5, 1e-3, 1e-5 + 5e-11]
+    sets = [[0, 1], [2, 3], [3], [0, 1, 2, 3]]
+    assert numerical_ranks(A, sets[:3], strict=True) == [2, 2, 1]
+    assert_ranked_as_alone(A, sets)
+
+
 def assert_ranked_as_alone(A, sets):
     """``numerical_ranks(A, sets)`` is the ``numerical_rank`` of each A[:, s], and with
     ``strict`` it raises exactly when some lone call raises."""
@@ -666,7 +706,8 @@ def test_sets_differing_past_the_first_31_columns_of_a_block_are_told_apart():
 def test_ranks_of_a_census_pool_allocate_less_than_the_pool(monkeypatch):
     """Ranking SO_19(C)'s census pool on its 44 target sets finds A's blocks once, on A's own
     pattern, and takes each shared sub-block once: it allocates less than A itself, where a
-    layout of one copy of A's columns per set would take several times that."""
+    layout of one copy of A's columns per set would take several times that.  The pool holds
+    only the 1,008 of the 3 x 361 joined columns that hold a nonzero."""
     import tracemalloc
 
     from manirep import classify
@@ -681,7 +722,7 @@ def test_ranks_of_a_census_pool_allocate_less_than_the_pool(monkeypatch):
     monkeypatch.setattr(classify, "numerical_ranks", captured)
     classify.census(G.so(19, "C"))
     A, sets = pool["A"], pool["sets"]
-    assert A.shape == (171, 1083) and len(sets) == 44
+    assert A.shape == (171, 1008) and A.any(axis=0).all() and len(sets) == 44
     want = numerical_ranks(A, sets)
     tracemalloc.start()
     try:

@@ -580,3 +580,140 @@ def test_stabilizer_dim_is_invariant_along_the_orbit(case):
     Y = act(m.action, groups.sample(g, seed), X)
     assert stabilizer_dim_in_group(g, m, m.action, Y) == stabilizer_dim_in_group(
         g, m, m.action, X)
+
+
+def _dense_rows(g, action, X):
+    """The dense rows of the fixing condition, by the batched ``dact`` product over the whole
+    Lie basis, in real arithmetic when the basis and X are real and with (re, im) columns for
+    a real form."""
+    from manirep.numkit import _rows
+
+    basis, X = np.asarray(groups.lie_algebra_basis(g)), np.asarray(X)
+    if not any(np.iscomplexobj(A) and A.imag.any() for A in (basis, X)):
+        basis, X = basis.real, X.real
+    return _rows(dact(action, basis, X), not g.is_complex_group)
+
+
+#: per action, the module kinds whose points it is checked on
+_ACTION_KINDS = {
+    ActionKind.LEFT_MULT: ["RectNK"],
+    ActionKind.CONGRUENCE: ["Alt2", "Sym2"],
+    ActionKind.SIMILARITY: ["SLnTraceless", "Alt2Form", "Sym2TracelessForm"],
+    ActionKind.CONGRUENCE_STAR: ["SUAlgebra", "SpAlgebra", "SymTracelessCapSU"],
+}
+
+
+@st.composite
+def _support_case(draw):
+    """A group of any ``TRAITS`` family at its standard form, a signature, a diagonal form or a
+    form of Youla blocks, an action, and a point of a module it acts on: the canonical
+    witness or a drawn combination of the module's basis, complex for a real form too."""
+    from manirep.gmodules import KINDS, basis, canonical_witness
+
+    family = draw(st.sampled_from(sorted(groups.TRAITS)))
+    t = groups.TRAITS[family]
+    n = draw(st.integers(1, 4)) * (2 if t.form == "skew" else 1) + (t.form == "sym")
+    field = draw(st.sampled_from(["R", "C"]))
+    lams = [float(draw(st.integers(1, 5))) for _ in range(n // 2)]
+    shape = draw(st.sampled_from(["standard", "twisted"]))
+    if family == groups.SOPQ:
+        p = draw(st.integers(0, n))
+        g = groups.so_pq(p, n - p)
+    elif shape == "twisted" and t.form == "skew" and not t.unitary:
+        g = groups.GroupDescriptor(family, n, field, form=youla_blocks(lams, n))
+    elif shape == "twisted" and t.form == "sym" and not t.unitary:
+        g = groups.GroupDescriptor(family, n, field, form=np.diag(lams + [3.0] * (n - len(lams))))
+    else:
+        g = groups.GroupDescriptor(family, n, field)
+    actions = [a for a in ActionKind if a != ActionKind.CONGRUENCE_STAR or not g.is_complex_group]
+    action = draw(st.sampled_from(actions))
+    kinds = [k for k in _ACTION_KINDS[action] if not (KINDS[k].skew_form and n % 2)]
+    kind = draw(st.sampled_from(kinds))
+    m = ModuleDescriptor(kind, n, draw(st.sampled_from(["R", "C"])),
+                         k=draw(st.integers(1, n)) if kind == "RectNK" else None)
+    if draw(st.booleans()):
+        X = canonical_witness(m)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+        B = basis(m)
+        c = rng.standard_normal(len(B))
+        if m.field == "C":
+            c = c + 1j * rng.standard_normal(len(B))
+        X = np.tensordot(c, B, axes=1)
+    return g, m, action, X
+
+
+@given(_support_case())
+@settings(max_examples=300, deadline=None)
+def test_support_rows_equal_the_dense_rows_property(case):
+    """The rows built from the Lie basis's support and X's nonzeros are the dense ``dact``
+    rows entry for entry: the same column count, the same nonzero pattern, in row then column
+    order, and the same values bit for bit, in the same type."""
+    from manirep.stabilizers import stabilizer_rows
+
+    g, m, action, X = case
+    assert groups.lie_algebra_basis(g).support is not None
+    e, col, val, width = stabilizer_rows(g, m, action, X)
+    D = _dense_rows(g, action, X)
+    assert width == D.shape[1]
+    want_e, want_col = np.nonzero(D)
+    np.testing.assert_array_equal(e, want_e)
+    np.testing.assert_array_equal(col, want_col)
+    assert val.dtype == D.dtype
+    np.testing.assert_array_equal(val, D[want_e, want_col])
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+@pytest.mark.parametrize("family", ["SO", "Sp"])
+def test_a_general_form_copy_takes_the_dense_path(monkeypatch, family, field):
+    """A copy of SO_5 or Sp_4 preserving F = P^T F0 P, F0 the standard form, is P^{-1} G P, and
+    its basis is not monomial, so its rows come from the batched ``dact`` product.  At the
+    point carried over by P, a frame P^{-1} Y and a congruence point P^{-1} X P^{-T}, its
+    stabilizer dimension is the standard group's at (Y, X)."""
+    from manirep import stabilizers
+    from manirep.gmodules import basis
+
+    rng = np.random.default_rng(5)
+    n = 5 if family == "SO" else 4
+    P = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    if field == "C":
+        P = P + 0.3j * rng.standard_normal((n, n))
+    std = groups.GroupDescriptor(family, n, field)
+    copy = groups.GroupDescriptor(family, n, field, form=P.T @ std.form_matrix() @ P)
+    assert groups.lie_algebra_basis(copy).support is None
+    calls = []
+    monkeypatch.setattr(stabilizers, "dact", lambda *a: calls.append(a[0]) or dact(*a))
+    Pinv = np.linalg.inv(P)
+    for k, kind in [(2, "Alt2"), (1, "Sym2"), (3, "Sym2")]:
+        frame = ModuleDescriptor("RectNK", n, field, k=k)
+        mod = ModuleDescriptor(kind, n, field)
+        X = np.tensordot(rng.standard_normal(len(basis(mod))), basis(mod), axes=1)
+        Y = rng.standard_normal((n, k))
+        want = intersect_stabilizer_dim(std, [(frame, ActionKind.LEFT_MULT, Y),
+                                              (mod, ActionKind.CONGRUENCE, X)])
+        got = intersect_stabilizer_dim(copy, [(frame, ActionKind.LEFT_MULT, Pinv @ Y),
+                                              (mod, ActionKind.CONGRUENCE, Pinv @ X @ Pinv.T)])
+        assert got == want
+    assert ActionKind.LEFT_MULT in calls and ActionKind.CONGRUENCE in calls
+
+
+def test_large_grassmannian_rank_allocates_a_tenth_of_its_dense_rows():
+    """The stabilizer rank behind ``tangent_dim(gr-real, 60)`` holds 232 nonzeros; its dense
+    rows would be 1,770 x 3,600 float64 (51 MB).  With the Lie basis already cached, the rank
+    allocates less than a tenth of that."""
+    import tracemalloc
+
+    from manirep import embeddings as E
+
+    md = E.ManifoldDescriptor(family="gr-real", n=60, k=2)
+    gp, base = E.group(md), E.base_point(md)
+    groups.lie_algebra_basis(gp)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        dim = stabilizer_dim_in_group(gp, base.module, E.action(md), base.value)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert dim == 1770 - 2 * 58
+    assert peak < 1770 * 3600 * 8 / 10
