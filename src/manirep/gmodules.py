@@ -8,7 +8,8 @@ name: its dimension formula, its residual conditions, the unit-matrix span
 solving the first of them, the flags below, the action of its group, and,
 for a classification factor, the builder of its canonical witness
 (``canonical_witness``).  A basis is that span cut by the other conditions
-and the trace (``numkit.span_kernel``).
+and the trace (``numkit.span_kernel``); a symmetric or skew span twisted by the
+form F is one SVD of F away, and a basis whose length is not ``module_dim`` raises.
 ``module_dim`` reports the dimension over the descriptor's field: complex
 kinds over C, and the real-structure kinds (su_n, compact sp, and the
 symmetric-traceless slice of su) over R, since those are only real-linear
@@ -25,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidDescriptor, SizeMismatch
+from .errors import InvalidDescriptor, ManirepError, SizeMismatch
 from .groups import J2n, checked_form
 from .numkit import (ALL, ANTI_HERMITIAN, COMPLEX, DEFAULT_TOL, REAL, SKEW, SYM, Tolerance,
                      cached_basis, frob, mat_from_json, mat_to_json, pow2_below, span_kernel,
@@ -93,7 +94,8 @@ class Kind:
     ``conditions`` are residual maps (X, F) -> matrix, F the descriptor's
     form, that vanish exactly on the module; a ``traceless`` kind also
     kills the trace.  ``span`` names the ``numkit.unit_stack`` spanning the
-    solutions of the first condition (``ALL`` when there is none).
+    solutions of the first condition (``ALL`` when there is none); a
+    ``SYM`` or ``SKEW`` span is twisted by F^-1.
     ``real_structure`` kinds are complex matrices forming only a
     real-linear subspace; ``skew_form`` kinds take a skew form, so their
     size is even.  ``membership`` is False for the kinds carried for
@@ -279,12 +281,23 @@ def basis(m: ModuleDescriptor) -> np.ndarray:
 
 def _basis(m: ModuleDescriptor) -> np.ndarray:
     kind = KINDS[m.kind]
-    gens = unit_stack(kind.span, *m.shape)
     if kind.span in (SYM, SKEW):
-        # X^T F = +-(FX)^T for F symmetric or skew: a form condition asks FX to be SYM or SKEW
-        gens = np.linalg.inv(m.form_matrix()) @ gens
+        # X^T F = +-(FX)^T for F symmetric or skew: a form condition asks FX to be SYM or SKEW.
+        # With F = U S V^H, F^-1 (u_i u_j^T +- u_j u_i^T) is a multiple of B_ij =
+        # s_j v_i u_j^T +- s_i v_j u_i^T (u^T, not u^H), mutually orthogonal over R and C
+        F = m.form_matrix()
+        u, s, vh = np.linalg.svd(F / pow2_below(F))
+        v, su = vh.conj(), s[:, None] * u.T  # rows v_i and s_i u_i
+        i, j = np.triu_indices(m.n, 0 if kind.span == SYM else 1)
+        sign = 1.0 if kind.span == SYM else -1.0
+        gens = np.stack([v[i], v[j]], -1) @ np.stack([su[j], sign * su[i]], 1)
+    else:
+        gens = unit_stack(kind.span, *m.shape)
     rest = _conditions(m)[1 if kind.conditions else 0:]  # the span solves the first condition
-    return span_kernel(gens, rest, real=kind.real_structure)
+    out = span_kernel(gens, rest, real=kind.real_structure)
+    if len(out) != module_dim(m):
+        raise ManirepError(f"basis of {m.kind}_{m.n} has the wrong length {len(out)}")
+    return out
 
 
 def project(m: ModuleDescriptor, X: np.ndarray) -> np.ndarray:

@@ -33,8 +33,9 @@ singular values, so one cutoff holds for every block of a set;
 ``numerical_rank`` is its one set of every column.  The same label
 propagation (``_labels``) gives the single-linkage ``clusters`` of a set of
 eigenvalues, the one clustering rule.  Bases are built one way: a span of
-unit matrices (``unit_stack``) cut by linear conditions (``span_kernel``),
-kept read-only in one bounded LRU (``cached_basis``).
+mutually orthogonal generators, such as the unit matrices of ``unit_stack``,
+cut by linear conditions (``span_kernel``, one SVD and no QR), kept
+read-only in one bounded LRU (``cached_basis``).
 ``pow2_below`` is the one scale that keeps every digit: the power of two at
 or below the largest |entry|, by which ``frob``, ``youla_skew`` and the
 module conditions and membership of :mod:`manirep.gmodules` divide.  Apart
@@ -544,16 +545,20 @@ def unit_stack(part: str, n: int, k: int | None = None) -> np.ndarray:
 def span_kernel(gens: np.ndarray, residuals=(), real: bool = False) -> np.ndarray:
     """Orthonormal (d, p, q) basis of {sum c_i G_i : r(sum c_i G_i) = 0 for r in residuals}.
 
-    ``gens`` is an (m, p, q) stack of independent G_i; each residual is linear from stacks to
-    stacks.  The c_i are complex, or real with ``real``; the kernel is cut at ``KERNEL_RCOND``
-    and one QR makes it orthonormal under the (with ``real``, real) Frobenius pairing."""
+    ``gens`` is an (m, p, q) stack of nonzero, mutually orthogonal G_i under the (with ``real``,
+    real) Frobenius pairing, as every ``unit_stack`` is; each residual is linear from stacks to
+    stacks.  The c_i are complex, or real with ``real``.  Each G_i is divided by its norm, and
+    the kernel of the conditions on the c_i is cut at ``KERNEL_RCOND`` by one SVD, whose
+    trailing right singular vectors are orthonormal coefficient rows.  Orthonormal coefficients
+    of orthonormal generators give an orthonormal basis, so no QR is taken."""
     gens = np.asarray(gens)
+    rows = _rows(gens, True)  # (re, im) pairs: each norm is the same under either pairing
+    gens = gens / np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None, None]
     if residuals and len(gens):
         A = np.concatenate([_rows(r(gens), real) for r in residuals], axis=1).T
         _, s, vh = np.linalg.svd(A)
         gens = np.tensordot(vh[np.sum(s > KERNEL_RCOND * s[0]):].conj(), gens, axes=1)
-    q = np.ascontiguousarray(np.linalg.qr(_rows(gens, real).T)[0].T)
-    return (q.view(complex) if real and np.iscomplexobj(gens) else q).reshape(gens.shape)
+    return gens
 
 
 def _rows(stack: np.ndarray, real: bool) -> np.ndarray:

@@ -1,12 +1,18 @@
 """Structured bases against the elementary-matrix null space they replaced."""
 
+import dataclasses
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manirep import groups as G
 from manirep import numkit
-from manirep.gmodules import KINDS, ModuleDescriptor, basis, module_dim
+from manirep.errors import ManirepError
+from manirep.gmodules import KINDS, ModuleDescriptor, basis, contains, module_dim
 from manirep.stabilizers import stabilizer_similarity
 from oracles import commutant_sample
 
@@ -76,8 +82,15 @@ MODULES = list(_module_cases())
 @pytest.mark.parametrize("m", MODULES, ids=lambda m: (
     f"{m.kind}-{m.n}{m.field}" + ("-form" if m.form is not None else "")))
 def test_module_basis_spans_the_oracle_space(m):
+    check_basis(m, m)
+
+
+def check_basis(m, plain):
+    """basis(m) has module_dim elements, orthonormal under the kind's pairing (real for a
+    real field), each in m, and spans the oracle space of ``plain``, m or m with its form
+    unscaled (a form scaled by 2^e moves the oracle's relative cutoff, not the module)."""
     new = basis(m)
-    old = module_oracle(m)
+    old = module_oracle(plain)
     assert new.shape == (module_dim(m),) + m.shape
     assert len(old) == len(new)
     if not len(new):
@@ -86,7 +99,90 @@ def test_module_basis_spans_the_oracle_space(m):
     flat = new.reshape(len(new), -1)
     gram = flat.conj() @ flat.T
     np.testing.assert_allclose(gram.real if real_span else gram, np.eye(len(new)), atol=1e-12)
+    assert all(contains(m, b) for b in new)
     assert largest_angle(new, old, real_span) < 1e-10
+
+
+def _unitary(rng, n, complex_entries):
+    Z = rng.standard_normal((n, n))
+    if complex_entries:
+        Z = Z + 1j * rng.standard_normal((n, n))
+    return np.linalg.qr(Z)[0]
+
+
+@st.composite
+def twisted_modules(draw):
+    """A module of any membership kind, either field, n <= 8, and, for a kind with a form
+    condition, a dense, signature, J or Youla-block form (the last three with repeated
+    singular values), scaled by 2^e; with it the same module under the unscaled form."""
+    kind = draw(st.sampled_from([k for k, row in KINDS.items() if row.membership]))
+    row = KINDS[kind]
+    n = draw(st.sampled_from([2, 4, 6, 8]) if row.skew_form else st.integers(1, 8))
+    field = "R" if row.real_structure else draw(st.sampled_from(["R", "C"]))
+    k = draw(st.integers(1, n)) if kind == "RectNK" else None
+    if not any(c.__name__.startswith("_form") for c in row.conditions):
+        m = ModuleDescriptor(kind, n, field, k)
+        return m, m
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # the compact kinds take a unitary congruence of J, so their dense form is U J U^T
+    shape = draw(st.sampled_from(["dense", "J"] if row.real_structure else
+                                 ["dense", "J", "Youla"] if row.skew_form else
+                                 ["dense", "signature"]))
+    mags = rng.uniform(1.0, 2.0, n // 2 if row.skew_form else n)
+    if shape == "J" or row.real_structure:
+        F = G.J2n(n)
+    elif shape == "signature":
+        F = np.diag(rng.choice([-1.0, 1.0], n))
+    elif row.skew_form:  # Youla blocks; each magnitude twice: singular values of multiplicity 4
+        F = numkit.youla_blocks(list(np.repeat(mags[::2], 2)[: n // 2] if shape == "Youla"
+                                     else mags), n)
+    else:
+        F = np.diag(mags * rng.choice([-1.0, 1.0], n))
+    if shape == "dense":
+        Q = _unitary(rng, n, field == "C" or row.real_structure)
+        F = Q @ F @ Q.T
+    scaled = F * 2.0 ** draw(st.integers(-40, 60))
+    return ModuleDescriptor(kind, n, field, k, scaled), ModuleDescriptor(kind, n, field, k, F)
+
+
+@given(twisted_modules())
+@settings(max_examples=200, deadline=None)
+def test_basis_is_an_orthonormal_basis_of_the_module(pair):
+    check_basis(*pair)
+
+
+@pytest.mark.parametrize("m", [ModuleDescriptor("Sym2TracelessForm", 2),
+                               ModuleDescriptor("Sym2TracelessForm", 2, "C", form=8 * G.J2n(2)),
+                               ModuleDescriptor("Alt2", 1), ModuleDescriptor("Alt2", 1, "C")],
+                         ids=repr)
+def test_empty_modules_have_empty_bases(m):
+    assert module_dim(m) == 0
+    assert basis(m).shape == (0, m.n, m.n)
+
+
+def test_a_basis_of_the_wrong_length_raises(monkeypatch):
+    """A kernel cut that lands one short of the module's dimension is an error, not a
+    silently short basis: with Alt2's dimension formula off by one, basis raises."""
+    row = KINDS["Alt2"]
+    monkeypatch.setitem(KINDS, "Alt2",
+                        dataclasses.replace(row, dim=lambda n, k: row.dim(n, k) + 1))
+    monkeypatch.setattr(numkit, "_bases", OrderedDict())
+    with pytest.raises(ManirepError, match="wrong length"):
+        basis(ModuleDescriptor("Alt2", 5))
+
+
+def test_bases_and_commutants_take_no_qr(monkeypatch):
+    """Orthonormal kernel coefficients of orthonormal generators need no QR."""
+    def no_qr(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    monkeypatch.setattr(numkit, "_bases", OrderedDict())
+    for m in MODULES:
+        assert basis(m).shape == (module_dim(m),) + m.shape
+    X = _jordan([(2.0, 2), (2.0, 1), (-1.0, 1)])
+    A = commutant_sample(X, 0)
+    assert np.abs(A @ X - X @ A).max() < 1e-9
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 12])
