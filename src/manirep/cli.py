@@ -96,8 +96,7 @@ def _seed(args) -> int:
 
 
 def cmd_dims(args) -> dict:
-    w = weyl.HighestWeight(args.algebra, args.n, args.kappa)
-    dim = weyl.weyl_dim(w)
+    dim = weyl.weyl_dim(weyl.HighestWeight(args.algebra, args.n, args.kappa))
     try:
         return {"dim": str(dim)}
     except ValueError as exc:  # more digits than int-to-str conversion allows
@@ -105,14 +104,10 @@ def cmd_dims(args) -> dict:
 
 
 def cmd_irreps(args) -> dict:
-    found = weyl.enumerate_irreps_below(args.algebra, args.n, args.bound)
-    return {
-        "algebra": args.algebra,
-        "n": args.n,
-        "bound": str(args.bound),
-        "irreps": [{"algebra": w.algebra, "n": w.n, "kappa": list(w.kappa), "dim": str(d)}
-                   for w, d in found],
-    }
+    alg, n = args.algebra, args.n  # every weight's own; a tuple kappa prints as a list
+    return {"algebra": alg, "n": n, "bound": str(args.bound),
+            "irreps": [{"algebra": alg, "n": n, "kappa": w.kappa, "dim": str(d)}
+                       for w, d in weyl.enumerate_irreps_below(alg, n, args.bound)]}
 
 
 def cmd_classify(args) -> dict:

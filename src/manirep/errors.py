@@ -1,9 +1,11 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and ``optional_import`` for optional packages.
 
 Every error raised by library code derives from :class:`ManirepError`, so
 callers (and the CLI) can convert any domain failure into a structured
 report without catching bare exceptions.
 """
+
+import importlib
 
 
 class ManirepError(Exception):
@@ -73,3 +75,15 @@ class NoConstantFactor(ManirepError):
 
 class NotMinimalFamily(ManirepError):
     """A manifold family's target dimension differs from its closed form."""
+
+
+class MissingDependency(ManirepError):
+    """An optional package that the request needs is not installed."""
+
+
+def optional_import(name: str):
+    """The module ``name``, imported on first use; :class:`MissingDependency` without it."""
+    try:
+        return importlib.import_module(name)
+    except ImportError as exc:
+        raise MissingDependency(f"this request needs {name}, which is not installed") from exc

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDescriptor, ManirepError, NonFinite, SizeMismatch, UnsupportedGroup
+from .errors import (InvalidDescriptor, ManirepError, NonFinite, SizeMismatch, UnsupportedGroup,
+                     optional_import)
 from .numkit import (ALL, COMPLEX, DEFAULT_TOL, REAL, SKEW, SYM, Tolerance, cached_basis, frob,
                      mat_from_json, mat_to_json, unit_stack)
 
@@ -413,6 +414,4 @@ def sample(g: GroupDescriptor, seed: int, scale: float = 1.0) -> np.ndarray:
         coeff = coeff + 1j * rng.standard_normal(len(basis))
     Z = sum(c * b for c, b in zip(coeff, basis))
     Z = Z * (scale / max(frob(Z), 1e-12))
-    import scipy.linalg  # loaded here, not at import: only this expm needs it
-
-    return scipy.linalg.expm(Z)
+    return optional_import("scipy.linalg").expm(Z)  # loaded here: only this expm needs scipy

@@ -34,7 +34,7 @@ singular values, so one cutoff holds for every block of a set;
 propagation (``_labels``) gives the single-linkage ``clusters`` of a set of
 eigenvalues, the one clustering rule.  Bases are built one way: a span of
 mutually orthogonal generators, such as the unit matrices of ``unit_stack``,
-cut by linear conditions (``span_kernel``, one SVD and no QR), kept
+cut by linear conditions (``span_kernel``, Householder reflections, no QR), kept
 read-only in one bounded LRU (``cached_basis``).
 ``pow2_below`` is the one scale that keeps every digit: the power of two at
 or below the largest |entry|, by which ``frob``, ``youla_skew`` and the
@@ -547,17 +547,25 @@ def span_kernel(gens: np.ndarray, residuals=(), real: bool = False) -> np.ndarra
 
     ``gens`` is an (m, p, q) stack of nonzero, mutually orthogonal G_i under the (with ``real``,
     real) Frobenius pairing, as every ``unit_stack`` is; each residual is linear from stacks to
-    stacks.  The c_i are complex, or real with ``real``.  Each G_i is divided by its norm, and
-    the kernel of the conditions on the c_i is cut at ``KERNEL_RCOND`` by one SVD, whose
-    trailing right singular vectors are orthonormal coefficient rows.  Orthonormal coefficients
-    of orthonormal generators give an orthonormal basis, so no QR is taken."""
+    stacks.  The c_i are complex, or real with ``real``.  Each G_i is divided by its norm.  Of
+    the conditions on the c_i, the rows of an economy SVD above ``KERNEL_RCOND`` are kept; one
+    Householder reflection per kept row, applied to the stack, leaves an orthonormal basis of
+    their orthogonal complement, the kernel, after them: O(r m p q) for r rows, and no QR."""
     gens = np.asarray(gens)
     rows = _rows(gens, True)  # (re, im) pairs: each norm is the same under either pairing
     gens = gens / np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None, None]
     if residuals and len(gens):
         A = np.concatenate([_rows(r(gens), real) for r in residuals], axis=1).T
-        _, s, vh = np.linalg.svd(A)
-        gens = np.tensordot(vh[np.sum(s > KERNEL_RCOND * s[0]):].conj(), gens, axes=1)
+        _, s, vh = np.linalg.svd(A, full_matrices=False)
+        W = vh[:np.sum(s > KERNEL_RCOND * s[0])].conj().T  # orthonormal columns: A's row space
+        gens = gens.astype(np.result_type(gens, W), copy=False)
+        for j in range(W.shape[1]):  # H = I - 2 v v^H takes column j of W onto e_j
+            v = W[j:, j].copy()
+            v[0] += (v[0] / abs(v[0]) if v[0] else 1.0) * np.linalg.norm(v)
+            v /= np.linalg.norm(v)
+            W[j:] -= 2.0 * np.outer(v, v.conj() @ W[j:])
+            gens[j:] -= 2.0 * v.conj()[:, None, None] * np.tensordot(v, gens[j:], axes=1)
+        gens = gens[W.shape[1]:]
     return gens
 
 

@@ -39,6 +39,7 @@ from .errors import (
     NonFinite,
     SizeMismatch,
     WitnessNotInModule,
+    optional_import,
 )
 from .gmodules import KINDS, ActionKind, ModuleDescriptor, contains as module_contains, dact
 from .numkit import (
@@ -311,7 +312,7 @@ def stabilizer_similarity(
 
 
 def _similarity_exact(X: np.ndarray, field: str) -> ToeplitzBlockDescriptor:
-    import sympy  # loaded here, not at import: only exact similarity needs it
+    sympy = optional_import("sympy")  # loaded here, not at import: only exact similarity needs it
 
     def exact(x):  # a float at its exact binary value
         q = Fraction(float(x))
@@ -346,9 +347,9 @@ def _similarity_exact(X: np.ndarray, field: str) -> ToeplitzBlockDescriptor:
 
 
 def _similarity_numeric(X: np.ndarray, field: str, tol: Tolerance) -> ToeplitzBlockDescriptor:
-    Xc = np.asarray(X, dtype=complex)
-    n = Xc.shape[0]
-    vals = np.linalg.eigvals(Xc)
+    Xn = np.asarray(X).real.astype(float) if field == REAL else np.asarray(X, dtype=complex)
+    n, eye = len(Xn), np.eye(len(Xn))  # over R, X and each p(X) stay real, and so their ranks
+    vals = np.linalg.eigvals(Xn).astype(complex)
     if not np.isfinite(vals).all():
         raise NonFinite("an eigenvalue is beyond the float range")
     merge = tol.cutoff(max(np.abs(vals).max(initial=0.0), 1.0))
@@ -370,12 +371,12 @@ def _similarity_numeric(X: np.ndarray, field: str, tol: Tolerance) -> ToeplitzBl
     classes: list[EigenClass] = []
     for i in np.flatnonzero(~pair | (mate > ids)):  # a pair from its first cluster
         z = reps[i]
-        if pair[i]:
-            P = (Xc - z * np.eye(n)) @ (Xc - np.conj(z) * np.eye(n))
+        if pair[i]:  # (X - z)(X - conj z)
+            P = Xn @ (Xn - 2.0 * z.real * eye) + abs(z) ** 2 * eye
             degree, kind, rep = 2, "complex-pair", z if z.imag > 0 else np.conj(z)
         else:
-            z = complex(z.real) if field == REAL else z
-            P = Xc - z * np.eye(n)
+            z = z.real if field == REAL else z
+            P = Xn - z * eye
             degree, kind, rep = 1, "real" if field == REAL else "complex", z
         blocks = _segre(lambda M: numerical_rank(M, tol), P, degree, degree * len(members[i]),
                         IllConditioned)

@@ -1,19 +1,17 @@
 """Exact dimensions and bounded enumeration of irreducible highest-weight modules.
 
-Dimensions are Weyl's product over the positive roots of
-<lambda+rho, alpha> / <rho, alpha> (Fulton-Harris, Representation Theory,
-24.1), read from one table of linear factors per algebra in the standard
-epsilon-coordinates of the classical root systems (types A, B, C, D), with
-half-integer bookkeeping done over doubled integers so every result is an
-exact Python int.  The bounded enumeration walks the weight lattice depth
-first and updates the dimension by the factors one step moves.  The
-highest weights of the named modules (vector, alternating and symmetric
-squares, adjoints, spins) are the anchors everything else is validated
-against; ``catalog_weight`` reads them from one table, ``_CATALOG``, in doubled
-epsilon-coordinates and turns them into kappa by one rule per root-system
-type.  ``LOW_DIM_THRESHOLD`` is where the census catalog of
-:mod:`manirep.classify` is complete.  The module imports nothing of the
-package but its errors.
+Dimensions are Weyl's product over the positive roots of <lambda+rho, alpha> / <rho, alpha>
+(Fulton-Harris, Representation Theory, 24.1) in the standard epsilon-coordinates of the
+classical root systems (types A, B, C, D), doubled for SO so that spin weights stay integral;
+every result is an exact Python int.  A factor is built only where lambda, or one step of the
+walk, moves it off its old value, so a cost follows the factors moved, not the positive roots.
+The bounded enumeration walks the weight lattice depth first and refuses a step once its
+partial product passes the bound.  The highest weights of the named modules (vector,
+alternating and symmetric squares, adjoints, spins) are the anchors everything else is
+validated against; ``catalog_weight`` reads them from one table, ``_CATALOG``, in doubled
+epsilon-coordinates and turns them into kappa by one rule per root-system type.
+``LOW_DIM_THRESHOLD`` is where the census catalog of :mod:`manirep.classify` is complete.  The
+module imports nothing of the package but its errors.
 
 Conventions: for ``SL`` and ``SO`` the parameter ``n`` is the matrix size
 (weights have length n-1 and floor(n/2)); for ``SP`` it is the rank, the
@@ -23,9 +21,7 @@ group being Sp_{2n} on 2n x 2n matrices (weights have length n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
-from math import prod
+from itertools import combinations, groupby, product
 
 from .errors import InvalidDescriptor, ManirepError
 
@@ -69,82 +65,101 @@ def _exact_quotient(num: int, den: int) -> int:
     return q
 
 
-@lru_cache(maxsize=64)
-def _factor_table(
-    algebra: str, n: int
-) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
-    """Weyl's product over the positive roots as one table of linear factors.
-
-    lambda+rho in epsilon-coordinates (doubled for SO, so spin weights stay
-    integral) is the affine map A = A0 + sum_i kappa_i D_i.  The factors are
-    A_p - A_q (p < q) for every type, also A_p + A_q for B, C and D, and also
-    A_p for B and C; the dimension is their product over the same product at
-    A0.  Returns each factor's value at kappa = 0 and, per coordinate i, the
-    (factor, increment) pairs of the factors that move with kappa_i; every
-    increment is positive, so the dimension rises strictly in each kappa_i.
-    """
+def _frame(algebra: str, n: int) -> tuple[tuple[int, ...], list, bool, bool]:
+    """rho, the move (k, d, e) of each kappa_i and the root kinds: a unit of kappa_i adds d to
+    the coordinates before k and e to the rest.  As d > e >= -d, lambda+rho = A stays strictly
+    decreasing with positive pairwise sums.  Weyl's factors are A_p - A_q (p < q), also A_p + A_q
+    (``sums``) for B, C and D, and A_p (``short``) for B and C; no move makes one smaller."""
     m = rank_of(algebra, n)
     size, step = (n, 1) if algebra == SL else (m, 2 if algebra == SO else 1)
-    odd = algebra == SP or (algebra == SO and n % 2 == 1)  # types B and C
-    A0 = [step * (size - 1 - p) + int(odd) for p in range(size)]
-    D = [[step * (p <= i) for p in range(size)] for i in range(m)]
+    short = algebra == SP or (algebra == SO and n % 2 == 1)  # types B and C
+    rho = tuple(step * (size - 1 - p) + int(short) for p in range(size))
+    moves = [(i + 1, step, 0) for i in range(m)]
     if algebra == SO:  # the spin coordinates: one for B, two for D
-        D[m - 1] = [1] * size
-        if not odd:
-            D[m - 2] = [1] * (size - 1) + [-1]
-    pairs = list(combinations(range(size), 2))
-    forms = [((p, 1), (q, -1)) for p, q in pairs]
-    forms += [((p, 1), (q, 1)) for p, q in pairs] if algebra != SL else []
-    forms += [((p, 1),) for p in range(size)] if odd else []
-    base = tuple(sum(c * A0[p] for p, c in form) for form in forms)
-    steps = tuple(tuple((f, g) for f, form in enumerate(forms)
-                        if (g := sum(c * Di[p] for p, c in form))) for Di in D)
-    return base, steps
+        moves[m - 1] = (size, 1, 0)
+        if not short:
+            moves[m - 2] = (size - 1, 1, -1)
+    return rho, moves, algebra != SL, short
 
 
 def weyl_dim(w: HighestWeight) -> int:
-    """Exact dimension of the irreducible module with highest weight kappa."""
-    base, steps = _factor_table(w.algebra, w.n)
-    vals = list(base)
-    for k, moves in zip(w.kappa, steps):
-        for f, g in moves:
-            vals[f] += k * g
-    return _exact_quotient(prod(vals), prod(base))
+    """Exact dimension of the irreducible module with highest weight kappa.
+
+    lambda, the sum of the kappa_i moves of ``_frame``, is constant on runs of coordinates.  A
+    factor's value at lambda+rho differs from its value at rho only across two runs, or, for the
+    sums and short roots, inside a run off zero; only those factors are multiplied."""
+    rho, moves, sums, short = _frame(w.algebra, w.n)
+    moved = [(kap, move) for kap, move in zip(w.kappa, moves) if kap]
+    runs, lo = [], 0
+    for d, same in groupby(sum(kap * (d if p < k else e) for kap, (k, d, e) in moved)
+                           for p in range(len(rho))):
+        runs.append((d, lo, lo := lo + len(list(same))))
+    num = den = 1
+    for x, (d, lo, hi) in enumerate(runs):
+        for e, lo2, hi2 in runs[x + 1:]:
+            for a, b in product(rho[lo:hi], rho[lo2:hi2]):
+                num *= (a - b + d - e) * (a + b + d + e if sums else 1)
+                den *= (a - b) * (a + b if sums else 1)
+        for a, b in combinations(rho[lo:hi], 2) if sums and d else ():
+            num *= a + b + 2 * d
+            den *= a + b
+        for a in rho[lo:hi] if short and d else ():
+            num *= a + d
+            den *= a
+    return _exact_quotient(num, den)
 
 
 def enumerate_irreps_below(algebra: str, n: int, bound: int) -> list[tuple[HighestWeight, int]]:
     """All weights with dimension <= bound, sorted by (dim, kappa).
 
-    An iterative depth-first walk from 0 in which a weight's children raise
-    one coordinate at or after the last one it raised, so every weight is
-    reached once.  A coordinate's run stops at the first weight above the
-    bound: the dimension rises strictly in each coordinate, so the feasible
-    set is downward closed.  A child's dimension is its parent's times the
-    ratio of the factors that move with the raised coordinate.
-    """
+    An iterative depth-first walk from 0 in which a weight's children raise one coordinate at
+    or after the last one it raised, so every weight is reached once.  A raise multiplies the
+    dimension by new / old of each factor its move changes, built when needed, nearest pairs
+    (the largest ratios) first.  No ratio is below 1, so a raise is refused once the exact
+    partial product passes the bound (at bound 1, after one factor); the feasible set is
+    downward closed, so that ends the coordinate's run.  The weights, valid by construction, are
+    built without re-running their checks."""
     if bound < 1:
         raise InvalidDescriptor("bound must be >= 1")
-    base, steps = _factor_table(algebra, n)
-    m = len(steps)
+    rho, moves, sums, short = _frame(algebra, n)
+    m = len(moves)
     found = []
-    stack = [((0,) * m, base, 1, 0)]
+    stack = [((0,) * m, rho, 1, 0)]
     while stack:
-        kap, vals, d, lo = stack.pop()
-        found.append((d, kap))
+        kap, A, dim, lo = stack.pop()
+        found.append((dim, kap))
         for i in range(lo, m):
-            num = den = 1
-            for f, g in steps[i]:
-                num *= vals[f] + g
-                den *= vals[f]
-            up = _exact_quotient(d * num, den)
-            if up > bound:
-                continue
-            new = list(vals)
-            for f, g in steps[i]:
-                new[f] += g
-            stack.append((kap[:i] + (kap[i] + 1,) + kap[i + 1:], new, up, i))
-    found.sort()
-    return [(HighestWeight(algebra, n, kap), d) for d, kap in found]
+            k, d, e = moves[i]
+            P, rest = A[k - 1::-1], A[k:]  # the pairs across the move's split, nearest first
+            num, den = dim, bound  # the raise passes the bound once num > den
+            for a, b in product(P, rest):
+                x = a - b
+                num *= x + d - e
+                den *= x
+                if num > den:
+                    break
+            else:
+                for a, b in product(P, rest) if sums else ():
+                    num *= a + b + d + e
+                    den *= a + b
+                for a, b in combinations(P, 2) if sums else ():  # all a spin raise moves
+                    num *= a + b + 2 * d
+                    den *= a + b
+                    if num > den:
+                        break
+                for a in P if short else ():
+                    num *= a + d
+                    den *= a
+                if num <= den:
+                    up = tuple(map(d.__add__, A[:k])) + tuple(map(e.__add__, rest))
+                    stack.append((kap[:i] + (kap[i] + 1,) + kap[i + 1:], up,
+                                  _exact_quotient(num * bound, den), i))
+    out = []
+    for dim, kap in sorted(found):
+        w = object.__new__(HighestWeight)
+        w.__dict__.update(algebra=algebra, n=n, kappa=kap)
+        out.append((w, dim))
+    return out
 
 
 #: algebra -> name -> the highest weight of a named catalog module in doubled

@@ -160,6 +160,26 @@ def test_congruence_sym_of_huge_entries_fails_cleanly(tmp_path):
     assert proc.stderr == ""
 
 
+@pytest.mark.parametrize("blocked,argv", [
+    ("scipy", ["verify", "--manifold", "all", "--trials", "1"]),
+    ("scipy", ["cartan", "--type", "CI", "--n", "2"]),
+    ("sympy", ["stabilizer", "--action", "similarity", "--matrix", "{path}"]),
+])
+def test_a_missing_optional_dependency_is_a_typed_error(tmp_path, blocked, argv):
+    """scipy (groups.sample's expm) and sympy (exact similarity) are optional: without them,
+    a request that needs one gets a JSON error and exit 1, not a traceback."""
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(Mat.from_array(np.diag([1.0, 2.0])).to_json()))
+    script = (f"import sys\nsys.modules[{blocked!r}] = None  # import {blocked} now fails\n"
+              "from manirep.cli import main\nsys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, *(a.format(path=path) for a in argv)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == "MissingDependency"
+    assert blocked in json.loads(proc.stdout)["error"]["message"]
+    assert proc.stderr == ""
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["dims", "--algebra", "SL"])

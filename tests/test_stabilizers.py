@@ -11,6 +11,7 @@ from manirep.numkit import OMEGA2, Tolerance, above_cutoff, frob, youla_blocks
 from manirep.stabilizers import (
     EigenClass,
     IdentityBlock,
+    ToeplitzBlockDescriptor,
     _segre,
     intersect_stabilizer_dim,
     stabilizer_congruence_skew,
@@ -717,3 +718,56 @@ def test_large_grassmannian_rank_allocates_a_tenth_of_its_dense_rows():
         tracemalloc.stop()
     assert dim == 1770 - 2 * 58
     assert peak < 1770 * 3600 * 8 / 10
+
+
+@st.composite
+def real_jordan_plans(draw):
+    """A real matrix with planted Jordan structure: real eigenvalues and conjugate pairs a +- bi
+    on a unit grid, each with blocks of size 1 or 2, in real Jordan form conjugated by an integer
+    unimodular S, so X = S J S^-1 is an integer matrix."""
+    grid = [complex(a, b) for a in range(-2, 3) for b in range(0, 3)]
+    vals = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=3, unique=True))
+    plan = [(z, draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))) for z in vals]
+    return plan, draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+@given(real_jordan_plans())
+@settings(max_examples=60, deadline=None)
+def test_real_and_complex_numeric_similarity_agree_property(drawn):
+    """Over R the numeric path works on the real matrix and real polynomials in it; over C on
+    its complex copy.  Both see the same Jordan structure: a real class of blocks b over R is
+    the class of blocks b over C, a pair a + bi is the two classes a +- bi, and the commutant
+    dimensions are equal.  Either both paths decide or both raise the same error."""
+    plan, seed = drawn
+    rng = np.random.default_rng(seed)
+    pieces = []  # (block of the real Jordan form, its eigenvalue block size)
+    for z, sizes in plan:
+        C = z.real * np.eye(2) - z.imag * OMEGA2 if z.imag else np.array([[z.real]])
+        for b in sizes:
+            d = len(C)
+            B = np.kron(np.eye(b), C) + np.kron(np.eye(b, k=1), np.eye(d))
+            pieces.append(B)
+    n = sum(len(B) for B in pieces)
+    J = np.zeros((n, n))
+    i = 0
+    for B in pieces:
+        J[i:i + len(B), i:i + len(B)] = B
+        i += len(B)
+    L = np.tril(rng.integers(-1, 2, (n, n)), -1) + np.eye(n)
+    U = np.triu(rng.integers(-1, 2, (n, n)), 1) + np.eye(n)
+    S = L @ U
+    X = S @ J @ np.round(np.linalg.inv(S))
+    results = []
+    for field in ("R", "C"):
+        try:
+            results.append(stabilizer_similarity(X, "numeric", field=field))
+        except IllConditioned as exc:
+            results.append(type(exc))
+    real, cplx = results
+    if not all(isinstance(r, ToeplitzBlockDescriptor) for r in results):
+        return  # a defective eigenvalue splits by about sqrt(eps) and may not be decided
+    over_c = sorted((round(c.value.real), round(c.value.imag), c.blocks) for c in cplx.classes)
+    over_r = sorted((round(c.value.real), s * round(c.value.imag), c.blocks)
+                    for c in real.classes for s in ((1, -1) if c.kind == "complex-pair" else (1,)))
+    assert over_r == over_c
+    assert real.commutant_dim == cplx.commutant_dim

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -71,6 +72,59 @@ def weights(draw):
 @given(weights())
 def test_weyl_dim_matches_the_root_oracle(weight):
     assert weyl_dim(W(*weight)) == oracle_dim(*weight)
+
+
+@st.composite
+def sparse_weights(draw):
+    """Up to n = 40 (rank 40 for SP), with at most three nonzero kappa entries."""
+    algebra = draw(st.sampled_from(["SL", "SO", "SP"]))
+    n = draw(st.integers(*{"SL": (2, 40), "SO": (3, 40), "SP": (1, 40)}[algebra]))
+    m = rank_of(algebra, n)
+    spots = draw(st.dictionaries(st.integers(0, m - 1), st.integers(1, 5), max_size=3))
+    return algebra, n, tuple(spots.get(i, 0) for i in range(m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_weights())
+def test_weyl_dim_matches_the_root_oracle_up_to_n_40(weight):
+    assert weyl_dim(W(*weight)) == oracle_dim(*weight)
+
+
+def test_large_n_takes_only_the_factors_it_moves():
+    """At SL_300 the bound-1 walk refuses each raise after one factor, and the vector's
+    dimension multiplies only the 299 factors its weight moves: each well under 2 s (a table of
+    every factor took about 30 s and 7 s)."""
+    start = time.perf_counter()
+    assert [(w.kappa, d) for w, d in enumerate_irreps_below("SL", 300, 1)] == [((0,) * 299, 1)]
+    assert time.perf_counter() - start < 2.0
+    start = time.perf_counter()
+    assert weyl_dim(W("SL", 300, (1,) + (0,) * 298)) == 300
+    assert time.perf_counter() - start < 2.0
+
+
+def _box_brute_force(algebra, n, bound):
+    """Every kappa of oracle dimension <= bound, from the box whose side i ends at the last t
+    with oracle_dim(t e_i) <= bound: the dimension rises in each coordinate, so the box holds
+    every such kappa."""
+    m = rank_of(algebra, n)
+    sides = []
+    for i in range(m):
+        t = 0
+        while oracle_dim(algebra, n, tuple(t + 1 if j == i else 0 for j in range(m))) <= bound:
+            t += 1
+        sides.append(range(t + 1))
+    return {k for k in product(*sides) if oracle_dim(algebra, n, k) <= bound}
+
+
+@pytest.mark.parametrize("algebra,n", [("SL", n) for n in range(2, 13)]
+                         + [("SO", n) for n in range(3, 13)] + [("SP", n) for n in range(1, 13)])
+def test_enumeration_below_n_squared_matches_brute_force(algebra, n):
+    bound = 4 * n * n if algebra == "SP" else n * n
+    found = enumerate_irreps_below(algebra, n, bound)
+    assert {w.kappa for w, _ in found} == _box_brute_force(algebra, n, bound)
+    assert all(d == oracle_dim(algebra, n, w.kappa) for w, d in found)
+    assert found == sorted(found, key=lambda wd: (wd[1], wd[0].kappa))
+    assert all(w == W(algebra, n, w.kappa) for w, _ in found)
 
 
 @pytest.mark.parametrize("algebra,n", [("SL", 2), ("SO", 3), ("SO", 4), ("SO", 5), ("SO", 6),
