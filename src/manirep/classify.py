@@ -19,8 +19,9 @@ empty target.
 ``census`` reports, for each admissible target, the dimension of the
 stabilizer in the group of a tuple of canonical witnesses, one per module
 factor (``gmodules.canonical_witness``, read from each kind's row of
-``gmodules.KINDS``).  The structured stabilizer of a single point lives in
-:mod:`manirep.stabilizers`.
+``gmodules.KINDS``), for a group with a form in its normal frame
+(``groups.normal_frame``), to which the group is conjugate.  The structured
+stabilizer of a single point lives in :mod:`manirep.stabilizers`.
 A canonical witness depends only on its module, so ``census`` and
 ``minimality_certificate`` pool, once per call, the condition rows of the
 frame at full width and of each distinct slot factor, on the columns that
@@ -197,7 +198,7 @@ def _canonical_h_dims(g: G.GroupDescriptor, specs: list[TargetSpec],
     used = np.flatnonzero(uses.any(axis=0))
     points = [(mods[i], mods[i].action, canonical_witness(mods[i])) for i in used]
     parts = [stabilizer_rows(g, *p, tol) for p in points + ([point] if point else [])]
-    d = len(G.lie_algebra_basis(g))
+    d = G.group_dim(g)
     A, cols = join_rows(d, parts)
     # the pool's columns come first, then the point's; a pool column is in a target when its
     # level, the witness column c for the frame (two columns per entry when split into
@@ -217,10 +218,13 @@ def census(g: G.GroupDescriptor) -> dict:
     """Every admissible target of g with its stabilizer dimension at canonical
     witnesses and, unless g's family is unitary, its catalog of irreducible
     modules of dimension <= n^2: the trivial and vector modules and the family's
-    slot kinds, over C, flagged advisory below ``weyl.LOW_DIM_THRESHOLD``."""
+    slot kinds, over C, flagged advisory below ``weyl.LOW_DIM_THRESHOLD``.  When g has
+    a form, the stabilizers are those of its normal frame (``groups.normal_frame``), to
+    which g is conjugate; the report still names g."""
     out = {"group": g.to_json(), "targets": []}
     reports = enumerate_admissible(g)
-    for rep, h_dim in zip(reports, _canonical_h_dims(g, [rep.spec for rep in reports])):
+    g0 = G.normal_frame(g)[0]
+    for rep, h_dim in zip(reports, _canonical_h_dims(g0, [rep.spec for rep in reports])):
         entry = rep.to_json()
         entry["canonical_h_dim"] = h_dim
         out["targets"].append(entry)

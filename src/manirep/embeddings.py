@@ -523,7 +523,7 @@ def lift_subspace(md: ManifoldDescriptor, Y: np.ndarray) -> np.ndarray:
     Y = np.asarray(Y).astype(gp.dtype)
     if Y.shape != (n, k):
         raise SizeMismatch(f"expected {n} x {k}")
-    if np.linalg.matrix_rank(Y) != k:
+    if numerical_rank(Y, strict=True) != k:
         raise SizeMismatch("basis matrix must have full column rank")
 
     if lift == ORTHONORMAL_FRAME and frob(Y.conj().T @ Y - np.eye(k)) > 1e-8:

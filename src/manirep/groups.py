@@ -12,7 +12,8 @@ signature, is told apart by name.  A nonstandard symmetric form B or skew
 form Omega (checked by ``checked_form``) selects a conjugated copy of the
 same abstract group; only the form families whose field the descriptor
 picks (SO, Sp, O) take one.  A unitary family (SU, compact Sp, U) takes no
-form, as does SO_{p,q}.
+form, as does SO_{p,q}.  ``normal_frame`` carries such a copy to the same
+family at a normal form, J, I or I_{p,q}, as P^-1 G0 P.
 
 Lie algebra bases are read-only (d, n, n) arrays built from ``numkit`` unit
 stacks and kept in its basis cache, each with its support, the list of its
@@ -33,7 +34,7 @@ import numpy as np
 from .errors import (InvalidDescriptor, ManirepError, NonFinite, SizeMismatch, UnsupportedGroup,
                      optional_import)
 from .numkit import (ALL, COMPLEX, DEFAULT_TOL, REAL, SKEW, SYM, Tolerance, cached_basis, frob,
-                     mat_from_json, mat_to_json, unit_stack)
+                     mat_from_json, mat_to_json, numerical_rank, takagi, unit_stack, youla_skew)
 
 SL, SO, SP, SU, SOPQ, SP_COMPACT, GL, O, U = (
     "SL", "SO", "Sp", "SU", "SOpq", "SpCompact", "GL", "O", "U",
@@ -104,7 +105,8 @@ def Ipq(p: int, q: int) -> np.ndarray:
 
 def checked_form(F, n: int, skew: bool, dtype) -> np.ndarray:
     """F as an n x n array of dtype, checked finite, symmetric (skew when ``skew``) to
-    1e-12 relative to its own norm, whatever its scale, and nondegenerate."""
+    1e-12 relative to its own norm, whatever its scale, and nondegenerate by the rank rule
+    that Youla and Takagi decide by (``numkit.numerical_rank``, strict)."""
     try:
         F = np.asarray(F, dtype=dtype)
     except (TypeError, ValueError) as exc:
@@ -113,16 +115,21 @@ def checked_form(F, n: int, skew: bool, dtype) -> np.ndarray:
         raise InvalidDescriptor("form has wrong size")
     if not np.isfinite(F).all():
         raise NonFinite("form entries must be finite")
-    # scaling by the power of two that brings the largest real or imaginary part into [1, 2)
-    # (at most 2^1022) keeps every digit and both sides of each test, and no norm overflows;
-    # not numkit.pow2_below, whose |z| of a huge complex entry overflows to inf
-    e = int(np.frexp(np.maximum(abs(F.real), abs(F.imag)).max(initial=0.0))[1]) - 1
-    S = F * np.ldexp(1.0, min(-e, 1022))
+    S = _unit_scaled(F)
     if frob(S + (1 if skew else -1) * S.T) > 1e-12 * frob(S):
         raise InvalidDescriptor(f"form must be {'skew' if skew else 'symmetric'}")
-    if np.linalg.matrix_rank(S) < n:
+    if numerical_rank(S, strict=True) < n:
         raise InvalidDescriptor("form must be nondegenerate")
     return F
+
+
+def _unit_scaled(F: np.ndarray) -> np.ndarray:
+    """F times the power of two that brings its largest real or imaginary part into [1, 2),
+    in two steps when it passes 2^1022: every digit is kept, a test on it is one on F at any
+    scale, and no norm overflows; not numkit.pow2_below, whose |z| of a huge complex entry
+    overflows to inf."""
+    e = int(np.frexp(np.maximum(abs(F.real), abs(F.imag)).max(initial=0.0))[1]) - 1
+    return F * np.ldexp(1.0, min(-e, 1022)) * np.ldexp(1.0, max(-e - 1022, 0))
 
 
 @dataclass(eq=False)
@@ -251,6 +258,30 @@ def group_dim(g: GroupDescriptor) -> int:
     return n * n - t.special
 
 
+def normal_frame(g: GroupDescriptor) -> tuple[GroupDescriptor, np.ndarray | None]:
+    """g's family at its normal form F0, J for a skew form, I for a symmetric form over C and
+    I_{p,q} over R (I when q = 0), and P with P^T F0 P = S, g's form as ``checked_form``
+    scales it; (g, None) when g has no form.  S and the form define one group, so g is
+    P^-1 g0 P, and the stabilizer of X in g is that of P . X in g0 (``gmodules.act``)
+    carried back.  P is sqrt(lam) Q^T of Youla, each pair (2i, 2i + 1) sent to (i, m + i),
+    sqrt(sigma) U^T of Takagi, or sqrt|lam| V^T of a descending ``eigh``: real for a real form."""
+    if g.form is None:
+        return g, None
+    S, form = _unit_scaled(g.form), None
+    if TRAITS[g.family].form == SKEW:
+        Q, lams, _ = youla_skew(S)
+        P = (np.sqrt(np.repeat(lams, 2))[:, None] * Q.T)[np.r_[0 : g.n : 2, 1 : g.n : 2]]
+    elif g.field == COMPLEX:
+        U, sigma = takagi(S)
+        P = np.sqrt(sigma)[:, None] * U.T
+    else:
+        lam, V = np.linalg.eigh(S)
+        lam, V, p = lam[::-1], V[:, ::-1], int((lam > 0).sum())
+        P = np.sqrt(abs(lam))[:, None] * V.T
+        form = Ipq(p, g.n - p) if p < g.n else None
+    return GroupDescriptor(g.family, g.n, g.field, form=form), P
+
+
 def contains(g: GroupDescriptor, A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Check the defining relations of g on A to tolerance: the form, A*A = I
     when unitary, det = 1 when special, det = +-1 for a form group that is
@@ -295,8 +326,9 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class LieBasis(np.ndarray):
     """A Lie basis array with its ``support``: when every element is monomial, with at most
     one nonzero in each row and in each column, the (element, row, column, value) arrays of
-    its nonzeros, in element then row order; None otherwise.  A slice of it, or a result
-    computed from it, has support None."""
+    its nonzeros, in element then row order; None otherwise, as for a general form's basis,
+    which stabilizer rows never read (they use its ``normal_frame``).  A slice of it, or a
+    result computed from it, has support None."""
 
     support = None
 
@@ -312,7 +344,8 @@ def lie_algebra_basis(g: GroupDescriptor) -> LieBasis:
     The basis carries its support (``LieBasis``), found once, when the basis is built, and
     kept in the same cache entry.  Every family's basis at its standard form, a signature, a
     diagonal form or a form of Youla blocks is monomial, as B^{-1} then is and each unit
-    is; only a general form's basis has no support.
+    is; only a general form's basis has no support.  Stabilizer rows read the basis of
+    ``normal_frame(g)``, so they need no general form's basis; ``sample`` still builds it.
     """
     return cached_basis(_lie_algebra_basis, g)
 

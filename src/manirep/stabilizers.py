@@ -12,9 +12,11 @@ numeric kernel of the linearized fixing condition.
 
 That condition's rows (``stabilizer_rows``) are built from the nonzeros of
 the Lie basis, its support (``groups.LieBasis``), and of the point, not as
-a dense stack of products over the whole basis (which only a general
-form's basis, having no support, still takes), and are ranked as a dense
-matrix on the rows and columns that hold a nonzero (``join_rows``).
+a dense stack of products over the whole basis, and are ranked as a dense
+matrix on the rows and columns that hold a nonzero (``join_rows``).  A copy
+of a group with a form is P^-1 G0 P for the group G0 at its normal form
+(``groups.normal_frame``), whose basis is monomial: the rows are G0's at the
+carried point P . X, which has the same stabilizer dimension.
 
 Convention note: a congruence stabilizer block satisfies C G C^T = G for
 the canonical middle form G; in the standard convention (Q^T F Q = F) that
@@ -41,14 +43,13 @@ from .errors import (
     WitnessNotInModule,
     optional_import,
 )
-from .gmodules import KINDS, ActionKind, ModuleDescriptor, contains as module_contains, dact
+from .gmodules import KINDS, ActionKind, ModuleDescriptor, act, contains as module_contains
 from .numkit import (
     COMPLEX,
     DEFAULT_TOL,
     REAL,
     Tolerance,
     _check_symmetry,
-    _rows,
     above_cutoff,
     clusters,
     mat_to_json,
@@ -421,11 +422,10 @@ def stabilizer_rows(
     X must have the module's shape and lie in the module to ``tol``; congruence-star needs a
     real form.  For a real form, whose rank is taken over R, complex entries are split into
     (re, im) columns.  When the basis and X are real, the entries are real; their rank is
-    then the same over R and over C.  A basis with a support (``groups.LieBasis``) gives the
-    entries from its nonzeros and those of X (``_products``); a general form's basis, which
-    has none, from the batched ``dact`` product."""
-    basis = G.lie_algebra_basis(g)
-    support = basis.support
+    then the same over R and over C.  A copy of g with a form is first carried to its normal
+    frame g0 = P g P^-1 and X to P . X (``groups.normal_frame``), which has the same
+    stabilizer dimension; g0's Lie basis is monomial, and the entries come from its nonzeros
+    and those of X (``_products``)."""
     X = np.asarray(X)
     if X.shape != module.shape:
         raise SizeMismatch("witness has the wrong shape for its module")
@@ -433,14 +433,13 @@ def stabilizer_rows(
         raise WitnessNotInModule(f"witness is not in {module.kind} to tolerance")
     if action == ActionKind.CONGRUENCE_STAR and g.is_complex_group:
         raise InvalidDescriptor("congruence-star is conjugate-linear; use a real form")
+    g, P = G.normal_frame(g)
+    if P is not None:
+        X = act(action, P, X)
     if np.iscomplexobj(X) and not X.imag.any():  # a basis is stored real when it can be
         X = X.real
     real = not g.is_complex_group
-    if support is None:
-        rows = _rows(dact(action, basis, X), real)
-        e, col = np.nonzero(rows)
-        return Rows(e, col, rows[e, col], rows.shape[1])
-    e, col, val = _products(action, support, X)
+    e, col, val = _products(action, G.lie_algebra_basis(g).support, X)
     if real and np.iscomplexobj(val):  # the (re, im) columns 2 col and 2 col + 1 that are not 0
         at = val.view(float).nonzero()[0]
         return Rows(e[at >> 1], 2 * col[at >> 1] + (at & 1), val.view(float)[at], 2 * X.size)
@@ -517,7 +516,7 @@ def intersect_stabilizer_dim(
     """dim of the joint stabilizer algebra of several module points: the Lie algebra dimension
     minus one ``numerical_rank`` of their ``stabilizer_rows`` joined column-wise, on the
     columns that hold a nonzero (``join_rows``)."""
-    d = len(G.lie_algebra_basis(g))
+    d = G.group_dim(g)
     A, _ = join_rows(d, [stabilizer_rows(g, module, action, X, tol)
                          for module, action, X in constraints])
     return d - numerical_rank(A, tol)

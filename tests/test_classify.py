@@ -16,6 +16,7 @@ from manirep.classify import (
 from manirep.embeddings import ManifoldDescriptor
 from manirep.errors import InvalidDescriptor, UnsupportedGroup, WitnessNotInModule
 from manirep.gmodules import canonical_witness, module_dim
+from manirep.numkit import dumps, youla_blocks
 from manirep.stabilizers import intersect_stabilizer_dim, stabilizer_similarity
 
 
@@ -278,31 +279,39 @@ def test_census_h_dim_matches_the_structured_stabilizers(g):
         assert entry["canonical_h_dim"] == h_dim(rep.spec, witnesses)
 
 
+def _targets(out):
+    return [{key: v for key, v in t.items() if key != "group"} for t in out["targets"]]
+
+
 @pytest.mark.parametrize("n, field", [(5, "R"), (5, "C"), (6, "C")])
 def test_census_of_a_diagonal_form_copy_matches_the_standard_group(n, field):
-    """SO_n with a positive diagonal form D is conjugate to SO_n.  Its slot modules carry D,
-    the canonical witnesses of those twisted modules are still generic, and the two censuses
-    agree target for target."""
+    """SO_n with a positive diagonal form D is conjugate to SO_n, and the two censuses agree
+    target for target."""
     std = census(G.so(n, field))
     twisted = census(G.so(n, field, form=np.diag(np.arange(1.0, n + 1))))
-
-    def targets(out):
-        return [{key: v for key, v in t.items() if key != "group"} for t in out["targets"]]
-
-    assert targets(twisted) == targets(std)
+    assert _targets(twisted) == _targets(std)
     assert twisted["low_dim_modules"] == std["low_dim_modules"]
 
 
-def test_census_of_a_general_form_copy_raises():
-    """The diagonal canonical witnesses lie in no module twisted by a general form, so the
-    census of such a copy raises rather than reporting the stabilizers of other points."""
+def test_census_of_a_general_form_copy_matches_its_normal_frame():
+    """A copy preserving F = P^T F0 P is P^-1 G0 P for the group G0 at the normal form F0
+    (``groups.normal_frame``), and census ranks it in that frame: its targets are G0's, for a
+    definite and an indefinite real form, a general and a Youla-block skew form, and complex
+    forms, and it still prints the copy."""
     rng = np.random.default_rng(1)
     Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     P = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
-    for g in (G.so(5, form=Q @ np.diag(np.arange(1.0, 6)) @ Q.T),
-              G.sp(4, form=P.T @ G.J2n(4) @ P)):
-        with pytest.raises(WitnessNotInModule):
-            census(g)
+    Pc = np.eye(10) + 0.3 * (rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10)))
+    cases = [(G.so(5, form=Q @ np.diag(np.arange(1.0, 6)) @ Q.T), G.so(5)),
+             (G.so(5, form=Q @ np.diag([3.0, -1, 2, -2, 1]) @ Q.T), G.so_pq(3, 2)),
+             (G.so(5, "C", form=Pc[:5, :5].T @ Pc[:5, :5]), G.so(5, "C")),
+             (G.sp(4, form=P.T @ G.J2n(4) @ P), G.sp(4)),
+             (G.sp(4, form=youla_blocks([1.0, 2.0], 4)), G.sp(4)),
+             (G.sp(10, "C", form=Pc.T @ G.J2n(10) @ Pc), G.sp(10, "C"))]
+    for g, std in cases:
+        out = census(g)
+        assert dumps(out["group"]) == dumps(g.to_json())
+        assert _targets(out) == _targets(census(std))
 
 
 def test_slot_forms_are_checked_per_call_not_per_target(monkeypatch):

@@ -266,6 +266,14 @@ class TestLift:
         assert G.contains(group(md), g)
         np.testing.assert_allclose(embed(md, g).value, Y, atol=1e-10)
 
+    def test_a_nearly_rank_deficient_plane_is_refused(self):
+        """Full column rank is decided by ``numerical_rank``, so a column 1e-13 off the span of
+        the others does not span a plane."""
+        md = ManifoldDescriptor("gr-real", n=5, k=2)
+        Y = np.array([[1.0, 1.0], [0.0, 1e-13], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(SizeMismatch, match="full column rank"):
+            lift_subspace(md, Y)
+
     def test_noncompact_frame(self):
         md = ManifoldDescriptor("st-noncompact-real", n=5, k=2)
         rng = np.random.default_rng(2)

@@ -23,7 +23,7 @@ from manirep.groups import (
     sp_compact,
     su,
 )
-from manirep.numkit import Tolerance, dumps, frob
+from manirep.numkit import Tolerance, dumps, frob, youla_blocks
 
 ALL_SMALL = [
     sl(4, "R"), sl(4, "C"),
@@ -176,6 +176,16 @@ def test_forms_near_the_ends_of_the_float_range_get_the_verdict_of_any_scale(bui
 def test_non_finite_or_non_numeric_forms_are_typed_errors(build, form, error):
     with pytest.raises(error):
         build(form)
+
+
+def test_nearly_degenerate_forms_are_refused_by_the_rank_rule():
+    """Nondegeneracy is decided by ``numerical_rank``, the rule that Youla and Takagi rank by,
+    so a form with a Youla pair or an eigenvalue far below its rank cutoff is refused; its
+    normal frame would be built from fewer pairs or values than its size."""
+    with pytest.raises(InvalidDescriptor, match="nondegenerate"):
+        sp(4, form=youla_blocks([1.0, 1e-12], 4))
+    with pytest.raises(InvalidDescriptor, match="nondegenerate"):
+        so(3, form=np.diag([1.0, 1.0, 1e-13]))
 
 
 def test_complex_forms_whose_moduli_overflow_are_checked():

@@ -583,16 +583,16 @@ def test_stabilizer_dim_is_invariant_along_the_orbit(case):
         g, m, m.action, X)
 
 
-def _dense_rows(g, action, X):
+def _dense_rows(basis, action, X, real):
     """The dense rows of the fixing condition, by the batched ``dact`` product over the whole
-    Lie basis, in real arithmetic when the basis and X are real and with (re, im) columns for
-    a real form."""
+    Lie basis, in real arithmetic when the basis and X are real and, with ``real``, with
+    (re, im) columns."""
     from manirep.numkit import _rows
 
-    basis, X = np.asarray(groups.lie_algebra_basis(g)), np.asarray(X)
+    basis, X = np.asarray(basis), np.asarray(X)
     if not any(np.iscomplexobj(A) and A.imag.any() for A in (basis, X)):
         basis, X = basis.real, X.real
-    return _rows(dact(action, basis, X), not g.is_complex_group)
+    return _rows(dact(action, basis, X), real)
 
 
 #: per action, the module kinds whose points it is checked on
@@ -609,8 +609,6 @@ def _support_case(draw):
     """A group of any ``TRAITS`` family at its standard form, a signature, a diagonal form or a
     form of Youla blocks, an action, and a point of a module it acts on: the canonical
     witness or a drawn combination of the module's basis, complex for a real form too."""
-    from manirep.gmodules import KINDS, basis, canonical_witness
-
     family = draw(st.sampled_from(sorted(groups.TRAITS)))
     t = groups.TRAITS[family]
     n = draw(st.integers(1, 4)) * (2 if t.form == "skew" else 1) + (t.form == "sym")
@@ -627,35 +625,46 @@ def _support_case(draw):
     else:
         g = groups.GroupDescriptor(family, n, field)
     actions = [a for a in ActionKind if a != ActionKind.CONGRUENCE_STAR or not g.is_complex_group]
+    return (g, *_module_point(draw, n, actions))
+
+
+def _module_point(draw, n, actions):
+    """An action drawn from ``actions``, a module of size n it acts on, and a point of it: the
+    canonical witness or a drawn combination of the module's basis, complex over C."""
+    from manirep.gmodules import KINDS, basis, canonical_witness
+
     action = draw(st.sampled_from(actions))
     kinds = [k for k in _ACTION_KINDS[action] if not (KINDS[k].skew_form and n % 2)]
     kind = draw(st.sampled_from(kinds))
     m = ModuleDescriptor(kind, n, draw(st.sampled_from(["R", "C"])),
                          k=draw(st.integers(1, n)) if kind == "RectNK" else None)
     if draw(st.booleans()):
-        X = canonical_witness(m)
-    else:
-        rng = np.random.default_rng(draw(st.integers(0, 10**6)))
-        B = basis(m)
-        c = rng.standard_normal(len(B))
-        if m.field == "C":
-            c = c + 1j * rng.standard_normal(len(B))
-        X = np.tensordot(c, B, axes=1)
-    return g, m, action, X
+        return m, action, canonical_witness(m)
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    B = basis(m)
+    c = rng.standard_normal(len(B))
+    if m.field == "C":
+        c = c + 1j * rng.standard_normal(len(B))
+    return m, action, np.tensordot(c, B, axes=1)
 
 
 @given(_support_case())
 @settings(max_examples=300, deadline=None)
 def test_support_rows_equal_the_dense_rows_property(case):
-    """The rows built from the Lie basis's support and X's nonzeros are the dense ``dact``
-    rows entry for entry: the same column count, the same nonzero pattern, in row then column
+    """The rows built from the support of the Lie basis of g's normal frame g0 and the nonzeros
+    of the carried point P . X (``groups.normal_frame``) are g0's dense ``dact`` rows at P . X
+    entry for entry: the same column count, the same nonzero pattern, in row then column
     order, and the same values bit for bit, in the same type."""
+    from manirep.gmodules import act
     from manirep.stabilizers import stabilizer_rows
 
     g, m, action, X = case
-    assert groups.lie_algebra_basis(g).support is not None
+    g0, P = groups.normal_frame(g)
+    basis = groups.lie_algebra_basis(g0)
+    assert basis.support is not None
     e, col, val, width = stabilizer_rows(g, m, action, X)
-    D = _dense_rows(g, action, X)
+    D = _dense_rows(basis, action, X if P is None else act(action, P, X),
+                    not g.is_complex_group)
     assert width == D.shape[1]
     want_e, want_col = np.nonzero(D)
     np.testing.assert_array_equal(e, want_e)
@@ -664,38 +673,86 @@ def test_support_rows_equal_the_dense_rows_property(case):
     np.testing.assert_array_equal(val, D[want_e, want_col])
 
 
-@pytest.mark.parametrize("field", ["R", "C"])
-@pytest.mark.parametrize("family", ["SO", "Sp"])
-def test_a_general_form_copy_takes_the_dense_path(monkeypatch, family, field):
-    """A copy of SO_5 or Sp_4 preserving F = P^T F0 P, F0 the standard form, is P^{-1} G P, and
-    its basis is not monomial, so its rows come from the batched ``dact`` product.  At the
-    point carried over by P, a frame P^{-1} Y and a congruence point P^{-1} X P^{-T}, its
-    stabilizer dimension is the standard group's at (Y, X)."""
-    from manirep import stabilizers
-    from manirep.gmodules import basis
+@given(_support_case())
+@settings(max_examples=150, deadline=None)
+def test_products_equal_dact_on_every_monomial_basis_property(case):
+    """``_products`` over the support of g's own Lie basis, standard, signature, diagonal or
+    Youla-block, gives the batched ``dact`` rows entry for entry and bit for bit, although
+    ``stabilizer_rows`` reads only the bases of normal frames."""
+    from manirep.stabilizers import _products
 
-    rng = np.random.default_rng(5)
-    n = 5 if family == "SO" else 4
-    P = np.eye(n) + 0.3 * rng.standard_normal((n, n))
-    if field == "C":
-        P = P + 0.3j * rng.standard_normal((n, n))
-    std = groups.GroupDescriptor(family, n, field)
-    copy = groups.GroupDescriptor(family, n, field, form=P.T @ std.form_matrix() @ P)
-    assert groups.lie_algebra_basis(copy).support is None
-    calls = []
-    monkeypatch.setattr(stabilizers, "dact", lambda *a: calls.append(a[0]) or dact(*a))
+    g, _, action, X = case
+    basis = groups.lie_algebra_basis(g)
+    X = np.asarray(X)
+    if np.iscomplexobj(X) and not X.imag.any():  # as stabilizer_rows takes it
+        X = X.real
+    e, col, val = _products(action, basis.support, X)
+    D = _dense_rows(basis, action, X, False)
+    want_e, want_col = np.nonzero(D)
+    np.testing.assert_array_equal(e, want_e)
+    np.testing.assert_array_equal(col, want_col)
+    assert val.dtype == D.dtype
+    np.testing.assert_array_equal(val, D[want_e, want_col])
+
+
+#: the families that take a form: SO, Sp and O
+_FORM_FAMILIES = sorted(f for f, t in groups.TRAITS.items() if t.form and t.field is None)
+
+
+@st.composite
+def _form_copy_case(draw):
+    """A copy of a form family preserving F = 2^k P^T F0 P, over R or C, and the group g0 at
+    F0: J for a skew form, I over C and a drawn I_{p,q} over R.  P = Q1 diag(s) Q2 with Q1, Q2
+    orthogonal (unitary over C) and s in [e^-1/2, e^1/2], or s = 1 when a point is acted on
+    by congruence-star, whose modules P^-1 . X leaves unless P is orthogonal.  Then one
+    or two points X of modules g0 acts on, each by any action, and the modules that hold
+    their carries P^-1 . X: the form M of a skew-form kind becomes P^T M P."""
+    from manirep.gmodules import KINDS, act
+
+    family = draw(st.sampled_from(_FORM_FAMILIES))
+    skew = groups.TRAITS[family].form == "skew"
+    n = 2 * draw(st.integers(1, 3)) if skew else draw(st.integers(1, 5))
+    field = draw(st.sampled_from(["R", "C"]))
+    p = draw(st.integers(0, n)) if field == "R" and not skew else n
+    g0 = groups.GroupDescriptor(family, n, field, form=groups.Ipq(p, n - p) if p < n else None)
+    actions = [a for a in ActionKind if a != ActionKind.CONGRUENCE_STAR or field == "R"]
+    points = [_module_point(draw, n, actions) for _ in range(draw(st.integers(1, 2)))]
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+
+    def unitary():
+        A = rng.standard_normal((n, n))
+        if field == "C":
+            A = A + 1j * rng.standard_normal((n, n))
+        return np.linalg.qr(A)[0]
+
+    star = any(a == ActionKind.CONGRUENCE_STAR for _, a, _ in points)
+    s = np.ones(n) if star else np.exp(rng.uniform(-0.5, 0.5, n))
+    P = unitary() @ np.diag(s) @ unitary()
     Pinv = np.linalg.inv(P)
-    for k, kind in [(2, "Alt2"), (1, "Sym2"), (3, "Sym2")]:
-        frame = ModuleDescriptor("RectNK", n, field, k=k)
-        mod = ModuleDescriptor(kind, n, field)
-        X = np.tensordot(rng.standard_normal(len(basis(mod))), basis(mod), axes=1)
-        Y = rng.standard_normal((n, k))
-        want = intersect_stabilizer_dim(std, [(frame, ActionKind.LEFT_MULT, Y),
-                                              (mod, ActionKind.CONGRUENCE, X)])
-        got = intersect_stabilizer_dim(copy, [(frame, ActionKind.LEFT_MULT, Pinv @ Y),
-                                              (mod, ActionKind.CONGRUENCE, Pinv @ X @ Pinv.T)])
-        assert got == want
-    assert ActionKind.LEFT_MULT in calls and ActionKind.CONGRUENCE in calls
+    F = P.T @ g0.form_matrix() @ P * np.ldexp(1.0, draw(st.integers(-40, 40)))
+    copy = groups.GroupDescriptor(family, n, field, form=F)
+    carried = []
+    for m, action, X in points:
+        form = P.T @ m.form_matrix() @ P if KINDS[m.kind].skew_form else None
+        mc = ModuleDescriptor(m.kind, n, "C" if field == "C" else m.field, k=m.k, form=form)
+        carried.append((mc, action, act(action, Pinv, X)))
+    return copy, g0, points, carried
+
+
+@given(_form_copy_case())
+@settings(max_examples=200, deadline=None)
+def test_a_form_copy_has_its_normal_frames_stabilizers_property(case):
+    """A copy preserving F = 2^k P^T F0 P is P^-1 g0 P, so its joint stabilizer at the carried
+    points P^-1 . X has the dimension of g0's at the points X.  ``normal_frame`` finds g0 and
+    a P' with P'^T F0 P' proportional to F, real for a real form."""
+    copy, g0, points, carried = case
+    frame, P = groups.normal_frame(copy)
+    assert frame.cache_key() == g0.cache_key()
+    assert copy.field == "C" or not np.iscomplexobj(P)
+    M, F = P.T @ g0.form_matrix() @ P, copy.form
+    c = frob(F) / frob(M)
+    assert frob(c * M - F) <= 1e-10 * frob(F)
+    assert intersect_stabilizer_dim(copy, carried) == intersect_stabilizer_dim(g0, points)
 
 
 def test_large_grassmannian_rank_allocates_a_tenth_of_its_dense_rows():
