@@ -739,6 +739,41 @@ def _form_copy_case(draw):
     return copy, g0, points, carried
 
 
+@pytest.mark.parametrize("field", ["R", "C"])
+@pytest.mark.parametrize("family", ["SO", "Sp"])
+def test_a_general_form_copy_takes_the_dense_path(monkeypatch, family, field):
+    """A copy of SO_5 or Sp_4 preserving F = P^T F0 P, F0 the standard form, is P^{-1} G P, and
+    its basis is not monomial.  Its rows no longer come from a dense ``dact`` product: each
+    point is carried to the copy's normal frame by ``act`` and ranked there.  At the point
+    carried over by P, a frame P^{-1} Y and a congruence point P^{-1} X P^{-T}, its stabilizer
+    dimension is the standard group's at (Y, X)."""
+    from manirep import stabilizers
+    from manirep.gmodules import act, basis
+
+    rng = np.random.default_rng(5)
+    n = 5 if family == "SO" else 4
+    P = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    if field == "C":
+        P = P + 0.3j * rng.standard_normal((n, n))
+    std = groups.GroupDescriptor(family, n, field)
+    copy = groups.GroupDescriptor(family, n, field, form=P.T @ std.form_matrix() @ P)
+    assert groups.lie_algebra_basis(copy).support is None
+    calls = []
+    monkeypatch.setattr(stabilizers, "act", lambda *a: calls.append(a[0]) or act(*a))
+    Pinv = np.linalg.inv(P)
+    for k, kind in [(2, "Alt2"), (1, "Sym2"), (3, "Sym2")]:
+        frame = ModuleDescriptor("RectNK", n, field, k=k)
+        mod = ModuleDescriptor(kind, n, field)
+        X = np.tensordot(rng.standard_normal(len(basis(mod))), basis(mod), axes=1)
+        Y = rng.standard_normal((n, k))
+        want = intersect_stabilizer_dim(std, [(frame, ActionKind.LEFT_MULT, Y),
+                                              (mod, ActionKind.CONGRUENCE, X)])
+        got = intersect_stabilizer_dim(copy, [(frame, ActionKind.LEFT_MULT, Pinv @ Y),
+                                              (mod, ActionKind.CONGRUENCE, Pinv @ X @ Pinv.T)])
+        assert got == want
+    assert ActionKind.LEFT_MULT in calls and ActionKind.CONGRUENCE in calls
+
+
 @given(_form_copy_case())
 @settings(max_examples=200, deadline=None)
 def test_a_form_copy_has_its_normal_frames_stabilizers_property(case):
