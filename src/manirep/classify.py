@@ -98,8 +98,12 @@ class TargetSpec:
         return _modules(self, _slot_modules(self.group))
 
     def to_json(self) -> dict:
+        return self._json(self.group.to_json())
+
+    def _json(self, group: dict) -> dict:
+        """``to_json`` with the group's own, which ``census`` builds once for every target."""
         mult = dict(zip(_names(self.group), self.multiplicities))
-        return {"group": self.group.to_json(), "multiplicities": mult}
+        return {"group": group, "multiplicities": mult}
 
 
 def _modules(spec: TargetSpec, slots: list[ModuleDescriptor]) -> list[ModuleDescriptor]:
@@ -119,7 +123,10 @@ class AdmissibilityReport:
     modules: list[ModuleDescriptor]
 
     def to_json(self) -> dict:
-        return {**self.spec.to_json(), "admissible": self.admissible,
+        return self._json(self.spec.group.to_json())
+
+    def _json(self, group: dict) -> dict:
+        return {**self.spec._json(group), "admissible": self.admissible,
                 "inequality_value": str(self.inequality_value),
                 "dim_total": str(self.module_dim_total)}
 
@@ -220,12 +227,14 @@ def census(g: G.GroupDescriptor) -> dict:
     modules of dimension <= n^2: the trivial and vector modules and the family's
     slot kinds, over C, flagged advisory below ``weyl.LOW_DIM_THRESHOLD``.  When g has
     a form, the stabilizers are those of its normal frame (``groups.normal_frame``), to
-    which g is conjugate; the report still names g."""
-    out = {"group": g.to_json(), "targets": []}
+    which g is conjugate; the report still names g, in one ``to_json`` object that the
+    report and every target share."""
+    group = g.to_json()
+    out = {"group": group, "targets": []}
     reports = enumerate_admissible(g)
     g0 = G.normal_frame(g)[0]
     for rep, h_dim in zip(reports, _canonical_h_dims(g0, [rep.spec for rep in reports])):
-        entry = rep.to_json()
+        entry = rep._json(group)
         entry["canonical_h_dim"] = h_dim
         out["targets"].append(entry)
     if not G.TRAITS[g.family].unitary:

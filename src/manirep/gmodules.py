@@ -273,7 +273,9 @@ def contains(m: ModuleDescriptor, X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -
 
 def basis(m: ModuleDescriptor) -> np.ndarray:
     """Orthonormal basis of the module under the (real) Frobenius pairing, as a read-only
-    (module_dim, rows, cols) array."""
+    (module_dim, rows, cols) array.  A basis under a form is held by m (``numkit.cached_basis``)
+    and freed with it: a later ``basis`` or ``project`` on m reuses it, another descriptor
+    with the same form builds its own."""
     if not KINDS[m.kind].membership:
         raise InvalidDescriptor(f"{m.kind} has no matrix basis")
     return cached_basis(_basis, m)

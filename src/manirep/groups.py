@@ -264,11 +264,18 @@ def normal_frame(g: GroupDescriptor) -> tuple[GroupDescriptor, np.ndarray | None
     scales it; (g, None) when g has no form.  S and the form define one group, so g is
     P^-1 g0 P, and the stabilizer of X in g is that of P . X in g0 (``gmodules.act``)
     carried back.  P is sqrt(lam) Q^T of Youla, each pair (2i, 2i + 1) sent to (i, m + i),
-    sqrt(sigma) U^T of Takagi, or sqrt|lam| V^T of a descending ``eigh``: real for a real form."""
+    sqrt(sigma) U^T of Takagi, or sqrt|lam| V^T of a descending ``eigh``: real for a real form.
+    A form that already is F0, entry for entry, takes no P: its g0 is g, or the descriptor
+    without a form when F0 is the family's default J or I, so ``normal_frame`` of a g0 is
+    (g0, None)."""
     if g.form is None:
         return g, None
+    skew = TRAITS[g.family].form == SKEW
+    p = g.n if skew or g.field == COMPLEX else int((np.diag(g.form) > 0).sum())
+    if np.array_equal(g.form, J2n(g.n) if skew else Ipq(p, g.n - p)):  # F0 already, exactly
+        return (g if p < g.n else GroupDescriptor(g.family, g.n, g.field)), None
     S, form = _unit_scaled(g.form), None
-    if TRAITS[g.family].form == SKEW:
+    if skew:
         Q, lams, _ = youla_skew(S)
         P = (np.sqrt(np.repeat(lams, 2))[:, None] * Q.T)[np.r_[0 : g.n : 2, 1 : g.n : 2]]
     elif g.field == COMPLEX:
@@ -342,10 +349,12 @@ def lie_algebra_basis(g: GroupDescriptor) -> LieBasis:
     times the skew (orthogonal) or symmetric (symplectic) units.
 
     The basis carries its support (``LieBasis``), found once, when the basis is built, and
-    kept in the same cache entry.  Every family's basis at its standard form, a signature, a
-    diagonal form or a form of Youla blocks is monomial, as B^{-1} then is and each unit
-    is; only a general form's basis has no support.  Stabilizer rows read the basis of
-    ``normal_frame(g)``, so they need no general form's basis; ``sample`` still builds it.
+    kept in the same cache entry (``numkit.cached_basis``), which every descriptor of g's key
+    shares when g has no form, and which g itself holds, and frees, when it has one.  Every
+    family's basis at its standard form, a signature, a diagonal form or a form of Youla
+    blocks is monomial, as B^{-1} then is and each unit is; only a general form's basis has
+    no support.  Stabilizer rows read the basis of ``normal_frame(g)``, so they need no
+    general form's basis; ``sample`` still builds it.
     """
     return cached_basis(_lie_algebra_basis, g)
 

@@ -35,7 +35,8 @@ propagation (``_labels``) gives the single-linkage ``clusters`` of a set of
 eigenvalues, the one clustering rule.  Bases are built one way: a span of
 mutually orthogonal generators, such as the unit matrices of ``unit_stack``,
 cut by linear conditions (``span_kernel``, Householder reflections, no QR), kept
-read-only in one bounded LRU (``cached_basis``).
+read-only by ``cached_basis``: a basis of a form-free key in one bounded LRU, one under a
+form (a key that carries form bytes) by the descriptor that built it, until it is collected.
 ``pow2_below`` is the one scale that keeps every digit: the power of two at
 or below the largest |entry|, by which ``frob``, ``youla_skew`` and the
 module conditions and membership of :mod:`manirep.gmodules` divide.  Apart
@@ -48,6 +49,7 @@ import itertools
 import json
 import math
 import re
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -63,8 +65,8 @@ ALL, SYM, SKEW, ANTI_HERMITIAN = "all", "sym", "skew", "anti-hermitian"
 
 #: relative singular-value cutoff of the condition systems in ``span_kernel``
 KERNEL_RCOND = 1e-11
-#: bases kept by ``cached_basis``: the Lie bases of a six-group census and a
-#: few more; bounded, because bases twisted by fresh forms never repeat
+#: form-free bases kept by ``cached_basis``: the Lie bases of a six-group census and a few
+#: more; a basis under a form lives with its descriptor, as a fresh form never repeats
 BASIS_CACHE_SIZE = 8
 
 #: 2x2 rotation generator; building block of skew canonical forms.
@@ -576,20 +578,27 @@ def _rows(stack: np.ndarray, real: bool) -> np.ndarray:
 
 
 _bases: OrderedDict = OrderedDict()
+_held: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def cached_basis(build, desc) -> np.ndarray:
-    """``build(desc)`` as a read-only array, kept in one LRU of ``BASIS_CACHE_SIZE`` entries
-    keyed by ``build`` and ``desc.cache_key()``.  An ndarray subclass is kept as it is, with
-    what it carries."""
+    """``build(desc)`` as a read-only array, keyed by ``build`` and ``desc.cache_key()``.  A
+    key without form bytes is kept in one LRU of ``BASIS_CACHE_SIZE`` entries, shared by
+    every descriptor.  A key with them, a basis under a form, is held by ``desc`` itself
+    (which hashes by identity) and released when it is collected: a fresh form never
+    recurs, so only that descriptor's later calls can reuse it.  An ndarray subclass is
+    kept as it is, with what it carries, which must not reference ``desc``."""
     key = (build, desc.cache_key())
-    if key not in _bases:
-        _bases[key] = np.asanyarray(build(desc))
-        _bases[key].flags.writeable = False
+    held = any(isinstance(part, bytes) for part in key[1])
+    cache = _held.setdefault(desc, {}) if held else _bases
+    if key not in cache:
+        cache[key] = np.asanyarray(build(desc))
+        cache[key].flags.writeable = False
         if len(_bases) > BASIS_CACHE_SIZE:
             _bases.popitem(last=False)
-    _bases.move_to_end(key)
-    return _bases[key]
+    if not held:
+        _bases.move_to_end(key)
+    return cache[key]
 
 
 def _check_symmetry(X: np.ndarray, sign: float, tol: Tolerance) -> None:

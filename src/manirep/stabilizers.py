@@ -146,13 +146,20 @@ def stabilizer_left_mult(
     """Stabilizer of X under A |-> AX, for n x k input with k <= n.
 
     One SVD X = Q S V* decides the rank r (``above_cutoff`` on S) and gives the conjugator:
-    the full left factor Q, whose first r columns span col X.
+    the full left factor Q, whose first r columns span col X.  An n x n Q that numpy refuses
+    or fails to allocate raises :class:`SizeMismatch`.
     """
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] > X.shape[0]:
         raise SizeMismatch("left multiplication expects n x k with k <= n")
     field = _field_of(X, field)
-    Q, s, _ = np.linalg.svd(X.astype(complex) if field == COMPLEX else X.real)
+    try:
+        Q, s, _ = np.linalg.svd(X.astype(complex) if field == COMPLEX else X.real)
+    except np.linalg.LinAlgError:
+        raise
+    except (MemoryError, ValueError) as exc:  # ValueError: larger than any array can be
+        n = X.shape[0]
+        raise SizeMismatch(f"the {n} x {n} conjugator cannot be allocated: {exc}") from exc
     return _parabolic(Q, int(above_cutoff(s, tol, strict=True).sum()), None, field)
 
 

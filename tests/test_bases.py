@@ -1,6 +1,8 @@
 """Structured bases against the elementary-matrix null space they replaced."""
 
 import dataclasses
+import gc
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -9,10 +11,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from manirep import gmodules
 from manirep import groups as G
 from manirep import numkit
 from manirep.errors import ManirepError
-from manirep.gmodules import KINDS, ModuleDescriptor, basis, contains, module_dim
+from manirep.gmodules import KINDS, ModuleDescriptor, basis, contains, module_dim, project
 from manirep.stabilizers import stabilizer_similarity
 from oracles import commutant_sample
 
@@ -178,7 +181,8 @@ def test_bases_and_commutants_take_no_qr(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", no_qr)
     monkeypatch.setattr(numkit, "_bases", OrderedDict())
-    for m in MODULES:
+    for m in MODULES:  # a fresh copy: a basis under a form is held by its own descriptor
+        m = dataclasses.replace(m)
         assert basis(m).shape == (module_dim(m),) + m.shape
     X = _jordan([(2.0, 2), (2.0, 1), (-1.0, 1)])
     A = commutant_sample(X, 0)
@@ -239,11 +243,60 @@ def test_bases_are_read_only():
         lie[0] *= 2.0
 
 
-def test_basis_cache_is_bounded():
-    rng = np.random.default_rng(5)
-    for _ in range(3 * numkit.BASIS_CACHE_SIZE):
-        form = rng.standard_normal((4, 4))
-        basis(ModuleDescriptor("Alt2", 4, form=form + form.T + 8 * np.eye(4)))
+def test_basis_cache_is_bounded(monkeypatch):
+    """Form-free keys share one LRU of ``BASIS_CACHE_SIZE`` entries, which serves a key's
+    basis to every fresh descriptor of it and drops the least recent key first."""
+    monkeypatch.setattr(numkit, "_bases", OrderedDict())
+    sizes = range(2, 3 + 2 * numkit.BASIS_CACHE_SIZE)
+    for n in sizes:
+        basis(ModuleDescriptor("Alt2", n))
         assert len(numkit._bases) <= numkit.BASIS_CACHE_SIZE
-    G.lie_algebra_basis(G.so(5))
-    assert len(numkit._bases) == numkit.BASIS_CACHE_SIZE
+    assert basis(ModuleDescriptor("Alt2", sizes[-1])) is basis(ModuleDescriptor("Alt2", sizes[-1]))
+    assert G.lie_algebra_basis(G.so(5)) is G.lie_algebra_basis(G.so(5))
+    keys = [desc_key for _, desc_key in numkit._bases]
+    assert len(keys) == numkit.BASIS_CACHE_SIZE
+    assert ("Alt2", sizes[-1], "R", None, None) in keys
+    assert ("Alt2", sizes[0], "R", None, None) not in keys
+
+
+def _form(rng, n, skew):
+    A = rng.standard_normal((n, n))
+    return A - A.T if skew else A + A.T + 2 * n * np.eye(n)
+
+
+@pytest.mark.parametrize("make", [
+    lambda F: ModuleDescriptor("Alt2", 4, form=F(False)),
+    lambda F: ModuleDescriptor("Sym2TracelessForm", 4, "C", form=F(True)),
+    lambda F: G.so(4, form=F(False)),
+    lambda F: G.sp(4, "C", form=F(True)),
+], ids=["Alt2", "Sym2TracelessForm", "so", "sp"])
+def test_a_fresh_form_basis_is_freed_with_its_descriptor(make):
+    """A basis under a fresh form, of a module or of a group's Lie algebra, is held by its
+    descriptor, not by the shared LRU: its later calls reuse it, and it is released when the
+    descriptor is collected."""
+    rng = np.random.default_rng(5)
+    desc = make(lambda skew: _form(rng, 4, skew))
+    build = basis if isinstance(desc, ModuleDescriptor) else G.lie_algebra_basis
+    lru = list(numkit._bases)
+    b = build(desc)
+    assert build(desc) is b
+    assert list(numkit._bases) == lru
+    ref = weakref.ref(b)
+    del desc, b
+    gc.collect()
+    assert ref() is None
+
+
+def test_basis_then_project_builds_the_basis_once(monkeypatch):
+    """``project`` on the descriptor that ``basis`` was asked for reuses its basis under a
+    fresh form, as a scale request does."""
+    calls = []
+    build = gmodules._basis
+    monkeypatch.setattr(gmodules, "_basis", lambda m: calls.append(m) or build(m))
+    rng = np.random.default_rng(7)
+    m = ModuleDescriptor("Sym2", 6, form=_form(rng, 6, False))
+    X = rng.standard_normal((6, 6))
+    B = basis(m)
+    P = project(m, X)
+    assert len(calls) == 1
+    assert all(contains(m, b) for b in B) and contains(m, P)

@@ -314,6 +314,19 @@ def test_census_of_a_general_form_copy_matches_its_normal_frame():
         assert _targets(out) == _targets(census(std))
 
 
+def test_census_of_a_form_copy_writes_its_group_once(monkeypatch):
+    """Every target of a census names the same group, so a copy with a form converts its
+    form to JSON once per call, not once per target, and the output is unchanged."""
+    g = G.so(7, "C", form=np.diag(np.arange(1.0, 8.0)))
+    want = dumps(census(g))
+    calls = []
+    to_json = G.GroupDescriptor.to_json
+    monkeypatch.setattr(G.GroupDescriptor, "to_json", lambda self: calls.append(1) or to_json(self))
+    out = census(g)
+    assert len(calls) == 1 and len(out["targets"]) > 1
+    assert dumps(out) == want
+
+
 def test_slot_forms_are_checked_per_call_not_per_target(monkeypatch):
     """The slot modules of a copy with a signature carry its form, and building one checks
     the form; enumerate_admissible builds them once per call, not once per target, and

@@ -344,6 +344,31 @@ def test_negative_matrix_size_is_rejected(tmp_path, capsys):
     assert payload["error"]["type"] == "InvalidInput"
 
 
+def test_left_mult_conjugator_too_big_for_numpy_is_a_json_error(tmp_path, capsys):
+    """An n x 0 file with n = 2^59 - 1, the largest side a file may give, asks for an n x n
+    conjugator, which numpy refuses before allocating anything."""
+    path = tmp_path / "m.json"
+    path.write_text(f'{{"rows": {2**59 - 1}, "cols": 0, "field": "R", "data": []}}')
+    code, payload = run_cli(capsys, "stabilizer", "--action", "left-mult", "--matrix", str(path))
+    assert code == 1
+    assert payload["error"]["type"] == "SizeMismatch"
+
+
+def test_left_mult_conjugator_that_cannot_be_allocated_is_a_json_error(tmp_path, capsys,
+                                                                       monkeypatch):
+    """A MemoryError from the SVD that builds the conjugator is a typed error too."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate the left factor")
+
+    monkeypatch.setattr(np.linalg, "svd", no_memory)
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": 2, "cols": 1, "field": "C", "data": [[1, 0], [0, 1]]}')
+    code, payload = run_cli(capsys, "stabilizer", "--action", "left-mult", "--matrix", str(path))
+    assert code == 1
+    assert payload["error"]["type"] == "SizeMismatch"
+    assert "cannot be allocated" in payload["error"]["message"]
+
+
 @pytest.mark.parametrize("size", ["1.5", "1.0", '"1"', "true"])
 def test_non_integer_matrix_size_is_rejected(tmp_path, capsys, size):
     path = tmp_path / "m.json"

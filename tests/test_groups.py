@@ -282,3 +282,51 @@ def test_conjugated_copy():
         assert frob(Z.T @ B + B @ Z) <= 1e-10
     A = sample(g, 7)
     assert contains(g, A)
+
+
+def _normal_frame_cases():
+    """SO, Sp and O over R and C at J or I, at an indefinite diagonal form, and at a dense
+    form; each already at its normal form or carried to it."""
+    rng = np.random.default_rng(3)
+    Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    forms = {"I": np.eye(4), "Ipq": groups.Ipq(1, 3), "diag": np.diag([2.0, -1.0, 3.0, -0.5]),
+             "dense": Q @ np.diag([1.0, 2.0, -3.0, 4.0]) @ Q.T}
+    for field in ("R", "C"):
+        yield f"Sp-{field}-J", sp(4, field, form=groups.J2n(4))
+        yield f"Sp-{field}-dense", sp(4, field, form=Q.T @ groups.J2n(4) @ Q * 3.0)
+        for family in (groups.SO, groups.O):
+            for name, F in forms.items():
+                yield f"{family}-{field}-{name}", GroupDescriptor(family, 4, field, form=F)
+
+
+_NORMAL_FRAME_CASES = dict(_normal_frame_cases())
+
+
+@pytest.mark.parametrize("g", _NORMAL_FRAME_CASES.values(), ids=list(_NORMAL_FRAME_CASES))
+def test_normal_frame_is_idempotent(monkeypatch, g):
+    """A normal frame is its own: ``normal_frame`` of a g0 takes no P and no decomposition,
+    decided on the form's entries exactly; J and I give the descriptor without a form, and
+    I_{p,q} with its positive entries first, the real normal form of an indefinite form, g0
+    itself."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a normal form was decomposed")
+
+    g0, P = groups.normal_frame(g)
+    for name in ("takagi", "youla_skew"):
+        monkeypatch.setattr(groups, name, refused)
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    again, Q = groups.normal_frame(g0)
+    assert Q is None
+    assert again.cache_key() == g0.cache_key()
+    assert again is g0 or g0.form is None
+    if P is None:  # g already at its normal form
+        np.testing.assert_array_equal(g.form, g0.form_matrix())
+
+
+def test_near_normal_forms_are_carried():
+    """The test is exact: I_{p,q} with its negative entries first, or J times 1 + 2^-52,
+    is carried to the normal form by a P."""
+    for g in (so(3, form=np.diag([-1.0, 1.0, 1.0])), sp(2, form=(1 + 2**-52) * groups.J2n(2))):
+        g0, P = groups.normal_frame(g)
+        assert P is not None
+        assert frob(P.T @ g0.form_matrix() @ P - g.form) <= 1e-12

@@ -779,10 +779,12 @@ def test_a_general_form_copy_takes_the_dense_path(monkeypatch, family, field):
 def test_a_form_copy_has_its_normal_frames_stabilizers_property(case):
     """A copy preserving F = 2^k P^T F0 P is P^-1 g0 P, so its joint stabilizer at the carried
     points P^-1 . X has the dimension of g0's at the points X.  ``normal_frame`` finds g0 and
-    a P' with P'^T F0 P' proportional to F, real for a real form."""
+    a P' with P'^T F0 P' proportional to F, real for a real form, or None, the identity,
+    when F already is F0."""
     copy, g0, points, carried = case
     frame, P = groups.normal_frame(copy)
     assert frame.cache_key() == g0.cache_key()
+    P = np.eye(copy.n) if P is None else P
     assert copy.field == "C" or not np.iscomplexobj(P)
     M, F = P.T @ g0.form_matrix() @ P, copy.form
     c = frob(F) / frob(M)
