@@ -131,13 +131,20 @@ class AdmissibilityReport:
                 "dim_total": str(self.module_dim_total)}
 
 
+def _admits(g: G.GroupDescriptor, dims: np.ndarray, empty: np.ndarray) -> np.ndarray:
+    """g's admissibility rule on arrays of dim W and of whether a target has no factor: ``_value``
+    <= 0, that is dim W <= n^2 (divisors are positive), unless g is unitary and it is empty."""
+    return (dims <= g.n**2) & ~(empty & G.TRAITS[g.family].unitary)
+
+
+def _value(g: G.GroupDescriptor, dim_total: int) -> Fraction:
+    """The exact value (dim W - n^2) / divisor of a target of total module dimension dim W."""
+    return Fraction(dim_total - g.n**2, G.TRAITS[g.family].divisor)
+
+
 def _verdict(g: G.GroupDescriptor, dim_total: int, empty: bool) -> tuple[bool, Fraction]:
-    """g's admissibility rule for a target of total module dimension dim W, exactly over
-    rationals: whether it admits the target (``empty`` when it has no factor), and the value
-    (dim W - n^2) / divisor."""
-    t = G.TRAITS[g.family]
-    value = Fraction(dim_total - g.n**2, t.divisor)
-    return value <= 0 and not (t.unitary and empty), value
+    """``_admits`` and ``_value`` of one target."""
+    return bool(_admits(g, np.array(dim_total), np.array(empty))), _value(g, dim_total)
 
 
 def admissible(spec: TargetSpec) -> AdmissibilityReport:
@@ -160,24 +167,21 @@ def admissible(spec: TargetSpec) -> AdmissibilityReport:
 def enumerate_admissible(g: G.GroupDescriptor) -> list[AdmissibilityReport]:
     """All admissible multiplicity tuples, by total dimension then lex order, each reported
     as by ``admissible``.  The total dimensions of all tuples, from the dimensions of one frame
-    column and of each slot module built once per call, decide them on integers in one array
-    pass, before any value, ``TargetSpec`` or module list is built: as every divisor is
-    positive, ``_verdict`` admits exactly the tuples with dim W <= n^2, apart from a unitary
-    family's empty one."""
+    column and of each slot module built once per call, decide them by ``_admits`` in one
+    array pass, before any value, ``TargetSpec`` or module list is built."""
     slots = _slot_modules(g)
     unit = [module_dim(m) for m in slots]
-    unitary = G.TRAITS[g.family].unitary
-    if not unitary:
+    if not G.TRAITS[g.family].unitary:
         unit.insert(0, module_dim(ModuleDescriptor("RectNK", g.n, g.field, k=1)))
     # every tuple, in lex order (each range starts at 0), and its dim W
     mults = np.indices([len(r) for r in _ranges(g)]).reshape(len(unit), -1).T
     dims = mults @ np.array(unit, int)
-    keep = (dims <= g.n**2) & (mults.any(axis=1) | (not unitary))
+    keep = _admits(g, dims, ~mults.any(axis=1))
     reports = []
     for mult, dim_total in zip(mults[keep].tolist(), dims[keep].tolist()):
         spec = TargetSpec(g, tuple(mult))
-        value = Fraction(dim_total - g.n**2, G.TRAITS[g.family].divisor)  # as in _verdict
-        reports.append(AdmissibilityReport(spec, True, value, dim_total, _modules(spec, slots)))
+        reports.append(AdmissibilityReport(spec, True, _value(g, dim_total), dim_total,
+                                           _modules(spec, slots)))
     return sorted(reports, key=lambda r: (r.module_dim_total, r.spec.multiplicities))
 
 

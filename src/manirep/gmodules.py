@@ -30,7 +30,7 @@ from .errors import InvalidDescriptor, ManirepError, SizeMismatch
 from .groups import J2n, checked_form
 from .numkit import (ALL, ANTI_HERMITIAN, COMPLEX, DEFAULT_TOL, REAL, SKEW, SYM, Tolerance,
                      cached_basis, frob, mat_from_json, mat_to_json, pow2_below, span_kernel,
-                     unit_stack, youla_blocks)
+                     unit_scaled, unit_stack, youla_blocks)
 
 
 class ActionKind(Enum):
@@ -243,9 +243,9 @@ def _conditions(m: ModuleDescriptor):
     """Residual maps that vanish exactly on the module."""
     F = m.form_matrix()
     if m.form is not None:  # the default forms I and J have largest entry 1
-        # cF cuts out the module of F: dividing by pow2_below(F) keeps every digit and
-        # scales each residual with X alone, whatever the size of F
-        F = F / pow2_below(F)
+        # cF cuts out the module of F: unit_scaled(F) keeps every digit and scales each
+        # residual with X alone, whatever the size of F
+        F = unit_scaled(F)
     conds = [lambda X, c=c: c(X, F) for c in KINDS[m.kind].conditions]
     if KINDS[m.kind].traceless:
         conds.append(lambda X: np.trace(X, axis1=-2, axis2=-1))
@@ -288,7 +288,7 @@ def _basis(m: ModuleDescriptor) -> np.ndarray:
         # With F = U S V^H, F^-1 (u_i u_j^T +- u_j u_i^T) is a multiple of B_ij =
         # s_j v_i u_j^T +- s_i v_j u_i^T (u^T, not u^H), mutually orthogonal over R and C
         F = m.form_matrix()
-        u, s, vh = np.linalg.svd(F / pow2_below(F))
+        u, s, vh = np.linalg.svd(unit_scaled(F))
         v, su = vh.conj(), s[:, None] * u.T  # rows v_i and s_i u_i
         i, j = np.triu_indices(m.n, 0 if kind.span == SYM else 1)
         sign = 1.0 if kind.span == SYM else -1.0

@@ -33,8 +33,9 @@ import numpy as np
 
 from .errors import (InvalidDescriptor, ManirepError, NonFinite, SizeMismatch, UnsupportedGroup,
                      optional_import)
-from .numkit import (ALL, COMPLEX, DEFAULT_TOL, REAL, SKEW, SYM, Tolerance, cached_basis, frob,
-                     mat_from_json, mat_to_json, numerical_rank, takagi, unit_stack, youla_skew)
+from .numkit import (ALL, COMPLEX, DEFAULT_TOL, REAL, SKEW, SYM, Tolerance, cached_basis,
+                     congruence_form, frob, mat_from_json, mat_to_json, numerical_rank,
+                     unit_scaled, unit_stack)
 
 SL, SO, SP, SU, SOPQ, SP_COMPACT, GL, O, U = (
     "SL", "SO", "Sp", "SU", "SOpq", "SpCompact", "GL", "O", "U",
@@ -104,9 +105,9 @@ def Ipq(p: int, q: int) -> np.ndarray:
 
 
 def checked_form(F, n: int, skew: bool, dtype) -> np.ndarray:
-    """F as an n x n array of dtype, checked finite, symmetric (skew when ``skew``) to
-    1e-12 relative to its own norm, whatever its scale, and nondegenerate by the rank rule
-    that Youla and Takagi decide by (``numkit.numerical_rank``, strict)."""
+    """F as an n x n array of dtype, checked finite, symmetric (skew when ``skew``) to 1e-12
+    relative to its own norm, and nondegenerate by the rank rule that Youla and Takagi decide
+    by (``numkit.numerical_rank``, strict), both on ``numkit.unit_scaled(F)``, at any scale."""
     try:
         F = np.asarray(F, dtype=dtype)
     except (TypeError, ValueError) as exc:
@@ -115,21 +116,12 @@ def checked_form(F, n: int, skew: bool, dtype) -> np.ndarray:
         raise InvalidDescriptor("form has wrong size")
     if not np.isfinite(F).all():
         raise NonFinite("form entries must be finite")
-    S = _unit_scaled(F)
+    S = unit_scaled(F)
     if frob(S + (1 if skew else -1) * S.T) > 1e-12 * frob(S):
         raise InvalidDescriptor(f"form must be {'skew' if skew else 'symmetric'}")
     if numerical_rank(S, strict=True) < n:
         raise InvalidDescriptor("form must be nondegenerate")
     return F
-
-
-def _unit_scaled(F: np.ndarray) -> np.ndarray:
-    """F times the power of two that brings its largest real or imaginary part into [1, 2),
-    in two steps when it passes 2^1022: every digit is kept, a test on it is one on F at any
-    scale, and no norm overflows; not numkit.pow2_below, whose |z| of a huge complex entry
-    overflows to inf."""
-    e = int(np.frexp(np.maximum(abs(F.real), abs(F.imag)).max(initial=0.0))[1]) - 1
-    return F * np.ldexp(1.0, min(-e, 1022)) * np.ldexp(1.0, max(-e - 1022, 0))
 
 
 @dataclass(eq=False)
@@ -263,30 +255,23 @@ def normal_frame(g: GroupDescriptor) -> tuple[GroupDescriptor, np.ndarray | None
     I_{p,q} over R (I when q = 0), and P with P^T F0 P = S, g's form as ``checked_form``
     scales it; (g, None) when g has no form.  S and the form define one group, so g is
     P^-1 g0 P, and the stabilizer of X in g is that of P . X in g0 (``gmodules.act``)
-    carried back.  P is sqrt(lam) Q^T of Youla, each pair (2i, 2i + 1) sent to (i, m + i),
-    sqrt(sigma) U^T of Takagi, or sqrt|lam| V^T of a descending ``eigh``: real for a real form.
-    A form that already is F0, entry for entry, takes no P: its g0 is g, or the descriptor
-    without a form when F0 is the family's default J or I, so ``normal_frame`` of a g0 is
-    (g0, None)."""
+    carried back.  With S = Q D Q^T its ``numkit.congruence_form``, P is sqrt|d| Q^T, real
+    for a real form, and p the count of d > 0; for J, each pair of columns (2i, 2i + 1) of Q
+    goes to (i, m + i).  A form that already is F0, entry for entry, takes no P: its g0 is
+    g, or the descriptor without a form when F0 is the family's default J or I, so
+    ``normal_frame`` of a g0 is (g0, None)."""
     if g.form is None:
         return g, None
     skew = TRAITS[g.family].form == SKEW
     p = g.n if skew or g.field == COMPLEX else int((np.diag(g.form) > 0).sum())
     if np.array_equal(g.form, J2n(g.n) if skew else Ipq(p, g.n - p)):  # F0 already, exactly
         return (g if p < g.n else GroupDescriptor(g.family, g.n, g.field)), None
-    S, form = _unit_scaled(g.form), None
+    Q, d = congruence_form(unit_scaled(g.form), skew, g.field == REAL)
     if skew:
-        Q, lams, _ = youla_skew(S)
-        P = (np.sqrt(np.repeat(lams, 2))[:, None] * Q.T)[np.r_[0 : g.n : 2, 1 : g.n : 2]]
-    elif g.field == COMPLEX:
-        U, sigma = takagi(S)
-        P = np.sqrt(sigma)[:, None] * U.T
-    else:
-        lam, V = np.linalg.eigh(S)
-        lam, V, p = lam[::-1], V[:, ::-1], int((lam > 0).sum())
-        P = np.sqrt(abs(lam))[:, None] * V.T
-        form = Ipq(p, g.n - p) if p < g.n else None
-    return GroupDescriptor(g.family, g.n, g.field, form=form), P
+        Q, d = Q[:, np.r_[0 : g.n : 2, 1 : g.n : 2]], np.tile(d, 2)
+    p = int((d > 0).sum())
+    g0 = GroupDescriptor(g.family, g.n, g.field, form=Ipq(p, g.n - p) if p < g.n else None)
+    return g0, np.sqrt(abs(d))[:, None] * Q.T
 
 
 def contains(g: GroupDescriptor, A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -21,7 +21,8 @@ of the library needs but the stack does not provide:
 
 each read off one decomposition (a Hermitian eigendecomposition of a real
 symmetric 2n x 2n matrix for Takagi, an SVD of X for Youla) and completed
-to a unitary by the trailing columns of one complete QR.
+to a unitary by the trailing columns of one complete QR; ``congruence_form``,
+the one congruence normal form, is read off them or, over R, a descending ``eigh``.
 ``above_cutoff`` is the one rank rule, used wherever a rank or block size is
 decided.  ``numerical_ranks`` ranks A on several column sets in one pass:
 it finds the connected blocks of A's own nonzero pattern (rows and columns
@@ -38,9 +39,9 @@ cut by linear conditions (``span_kernel``, Householder reflections, no QR), kept
 read-only by ``cached_basis``: a basis of a form-free key in one bounded LRU, one under a
 form (a key that carries form bytes) by the descriptor that built it, until it is collected.
 ``pow2_below`` is the one scale that keeps every digit: the power of two at
-or below the largest |entry|, by which ``frob``, ``youla_skew`` and the
-module conditions and membership of :mod:`manirep.gmodules` divide.  Apart
-from that cache all functions are pure.
+or below the largest |real or imaginary part|; ``unit_scaled`` divides by it
+exactly, and ``frob``, ``_check_symmetry`` and ``gmodules.contains`` divide by
+it when it is at least 1.  Apart from that cache all functions are pure.
 """
 
 from __future__ import annotations
@@ -316,10 +317,18 @@ def dumps(tree, pretty: bool = False) -> str:
 
 
 def pow2_below(a) -> float:
-    """The power of two at or below the largest |entry| of ``a`` (2^(e-1) for the ``frexp``
-    exponent e of max |a|), and 1/2 when every entry is zero or ``a`` is empty.  Dividing by
-    it keeps every digit and brings the largest entry into [1, 2)."""
-    return math.ldexp(1.0, math.frexp(float(np.max(np.abs(a), initial=0.0)))[1] - 1)
+    """The power of two at or below the largest |real or imaginary part| of ``a`` (1/2 for none
+    or all zero); no modulus is taken, so it is finite for every finite ``a``."""
+    a = np.asarray(a)
+    top = np.maximum(abs(a.real), abs(a.imag)) if np.iscomplexobj(a) else abs(a)
+    return math.ldexp(1.0, math.frexp(float(top.max(initial=0.0)))[1] - 1)
+
+
+def unit_scaled(a: np.ndarray) -> np.ndarray:
+    """``a`` / ``pow2_below(a)`` exactly, as a product by two powers of two: numpy divides a
+    complex array through the divisor's reciprocal, which overflows for a subnormal divisor."""
+    e = math.frexp(pow2_below(a))[1] - 1
+    return a * math.ldexp(1.0, min(-e, 1022)) * math.ldexp(1.0, max(-e - 1022, 0))
 
 
 def frob(a: np.ndarray) -> float:
@@ -602,11 +611,12 @@ def cached_basis(build, desc) -> np.ndarray:
 
 
 def _check_symmetry(X: np.ndarray, sign: float, tol: Tolerance) -> None:
-    """Raise unless |X + sign X^T| <= max(abs_eps, rel_eps * max(|X|, 1)) (Frobenius norms).
+    """Raise unless X is square and |X + sign X^T| <= max(abs_eps, rel_eps * max(|X|, 1)).
 
-    Both sides are divided by s = max(max |x_ij|, 1) before any norm is taken, so a norm
-    that would overflow cannot turn the test into inf > inf, which passes."""
-    s = max(float(np.abs(X).max(initial=0.0)), 1.0)
+    The Frobenius norms are taken after both sides are divided by s = max(pow2_below(X), 1),
+    so a norm that would overflow cannot turn the test into inf > inf, which passes."""
+    require_square(X)
+    s = max(pow2_below(X), 1.0)
     Y = X / s
     dev = frob(Y + sign * Y.T)
     bound = max(tol.abs_eps / s, tol.rel_eps * max(frob(Y), 1.0 / s))
@@ -682,7 +692,6 @@ def youla_skew(
     conditioned.  ``complete_unitary`` completes Q and keeps the pair columns
     verbatim, as a phase on a complex pair would change Q Omega Q^T.
     """
-    require_square(X)
     X = np.asarray(X)
     _check_symmetry(X, +1.0, tol)
     if np.iscomplexobj(X) and not X.imag.any():
@@ -693,8 +702,7 @@ def youla_skew(
     if keep.sum() % 2 != 0:
         raise RankAmbiguous("numerical rank of a skew matrix must be even")
     cand, s = U[:, keep], s[keep]
-    scale = pow2_below(Y)  # pair in Y / scale, so no norm overflows
-    Y = Y / scale
+    scale, Y = pow2_below(Y), unit_scaled(Y)  # pair in Y / scale, so no norm overflows
 
     Q, pairs = U[:, :0], []
     for _ in range(len(s) // 2):
@@ -712,6 +720,25 @@ def youla_skew(
     pairs.sort(key=lambda t: -t[0])
     Q = complete_unitary(np.concatenate([Q[:, :0], *(P for _, P in pairs)], axis=1))
     return Q, [float(lam * scale) for lam, _ in pairs], len(pairs)
+
+
+def congruence_form(X: np.ndarray, skew: bool, real: bool,
+                    tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """X = Q D Q^T as (Q, d), Q unitary: D is ``youla_blocks(d, n)`` of ``youla_skew`` for skew
+    X, else diag(d) of ``takagi`` or, for ``real`` X (its real part), of the descending ``eigh``
+    of X/2 + X^T/2; d holds the values strict ``above_cutoff`` keeps, Q's kernel columns last."""
+    if skew:
+        Q, lams, _ = youla_skew(X, tol)
+        return Q, np.array(lams)
+    if not real:
+        Q, sigma = takagi(X, tol)
+        return Q, sigma[: above_cutoff(sigma, tol, strict=True).sum()]
+    X = np.asarray(X).real.astype(float)
+    _check_symmetry(X, -1.0, tol)
+    vals, vecs = np.linalg.eigh(X / 2.0 + X.T / 2.0)  # no overflow for finite X
+    keep = above_cutoff(vals, tol, strict=True)  # NonFinite for an overflowing eigenvalue
+    order = np.argsort(-vals[keep])
+    return np.column_stack([vecs[:, keep][:, order], vecs[:, ~keep]]), vals[keep][order]
 
 
 def youla_blocks(lams: list[float], n: int) -> np.ndarray:

@@ -49,15 +49,12 @@ from .numkit import (
     DEFAULT_TOL,
     REAL,
     Tolerance,
-    _check_symmetry,
     above_cutoff,
     clusters,
+    congruence_form,
     mat_to_json,
     numerical_rank,
-    require_square,
-    takagi,
     youla_blocks,
-    youla_skew,
 )
 
 
@@ -166,37 +163,21 @@ def stabilizer_left_mult(
 def stabilizer_congruence_skew(
     X: np.ndarray, tol: Tolerance = DEFAULT_TOL, field: str | None = None
 ) -> BlockParabolic:
-    """Stabilizer of skew X under A |-> A X A^T."""
+    """Stabilizer of skew X under A |-> A X A^T, read off ``numkit.congruence_form``."""
     field = _field_of(X, field)
-    Q, lams, r = youla_skew(X, tol)
-    inv_form = youla_blocks([1.0 / lam for lam in lams], 2 * r)
-    return _parabolic(Q, 2 * r, G.sp(2 * r, field, form=inv_form) if r else None, field)
+    Q, lams = congruence_form(X, True, field == REAL, tol)
+    r = 2 * len(lams)
+    return _parabolic(Q, r, G.sp(r, field, form=youla_blocks(1.0 / lams, r)) if r else None, field)
 
 
 def stabilizer_congruence_sym(
     X: np.ndarray, tol: Tolerance = DEFAULT_TOL, field: str | None = None
 ) -> BlockParabolic:
-    """Stabilizer of symmetric X (complex symmetric, not Hermitian) under congruence."""
-    require_square(X)
+    """Stabilizer of symmetric X (not Hermitian) under congruence, read off its
+    ``numkit.congruence_form``; the O_r form's -0.0 entries come from ``np.linalg.inv``."""
     field = _field_of(X, field)
-    if field == REAL:
-        Xr = np.asarray(X)
-        Xr = Xr.real.astype(float) if np.iscomplexobj(Xr) else Xr.astype(float)
-        _check_symmetry(Xr, -1.0, tol)
-        vals, vecs = np.linalg.eigh(Xr / 2.0 + Xr.T / 2.0)  # no overflow for finite Xr
-        keep = above_cutoff(vals, tol, strict=True)  # NonFinite for an overflowing eigenvalue
-        nz = vals[keep]
-        vecs_nz = vecs[:, keep]
-        order = np.argsort(-nz)
-        nz = nz[order]
-        vecs_nz = vecs_nz[:, order]
-        B = np.diag(nz)
-        Q = np.column_stack([vecs_nz, vecs[:, ~keep]])
-        r = len(nz)
-    else:
-        Q, sigma = takagi(np.asarray(X, dtype=complex), tol)
-        r = int(above_cutoff(sigma, tol, strict=True).sum())
-        B = np.diag(sigma[:r]).astype(complex)
+    Q, d = congruence_form(X, False, field == REAL, tol)
+    r, B = len(d), np.diag(d).astype(Q.dtype)
     return _parabolic(Q, r, G.orth(r, field, form=np.linalg.inv(B)) if r else None, field)
 
 
@@ -355,9 +336,11 @@ def _similarity_exact(X: np.ndarray, field: str) -> ToeplitzBlockDescriptor:
 
 
 def _similarity_numeric(X: np.ndarray, field: str, tol: Tolerance) -> ToeplitzBlockDescriptor:
+    """Numeric mode of ``stabilizer_similarity``.  A matrix with zero imaginary part takes its
+    eigenvalues, as its ranks, from its real matrix, so both fields split them alike."""
     Xn = np.asarray(X).real.astype(float) if field == REAL else np.asarray(X, dtype=complex)
     n, eye = len(Xn), np.eye(len(Xn))  # over R, X and each p(X) stay real, and so their ranks
-    vals = np.linalg.eigvals(Xn).astype(complex)
+    vals = np.linalg.eigvals(Xn if Xn.imag.any() else Xn.real).astype(complex)
     if not np.isfinite(vals).all():
         raise NonFinite("an eigenvalue is beyond the float range")
     merge = tol.cutoff(max(np.abs(vals).max(initial=0.0), 1.0))

@@ -680,6 +680,20 @@ def test_congruence_of_entries_near_the_float_range(tmp_path, action, field, pai
     assert _strict_json(proc.stdout)["dim"] == dim
 
 
+@pytest.mark.parametrize("field, big", [("C", [1.3e308, 1.3e308]), ("R", [1.3e308, 0])],
+                         ids=["complex", "real"])
+def test_asymmetric_matrix_with_an_overflowing_modulus_is_not_symmetric(tmp_path, field, big):
+    """[[1.3e308 (1 + i), 1e306], [0, 1]] is not symmetric, as its real twin is not: the
+    symmetry test scales it by its largest part, whose modulus would overflow to an inf
+    scale that let it pass to a NonFinite spectrum."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 2, "field": field,
+                                "data": [big, [1e306, 0], [0, 0], [1, 0]]}))
+    proc = _run_module("stabilizer", "--action", "congruence-sym", "--matrix", str(path))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert _strict_json(proc.stdout)["error"]["type"] == "NotSymmetric"
+
+
 def test_left_mult_with_an_overflowing_singular_value_is_a_json_error(tmp_path):
     """A 2 x 1 column of entries near 1.8e308 has a singular value beyond the float range; the
     rank rule raises NonFinite instead of ranking inf against an infinite cutoff."""

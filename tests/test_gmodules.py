@@ -10,7 +10,7 @@ from manirep.errors import InvalidDescriptor
 from manirep.gmodules import (KINDS, ActionKind, ModuleDescriptor, act, basis, contains,
                               module_dim, project)
 from manirep.groups import J2n, sample, so, so_pq, su
-from manirep.numkit import dumps, frob
+from manirep.numkit import SKEW, SYM, dumps, frob, youla_blocks
 
 
 def md(kind, n, field="R", k=None, form=None):
@@ -198,6 +198,34 @@ def test_membership_of_huge_matrices(kind):
     for e in (0, 500, 1000, 1020):
         assert all(contains(m, np.ldexp(b, e)) for b in basis(m))
         assert not contains(m, np.ldexp(rng.standard_normal((3, 3)), e))
+
+
+def test_membership_of_a_complex_entry_whose_modulus_overflows():
+    """|1.3e308 (1 + i)| overflows, so X is scaled by its largest part: the asymmetric entry
+    1e303 is seen over C as it is for the real entry 1.3e308, not lost in an inf bound."""
+    m = md("Sym2", 3, "C")
+    for big in (1.3e308 * (1 + 1j), 1.3e308):
+        X = np.zeros((3, 3), complex)
+        X[0, 0], X[1, 2] = big, 1e303
+        assert not contains(m, X)
+        X[2, 1] = 1e303
+        assert contains(m, X)
+
+
+@pytest.mark.parametrize("kind", [kind for kind, row in KINDS.items()
+                                  if row.span in (SYM, SKEW)])
+@pytest.mark.parametrize("field", ["R", "C"])
+@pytest.mark.parametrize("e", [-1070, 1000])
+def test_twisted_bases_under_forms_near_the_ends_of_the_float_range(kind, field, e):
+    """The form is brought to unit scale by a product by powers of two, not by a complex
+    division, whose reciprocal of a subnormal scale overflows: every twisted kind builds under
+    a form scaled by 2^-1070 or 2^1000, over C as over R, with the basis of the unscaled
+    form."""
+    skew = KINDS[kind].skew_form
+    form = youla_blocks([1.0, 2.0], 4) if skew else np.diag([1.0, 2.0, -1.0, 3.0])
+    want = basis(md(kind, 4, field, form=form))
+    got = basis(md(kind, 4, field, form=np.ldexp(form, e)))
+    np.testing.assert_array_equal(got, want)
 
 
 def test_every_kind_and_action_is_used():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from manirep import groups
+from manirep import groups, numkit
 from manirep.errors import InvalidDescriptor, NonFinite, UnsupportedGroup
 from manirep.gmodules import ModuleDescriptor
 from manirep.groups import (
@@ -313,7 +313,7 @@ def test_normal_frame_is_idempotent(monkeypatch, g):
 
     g0, P = groups.normal_frame(g)
     for name in ("takagi", "youla_skew"):
-        monkeypatch.setattr(groups, name, refused)
+        monkeypatch.setattr(numkit, name, refused)
     monkeypatch.setattr(np.linalg, "eigh", refused)
     again, Q = groups.normal_frame(g0)
     assert Q is None

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -783,6 +784,13 @@ def test_symmetry_check_of_an_overflowing_norm():
     numkit._check_symmetry(big, -1.0, DEFAULT_TOL)
 
 
+def test_youla_of_a_subnormal_complex_matrix():
+    """[[0, 3e-320 i], [-3e-320 i, 0]] has rank 0 by the cutoff, as its real twin has; scaling
+    it for the pairing raises no overflow."""
+    for x in (3e-320j, 3e-320):
+        assert youla_skew(np.array([[0, x], [-x, 0]]))[2] == 0
+
+
 def test_youla_of_huge_entries():
     """The pair vector's norm is taken after scaling by a power of two, so it cannot overflow."""
     Q, lams, r = youla_skew(np.array([[0.0, 1e160], [-1e160, 0.0]]))
@@ -793,27 +801,35 @@ def test_youla_of_huge_entries():
 @pytest.mark.parametrize("a, want", [
     (0.0, 0.5), (-0.0, 0.5), (5e-324, 5e-324), (1.0, 1.0), (1.5, 1.0), (-3.0, 2.0),
     (1e308, 2.0 ** 1023), (np.array([[3 + 4j, 1j]]), 4.0), (np.zeros((0, 3)), 0.5),
-    (np.zeros((2, 2), complex), 0.5),
-], ids=["0", "-0", "5e-324", "1", "1.5", "-3", "1e308", "complex", "empty", "zeros"])
+    (np.zeros((2, 2), complex), 0.5), (np.array([1.5e308 * (1 + 1j)]), 2.0 ** 1023),
+], ids=["0", "-0", "5e-324", "1", "1.5", "-3", "1e308", "complex", "empty", "zeros",
+        "modulus-overflows"])
 def test_pow2_below(a, want):
     got = numkit.pow2_below(a)
     assert type(got) is float and got == want
 
 
-_magnitudes = st.one_of(st.just(0.0), st.floats(min_value=1e-320, max_value=1e300))
+_parts = st.one_of(st.just(0.0), st.floats(min_value=2.0 ** -1074, max_value=2.0 ** 1023))
 
 
-@given(st.lists(st.tuples(_magnitudes, _magnitudes, st.booleans(), st.booleans()),
+@given(st.lists(st.tuples(_parts, _parts, st.booleans(), st.booleans()),
                 min_size=1, max_size=12), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_pow2_below_is_each_inline_scale_it_replaced(entries, complex_entries):
-    """frob, youla_skew, the form scaling of gmodules' conditions and gmodules.contains each
-    took this power of two by its own expression; pow2_below gives it bit for bit."""
+@example([(1.5e308, 1.5e308, False, False)], True)
+@example([(0.0, 3e-320, False, True)], True)
+@example([(0.0, 0.0, False, False)], False)
+def test_unit_scaled_is_ldexp_of_each_part_property(entries, complex_entries):
+    """unit_scaled(a) is np.ldexp of each real and imaginary part of a by the exponent of
+    pow2_below(a), its largest part in [1, 2) unless a is 0, with no warning, for every finite
+    a: complex entries whose modulus overflows and parts down to 2^-1074 included."""
     a = np.array([(-x if sx else x) + 1j * (-y if sy else y) for x, y, sx, sy in entries])
     a = a if complex_entries else a.real
-    got = numkit.pow2_below(a).hex()
-    assert got == math.ldexp(1.0, math.frexp(float(np.abs(a).max()))[1] - 1).hex()  # frob
-    assert got == float(np.ldexp(1.0, int(np.frexp(np.abs(a).max(initial=0.0))[1]) - 1)).hex()
-    assert got == float(np.ldexp(1.0, int(np.frexp(np.abs(a).max())[1]) - 1)).hex()
-    e = math.frexp(np.abs(a).max(initial=0.0))[1] - 1  # contains: only scaling down
-    assert max(numkit.pow2_below(a), 1.0) == (math.ldexp(1.0, e) if e > 0 else 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scale, got = numkit.pow2_below(a), numkit.unit_scaled(a)
+    e = math.frexp(scale)[1] - 1
+    assert got.dtype == a.dtype
+    np.testing.assert_array_equal(got.real, np.ldexp(a.real, -e))
+    np.testing.assert_array_equal(got.imag, np.ldexp(a.imag, -e))
+    top = np.maximum(abs(got.real), abs(got.imag)).max()
+    assert 1.0 <= top < 2.0 or (top == 0.0 and scale == 0.5)

@@ -825,6 +825,19 @@ def real_jordan_plans(draw):
     return plan, draw(st.integers(min_value=0, max_value=2**32 - 1))
 
 
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_numeric_similarity_of_a_defective_real_eigenvalue_over_either_field(field):
+    """[[0, 1], [-1, 2]] is J_2(1) conjugated by an integer unimodular matrix, and its computed
+    eigenvalues split 1 by about sqrt(eps).  Over C they are those of the real matrix, so both
+    fields decide one class of blocks (2,)."""
+    X = np.array([[0.0, 1.0], [-1.0, 2.0]], dtype=float if field == "R" else complex)
+    desc = stabilizer_similarity(X, "numeric", field=field)
+    kind = "real" if field == "R" else "complex"
+    assert [(c.kind, c.blocks) for c in desc.classes] == [(kind, (2,))]
+    assert desc.classes[0].value == pytest.approx(1.0)
+    assert desc.commutant_dim == 2
+
+
 @given(real_jordan_plans())
 @settings(max_examples=60, deadline=None)
 def test_real_and_complex_numeric_similarity_agree_property(drawn):
@@ -859,7 +872,8 @@ def test_real_and_complex_numeric_similarity_agree_property(drawn):
             results.append(type(exc))
     real, cplx = results
     if not all(isinstance(r, ToeplitzBlockDescriptor) for r in results):
-        return  # a defective eigenvalue splits by about sqrt(eps) and may not be decided
+        assert real is cplx  # both raised, and the same error
+        return
     over_c = sorted((round(c.value.real), round(c.value.imag), c.blocks) for c in cplx.classes)
     over_r = sorted((round(c.value.real), s * round(c.value.imag), c.blocks)
                     for c in real.classes for s in ((1, -1) if c.kind == "complex-pair" else (1,)))
