@@ -27,11 +27,11 @@ the one congruence normal form, is read off them or, over R, a descending ``eigh
 decided.  ``numerical_ranks`` ranks A on several column sets in one pass:
 it finds the connected blocks of A's own nonzero pattern (rows and columns
 joined by nonzero entries) once, so each A[:, s] is block diagonal in the
-sub-blocks that s cuts from them; sets holding the same columns of a block
-share a sub-block, each distinct sub-block takes part in one batched SVD per
-shape, and one ``above_cutoff`` call decides every set, each on its own
-singular values, so one cutoff holds for every block of a set;
-``numerical_rank`` is its one set of every column.  The same label
+sub-blocks that s cuts from them; a sub-block of one row has one singular value,
+its 2-norm, and each distinct one of several rows, shared by the sets holding its
+columns, takes part in one batched SVD per shape; one ``above_cutoff`` call decides
+every set, each on its own singular values, so one cutoff holds for every block of
+a set; ``numerical_rank`` is its one set of every column.  The same label
 propagation (``_labels``) gives the single-linkage ``clusters`` of a set of
 eigenvalues, the one clustering rule.  Bases are built one way: a span of
 mutually orthogonal generators, such as the unit matrices of ``unit_stack``,
@@ -361,13 +361,14 @@ def numerical_ranks(A: np.ndarray, column_sets, tol: Tolerance = DEFAULT_TOL, *,
     """The ``numerical_rank`` of A[:, s] for each set s of column indices, in one pass.
 
     A[:, s] is block diagonal along the connected blocks of A, so its singular values are
-    those of its sub-blocks, the blocks of A on the columns of s (``_blocks``).  Sets that
-    hold the same columns of a block share that sub-block, and each distinct sub-block is
-    taken once, in one batched SVD per shape, each matrix tall (B and B^T have the same
+    those of its sub-blocks, the blocks of A on the columns of s (``_blocks``): one of one row
+    comes as its 2-norm, a 1 x 1 matrix, which needs no SVD; the distinct ones of several rows
+    are taken once, in one batched SVD per shape, each matrix tall (B and B^T have the same
     singular values).  The values are gathered by set, and one ``above_cutoff`` call decides
     them all, each set as one segment holding those of all its sub-blocks, so each set keeps
     its own cutoff, ``tol.cutoff`` of its largest singular value, as for its dense SVD, and
-    its own ``strict`` band and :class:`NonFinite` rule.
+    its own ``strict`` band and :class:`NonFinite` rule, which a NaN or infinite entry of A
+    meets before any value is taken.
     """
     A = np.asarray(A, complex if np.iscomplexobj(A) else float)
     member = np.zeros((len(column_sets), A.shape[1]), bool)
@@ -375,8 +376,8 @@ def numerical_ranks(A: np.ndarray, column_sets, tol: Tolerance = DEFAULT_TOL, *,
         member[t, np.asarray(cols, int)] = True
     owner, s = [np.zeros(0, int)], [np.zeros(0)]
     for (t, j), stack in _blocks(A, member):
-        vals = np.linalg.svd(stack if stack.shape[1] >= stack.shape[2] else stack.mT,
-                             compute_uv=False)
+        vals = abs(stack[:, 0]) if stack.shape[1:] == (1, 1) else np.linalg.svd(
+            stack if stack.shape[1] >= stack.shape[2] else stack.mT, compute_uv=False)
         s.append(vals[j].ravel())
         owner.append(np.repeat(t, vals.shape[1]))
     owner, s = np.concatenate(owner), np.concatenate(s)
@@ -417,22 +418,27 @@ def _labels(r: np.ndarray, c: np.ndarray, m: int, n: int) -> tuple[np.ndarray, n
 
 
 def _blocks(A: np.ndarray, member: np.ndarray):
-    """The distinct sub-blocks of A on the column sets member[t], as ((t, j), stack) pairs:
-    one (k, p, q) stack per shape and field, and for each set t that holds matrix j of the
-    stack, t and j, as two index arrays.
+    """The sub-blocks of A on the column sets member[t], as ((t, j), stack) pairs: a (k, p, q)
+    stack, and for each set t that holds matrix j of the stack, t and j, as two index arrays.
+    A NaN or infinite entry (nonzero, so in A's pattern) raises NonFinite first.
 
     The blocks of A are the components of ``_labels`` on A's own nonzero pattern (rows and
     columns joined by nonzero entries), found once for all sets; a block's rows and columns
     keep their order in A.  Set t's sub-block of block k is A on the rows of k and the
-    columns of k that t holds, if any.  Sets holding the same columns of a block hold one
-    sub-block: a set's columns of a block are read as bits, 31 to a chunk, and each chunk
-    refines a code of the (set, block) pairs by one ``np.unique``.  A sub-block is real when
-    its columns have zero imaginary part.  All-zero rows and columns, whose singular values
-    are 0, are in no block.  One set holding every column of a dense A is one block, A
-    itself, not a copy."""
+    columns of k that t holds, if any.  A sub-block of one row comes as its 2-norm, taken by
+    ``np.hypot`` without overflow or underflow, in one (k, 1, 1) stack for all of them.  Those
+    of several rows come one stack per shape and field, each distinct one once: sets holding
+    the same columns of a block hold one sub-block, a set's columns of a block are read as
+    bits, 31 to a chunk, and each chunk refines a code of the (set, block) pairs by one
+    ``np.unique``; one is real when its columns have zero imaginary part.  All-zero rows and
+    columns, whose singular values are 0, are in no block.  One set holding every column of
+    a dense A is one block, A itself, not a copy."""
     m, n = A.shape
     whole = len(member) == 1 and member.all()  # one set: every column
-    flat = np.flatnonzero(A != 0)  # row by row
+    flat = np.flatnonzero(A != 0)  # row by row; NaN is nonzero
+    nonzero = A.ravel() if len(flat) == A.size else A.ravel()[flat]  # dense: no gather
+    if not np.isfinite(nonzero).all():
+        raise NonFinite("a matrix entry is NaN or infinite")
     if whole and 0 < len(flat) == A.size:  # dense: one block, found without labels or gather
         B = A if np.iscomplexobj(A) and A.imag.any() else A.real
         yield (np.zeros(1, int), np.zeros(1, int)), B[None]
@@ -440,8 +446,19 @@ def _blocks(A: np.ndarray, member: np.ndarray):
     r, c = np.divmod(flat, n)
     imag = np.zeros(n, bool)  # the columns with an entry off the real line
     if np.iscomplexobj(A):
-        imag[c[A.ravel()[flat].imag != 0]] = True
+        imag[c[nonzero.imag != 0]] = True
     rl, cl = _labels(r, c, m, n)
+    # a block of one row (its label) has one singular value, its 2-norm: taken for every set
+    # at once, as 1 x 1 matrices, and the block leaves the sub-blocks below
+    one = np.append(np.bincount(rl, minlength=m)[:m] == 1, False)
+    at = np.flatnonzero(one[cl])
+    if len(at):
+        at = at[np.argsort(cl[at], kind="stable")]  # their columns, block by block
+        norms = np.hypot.reduceat(np.where(member[:, at], abs(A[cl[at], at]), 0.0),
+                                  np.flatnonzero(np.diff(cl[at], prepend=-1)), axis=1)
+        t, k = np.nonzero(norms)  # the (set, block) pairs that share a column
+        yield (t, np.arange(len(t))), norms[t, k, None, None]
+        rl[one[rl]], cl[at] = m, m
     p, q = np.bincount(rl, minlength=m + 1)[:m], np.bincount(cl, minlength=m + 1)[:m]
     label = np.flatnonzero(p)  # blocks, labelled by their least row
     p, q = p[label], q[label]

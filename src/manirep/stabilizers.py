@@ -59,10 +59,12 @@ from .numkit import (
 
 
 def _field_of(X: np.ndarray, field: str | None) -> str:
-    if field is not None:
-        return field
+    """``field``, or C exactly when X has a nonzero imaginary part; such an X over R is refused."""
     X = np.asarray(X)
-    return COMPLEX if np.iscomplexobj(X) and np.abs(X.imag).max(initial=0.0) > 0 else REAL
+    imag = np.iscomplexobj(X) and X.imag.any()
+    if field == REAL and imag:
+        raise SizeMismatch("real-field matrix has nonzero imaginary part")
+    return field or (COMPLEX if imag else REAL)
 
 
 @dataclass(frozen=True)
@@ -291,12 +293,12 @@ def stabilizer_similarity(
     if np.asarray(X).shape != (n, n):
         raise SizeMismatch("similarity needs a square matrix")
     field = _field_of(X, field)
-    if field == REAL and np.iscomplexobj(X) and np.asarray(X).imag.any():
-        raise SizeMismatch("real-field matrix has nonzero imaginary part")
     if mode == "exact":
         return _similarity_exact(X, field)
     if mode == "numeric":
-        return _similarity_numeric(X, field, tol)
+        # a product beyond the float range leaves inf or NaN in p(X): NonFinite in its rank
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _similarity_numeric(X, field, tol)
     raise InvalidDescriptor(f"unknown mode {mode!r}")
 
 

@@ -160,6 +160,20 @@ def test_congruence_sym_of_huge_entries_fails_cleanly(tmp_path):
     assert proc.stderr == ""
 
 
+def test_numeric_similarity_of_an_overflowing_pair_product_fails_cleanly(tmp_path):
+    """[[1e308, 1e308], [-1e308, 1e308]] is a valid file with finite eigenvalues 1e308 +- 1e308 i,
+    but the pair's product X (X - 2 Re z) + |z|^2 I overflows to inf - inf: a typed error."""
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(Mat.from_array(np.array([[1e308, 1e308],
+                                                        [-1e308, 1e308]])).to_json()))
+    proc = subprocess.run([sys.executable, "-m", "manirep", "stabilizer", "--action",
+                           "similarity", "--mode", "numeric", "--matrix", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["type"] == "NonFinite"
+    assert proc.stderr == ""
+
+
 @pytest.mark.parametrize("blocked,argv", [
     ("scipy", ["verify", "--manifold", "all", "--trials", "1"]),
     ("scipy", ["cartan", "--type", "CI", "--n", "2"]),

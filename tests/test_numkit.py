@@ -686,6 +686,65 @@ def test_sets_sharing_sub_blocks_rank_as_alone_property(draws, data):
     assert_ranked_as_alone(A, sets)
 
 
+@st.composite
+def one_row_mixes(draw):
+    """A ``permuted_blocks`` matrix X, scaled by 2^e, and rows of 1 to 5 entries, each a block of
+    one row: joined block-diagonally, rows and columns permuted.  A row's 2-norm is 2^e, top / 7
+    or a value near the cutoff of X's top (as in ``permuted_blocks``); e runs from -1070 (the
+    entries subnormal) to 1000."""
+    X = draw(permuted_blocks())
+    real = not np.iscomplexobj(X)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    top = np.linalg.norm(X, 2) if X.size else 1.0
+    cut = DEFAULT_TOL.cutoff(top)
+    w = min(DEFAULT_TOL.abs_eps, cut / 2)
+    powers = st.integers(min_value=-1070, max_value=1000).map(lambda e: 2.0 ** e)
+    norms = powers | st.sampled_from([top / 7, cut / 4, cut - w / 2, cut + w / 2,
+                                      cut + 2 * DEFAULT_TOL.abs_eps])
+    blocks = [X * draw(st.just(1.0) | powers)]
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        u = haar(int(rng.integers(2**32)), draw(st.integers(min_value=1, max_value=5)), real)[0]
+        blocks.append(draw(norms) * u[None])
+    A = np.zeros((sum(len(B) for B in blocks), sum(B.shape[1] for B in blocks)), X.dtype)
+    i = j = 0
+    for B in blocks:
+        A[i:i + len(B), j:j + B.shape[1]] = B
+        i, j = i + len(B), j + B.shape[1]
+    return A[rng.permutation(A.shape[0])][:, rng.permutation(A.shape[1])]
+
+
+def dense_rank(M, strict=False):
+    """The rank rule on the singular values of one dense SVD of M; None where ``strict`` finds
+    a value in its band."""
+    try:
+        return int(above_cutoff(np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0),
+                                strict=strict).sum())
+    except RankAmbiguous:
+        return None
+
+
+@given(one_row_mixes(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_one_row_blocks_rank_as_the_dense_svd_property(A, data):
+    """A block of one row is ranked by its 2-norm, taken without overflow or underflow: every
+    set ranks as its columns alone do, and as the dense SVD of A[:, s] does, and ``strict``
+    raises exactly when the dense rule does, for rows from 2^-1070 to 2^1000 among blocks of
+    several rows.  Sets are all columns, the columns of one row, or drawn."""
+    n = A.shape[1]
+    rows = [list(np.flatnonzero(row)) for row in A]
+    cols = st.lists(st.integers(0, n - 1), unique=True).map(sorted)
+    sets = data.draw(st.lists(st.sampled_from([list(range(n)), *rows]) | cols, max_size=6))
+    assert_ranked_as_alone(A, sets)
+    for s in sets:
+        assert numerical_rank(A[:, s]) == dense_rank(A[:, s])
+        want = dense_rank(A[:, s], strict=True)
+        if want is None:
+            with pytest.raises(RankAmbiguous):
+                numerical_rank(A[:, s], strict=True)
+        else:
+            assert numerical_rank(A[:, s], strict=True) == want
+
+
 def test_sets_differing_past_the_first_31_columns_of_a_block_are_told_apart():
     """A block's columns are compared 31 at a time: sets that agree on a wide block's first
     chunk but not on its second or third hold different sub-blocks.  Every column of the
@@ -704,15 +763,9 @@ def test_sets_differing_past_the_first_31_columns_of_a_block_are_told_apart():
     assert numerical_ranks(A, sets) == [numerical_rank(A[:, s]) for s in sets]
 
 
-def test_ranks_of_a_census_pool_allocate_less_than_the_pool(monkeypatch):
-    """Ranking SO_19(C)'s census pool on its 44 target sets finds A's blocks once, on A's own
-    pattern, and takes each shared sub-block once: it allocates less than A itself, where a
-    layout of one copy of A's columns per set would take several times that.  The pool holds
-    only the 1,008 of the 3 x 361 joined columns that hold a nonzero."""
-    import tracemalloc
-
+def census_pool(monkeypatch, g):
+    """The pooled condition rows and target column sets that ``classify.census(g)`` ranks."""
     from manirep import classify
-    from manirep import groups as G
 
     pool = {}
 
@@ -720,9 +773,22 @@ def test_ranks_of_a_census_pool_allocate_less_than_the_pool(monkeypatch):
         pool.update(A=A, sets=sets)
         return numerical_ranks(A, sets, tol)
 
-    monkeypatch.setattr(classify, "numerical_ranks", captured)
-    classify.census(G.so(19, "C"))
-    A, sets = pool["A"], pool["sets"]
+    with monkeypatch.context() as patch:
+        patch.setattr(classify, "numerical_ranks", captured)
+        classify.census(g)
+    return pool["A"], pool["sets"]
+
+
+def test_ranks_of_a_census_pool_allocate_less_than_the_pool(monkeypatch):
+    """Ranking SO_19(C)'s census pool on its 44 target sets finds A's blocks once, on A's own
+    pattern, and takes each shared sub-block once: it allocates less than A itself, where a
+    layout of one copy of A's columns per set would take several times that.  The pool holds
+    only the 1,008 of the 3 x 361 joined columns that hold a nonzero."""
+    import tracemalloc
+
+    from manirep import groups as G
+
+    A, sets = census_pool(monkeypatch, G.so(19, "C"))
     assert A.shape == (171, 1008) and A.any(axis=0).all() and len(sets) == 44
     want = numerical_ranks(A, sets)
     tracemalloc.start()
@@ -733,6 +799,49 @@ def test_ranks_of_a_census_pool_allocate_less_than_the_pool(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < A.nbytes
+
+
+@pytest.mark.parametrize("group,svd_matrices", [(("sp", 10, "C"), 0), (("so", 19, "C"), 808)],
+                         ids=["Sp10C", "SO19C"])
+def test_one_row_blocks_of_a_census_pool_take_no_svd(monkeypatch, group, svd_matrices):
+    """A block of one row has one singular value, its 2-norm, taken without an SVD.  Every
+    block of Sp_10(C)'s census pool has one row, so ranking it takes no SVD; SO_19(C)'s pool
+    passes only its 808 distinct sub-blocks of more than one row to the batched SVDs (145 of
+    its 953 have one row)."""
+    from manirep import groups as G
+
+    A, sets = census_pool(monkeypatch, getattr(G, group[0])(*group[1:]))
+    want = numerical_ranks(A, sets)
+    svd, taken = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        taken.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert numerical_ranks(A, sets) == want
+    assert sum(taken) == svd_matrices
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+def test_a_nan_or_infinite_entry_is_non_finite(monkeypatch, bad, dense):
+    """A NaN or infinite entry is refused as NonFinite before any SVD is taken, whether A is
+    dense (one block) or sparse (here a one-row block and a 2 x 2 block)."""
+    A = np.ones((3, 3)) if dense else np.array([[1.0, 0, 0], [0, 2, 1], [0, 1, 2]])
+    A = A.astype(np.result_type(A, bad))
+    A[1, 2] = bad
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an SVD was taken")
+
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    with pytest.raises(NonFinite):
+        numerical_rank(A)
+    with pytest.raises(NonFinite):
+        numerical_ranks(A, [[0], [1, 2]], strict=True)
+    with pytest.raises(NonFinite):
+        numerical_rank(np.array([[bad, 1.0]]))
 
 
 def union_find_clusters(values, radius):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manirep import groups
-from manirep.errors import IllConditioned, NonFinite, WitnessNotInModule
+from manirep.errors import IllConditioned, NonFinite, SizeMismatch, WitnessNotInModule
 from manirep.gmodules import ActionKind, ModuleDescriptor, dact
 from manirep.groups import gl, so, su
 from manirep.numkit import OMEGA2, Tolerance, above_cutoff, frob, youla_blocks
@@ -463,6 +463,28 @@ def test_exact_similarity_reports_extreme_eigenvalues(x):
 def test_similarity_of_an_overflowing_spectrum_is_non_finite(mode):
     with pytest.raises(NonFinite):
         stabilizer_similarity(np.full((2, 2), 1e308), mode)
+
+
+def test_numeric_similarity_of_an_overflowing_pair_product_is_non_finite():
+    """The eigenvalues 1e308 +- 1e308 i are finite, but their pair's product
+    X (X - 2 Re z) + |z|^2 I is inf - inf: its rank is refused as NonFinite, with no warning."""
+    with pytest.raises(NonFinite):
+        stabilizer_similarity(np.array([[1e308, 1e308], [-1e308, 1e308]]), "numeric")
+
+
+@pytest.mark.parametrize("stabilizer,X", [
+    (stabilizer_left_mult, [[1j], [0]]),
+    (stabilizer_congruence_sym, [[1j, 0], [0, 1]]),
+    (stabilizer_congruence_skew, [[0, 1j], [-1j, 0]]),
+    (stabilizer_similarity, [[1j, 0], [0, 1]]),
+])
+def test_a_complex_matrix_over_the_reals_is_refused(stabilizer, X):
+    """Each stabilizer refuses field R for an X with a nonzero imaginary part, rather than
+    dropping the imaginary part or keeping it in a real group; its real part is accepted."""
+    X = np.array(X, dtype=complex)
+    with pytest.raises(SizeMismatch):
+        stabilizer(X, field="R")
+    assert stabilizer(X.real + 0j, field="R").field == "R"
 
 
 @given(st.lists(st.integers(min_value=1, max_value=12), max_size=30))
